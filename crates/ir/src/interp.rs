@@ -142,7 +142,7 @@ struct Frame {
 /// The runtime's mode decides how the `Olr*` instructions behave;
 /// native object instructions ignore the mode entirely. `rt` is any
 /// [`PolarRuntime`] — the plain [`ObjectRuntime`] or the sharded facade.
-pub fn run<T: Tracer, R: PolarRuntime>(
+pub fn run<T: Tracer, R: PolarRuntime + ?Sized>(
     module: &Module,
     rt: &mut R,
     input: &[u8],
@@ -224,7 +224,7 @@ pub fn run_with_mode(
     run(module, &mut rt, input, limits, &mut NopTracer)
 }
 
-struct Machine<'m, 'i, T: Tracer, R: PolarRuntime> {
+struct Machine<'m, 'i, T: Tracer, R: PolarRuntime + ?Sized> {
     module: &'m Module,
     rt: &'m mut R,
     input: &'i [u8],
@@ -241,7 +241,7 @@ struct Machine<'m, 'i, T: Tracer, R: PolarRuntime> {
     steps: u64,
 }
 
-impl<T: Tracer, R: PolarRuntime> Machine<'_, '_, T, R> {
+impl<T: Tracer, R: PolarRuntime + ?Sized> Machine<'_, '_, T, R> {
     fn exec_entry(&mut self) -> Result<u64, ExecError> {
         let entry = self.module.entry;
         let mut stack = vec![Frame {

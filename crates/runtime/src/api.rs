@@ -405,111 +405,6 @@ impl PolarRuntime for ShardedRuntime {
     }
 }
 
-impl<P: PolarRuntime + ?Sized> PolarRuntime for Box<P> {
-    fn config(&self) -> &RuntimeConfig {
-        (**self).config()
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        (**self).stats()
-    }
-
-    fn compile_time_plan(&mut self, info: &Arc<ClassInfo>) -> Arc<LayoutPlan> {
-        (**self).compile_time_plan(info)
-    }
-
-    fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
-        (**self).olr_malloc(info)
-    }
-
-    fn olr_free(&mut self, base: Addr) -> Result<(), RuntimeError> {
-        (**self).olr_free(base)
-    }
-
-    fn olr_getptr_ic(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        ic: &mut SiteCache,
-    ) -> Result<Addr, RuntimeError> {
-        (**self).olr_getptr_ic(base, expected, field, ic)
-    }
-
-    fn olr_memcpy(
-        &mut self,
-        dst: Addr,
-        src: Addr,
-        site_class: &Arc<ClassInfo>,
-    ) -> Result<(), RuntimeError> {
-        (**self).olr_memcpy(dst, src, site_class)
-    }
-
-    fn read_field(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<u64, RuntimeError> {
-        (**self).read_field(base, expected, field)
-    }
-
-    fn write_field(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        value: u64,
-    ) -> Result<(), RuntimeError> {
-        (**self).write_field(base, expected, field, value)
-    }
-
-    fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
-        (**self).check_traps(base)
-    }
-
-    fn plan_size(&self, base: Addr) -> Option<u32> {
-        (**self).plan_size(base)
-    }
-
-    fn heap_malloc(&mut self, size: usize) -> Result<Addr, HeapError> {
-        (**self).heap_malloc(size)
-    }
-
-    fn heap_free(&mut self, addr: Addr) -> Result<(), HeapError> {
-        (**self).heap_free(addr)
-    }
-
-    fn heap_read_uint(&self, addr: Addr, width: usize) -> Result<u64, HeapError> {
-        (**self).heap_read_uint(addr, width)
-    }
-
-    fn probe_read_uint(&mut self, addr: Addr, width: usize) -> Result<u64, RuntimeError> {
-        (**self).probe_read_uint(addr, width)
-    }
-
-    fn heap_write_uint(
-        &mut self,
-        addr: Addr,
-        value: u64,
-        width: usize,
-    ) -> Result<(), HeapError> {
-        (**self).heap_write_uint(addr, value, width)
-    }
-
-    fn heap_write(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), HeapError> {
-        (**self).heap_write(addr, bytes)
-    }
-
-    fn heap_memmove(&mut self, dst: Addr, src: Addr, len: usize) -> Result<(), HeapError> {
-        (**self).heap_memmove(dst, src, len)
-    }
-
-    fn heap_check_in_block(&self, addr: Addr, len: usize) -> Result<(), HeapError> {
-        (**self).heap_check_in_block(addr, len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,7 +423,7 @@ mod tests {
 
     /// The same single-context program, run against both implementations
     /// through the trait: results must agree operation for operation.
-    fn drive<R: PolarRuntime>(rt: &mut R) -> (u64, bool, bool) {
+    fn drive<R: PolarRuntime + ?Sized>(rt: &mut R) -> (u64, bool, bool) {
         let info = people();
         let obj = rt.olr_malloc(&info).unwrap();
         rt.write_field(obj, info.hash(), 1, 30).unwrap();
@@ -559,6 +454,6 @@ mod tests {
         // And through a boxed trait object, as the attack search uses it.
         let mut boxed: Box<dyn PolarRuntime> =
             Box::new(ObjectRuntime::new(RandomizeMode::per_allocation(), RuntimeConfig::default()));
-        assert_eq!(drive(&mut boxed), (0xFEED ^ 30, true, true));
+        assert_eq!(drive(&mut *boxed), (0xFEED ^ 30, true, true));
     }
 }

@@ -205,10 +205,6 @@ pub(crate) struct Capsule {
     pub base: Addr,
     /// Heap slot id of the block.
     pub slot: u32,
-    /// Heap block generation at reserve time (for debugging/assertions;
-    /// the shadow record is the source of truth).
-    #[allow(dead_code)]
-    pub generation: u64,
 }
 
 /// One entry of the shadow index: the dense, slot-addressed successor of
@@ -788,7 +784,7 @@ impl ObjectRuntime {
         }
         self.heap.pub_close(slot, win);
         seeded?;
-        Ok(Capsule { base, slot, generation })
+        Ok(Capsule { base, slot })
     }
 
     /// The SPAM-style allocation: malloc first (the size bound is
@@ -855,7 +851,7 @@ impl ObjectRuntime {
         }
         self.heap.pub_close(slot, win);
         seeded?;
-        Ok(Capsule { base, slot, generation })
+        Ok(Capsule { base, slot })
     }
 
     /// Index of (creating on first sight) the derived-plan cache for

@@ -20,10 +20,16 @@
 //!   and of every other thread (the cross-thread determinism the tests
 //!   pin down, and the independence Heelan-style heap-shaping attacks
 //!   are meant to be starved by).
-//! * **Atomic stats.** Handle-side pool and interner counters fold into
-//!   an [`AtomicRuntimeStats`] with relaxed adds;
-//!   [`ShardedRuntime::stats`] combines that snapshot with each shard's
-//!   counters read under the shard lock.
+//! * **One counter model.** Every count is a [`RuntimeStats`] column.
+//!   Locked paths count into their shard's [`ObjectRuntime`]; everything
+//!   else counts into the runtime's one [`AtomicRuntimeStats`]. Each op
+//!   has one body, shared by the `&self` facade and by [`ShardHandle`],
+//!   that counts into a `&mut RuntimeStats` sink: the facade passes a
+//!   local sheet and adds it to the atomics as the op returns, while a
+//!   handle passes its plain pending sheet, which becomes visible at
+//!   [`ShardHandle::flush_stats`] or when the handle drops.
+//!   [`ShardedRuntime::stats`] drains every shard's remote-free stack,
+//!   sums the shards' counters, and then snapshots the atomics.
 //! * **Lock-free reads.** Every shard's heap is *published*
 //!   ([`SimHeap::new_published`](polar_simheap::SimHeap::new_published)):
 //!   block identity and object metadata are mirrored into per-slot
@@ -38,9 +44,9 @@
 //!   path cannot classify (a miss, a detection, a contended writer
 //!   window after a few retries, an unpublished slot) falls back to the
 //!   shard mutex, whose path does all of its own counting and error
-//!   construction; the fast path therefore only ever *adds* the
-//!   success-shape counters, keeping the two paths' statistics
-//!   semantics identical.
+//!   construction; the fast path only counts its successes (with the
+//!   locked path's column meaning) and its fallbacks, keeping the two
+//!   paths' statistics semantics identical.
 //! * **Magazine front-end + remote frees.** With
 //!   [`RuntimeConfig::magazine`] enabled (the default), each
 //!   [`ShardHandle`] keeps per-size-class **magazines** of pre-reserved
@@ -63,7 +69,7 @@
 //! because routing is by address, not by handle.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use polar_classinfo::{ClassHash, ClassInfo};
@@ -99,56 +105,6 @@ const SHARD_SEED_SALT: u64 = 0x5348_4152; // "SHAR"
 /// bounds reader latency when a writer is descheduled mid-window.
 const FAST_RETRIES: usize = 8;
 
-// Shape indices for the per-shard lock-free counters: `_COLD` is the
-// object's first counted access since its record was (re)written, the
-// `+ 1` "warm" sibling is every later one (the offset-cache hit).
-const SHAPE_PLAIN_COLD: usize = 0;
-const SHAPE_IC_HIT_COLD: usize = 2;
-const SHAPE_IC_MISS_COLD: usize = 4;
-const SHAPE_FALLBACK: usize = 6;
-
-/// Per-shard success/fallback counters for the lock-free read path, on
-/// their own cache line so hot shards do not false-share. One relaxed
-/// `fetch_add` per fast access; [`FastCounters::fold_into`] expands the
-/// shapes into the ordinary [`RuntimeStats`] columns with exactly the
-/// locked path's semantics.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct FastCounters([AtomicU64; 8]);
-
-impl FastCounters {
-    #[inline]
-    fn bump(&self, shape: usize) {
-        self.0[shape].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold a handle's plain pending sheet in (one `fetch_add` per
-    /// non-zero shape, instead of one per operation).
-    fn bump_many(&self, pending: &[u64; 8]) {
-        for (cell, &n) in self.0.iter().zip(pending) {
-            if n != 0 {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn fold_into(&self, total: &mut RuntimeStats) {
-        let c: Vec<u64> = self.0.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        let hits: u64 = c[..6].iter().sum();
-        // Every fast success is a member access served from the
-        // (published mirror of the) shadow index; warm shapes are
-        // offset-cache hits and the ic shapes feed the site-cache
-        // columns — the same accounting getptr_core does under the lock.
-        total.member_accesses += hits;
-        total.shadow_hits += hits;
-        total.cache_hits += c[SHAPE_PLAIN_COLD + 1] + c[SHAPE_IC_HIT_COLD + 1] + c[SHAPE_IC_MISS_COLD + 1];
-        total.site_ic_hits += c[SHAPE_IC_HIT_COLD] + c[SHAPE_IC_HIT_COLD + 1];
-        total.site_ic_misses += c[SHAPE_IC_MISS_COLD] + c[SHAPE_IC_MISS_COLD + 1];
-        total.lockfree_reads += hits;
-        total.lockfree_fallbacks += c[SHAPE_FALLBACK];
-    }
-}
-
 /// Head of one shard's MPSC remote-free stack, on its own cache line so
 /// concurrent pushers to different shards do not false-share. The value
 /// is `slot id + 1` (`0` = empty); links are threaded through the
@@ -163,10 +119,11 @@ struct RemoteHead(AtomicU32);
 /// Outcome of one optimistic snapshot-and-resolve attempt.
 enum FastAttempt {
     /// Resolved: `addr`/`width` are the access, `(slot, seq)` validate
-    /// any later arena load, `shape` is the cold shape index to count
-    /// (the commit adds the warm bit), `warmed` is the published warm
-    /// flag at snapshot time (a `true` skips the commit's probe-and-set).
-    Hit { addr: Addr, width: usize, slot: u32, seq: u64, shape: usize, warmed: bool },
+    /// any later arena load, `ic_hit` is `None` for a plain access and
+    /// whether the site cache served it otherwise, and `warmed` is the
+    /// published warm flag at snapshot time (a `true` skips
+    /// [`ShardedRuntime::count_hit`]'s probe-and-set).
+    Hit { addr: Addr, width: usize, slot: u32, seq: u64, ic_hit: Option<bool>, warmed: bool },
     /// A condition the fast path does not classify (miss, detection,
     /// unpublished slot): take the mutex, which owns those outcomes.
     Fallback,
@@ -189,8 +146,6 @@ pub struct ShardedRuntime {
     /// Shared plan storage for published metadata: readers resolve the
     /// small ids carried by publication slots here, lock-free.
     registry: Arc<PlanRegistry>,
-    /// Per-shard lock-free read counters (same index as `shards`).
-    fast: Vec<FastCounters>,
     /// Per-shard remote-free stack heads (same index as `shards`).
     remote: Vec<RemoteHead>,
     /// Arena bytes per shard; shard of `addr` = `addr / span`.
@@ -202,9 +157,10 @@ pub struct ShardedRuntime {
     span_shift: Option<u32>,
     mode: RandomizeMode,
     config: RuntimeConfig,
-    /// Handle-side counters (pool hits/refills, interner dedup) folded in
-    /// with relaxed atomics.
-    facade: AtomicRuntimeStats,
+    /// Every count the shard mutexes do not own: the facade ops' per-op
+    /// counts, the handles' flushed pending sheets and the remote-free
+    /// drains.
+    counters: AtomicRuntimeStats,
 }
 
 impl ShardedRuntime {
@@ -262,19 +218,17 @@ impl ShardedRuntime {
                 Mutex::new(rt)
             })
             .collect();
-        let fast = (0..shards.len()).map(|_| FastCounters::default()).collect();
         let remote = (0..shards.len()).map(|_| RemoteHead::default()).collect();
         ShardedRuntime {
             shards,
             pubs,
             registry,
-            fast,
             remote,
             span: per as u64,
             span_shift: (per as u64).is_power_of_two().then(|| per.trailing_zeros()),
             mode,
             config,
-            facade: AtomicRuntimeStats::new(),
+            counters: AtomicRuntimeStats::new(),
         }
     }
 
@@ -316,9 +270,6 @@ impl ShardedRuntime {
             interner: PlanInterner::new(),
             pools: PlanPools::new(self.config.pool),
             rng: thread_rng(self.config.seed, thread),
-            flushed_unique: 0,
-            flushed_dedup: 0,
-            sheet: vec![[0u64; 8]; self.shards.len()].into_boxed_slice(),
             magazines: Vec::new(),
             pending: RuntimeStats::default(),
         }
@@ -414,7 +365,7 @@ impl ShardedRuntime {
             drained += 1;
         }
         if drained != 0 {
-            self.facade
+            self.counters
                 .add(&RuntimeStats { remote_drained: drained, ..RuntimeStats::default() });
         }
     }
@@ -483,7 +434,7 @@ impl ShardedRuntime {
                         width: width as usize,
                         slot: snap.slot,
                         seq: snap.seq,
-                        shape: SHAPE_IC_HIT_COLD,
+                        ic_hit: Some(true),
                         warmed: snap.warmed,
                     };
                 }
@@ -498,124 +449,143 @@ impl ShardedRuntime {
         let Some(access) = plan.access(field) else {
             return FastAttempt::Fallback; // FieldOutOfBounds: raised under the lock
         };
-        let shape = if let Some(site) = ic {
+        let ic_hit = ic.map(|site| {
             if self.config.offset_cache {
                 site.pin(expected, PlanHash(snap.plan_hash), access.offset, access.width);
                 site.note_slot(base.0, snap.slot);
             }
-            SHAPE_IC_MISS_COLD
-        } else {
-            SHAPE_PLAIN_COLD
-        };
+            false
+        });
         FastAttempt::Hit {
             addr: base.offset(u64::from(access.offset)),
             width: access.width as usize,
             slot: snap.slot,
             seq: snap.seq,
-            shape,
+            ic_hit,
             warmed: snap.warmed,
         }
     }
 
-    /// Final counter index of a fast success: probe-and-set the
-    /// published warm flag (the offset-cache accounting shared with the
-    /// locked path) and add the warm bit to the cold shape. A snapshot
-    /// that already saw the flag set skips the probe entirely.
+    /// Count one lock-free success into `sink` with the meaning
+    /// [`ObjectRuntime`]'s locked getptr gives it: a member access served
+    /// from the (published mirror of the) shadow index, an offset-cache
+    /// hit once the object is warm (probe-and-set the published warm
+    /// flag unless the snapshot already saw it set), and the site-cache
+    /// column for inline-cached accesses.
     #[inline]
-    fn fast_idx(&self, shard: usize, slot: u32, shape: usize, warmed: bool) -> usize {
-        let warm = self.config.offset_cache && (warmed || self.pubs[shard].warm_probe(slot));
-        shape + usize::from(warm)
+    fn count_hit(
+        &self,
+        sink: &mut RuntimeStats,
+        shard: usize,
+        slot: u32,
+        ic_hit: Option<bool>,
+        warmed: bool,
+    ) {
+        sink.member_accesses += 1;
+        sink.shadow_hits += 1;
+        sink.lockfree_reads += 1;
+        if self.config.offset_cache && (warmed || self.pubs[shard].warm_probe(slot)) {
+            sink.cache_hits += 1;
+        }
+        match ic_hit {
+            Some(true) => sink.site_ic_hits += 1,
+            Some(false) => sink.site_ic_misses += 1,
+            None => {}
+        }
     }
 
-    /// Lock-free `olr_getptr`/`olr_getptr_ic` attempt, with counting
-    /// left to the caller: returns the resolved address (`None` = take
-    /// the shard mutex) and the `(shard, counter index)` the attempt
-    /// must be counted under (`None` = unroutable address, nothing to
-    /// count). The split lets the facade count straight into the shared
-    /// atomics while a [`ShardHandle`] counts into its plain per-thread
-    /// sheet — one `fetch_add` per flush instead of per read.
+    /// The one body of `olr_getptr`/`olr_getptr_ic` for the facade and
+    /// for handles: try the lock-free path, and fall back to the owning
+    /// shard's mutex, which counts and classifies everything the fast
+    /// path does not. Lock-free successes and fallbacks are counted into
+    /// `sink`.
     #[inline]
-    fn fast_getptr_raw(
+    fn getptr_in(
         &self,
+        sink: &mut RuntimeStats,
         base: Addr,
         expected: ClassHash,
         field: usize,
         mut ic: Option<&mut SiteCache>,
-    ) -> (Option<Addr>, Option<(usize, usize)>) {
+    ) -> Result<Addr, RuntimeError> {
         let Some(shard) = self.shard_of(base) else {
-            return (None, None);
+            return Err(RuntimeError::UnknownObject(base));
         };
         for _ in 0..FAST_RETRIES {
             match self.fast_attempt(shard, base, expected, field, ic.as_deref_mut()) {
-                FastAttempt::Hit { addr, slot, shape, warmed, .. } => {
-                    return (Some(addr), Some((shard, self.fast_idx(shard, slot, shape, warmed))));
+                FastAttempt::Hit { addr, slot, ic_hit, warmed, .. } => {
+                    self.count_hit(sink, shard, slot, ic_hit, warmed);
+                    return Ok(addr);
                 }
                 FastAttempt::Fallback => break,
                 FastAttempt::Contended => std::hint::spin_loop(),
             }
         }
-        (None, Some((shard, SHAPE_FALLBACK)))
-    }
-
-    /// [`ShardedRuntime::fast_getptr_raw`] with the count folded into
-    /// the shared atomics (the facade path).
-    #[inline]
-    fn fast_getptr(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        ic: Option<&mut SiteCache>,
-    ) -> Option<Addr> {
-        let (resolved, count) = self.fast_getptr_raw(base, expected, field, ic);
-        if let Some((shard, idx)) = count {
-            self.fast[shard].bump(idx);
+        sink.lockfree_fallbacks += 1;
+        let mut rt = self.shard(shard)?;
+        match ic {
+            Some(ic) => rt.olr_getptr_ic(base, expected, field, ic),
+            None => rt.olr_getptr(base, expected, field),
         }
-        resolved
     }
 
-    /// Lock-free `read_field` attempt, counter split as in
-    /// [`ShardedRuntime::fast_getptr_raw`]: resolve, load the value
-    /// from the shared arena, then re-check the slot's sequence — an
-    /// unchanged sequence proves no writer window (field store, free,
-    /// reuse) overlapped the byte load, so the value is never torn.
+    /// The one body of `read_field`, counted as in
+    /// [`ShardedRuntime::getptr_in`]: resolve, load the value from the
+    /// shared arena, then re-check the slot's sequence — an unchanged
+    /// sequence proves no writer window (field store, free, reuse)
+    /// overlapped the byte load, so the value is never torn.
     #[inline]
-    fn fast_read_field_raw(
+    fn read_field_in(
         &self,
+        sink: &mut RuntimeStats,
         base: Addr,
         expected: ClassHash,
         field: usize,
-    ) -> (Option<u64>, Option<(usize, usize)>) {
+    ) -> Result<u64, RuntimeError> {
         let Some(shard) = self.shard_of(base) else {
-            return (None, None);
+            return Err(RuntimeError::UnknownObject(base));
         };
         for _ in 0..FAST_RETRIES {
             match self.fast_attempt(shard, base, expected, field, None) {
-                FastAttempt::Hit { addr, width, slot, seq, shape, warmed } => {
+                FastAttempt::Hit { addr, width, slot, seq, ic_hit, warmed } => {
                     let p = &self.pubs[shard];
                     let Some(value) = p.read_uint(addr.0, width) else { break };
                     if !p.recheck(slot, seq) {
                         std::hint::spin_loop();
                         continue; // torn load: retry from a fresh snapshot
                     }
-                    return (Some(value), Some((shard, self.fast_idx(shard, slot, shape, warmed))));
+                    self.count_hit(sink, shard, slot, ic_hit, warmed);
+                    return Ok(value);
                 }
                 FastAttempt::Fallback => break,
                 FastAttempt::Contended => std::hint::spin_loop(),
             }
         }
-        (None, Some((shard, SHAPE_FALLBACK)))
+        sink.lockfree_fallbacks += 1;
+        self.shard(shard)?.read_field(base, expected, field)
     }
 
-    /// [`ShardedRuntime::fast_read_field_raw`] with the count folded
-    /// into the shared atomics (the facade path).
-    #[inline]
-    fn fast_read_field(&self, base: Addr, expected: ClassHash, field: usize) -> Option<u64> {
-        let (resolved, count) = self.fast_read_field_raw(base, expected, field);
-        if let Some((shard, idx)) = count {
-            self.fast[shard].bump(idx);
+    /// The one body of `olr_free`: a lock-free claim when
+    /// [`ShardedRuntime::fast_free`] can prove it, counted into `sink`;
+    /// the owning shard's mutex otherwise.
+    fn free_in(&self, sink: &mut RuntimeStats, addr: Addr) -> Result<(), RuntimeError> {
+        if let Some(scanned) = self.fast_free(addr) {
+            sink.frees += 1;
+            sink.fast_frees += 1;
+            sink.trap_scans += u64::from(scanned);
+            return Ok(());
         }
-        resolved
+        self.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
+    }
+
+    /// Run one facade op against a local sheet and add it to the shared
+    /// counters: facade counts are visible as soon as the op returns.
+    #[inline]
+    fn counted<T>(&self, op: impl FnOnce(&mut RuntimeStats) -> T) -> T {
+        let mut sink = RuntimeStats::default();
+        let out = op(&mut sink);
+        self.counters.add(&sink);
+        out
     }
 
     /// Lock-free `olr_free` attempt. `Some(scanned)` means the free
@@ -716,16 +686,7 @@ impl ShardedRuntime {
     /// As for the single-thread call; addresses outside every shard
     /// window report [`HeapError::InvalidFree`].
     pub fn olr_free(&self, addr: Addr) -> Result<(), RuntimeError> {
-        if let Some(scanned) = self.fast_free(addr) {
-            self.facade.add(&RuntimeStats {
-                frees: 1,
-                fast_frees: 1,
-                trap_scans: u64::from(scanned),
-                ..RuntimeStats::default()
-            });
-            return Ok(());
-        }
-        self.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
+        self.counted(|sink| self.free_in(sink, addr))
     }
 
     /// [`ObjectRuntime::olr_getptr`], routed by address.
@@ -741,10 +702,7 @@ impl ShardedRuntime {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        if let Some(addr) = self.fast_getptr(base, expected, field, None) {
-            return Ok(addr);
-        }
-        self.route(base, RuntimeError::UnknownObject(base))?.olr_getptr(base, expected, field)
+        self.counted(|sink| self.getptr_in(sink, base, expected, field, None))
     }
 
     /// [`ObjectRuntime::olr_getptr_ic`], routed by address. The site
@@ -761,11 +719,7 @@ impl ShardedRuntime {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        if let Some(addr) = self.fast_getptr(base, expected, field, Some(ic)) {
-            return Ok(addr);
-        }
-        self.route(base, RuntimeError::UnknownObject(base))?
-            .olr_getptr_ic(base, expected, field, ic)
+        self.counted(|sink| self.getptr_in(sink, base, expected, field, Some(ic)))
     }
 
     /// [`ObjectRuntime::read_field`], routed by address.
@@ -780,10 +734,7 @@ impl ShardedRuntime {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        if let Some(value) = self.fast_read_field(base, expected, field) {
-            return Ok(value);
-        }
-        self.route(base, RuntimeError::UnknownObject(base))?.read_field(base, expected, field)
+        self.counted(|sink| self.read_field_in(sink, base, expected, field))
     }
 
     /// [`ObjectRuntime::write_field`], routed by address.
@@ -858,11 +809,18 @@ impl ShardedRuntime {
         self.shard_ignore_poison(i).object_meta(base).cloned()
     }
 
-    /// Combined statistics: every shard's counters (each read under its
-    /// lock, so per-shard numbers are internally consistent) plus the
-    /// facade's handle-side atomics. Exact at quiescence; while threads
-    /// are mid-operation each counter is individually exact but the
-    /// cross-counter view is approximate (see [`AtomicRuntimeStats`]).
+    /// Combined statistics: the sum of every shard's
+    /// [`ObjectRuntime::stats`] (each read under its lock, so per-shard
+    /// numbers are internally consistent) plus one snapshot of the
+    /// shared counters.
+    ///
+    /// Coherence contract: facade ops are counted as each op returns; a
+    /// [`ShardHandle`]'s counts become visible at its
+    /// [`ShardHandle::flush_stats`] or drop; and this call drains every
+    /// shard's remote-free stack *before* it snapshots the shared
+    /// counters. Exact at quiescence; while threads are mid-operation
+    /// each counter is individually exact but the cross-counter view is
+    /// approximate (see [`AtomicRuntimeStats`]).
     ///
     /// `unique_plans`/`dedup_saved` sum over *all* interners (one per
     /// shard + one per handle), so they bound metadata held, not global
@@ -871,13 +829,12 @@ impl ShardedRuntime {
         let mut total = RuntimeStats::default();
         for i in 0..self.shards.len() {
             total += self.shard_ignore_poison(i).stats();
-            self.fast[i].fold_into(&mut total);
         }
-        // Snapshot the facade *after* visiting the shards: each visit
-        // drains that shard's remote-free stack, and the drain counts
-        // `remote_drained` into the facade — snapshotting first would
-        // report the claims (`fast_frees`) without their completions.
-        total += self.facade.snapshot();
+        // Snapshot the shared counters *after* visiting the shards: each
+        // visit drains that shard's remote-free stack and counts
+        // `remote_drained` into them — snapshotting first would report
+        // the claims (`fast_frees`) without their completions.
+        total += self.counters.snapshot();
         total
     }
 
@@ -1090,29 +1047,19 @@ pub struct ShardHandle<'rt> {
     interner: PlanInterner,
     pools: PlanPools,
     rng: BufferedRng,
-    /// Interner absolute values already folded into the facade atomics
-    /// (the interner only grows, so flushing sends the delta).
-    flushed_unique: u64,
-    flushed_dedup: u64,
-    /// Plain per-shard shape counters for this thread's lock-free
-    /// reads. A locked `fetch_add` is a full barrier on most hardware
-    /// and costs as much as the whole optimistic resolution, so the
-    /// handle counts into this unshared sheet and folds it into the
-    /// runtime's atomics in [`ShardHandle::flush_stats`] (called on
-    /// drop): one `fetch_add` per shape per flush, not per read.
-    /// Pending counts become visible to [`ShardedRuntime::stats`] at
-    /// the flush — dropping the handle before joining the thread (the
-    /// natural scoped-thread shape) keeps the global counts exact.
-    sheet: Box<[[u64; 8]]>,
     /// Per-class magazines of pre-reserved capsules (key =
     /// `ClassHash.0`). A handful of classes per workload makes the
     /// linear scan cheaper than hashing.
     magazines: Vec<(u64, Magazine)>,
-    /// Pending whole-`RuntimeStats` deltas from the magazine and
-    /// fast-free paths (allocations, frees, magazine/fast counters),
-    /// folded into the facade atomics at [`ShardHandle::flush_stats`] —
-    /// the same batching discipline as `sheet`, for counters that do
-    /// not fit the 8-shape read sheet.
+    /// Every count this handle makes outside a shard mutex: lock-free
+    /// reads and frees, magazine pops, pool and interner growth. A locked
+    /// `fetch_add` is a full barrier on most hardware and costs as much
+    /// as a whole optimistic read, so the handle counts into this plain
+    /// sheet and [`ShardHandle::flush_stats`] (also run on drop) folds it
+    /// into the runtime's shared counters. Pending counts become visible
+    /// to [`ShardedRuntime::stats`] at the flush — dropping the handle
+    /// before joining the thread (the natural scoped-thread shape) keeps
+    /// the global counts exact.
     pending: RuntimeStats,
 }
 
@@ -1161,26 +1108,7 @@ impl ShardHandle<'_> {
         if !per_alloc || stateless {
             return self.rt.shard(self.home)?.olr_malloc(info);
         }
-        let plan = if self.rt.config.pool.enabled() {
-            let before = self.pools.stats();
-            let plan = self.pools.draw(info, &self.engine, &mut self.interner, &mut self.rng);
-            let after = self.pools.stats();
-            self.rt.facade.add(&RuntimeStats {
-                pool_hits: after.hits - before.hits,
-                pool_refills: after.refills - before.refills,
-                ..RuntimeStats::default()
-            });
-            plan
-        } else {
-            self.interner.intern(self.engine.generate(info, &mut self.rng))
-        };
-        // Interner growth/dedup since the last flush, as deltas.
-        let interned = RuntimeStats {
-            unique_plans: self.interner.unique_plans() as u64,
-            dedup_saved: self.interner.dedup_hits(),
-            ..RuntimeStats::default()
-        };
-        self.flush_interner_delta(interned);
+        let plan = self.draw_plans(info, 1).pop().expect("one plan drawn");
         self.rt.shard(self.home)?.olr_malloc_with_plan(info, plan)
     }
 
@@ -1245,36 +1173,7 @@ impl ShardHandle<'_> {
         stateless: bool,
         batch: usize,
     ) -> Result<(), RuntimeError> {
-        let mut plans: Vec<Arc<LayoutPlan>> = Vec::new();
-        if !stateless {
-            if self.rt.config.pool.enabled() {
-                let before = self.pools.stats();
-                self.pools.draw_batch(
-                    info,
-                    &self.engine,
-                    &mut self.interner,
-                    &mut self.rng,
-                    batch,
-                    &mut plans,
-                );
-                let after = self.pools.stats();
-                self.rt.facade.add(&RuntimeStats {
-                    pool_hits: after.hits - before.hits,
-                    pool_refills: after.refills - before.refills,
-                    ..RuntimeStats::default()
-                });
-            } else {
-                for _ in 0..batch {
-                    plans.push(self.interner.intern(self.engine.generate(info, &mut self.rng)));
-                }
-            }
-            let interned = RuntimeStats {
-                unique_plans: self.interner.unique_plans() as u64,
-                dedup_saved: self.interner.dedup_hits(),
-                ..RuntimeStats::default()
-            };
-            self.flush_interner_delta(interned);
-        }
+        let plans = if stateless { Vec::new() } else { self.draw_plans(info, batch) };
         let mut shard = self.rt.shard(self.home)?;
         let caps = &mut self.magazines[idx].1.caps;
         if stateless {
@@ -1297,21 +1196,26 @@ impl ShardHandle<'_> {
         Ok(())
     }
 
-    /// Fold the interner counters' growth since the last flush into the
-    /// facade atomics.
-    fn flush_interner_delta(&mut self, current: RuntimeStats) {
-        // The interner only grows, so the delta since the previous flush
-        // is non-negative; track the high-water marks in-place.
-        let delta = RuntimeStats {
-            unique_plans: current.unique_plans - self.flushed_unique,
-            dedup_saved: current.dedup_saved - self.flushed_dedup,
-            ..RuntimeStats::default()
-        };
-        if delta.unique_plans != 0 || delta.dedup_saved != 0 {
-            self.rt.facade.add(&delta);
+    /// Draw `n` plans for `info` from this thread's pools (or straight
+    /// from the engine when pooling is off), counting the pool and
+    /// interner growth into the pending sheet.
+    fn draw_plans(&mut self, info: &Arc<ClassInfo>, n: usize) -> Vec<Arc<LayoutPlan>> {
+        let pool = self.pools.stats();
+        let (unique, dedup) = (self.interner.unique_plans(), self.interner.dedup_hits());
+        let mut plans = Vec::with_capacity(n);
+        if self.rt.config.pool.enabled() {
+            self.pools.draw_batch(info, &self.engine, &mut self.interner, &mut self.rng, n, &mut plans);
+        } else {
+            for _ in 0..n {
+                plans.push(self.interner.intern(self.engine.generate(info, &mut self.rng)));
+            }
         }
-        self.flushed_unique = current.unique_plans;
-        self.flushed_dedup = current.dedup_saved;
+        let after = self.pools.stats();
+        self.pending.pool_hits += after.hits - pool.hits;
+        self.pending.pool_refills += after.refills - pool.refills;
+        self.pending.unique_plans += (self.interner.unique_plans() - unique) as u64;
+        self.pending.dedup_saved += self.interner.dedup_hits() - dedup;
+        plans
     }
 
     /// Raw (untracked) buffer allocation on the home shard.
@@ -1335,28 +1239,18 @@ impl ShardHandle<'_> {
     }
 
     /// [`ShardedRuntime::olr_free`] (address-routed; works on any
-    /// shard's objects, not just the home shard's), with the fast-free
-    /// counters batched into this handle's pending sheet instead of the
-    /// shared atomics.
+    /// shard's objects, not just the home shard's), counted into this
+    /// handle's pending sheet.
     ///
     /// # Errors
     ///
     /// As for [`ShardedRuntime::olr_free`].
     pub fn olr_free(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        if let Some(scanned) = self.rt.fast_free(addr) {
-            self.pending.frees += 1;
-            self.pending.fast_frees += 1;
-            self.pending.trap_scans += u64::from(scanned);
-            return Ok(());
-        }
-        self.rt
-            .route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?
-            .olr_free(addr)
+        self.rt.free_in(&mut self.pending, addr)
     }
 
     /// [`ShardedRuntime::olr_getptr`], counted into this handle's
-    /// plain sheet instead of the shared atomics (see
-    /// [`ShardHandle::flush_stats`]).
+    /// pending sheet (see [`ShardHandle::flush_stats`]).
     ///
     /// # Errors
     ///
@@ -1368,22 +1262,11 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        let (resolved, count) = self.rt.fast_getptr_raw(base, expected, field, None);
-        if let Some((shard, idx)) = count {
-            self.sheet[shard][idx] += 1;
-        }
-        match resolved {
-            Some(addr) => Ok(addr),
-            None => self
-                .rt
-                .route(base, RuntimeError::UnknownObject(base))?
-                .olr_getptr(base, expected, field),
-        }
+        self.rt.getptr_in(&mut self.pending, base, expected, field, None)
     }
 
     /// [`ShardedRuntime::olr_getptr_ic`], counted into this handle's
-    /// plain sheet instead of the shared atomics (see
-    /// [`ShardHandle::flush_stats`]).
+    /// pending sheet (see [`ShardHandle::flush_stats`]).
     ///
     /// # Errors
     ///
@@ -1396,22 +1279,11 @@ impl ShardHandle<'_> {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        let (resolved, count) = self.rt.fast_getptr_raw(base, expected, field, Some(ic));
-        if let Some((shard, idx)) = count {
-            self.sheet[shard][idx] += 1;
-        }
-        match resolved {
-            Some(addr) => Ok(addr),
-            None => self
-                .rt
-                .route(base, RuntimeError::UnknownObject(base))?
-                .olr_getptr_ic(base, expected, field, ic),
-        }
+        self.rt.getptr_in(&mut self.pending, base, expected, field, Some(ic))
     }
 
     /// [`ShardedRuntime::read_field`], counted into this handle's
-    /// plain sheet instead of the shared atomics (see
-    /// [`ShardHandle::flush_stats`]).
+    /// pending sheet (see [`ShardHandle::flush_stats`]).
     ///
     /// # Errors
     ///
@@ -1423,35 +1295,15 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        let (resolved, count) = self.rt.fast_read_field_raw(base, expected, field);
-        if let Some((shard, idx)) = count {
-            self.sheet[shard][idx] += 1;
-        }
-        match resolved {
-            Some(value) => Ok(value),
-            None => self
-                .rt
-                .route(base, RuntimeError::UnknownObject(base))?
-                .read_field(base, expected, field),
-        }
+        self.rt.read_field_in(&mut self.pending, base, expected, field)
     }
 
-    /// Fold this handle's pending counts — the lock-free read sheet and
-    /// the magazine/fast-free deltas — into the runtime's shared
+    /// Fold this handle's pending sheet into the runtime's shared
     /// counters. Runs on drop (via [`ShardHandle::teardown`]); call it
     /// explicitly when [`ShardedRuntime::stats`] must observe this
     /// thread's operations while the handle stays alive.
     pub fn flush_stats(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        if pending != RuntimeStats::default() {
-            self.rt.facade.add(&pending);
-        }
-        for (shard, pending) in self.sheet.iter_mut().enumerate() {
-            if pending.iter().any(|&n| n != 0) {
-                self.rt.fast[shard].bump_many(pending);
-                *pending = [0; 8];
-            }
-        }
+        self.rt.counters.add(&std::mem::take(&mut self.pending));
     }
 
     /// Number of reserved-but-unallocated capsules currently parked in

@@ -4,152 +4,30 @@ use std::fmt;
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters the runtime maintains, matching the columns of the paper's
-/// Table III ("number of allocation/free, member variable access, and
-/// cache hit attempts against the randomized objects") plus the detection
-/// counters used by the security evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RuntimeStats {
-    /// Randomized object allocations (`olr_malloc`).
-    pub allocations: u64,
-    /// Randomized object frees (`olr_free`).
-    pub frees: u64,
-    /// Object-aware memory copies (`olr_memcpy`).
-    pub memcpys: u64,
-    /// Member-variable accesses (`olr_getptr`).
-    pub member_accesses: u64,
-    /// Member accesses satisfied by the offset-lookup cache.
-    pub cache_hits: u64,
-    /// Use-after-free accesses detected.
-    pub uaf_detected: u64,
-    /// Class-hash mismatches (type confusions) detected.
-    pub mismatch_detected: u64,
-    /// Booby-trap canaries found corrupted.
-    pub traps_triggered: u64,
-    /// Booby-trap sweeps performed (explicit [`check_traps`] calls plus
-    /// the free-path scan when `check_traps_on_free` is set).
-    ///
-    /// [`check_traps`]: crate::ObjectRuntime::check_traps
-    pub trap_scans: u64,
-    /// Dummy slots found with a corrupted canary, counted per slot across
-    /// all sweeps. `traps_triggered` counts the same events; this counter
-    /// exists so attack evaluations can tell "no sweep ran" apart from
-    /// "sweeps ran and found nothing" together with `trap_scans`.
-    pub dummy_touches: u64,
-    /// Double frees of tracked objects detected (`olr_free` on an object
-    /// already in the freed state).
-    pub double_free_detected: u64,
-    /// Distinct layout plans interned (metadata records after dedup).
-    pub unique_plans: u64,
-    /// Metadata records saved by plan deduplication.
-    pub dedup_saved: u64,
-    /// Member accesses whose metadata came from a generation-current
-    /// shadow-index slot (O(1) lookup, no hashing).
-    pub shadow_hits: u64,
-    /// Member accesses that found no current shadow-index entry: the
-    /// address was never tracked, or its slot was re-allocated since the
-    /// metadata was recorded (generation mismatch — a self-invalidated
-    /// stale entry).
-    pub shadow_misses: u64,
-    /// Member accesses resolved by a per-call-site inline cache.
-    pub site_ic_hits: u64,
-    /// Inline-cache probes that fell back to the full metadata path.
-    pub site_ic_misses: u64,
-    /// Allocations served by the stateless small-class path: the layout
-    /// (and any virtual traps) derived from (generation, slot, epoch
-    /// key) instead of drawn from a pool or the engine.
-    pub stateless_allocs: u64,
-    /// Probe reads (`probe_read_uint`) that overlapped a live object's
-    /// booby-trap slot and were refused. Also counted into
-    /// `traps_triggered`/`dummy_touches`; this counter separates
-    /// probe-time trips from free-time sweep findings.
-    pub probe_traps: u64,
-    /// Allocations whose plan came out of a per-class pool without an
-    /// inline generation (the §V-B fast path's steady-state case).
-    pub pool_hits: u64,
-    /// Pool refill events: warm-up batch fills plus steady-state churn
-    /// regenerations.
-    pub pool_refills: u64,
-    /// Member accesses served entirely by the optimistic (seqlock) read
-    /// path: no shard mutex was taken.
-    pub lockfree_reads: u64,
-    /// Optimistic read attempts that fell back to the shard mutex
-    /// (contended seqlock window, unpublished slot, or a condition the
-    /// fast path cannot classify, e.g. a detection).
-    pub lockfree_fallbacks: u64,
-    /// Allocations served from a per-handle magazine of pre-reserved
-    /// capsules: no shard mutex was taken.
-    pub magazine_hits: u64,
-    /// Magazine refill events: one shard-lock acquisition reserving a
-    /// batch of capsules.
-    pub magazine_refills: u64,
-    /// Capsules returned to the shard unconsumed (handle teardown or
-    /// magazine retirement) — these were reserved but never allocated,
-    /// so they count in neither `allocations` nor `frees`.
-    pub magazine_returns: u64,
-    /// Frees completed entirely on the lock-free path: publication
-    /// claim + remote-free stack push, no shard mutex.
-    pub fast_frees: u64,
-    /// Remote-freed slots drained and released by their owning shard
-    /// (each matches one earlier `fast_frees` event).
-    pub remote_drained: u64,
-}
-
-impl RuntimeStats {
-    /// Cache hit ratio over member accesses, in `[0, 1]`; `None` when no
-    /// member was ever accessed.
-    pub fn cache_hit_ratio(&self) -> Option<f64> {
-        if self.member_accesses == 0 {
-            None
-        } else {
-            Some(self.cache_hits as f64 / self.member_accesses as f64)
+/// Defines [`RuntimeStats`], its [`AddAssign`] and [`AtomicRuntimeStats`]
+/// from one list of counters, so a counter is named exactly once.
+macro_rules! runtime_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Counters the runtime maintains, matching the columns of the paper's
+        /// Table III ("number of allocation/free, member variable access, and
+        /// cache hit attempts against the randomized objects") plus the detection
+        /// counters used by the security evaluation.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct RuntimeStats {
+            $($(#[$doc])* pub $field: u64,)*
         }
-    }
 
-    /// Total security detections of any kind.
-    pub fn total_detections(&self) -> u64 {
-        self.uaf_detected + self.mismatch_detected + self.traps_triggered + self.double_free_detected
-    }
-}
+        impl AddAssign for RuntimeStats {
+            fn add_assign(&mut self, rhs: RuntimeStats) {
+                $(self.$field += rhs.$field;)*
+            }
+        }
 
-impl AddAssign for RuntimeStats {
-    fn add_assign(&mut self, rhs: RuntimeStats) {
-        self.allocations += rhs.allocations;
-        self.frees += rhs.frees;
-        self.memcpys += rhs.memcpys;
-        self.member_accesses += rhs.member_accesses;
-        self.cache_hits += rhs.cache_hits;
-        self.uaf_detected += rhs.uaf_detected;
-        self.mismatch_detected += rhs.mismatch_detected;
-        self.traps_triggered += rhs.traps_triggered;
-        self.trap_scans += rhs.trap_scans;
-        self.dummy_touches += rhs.dummy_touches;
-        self.double_free_detected += rhs.double_free_detected;
-        self.unique_plans += rhs.unique_plans;
-        self.dedup_saved += rhs.dedup_saved;
-        self.shadow_hits += rhs.shadow_hits;
-        self.shadow_misses += rhs.shadow_misses;
-        self.site_ic_hits += rhs.site_ic_hits;
-        self.site_ic_misses += rhs.site_ic_misses;
-        self.stateless_allocs += rhs.stateless_allocs;
-        self.probe_traps += rhs.probe_traps;
-        self.pool_hits += rhs.pool_hits;
-        self.pool_refills += rhs.pool_refills;
-        self.lockfree_reads += rhs.lockfree_reads;
-        self.lockfree_fallbacks += rhs.lockfree_fallbacks;
-        self.magazine_hits += rhs.magazine_hits;
-        self.magazine_refills += rhs.magazine_refills;
-        self.magazine_returns += rhs.magazine_returns;
-        self.fast_frees += rhs.fast_frees;
-        self.remote_drained += rhs.remote_drained;
-    }
-}
-
-macro_rules! atomic_stats {
-    ($($(#[$doc:meta])* $field:ident),* $(,)?) => {
         /// [`RuntimeStats`] with every counter behind a relaxed
-        /// [`AtomicU64`], shared by all threads of a
-        /// [`ShardedRuntime`](crate::ShardedRuntime).
+        /// [`AtomicU64`]: the one shared sheet of a
+        /// [`ShardedRuntime`](crate::ShardedRuntime), which its `&self`
+        /// facade ops count into per op and its handles fold their
+        /// pending sheets into.
         ///
         /// Counters are individually exact and monotone. A
         /// [`snapshot`](AtomicRuntimeStats::snapshot) taken while other
@@ -191,36 +69,108 @@ macro_rules! atomic_stats {
     };
 }
 
-atomic_stats!(
+runtime_stats! {
+    /// Randomized object allocations (`olr_malloc`).
     allocations,
+    /// Randomized object frees (`olr_free`).
     frees,
+    /// Object-aware memory copies (`olr_memcpy`).
     memcpys,
+    /// Member-variable accesses (`olr_getptr`).
     member_accesses,
+    /// Member accesses satisfied by the offset-lookup cache.
     cache_hits,
+    /// Use-after-free accesses detected.
     uaf_detected,
+    /// Class-hash mismatches (type confusions) detected.
     mismatch_detected,
+    /// Booby-trap canaries found corrupted.
     traps_triggered,
+    /// Booby-trap sweeps performed (explicit [`check_traps`] calls plus
+    /// the free-path scan when `check_traps_on_free` is set).
+    ///
+    /// [`check_traps`]: crate::ObjectRuntime::check_traps
     trap_scans,
+    /// Dummy slots found with a corrupted canary, counted per slot across
+    /// all sweeps. `traps_triggered` counts the same events; this counter
+    /// exists so attack evaluations can tell "no sweep ran" apart from
+    /// "sweeps ran and found nothing" together with `trap_scans`.
     dummy_touches,
+    /// Double frees of tracked objects detected (`olr_free` on an object
+    /// already in the freed state).
     double_free_detected,
+    /// Distinct layout plans interned (metadata records after dedup).
     unique_plans,
+    /// Metadata records saved by plan deduplication.
     dedup_saved,
+    /// Member accesses whose metadata came from a generation-current
+    /// shadow-index slot (O(1) lookup, no hashing).
     shadow_hits,
+    /// Member accesses that found no current shadow-index entry: the
+    /// address was never tracked, or its slot was re-allocated since the
+    /// metadata was recorded (generation mismatch — a self-invalidated
+    /// stale entry).
     shadow_misses,
+    /// Member accesses resolved by a per-call-site inline cache.
     site_ic_hits,
+    /// Inline-cache probes that fell back to the full metadata path.
     site_ic_misses,
+    /// Allocations served by the stateless small-class path: the layout
+    /// (and any virtual traps) derived from (generation, slot, epoch
+    /// key) instead of drawn from a pool or the engine.
     stateless_allocs,
+    /// Probe reads (`probe_read_uint`) that overlapped a live object's
+    /// booby-trap slot and were refused. Also counted into
+    /// `traps_triggered`/`dummy_touches`; this counter separates
+    /// probe-time trips from free-time sweep findings.
     probe_traps,
+    /// Allocations whose plan came out of a per-class pool without an
+    /// inline generation (the §V-B fast path's steady-state case).
     pool_hits,
+    /// Pool refill events: warm-up batch fills plus steady-state churn
+    /// regenerations.
     pool_refills,
+    /// Member accesses served entirely by the optimistic (seqlock) read
+    /// path: no shard mutex was taken.
     lockfree_reads,
+    /// Optimistic read attempts that fell back to the shard mutex
+    /// (contended seqlock window, unpublished slot, or a condition the
+    /// fast path cannot classify, e.g. a detection).
     lockfree_fallbacks,
+    /// Allocations served from a per-handle magazine of pre-reserved
+    /// capsules: no shard mutex was taken.
     magazine_hits,
+    /// Magazine refill events: one shard-lock acquisition reserving a
+    /// batch of capsules.
     magazine_refills,
+    /// Capsules returned to the shard unconsumed (handle teardown or
+    /// magazine retirement) — these were reserved but never allocated,
+    /// so they count in neither `allocations` nor `frees`.
     magazine_returns,
+    /// Frees completed entirely on the lock-free path: publication
+    /// claim + remote-free stack push, no shard mutex.
     fast_frees,
+    /// Remote-freed slots drained and released by their owning shard
+    /// (each matches one earlier `fast_frees` event).
     remote_drained,
-);
+}
+
+impl RuntimeStats {
+    /// Cache hit ratio over member accesses, in `[0, 1]`; `None` when no
+    /// member was ever accessed.
+    pub fn cache_hit_ratio(&self) -> Option<f64> {
+        if self.member_accesses == 0 {
+            None
+        } else {
+            Some(self.cache_hits as f64 / self.member_accesses as f64)
+        }
+    }
+
+    /// Total security detections of any kind.
+    pub fn total_detections(&self) -> u64 {
+        self.uaf_detected + self.mismatch_detected + self.traps_triggered + self.double_free_detected
+    }
+}
 
 impl fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

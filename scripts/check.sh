@@ -78,7 +78,7 @@ echo "== lock-free stress smoke (release) =="
 # every load, thread count clamped to the detected parallelism. Checks
 # the counting partition (every read = one lock-free hit XOR one mutex
 # fallback) and that pure readers never leave the optimistic path.
-./target/release/stress_lockfree
+cargo test -q --offline --release -p polar-bench --test stress_lockfree -- --nocapture
 echo "ok: lock-free stress green"
 
 echo "== stateless default smoke =="
@@ -103,7 +103,7 @@ echo "== session-store smoke =="
 # verified against the model, magazine hit rate ≥ 90%, remote-free
 # queues fully drained at quiescence, no fragmentation growth and no
 # false-positive detections.
-./target/release/smoke_session
+cargo test -q --offline --release -p polar-bench --test smoke_session -- --nocapture
 echo "ok: session smoke green"
 
 echo "== bench smoke (1 iteration) =="

@@ -3,7 +3,7 @@
 //! the POLaR build — randomization must be semantically invisible.
 
 use polar::instrument::{check_compatibility, instrument, InstrumentOptions};
-use polar::ir::interp::{run_native, run_with_mode, ExecLimits};
+use polar::ir::interp::{run_native, run_with_mode};
 use polar::prelude::*;
 
 fn polar_config(seed: u64) -> RuntimeConfig {
