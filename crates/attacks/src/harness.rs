@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use polar_classinfo::ClassInfo;
 use polar_instrument::{instrument, InstrumentOptions};
-use polar_ir::interp::{run, run_with_mode, ExecLimits, ExecReport};
+use polar_ir::interp::{run, ExecLimits, ExecReport};
 use polar_ir::trace::NopTracer;
 use polar_layout::{LayoutPlan, RandomizationPolicy, StaticOlrTable};
-use polar_runtime::{RandomizeMode, RuntimeConfig, ShardedRuntime};
+use polar_runtime::{ObjectRuntime, PolarRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime};
 
 use crate::scenarios::{Scenario, ScenarioKind};
 
@@ -67,8 +67,9 @@ pub enum Defense {
         /// Whether derived plans carry virtual booby traps.
         traps: bool,
     },
-    /// POLaR on the concurrent sharded runtime facade (single-context
-    /// embedding: allocations from shard 0, accesses routed by address).
+    /// POLaR on the concurrent sharded runtime, driven through one
+    /// thread handle (allocations from its home shard's magazines,
+    /// accesses routed by address).
     Sharded {
         /// The process's runtime entropy (fresh per execution).
         process_seed: u64,
@@ -108,7 +109,7 @@ impl Defense {
         Defense::PolarStateless { process_seed, traps: false }
     }
 
-    /// POLaR on the sharded facade (four shards).
+    /// POLaR on the sharded runtime (four shards).
     pub fn sharded(process_seed: u64) -> Self {
         Defense::Sharded { process_seed, shards: 4 }
     }
@@ -139,6 +140,22 @@ impl Defense {
             | Defense::PolarPlacement { .. }
             | Defense::PolarStateless { .. }
             | Defense::Sharded { .. } => RandomizeMode::per_allocation(),
+        }
+    }
+
+    /// Run `trial` on a fresh runtime for this defense. The sharded
+    /// defense builds the lock-striped runtime and lends it through one
+    /// handle, so the program allocates exactly as one thread of a
+    /// threaded program would (magazines included); every other defense
+    /// gets a single-context runtime.
+    pub(crate) fn with_runtime<T>(&self, trial: impl FnOnce(&mut dyn PolarRuntime) -> T) -> T {
+        match self {
+            Defense::Sharded { shards, .. } => {
+                let rt = ShardedRuntime::new(self.mode(), self.config(), *shards);
+                let mut handle = rt.handle(0);
+                trial(&mut handle)
+            }
+            _ => trial(&mut ObjectRuntime::new(self.mode(), self.config())),
         }
     }
 
@@ -200,7 +217,7 @@ impl Defense {
                 // Stateful plans on every shard, as for `polar`.
                 config.stateless = polar_layout::StatelessPolicy::off();
                 // The scenarios touch a few hundred bytes; a small total
-                // arena keeps per-trial facade construction cheap.
+                // arena keeps per-trial runtime construction cheap.
                 config.heap.capacity = 4 << 20;
             }
             Defense::Redzone => {
@@ -379,17 +396,10 @@ pub(crate) fn prepare_module(scenario: &Scenario, defense: &Defense) -> polar_ir
     }
 }
 
-/// One execution under `defense`'s runtime: the sharded defense builds
-/// the lock-striped facade; every other defense runs on a fresh
-/// single-context runtime.
+/// One execution under `defense`'s runtime (see
+/// [`Defense::with_runtime`]).
 pub(crate) fn execute(module: &polar_ir::Module, defense: &Defense, input: &[u8]) -> ExecReport {
-    match defense {
-        Defense::Sharded { shards, .. } => {
-            let mut rt = ShardedRuntime::new(defense.mode(), defense.config(), *shards);
-            run(module, &mut rt, input, ExecLimits::default(), &mut NopTracer)
-        }
-        _ => run_with_mode(module, defense.mode(), defense.config(), input, ExecLimits::default()),
-    }
+    defense.with_runtime(|rt| run(module, rt, input, ExecLimits::default(), &mut NopTracer))
 }
 
 /// Run one attack execution and classify the outcome.

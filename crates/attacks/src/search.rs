@@ -33,7 +33,7 @@ use std::sync::Arc;
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
 use polar_fuzz::{Campaign, CampaignOptions, CampaignTarget, Feedback};
 use polar_rng::{Rng, SplitMix64};
-use polar_runtime::{ObjectRuntime, PolarRuntime, RuntimeError, ShardedRuntime};
+use polar_runtime::RuntimeError;
 use polar_simheap::Addr;
 
 use crate::harness::{execute, prepare_module, AttackOutcome, Defense, ATTACK_VALUE};
@@ -66,7 +66,7 @@ pub enum SecMode {
     /// The stateless permute-only ablation: derived layouts, no virtual
     /// traps (the original SPAM-style space/detection trade-off).
     StatelessNoTraps,
-    /// POLaR on the sharded concurrent runtime facade.
+    /// POLaR on the sharded concurrent runtime, through one handle.
     Sharded,
 }
 
@@ -98,17 +98,6 @@ impl SecMode {
             SecMode::PolarStateless => Defense::polar_stateless(trial_seed),
             SecMode::StatelessNoTraps => Defense::polar_stateless_notraps(trial_seed),
             SecMode::Sharded => Defense::sharded(trial_seed),
-        }
-    }
-
-    /// A fresh single-context runtime for one trial under this mode.
-    fn runtime(self, trial_seed: u64) -> Box<dyn PolarRuntime> {
-        let defense = self.defense(trial_seed);
-        match defense {
-            Defense::Sharded { shards, .. } => {
-                Box::new(ShardedRuntime::new(defense.mode(), defense.config(), shards))
-            }
-            _ => Box::new(ObjectRuntime::new(defense.mode(), defense.config())),
         }
     }
 }
@@ -269,145 +258,146 @@ impl AdaptiveScenario for HeapGroom {
     }
 
     fn run_tape(&self, mode: SecMode, tape: &[u8], trial_seed: u64) -> TapeRun {
-        let mut rt = mode.runtime(trial_seed);
-        let mut tokens = Vec::new();
-        let mut buffers: Vec<Buffer> = Vec::new();
-        let mut sprays: Vec<Addr> = Vec::new();
-        let mut victim: Option<Addr> = None;
-        let mut early: Option<AttackOutcome> = None;
-        let mut cursor = 0usize;
-        let next = |cursor: &mut usize| -> u8 {
-            let b = tape.get(*cursor).copied().unwrap_or(0);
-            *cursor += 1;
-            b
-        };
-        'vm: while cursor < tape.len() {
-            let op = next(&mut cursor) % 5;
-            tokens.push(TOK_OP | u64::from(op));
-            let arg = next(&mut cursor);
-            match op {
-                // Allocate an attacker buffer (16..64 bytes).
-                0 => {
-                    if buffers.len() < 8 {
-                        let size = 16 + u64::from(arg) % 49;
-                        match rt.heap_malloc(size as usize) {
-                            Ok(addr) => buffers.push(Buffer { addr, size }),
-                            Err(_) => {
+        mode.defense(trial_seed).with_runtime(|rt| {
+            let mut tokens = Vec::new();
+            let mut buffers: Vec<Buffer> = Vec::new();
+            let mut sprays: Vec<Addr> = Vec::new();
+            let mut victim: Option<Addr> = None;
+            let mut early: Option<AttackOutcome> = None;
+            let mut cursor = 0usize;
+            let next = |cursor: &mut usize| -> u8 {
+                let b = tape.get(*cursor).copied().unwrap_or(0);
+                *cursor += 1;
+                b
+            };
+            'vm: while cursor < tape.len() {
+                let op = next(&mut cursor) % 5;
+                tokens.push(TOK_OP | u64::from(op));
+                let arg = next(&mut cursor);
+                match op {
+                    // Allocate an attacker buffer (16..64 bytes).
+                    0 => {
+                        if buffers.len() < 8 {
+                            let size = 16 + u64::from(arg) % 49;
+                            match rt.heap_malloc(size as usize) {
+                                Ok(addr) => buffers.push(Buffer { addr, size }),
+                                Err(_) => {
+                                    early = Some(AttackOutcome::Crashed);
+                                    break 'vm;
+                                }
+                            }
+                        }
+                    }
+                    // Spray a junk object (perturbs allocator state).
+                    1 => {
+                        if sprays.len() < 16 {
+                            match rt.olr_malloc(&self.junk) {
+                                Ok(addr) => sprays.push(addr),
+                                Err(err) => {
+                                    early = Some(classify_runtime_err(&err));
+                                    break 'vm;
+                                }
+                            }
+                        }
+                    }
+                    // Free an attacker buffer (creates a reusable hole).
+                    2 => {
+                        if !buffers.is_empty() {
+                            let i = usize::from(arg) % buffers.len();
+                            let buf = buffers.swap_remove(i);
+                            if rt.heap_free(buf.addr).is_err() {
                                 early = Some(AttackOutcome::Crashed);
                                 break 'vm;
                             }
                         }
                     }
-                }
-                // Spray a junk object (perturbs allocator state).
-                1 => {
-                    if sprays.len() < 16 {
-                        match rt.olr_malloc(&self.junk) {
-                            Ok(addr) => sprays.push(addr),
-                            Err(err) => {
-                                early = Some(classify_runtime_err(&err));
-                                break 'vm;
-                            }
-                        }
-                    }
-                }
-                // Free an attacker buffer (creates a reusable hole).
-                2 => {
-                    if !buffers.is_empty() {
-                        let i = usize::from(arg) % buffers.len();
-                        let buf = buffers.swap_remove(i);
-                        if rt.heap_free(buf.addr).is_err() {
-                            early = Some(AttackOutcome::Crashed);
-                            break 'vm;
-                        }
-                    }
-                }
-                // Place the victim (once) and initialize it legitimately.
-                3 => {
-                    if victim.is_none() {
-                        let hash = self.victim.hash();
-                        let placed = rt.olr_malloc(&self.victim).and_then(|v| {
-                            rt.write_field(v, hash, 0, 7)?;
-                            rt.write_field(v, hash, 1, 100)?;
-                            rt.write_field(v, hash, self.fp_field, 0x1000)?;
-                            Ok(v)
-                        });
-                        match placed {
-                            Ok(v) => victim = Some(v),
-                            Err(err) => {
-                                early = Some(classify_runtime_err(&err));
-                                break 'vm;
-                            }
-                        }
-                    }
-                }
-                // The corruption primitive: linear overflow off a buffer's
-                // end — `dist` filler bytes, then the fake pointer.
-                _ => {
-                    let dist = u64::from(next(&mut cursor));
-                    if !buffers.is_empty() {
-                        let i = usize::from(arg) % buffers.len();
-                        let end = Addr(buffers[i].addr.0 + buffers[i].size);
-                        let filler = vec![0x20u8; dist as usize];
-                        let write = rt
-                            .heap_write(end, &filler)
-                            .and_then(|()| {
-                                rt.heap_write_uint(Addr(end.0 + dist), ATTACK_VALUE, 8)
+                    // Place the victim (once) and initialize it legitimately.
+                    3 => {
+                        if victim.is_none() {
+                            let hash = self.victim.hash();
+                            let placed = rt.olr_malloc(&self.victim).and_then(|v| {
+                                rt.write_field(v, hash, 0, 7)?;
+                                rt.write_field(v, hash, 1, 100)?;
+                                rt.write_field(v, hash, self.fp_field, 0x1000)?;
+                                Ok(v)
                             });
-                        if write.is_err() {
-                            early = Some(AttackOutcome::Crashed);
-                            break 'vm;
+                            match placed {
+                                Ok(v) => victim = Some(v),
+                                Err(err) => {
+                                    early = Some(classify_runtime_err(&err));
+                                    break 'vm;
+                                }
+                            }
                         }
-                        tokens.push(TOK_PROBE | dist);
+                    }
+                    // The corruption primitive: linear overflow off a buffer's
+                    // end — `dist` filler bytes, then the fake pointer.
+                    _ => {
+                        let dist = u64::from(next(&mut cursor));
+                        if !buffers.is_empty() {
+                            let i = usize::from(arg) % buffers.len();
+                            let end = Addr(buffers[i].addr.0 + buffers[i].size);
+                            let filler = vec![0x20u8; dist as usize];
+                            let write = rt
+                                .heap_write(end, &filler)
+                                .and_then(|()| {
+                                    rt.heap_write_uint(Addr(end.0 + dist), ATTACK_VALUE, 8)
+                                });
+                            if write.is_err() {
+                                early = Some(AttackOutcome::Crashed);
+                                break 'vm;
+                            }
+                            tokens.push(TOK_PROBE | dist);
+                        }
                     }
                 }
             }
-        }
-        // Adjacency gradient: how close the victim sits to a live
-        // buffer's end (what the grooming is trying to minimize).
-        let mut score = 0i64;
-        if let Some(v) = victim {
-            if let Some(gap) = buffers
-                .iter()
-                .map(|b| v.0.abs_diff(b.addr.0 + b.size))
-                .min()
-            {
-                let gap = gap.min(400);
-                score += 400 - gap as i64;
-                tokens.push(TOK_ADJ | gap / 16);
-            }
-        }
-        // The trigger: the program "calls" the victim's pointer.
-        let mut outcome = early.unwrap_or(AttackOutcome::NoEffect);
-        if early.is_none() {
+            // Adjacency gradient: how close the victim sits to a live
+            // buffer's end (what the grooming is trying to minimize).
+            let mut score = 0i64;
             if let Some(v) = victim {
-                match rt.read_field(v, self.victim.hash(), self.fp_field) {
-                    Ok(fp) if fp == ATTACK_VALUE => outcome = AttackOutcome::Hijacked,
-                    Ok(_) => {}
-                    Err(err) => outcome = classify_runtime_err(&err),
+                if let Some(gap) = buffers
+                    .iter()
+                    .map(|b| v.0.abs_diff(b.addr.0 + b.size))
+                    .min()
+                {
+                    let gap = gap.min(400);
+                    score += 400 - gap as i64;
+                    tokens.push(TOK_ADJ | (gap / 16));
                 }
-                // Teardown frees sweep booby traps: a corrupted dummy is
-                // caught here even when the pointer write missed.
-                if outcome != AttackOutcome::Hijacked {
-                    if let Err(err) = rt.olr_free(v) {
-                        outcome = classify_runtime_err(&err);
+            }
+            // The trigger: the program "calls" the victim's pointer.
+            let mut outcome = early.unwrap_or(AttackOutcome::NoEffect);
+            if early.is_none() {
+                if let Some(v) = victim {
+                    match rt.read_field(v, self.victim.hash(), self.fp_field) {
+                        Ok(fp) if fp == ATTACK_VALUE => outcome = AttackOutcome::Hijacked,
+                        Ok(_) => {}
+                        Err(err) => outcome = classify_runtime_err(&err),
+                    }
+                    // Teardown frees sweep booby traps: a corrupted dummy is
+                    // caught here even when the pointer write missed.
+                    if outcome != AttackOutcome::Hijacked {
+                        if let Err(err) = rt.olr_free(v) {
+                            outcome = classify_runtime_err(&err);
+                        }
+                    }
+                }
+                if outcome == AttackOutcome::NoEffect {
+                    for s in sprays {
+                        if let Err(err) = rt.olr_free(s) {
+                            outcome = classify_runtime_err(&err);
+                            break;
+                        }
                     }
                 }
             }
-            if outcome == AttackOutcome::NoEffect {
-                for s in sprays {
-                    if let Err(err) = rt.olr_free(s) {
-                        outcome = classify_runtime_err(&err);
-                        break;
-                    }
-                }
+            if outcome == AttackOutcome::Hijacked {
+                score += 10_000;
             }
-        }
-        if outcome == AttackOutcome::Hijacked {
-            score += 10_000;
-        }
-        tokens.push(outcome_token(outcome));
-        TapeRun { outcome, score, tokens }
+            tokens.push(outcome_token(outcome));
+            TapeRun { outcome, score, tokens }
+        })
     }
 }
 
@@ -468,76 +458,27 @@ impl AdaptiveScenario for MisalignedProbe {
     }
 
     fn run_tape(&self, mode: SecMode, tape: &[u8], trial_seed: u64) -> TapeRun {
-        let mut rt = mode.runtime(trial_seed);
-        let secret = Self::secret(trial_seed);
-        let mut tokens = Vec::new();
-        let mut vault: Option<Addr> = None;
-        let mut noise: Vec<Addr> = Vec::new();
-        let mut probes = 0usize;
-        let mut recovered = false;
-        let mut early: Option<AttackOutcome> = None;
-        let mut score = 0i64;
-        let mut cursor = 0usize;
-        'vm: while cursor + 1 < tape.len() || cursor < tape.len() {
-            let op = tape[cursor] % 3;
-            let arg = tape.get(cursor + 1).copied().unwrap_or(0);
-            cursor += 2;
-            tokens.push(TOK_OP | u64::from(op));
-            match op {
-                // Noise allocation.
-                0 => {
-                    if noise.len() < 16 {
-                        match rt.olr_malloc(&self.junk) {
-                            Ok(addr) => noise.push(addr),
-                            Err(err) => {
-                                early = Some(classify_runtime_err(&err));
-                                break 'vm;
-                            }
-                        }
-                    }
-                }
-                // Place the vault (once), fields written legitimately.
-                1 => {
-                    if vault.is_none() {
-                        let hash = self.vault.hash();
-                        let placed = rt.olr_malloc(&self.vault).and_then(|v| {
-                            rt.write_field(v, hash, 0, 1)?;
-                            rt.write_field(v, hash, 1, 2)?;
-                            rt.write_field(v, hash, 2, secret)?;
-                            rt.write_field(v, hash, 3, 3)?;
-                            Ok(v)
-                        });
-                        match placed {
-                            Ok(v) => vault = Some(v),
-                            Err(err) => {
-                                early = Some(classify_runtime_err(&err));
-                                break 'vm;
-                            }
-                        }
-                    }
-                }
-                // The leak primitive: a raw (possibly misaligned,
-                // possibly overlapping) 8-byte read near the vault.
-                _ => {
-                    if let Some(v) = vault {
-                        if probes < PROBE_CAP {
-                            probes += 1;
-                            let off = u64::from(arg) % PROBE_WINDOW;
-                            tokens.push(TOK_PROBE | off);
-                            // Probe reads go through the trap-screened
-                            // path: a read overlapping a booby-trap slot
-                            // (stored or stateless-derived) is a
-                            // detection, not a silent leak.
-                            match rt.probe_read_uint(Addr(v.0 + off), 8) {
-                                Ok(value) => {
-                                    if value == secret {
-                                        recovered = true;
-                                    } else if value != 0 {
-                                        // Touched *something* — weak
-                                        // gradient toward live data.
-                                        score += 5;
-                                    }
-                                }
+        mode.defense(trial_seed).with_runtime(|rt| {
+            let secret = Self::secret(trial_seed);
+            let mut tokens = Vec::new();
+            let mut vault: Option<Addr> = None;
+            let mut noise: Vec<Addr> = Vec::new();
+            let mut probes = 0usize;
+            let mut recovered = false;
+            let mut early: Option<AttackOutcome> = None;
+            let mut score = 0i64;
+            let mut cursor = 0usize;
+            'vm: while cursor + 1 < tape.len() || cursor < tape.len() {
+                let op = tape[cursor] % 3;
+                let arg = tape.get(cursor + 1).copied().unwrap_or(0);
+                cursor += 2;
+                tokens.push(TOK_OP | u64::from(op));
+                match op {
+                    // Noise allocation.
+                    0 => {
+                        if noise.len() < 16 {
+                            match rt.olr_malloc(&self.junk) {
+                                Ok(addr) => noise.push(addr),
                                 Err(err) => {
                                     early = Some(classify_runtime_err(&err));
                                     break 'vm;
@@ -545,19 +486,69 @@ impl AdaptiveScenario for MisalignedProbe {
                             }
                         }
                     }
+                    // Place the vault (once), fields written legitimately.
+                    1 => {
+                        if vault.is_none() {
+                            let hash = self.vault.hash();
+                            let placed = rt.olr_malloc(&self.vault).and_then(|v| {
+                                rt.write_field(v, hash, 0, 1)?;
+                                rt.write_field(v, hash, 1, 2)?;
+                                rt.write_field(v, hash, 2, secret)?;
+                                rt.write_field(v, hash, 3, 3)?;
+                                Ok(v)
+                            });
+                            match placed {
+                                Ok(v) => vault = Some(v),
+                                Err(err) => {
+                                    early = Some(classify_runtime_err(&err));
+                                    break 'vm;
+                                }
+                            }
+                        }
+                    }
+                    // The leak primitive: a raw (possibly misaligned,
+                    // possibly overlapping) 8-byte read near the vault.
+                    _ => {
+                        if let Some(v) = vault {
+                            if probes < PROBE_CAP {
+                                probes += 1;
+                                let off = u64::from(arg) % PROBE_WINDOW;
+                                tokens.push(TOK_PROBE | off);
+                                // Probe reads go through the trap-screened
+                                // path: a read overlapping a booby-trap slot
+                                // (stored or stateless-derived) is a
+                                // detection, not a silent leak.
+                                match rt.probe_read_uint(Addr(v.0 + off), 8) {
+                                    Ok(value) => {
+                                        if value == secret {
+                                            recovered = true;
+                                        } else if value != 0 {
+                                            // Touched *something* — weak
+                                            // gradient toward live data.
+                                            score += 5;
+                                        }
+                                    }
+                                    Err(err) => {
+                                        early = Some(classify_runtime_err(&err));
+                                        break 'vm;
+                                    }
+                                }
+                            }
+                        }
+                    }
                 }
             }
-        }
-        let outcome = early.unwrap_or(if recovered {
-            AttackOutcome::Hijacked
-        } else {
-            AttackOutcome::NoEffect
-        });
-        if outcome == AttackOutcome::Hijacked {
-            score += 10_000;
-        }
-        tokens.push(outcome_token(outcome));
-        TapeRun { outcome, score, tokens }
+            let outcome = early.unwrap_or(if recovered {
+                AttackOutcome::Hijacked
+            } else {
+                AttackOutcome::NoEffect
+            });
+            if outcome == AttackOutcome::Hijacked {
+                score += 10_000;
+            }
+            tokens.push(outcome_token(outcome));
+            TapeRun { outcome, score, tokens }
+        })
     }
 }
 
@@ -662,103 +653,104 @@ impl AdaptiveScenario for PlaceGroom {
     }
 
     fn run_tape(&self, mode: SecMode, tape: &[u8], trial_seed: u64) -> TapeRun {
-        let mut rt = mode.runtime(trial_seed);
-        let mut tokens = Vec::new();
-        let mut buffers: Vec<Addr> = Vec::new();
-        let mut sprays: Vec<Addr> = Vec::new();
-        let mut predicted: Option<(u64, u64)> = None; // (guess, actual)
-        let mut early: Option<AttackOutcome> = None;
-        let mut cursor = 0usize;
-        let next = |cursor: &mut usize| -> u8 {
-            let b = tape.get(*cursor).copied().unwrap_or(0);
-            *cursor += 1;
-            b
-        };
-        'vm: while cursor < tape.len() {
-            let op = next(&mut cursor) % 4;
-            tokens.push(TOK_OP | u64::from(op));
-            let arg = next(&mut cursor);
-            match op {
-                // Groom: allocate a raw buffer.
-                0 => {
-                    if buffers.len() < 12 {
-                        match rt.heap_malloc(PLACE_BUF) {
-                            Ok(addr) => buffers.push(addr),
-                            Err(_) => {
+        mode.defense(trial_seed).with_runtime(|rt| {
+            let mut tokens = Vec::new();
+            let mut buffers: Vec<Addr> = Vec::new();
+            let mut sprays: Vec<Addr> = Vec::new();
+            let mut predicted: Option<(u64, u64)> = None; // (guess, actual)
+            let mut early: Option<AttackOutcome> = None;
+            let mut cursor = 0usize;
+            let next = |cursor: &mut usize| -> u8 {
+                let b = tape.get(*cursor).copied().unwrap_or(0);
+                *cursor += 1;
+                b
+            };
+            'vm: while cursor < tape.len() {
+                let op = next(&mut cursor) % 4;
+                tokens.push(TOK_OP | u64::from(op));
+                let arg = next(&mut cursor);
+                match op {
+                    // Groom: allocate a raw buffer.
+                    0 => {
+                        if buffers.len() < 12 {
+                            match rt.heap_malloc(PLACE_BUF) {
+                                Ok(addr) => buffers.push(addr),
+                                Err(_) => {
+                                    early = Some(AttackOutcome::Crashed);
+                                    break 'vm;
+                                }
+                            }
+                        }
+                    }
+                    // Groom: punch a hole.
+                    1 => {
+                        if !buffers.is_empty() {
+                            let i = usize::from(arg) % buffers.len();
+                            let addr = buffers.swap_remove(i);
+                            if rt.heap_free(addr).is_err() {
                                 early = Some(AttackOutcome::Crashed);
                                 break 'vm;
                             }
                         }
                     }
-                }
-                // Groom: punch a hole.
-                1 => {
-                    if !buffers.is_empty() {
-                        let i = usize::from(arg) % buffers.len();
-                        let addr = buffers.swap_remove(i);
-                        if rt.heap_free(addr).is_err() {
-                            early = Some(AttackOutcome::Crashed);
-                            break 'vm;
-                        }
-                    }
-                }
-                // Groom: spray a managed object (perturbs the same pools).
-                2 => {
-                    if sprays.len() < 8 {
-                        match rt.olr_malloc(&self.junk) {
-                            Ok(addr) => sprays.push(addr),
-                            Err(err) => {
-                                early = Some(classify_runtime_err(&err));
-                                break 'vm;
+                    // Groom: spray a managed object (perturbs the same pools).
+                    2 => {
+                        if sprays.len() < 8 {
+                            match rt.olr_malloc(&self.junk) {
+                                Ok(addr) => sprays.push(addr),
+                                Err(err) => {
+                                    early = Some(classify_runtime_err(&err));
+                                    break 'vm;
+                                }
                             }
                         }
                     }
-                }
-                // The bet (once): allocate two fresh buffers, predict
-                // their signed byte distance. `arg` is the guess's low
-                // byte; the next tape byte is its high byte, and the
-                // guess is sign-extended from 16 bits so the search can
-                // bet on reuse *below* the second allocation too.
-                _ => {
-                    if predicted.is_none() {
-                        let hi = next(&mut cursor);
-                        let guess = i64::from(i16::from_le_bytes([arg, hi])) as u64;
-                        let pair = rt
-                            .heap_malloc(PLACE_BUF)
-                            .and_then(|a| rt.heap_malloc(PLACE_BUF).map(|b| (a, b)));
-                        match pair {
-                            Ok((a, b)) => {
-                                let actual = b.0.wrapping_sub(a.0);
-                                predicted = Some((guess, actual));
-                                tokens.push(TOK_PROBE | (guess & 0xFFFF));
-                            }
-                            Err(_) => {
-                                early = Some(AttackOutcome::Crashed);
-                                break 'vm;
+                    // The bet (once): allocate two fresh buffers, predict
+                    // their signed byte distance. `arg` is the guess's low
+                    // byte; the next tape byte is its high byte, and the
+                    // guess is sign-extended from 16 bits so the search can
+                    // bet on reuse *below* the second allocation too.
+                    _ => {
+                        if predicted.is_none() {
+                            let hi = next(&mut cursor);
+                            let guess = i64::from(i16::from_le_bytes([arg, hi])) as u64;
+                            let pair = rt
+                                .heap_malloc(PLACE_BUF)
+                                .and_then(|a| rt.heap_malloc(PLACE_BUF).map(|b| (a, b)));
+                            match pair {
+                                Ok((a, b)) => {
+                                    let actual = b.0.wrapping_sub(a.0);
+                                    predicted = Some((guess, actual));
+                                    tokens.push(TOK_PROBE | (guess & 0xFFFF));
+                                }
+                                Err(_) => {
+                                    early = Some(AttackOutcome::Crashed);
+                                    break 'vm;
+                                }
                             }
                         }
                     }
                 }
             }
-        }
-        // Distance gradient: how close the bet came, in bytes.
-        let mut score = 0i64;
-        let mut outcome = early.unwrap_or(AttackOutcome::NoEffect);
-        if early.is_none() {
-            if let Some((guess, actual)) = predicted {
-                let miss = guess.abs_diff(actual).min(400);
-                score += 400 - miss as i64;
-                tokens.push(TOK_ADJ | miss / 16);
-                if guess == actual {
-                    outcome = AttackOutcome::Hijacked;
+            // Distance gradient: how close the bet came, in bytes.
+            let mut score = 0i64;
+            let mut outcome = early.unwrap_or(AttackOutcome::NoEffect);
+            if early.is_none() {
+                if let Some((guess, actual)) = predicted {
+                    let miss = guess.abs_diff(actual).min(400);
+                    score += 400 - miss as i64;
+                    tokens.push(TOK_ADJ | (miss / 16));
+                    if guess == actual {
+                        outcome = AttackOutcome::Hijacked;
+                    }
                 }
             }
-        }
-        if outcome == AttackOutcome::Hijacked {
-            score += 10_000;
-        }
-        tokens.push(outcome_token(outcome));
-        TapeRun { outcome, score, tokens }
+            if outcome == AttackOutcome::Hijacked {
+                score += 10_000;
+            }
+            tokens.push(outcome_token(outcome));
+            TapeRun { outcome, score, tokens }
+        })
     }
 }
 

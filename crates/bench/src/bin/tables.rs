@@ -295,6 +295,7 @@ fn sharded_detect() {
     use std::sync::Arc;
 
     use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
+    use polar_runtime::PolarRuntime;
 
     heading("Sharded runtime — attack-detection counters folded across shards");
     let threads = 4u64;
@@ -353,8 +354,8 @@ fn sharded_detect() {
                     match canaried {
                         Some(dummy) => {
                             let slot = d.offset(u64::from(dummy.offset));
-                            let cur = rt.heap_read_uint(slot, 1).expect("read");
-                            rt.heap_write_uint(slot, !cur & 0xFF, 1).expect("write");
+                            let cur = h.heap_read_uint(slot, 1).expect("read");
+                            h.heap_write_uint(slot, !cur & 0xFF, 1).expect("write");
                             assert!(matches!(
                                 h.olr_free(d),
                                 Err(RuntimeError::TrapTriggered(_))
@@ -376,8 +377,7 @@ fn sharded_detect() {
     println!("  trap_scans           {:>8}", stats.trap_scans);
     println!("  dummy_touches        {:>8}", stats.dummy_touches);
     println!("  total_detections     {:>8}", stats.total_detections());
-    println!("\n  (folded from the per-shard atomic stats; before this table only the");
-    println!("   single-shard facade surfaced its detection counters)");
+    println!("\n  (folded from the per-shard counters and the handles' flushed sheets)");
 }
 
 fn sites() {

@@ -1,4 +1,4 @@
-//! CI smoke for placement randomization (`scripts/check.sh`).
+//! Placement randomization smoke (`scripts/check.sh`).
 //!
 //! Boots the sim heap and the runtime with the placement policy the
 //! `polar+placement` security column uses (shuffle depth 16, 8 offset
@@ -15,7 +15,8 @@
 //!    from the deterministic placement-off trace, and the runtime's
 //!    derived placement stream replays under one process seed.
 //!
-//! Exits non-zero (panics) on any violation.
+//! Debug builds skip it: run it with
+//! `cargo test --release -p polar-bench --test smoke_placement`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -41,7 +42,7 @@ fn churn(heap: &mut SimHeap, op_seed: u64, ops: usize) -> Vec<u64> {
     let mut trace = Vec::new();
     for _ in 0..ops {
         let roll = rng.next_u64();
-        if roll % 3 != 0 || live.is_empty() {
+        if !roll.is_multiple_of(3) || live.is_empty() {
             // Sizes spanning small classes and the oversize path.
             let size = match roll % 7 {
                 0 => 16,
@@ -144,9 +145,20 @@ fn runtime_trace(process_seed: u64) -> Vec<u64> {
     trace
 }
 
-fn main() {
-    // 1: invariants under randomized placement (with quarantine in the
-    // mix so the randomized eviction order is exercised too).
+/// Address trace of the churn workload on a bare heap placed with
+/// `placement_seed`.
+fn heap_trace(placement_seed: u64) -> Vec<u64> {
+    let mut c = HeapConfig::default();
+    c.placement = policy(placement_seed);
+    let mut h = SimHeap::new(c);
+    churn(&mut h, 0x0D75, 2000)
+}
+
+/// 1: invariants under randomized placement (with quarantine in the mix
+/// so the randomized eviction order is exercised too).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode smoke; see the module docs")]
+fn placement_keeps_allocator_invariants_under_churn() {
     let mut config = HeapConfig::default();
     config.placement = policy(0x9_1ACE);
     config.quarantine = 8;
@@ -159,20 +171,18 @@ fn main() {
         heap.stats().frees,
         config.placement.entropy_bits()
     );
+}
 
-    // 2: placement replays as a pure function of its seed.
-    let run = |placement_seed: u64| {
-        let mut c = HeapConfig::default();
-        c.placement = policy(placement_seed);
-        let mut h = SimHeap::new(c);
-        churn(&mut h, 0x0D75, 2000)
-    };
-    let a = run(41);
-    assert_eq!(a, run(41), "same placement seed must replay addresses exactly");
-    assert_ne!(a, run(42), "different placement seed must move addresses");
+/// 2: placement replays as a pure function of its seed. 3: it differs
+/// from the deterministic heap, and the runtime's derived placement
+/// stream replays under one process seed.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode smoke; see the module docs")]
+fn placement_replays_per_seed_and_moves_addresses() {
+    let a = heap_trace(41);
+    assert_eq!(a, heap_trace(41), "same placement seed must replay addresses exactly");
+    assert_ne!(a, heap_trace(42), "different placement seed must move addresses");
 
-    // 3: placement-on differs from the deterministic heap, and the
-    // runtime's derived placement stream replays under one process seed.
     let mut h_off = SimHeap::new(HeapConfig::default());
     let off = churn(&mut h_off, 0x0D75, 2000);
     assert_ne!(a, off, "placement must perturb the deterministic address sequence");
@@ -180,5 +190,4 @@ fn main() {
     assert_eq!(t, runtime_trace(0xCAFE), "runtime placement must replay per process seed");
     assert_ne!(t, runtime_trace(0xCAFF), "runtime placement must vary across process seeds");
     println!("ok: replay     {} placed allocations replay byte-exact under one seed", t.len());
-    println!("ok: placement smoke green");
 }

@@ -1,4 +1,4 @@
-//! CI smoke for the stateless small-class default (`scripts/check.sh`).
+//! Stateless small-class default smoke (`scripts/check.sh`).
 //!
 //! Boots the runtime with the stock config — no overrides — and checks
 //! the three things the default flip promises:
@@ -11,7 +11,8 @@
 //! 3. A mixed-mode allocation/free run replays exactly under the same
 //!    seed: same addresses, same plan hashes, same field offsets.
 //!
-//! Exits non-zero (panics) on any violation.
+//! Debug builds skip it: run it with
+//! `cargo test --release -p polar-bench --test smoke_stateless`.
 
 use std::sync::Arc;
 
@@ -68,11 +69,12 @@ fn mixed_run(seed: u64) -> (Vec<(u64, u64, Vec<u32>)>, polar_runtime::RuntimeSta
     (trace, rt.stats())
 }
 
-fn main() {
+/// 1+2: per-class-size selection inside one default-config runtime.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode smoke; see the module docs")]
+fn default_config_selects_the_path_per_class_size() {
     let small = small_class();
     let large = large_class();
-
-    // 1+2: per-class-size selection inside one default-config runtime.
     let mut config = RuntimeConfig::default();
     assert!(
         config.stateless.enabled && config.stateless.virtual_traps,
@@ -108,8 +110,12 @@ fn main() {
         stats.stateless_allocs,
         stats.allocations - stats.stateless_allocs
     );
+}
 
-    // 3: exact seeded replay of a mixed-mode run.
+/// 3: exact seeded replay of a mixed-mode run.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-mode smoke; see the module docs")]
+fn mixed_mode_run_replays_exactly_under_one_seed() {
     let (run1, stats1) = mixed_run(0x5EED_CAFE);
     let (run2, _) = mixed_run(0x5EED_CAFE);
     assert_eq!(run1, run2, "same seed must replay addresses, plans, and offsets exactly");
@@ -127,5 +133,4 @@ fn main() {
         "ok: replay     {} allocations ({} stateless) replay byte-exact under one seed",
         stats1.allocations, stats1.stateless_allocs
     );
-    println!("ok: stateless default smoke green");
 }

@@ -9,7 +9,7 @@
 //!
 //! * no torn read (the workload panics on one — unequal 32-bit halves),
 //! * zero detections (the shared set is never misused),
-//! * exact counting partition: every facade read resolved as exactly
+//! * exact counting partition: every handle read resolved as exactly
 //!   one lock-free hit or one mutex fallback,
 //! * a pure-reader pass stays entirely on the optimistic path.
 //!

@@ -141,7 +141,9 @@ struct Frame {
 ///
 /// The runtime's mode decides how the `Olr*` instructions behave;
 /// native object instructions ignore the mode entirely. `rt` is any
-/// [`PolarRuntime`] — the plain [`ObjectRuntime`] or the sharded facade.
+/// [`PolarRuntime`] — the plain [`ObjectRuntime`] or one `ShardHandle`
+/// of a sharded runtime. The report's counters are `rt.stats()` at the
+/// end of the run, so they cover everything this execution did.
 pub fn run<T: Tracer, R: PolarRuntime + ?Sized>(
     module: &Module,
     rt: &mut R,
@@ -623,6 +625,44 @@ mod tests {
         assert_eq!(report.result.unwrap(), 170);
         assert_eq!(report.stats.allocations, 1);
         assert_eq!(report.stats.member_accesses, 1);
+    }
+
+    /// On a sharded runtime the program runs as one handle, whose
+    /// counts sit in its pending sheet until it flushes. The report is
+    /// taken while the handle is alive, so it must still see them.
+    #[test]
+    fn handle_reports_include_unflushed_counts() {
+        const OBJECTS: u64 = 5;
+        let mut mb = ModuleBuilder::new("m");
+        let people = mb.add_class(people_decl()).unwrap();
+        let mut f = mb.function("main", 0);
+        let bb = f.entry_block();
+        let mut sum = f.const_(bb, 0);
+        for i in 0..OBJECTS {
+            let obj = f.reg();
+            f.push(bb, Inst::OlrMalloc { dst: obj, class: people });
+            let h = f.reg();
+            f.push(bb, Inst::OlrGetptr { dst: h, obj, class: people, field: 2 });
+            let v = f.const_(bb, 10 + i);
+            f.store(bb, h, v, 4);
+            let out = f.load(bb, h, 4);
+            sum = f.bin(bb, BinOp::Add, sum, out);
+            f.push(bb, Inst::OlrFree { ptr: obj });
+        }
+        f.ret(bb, Some(sum));
+        mb.finish_function(f);
+        let m = mb.build().unwrap();
+        let mut config = RuntimeConfig::default();
+        config.heap.capacity = 16 << 20;
+        let rt = polar_runtime::ShardedRuntime::new(RandomizeMode::per_allocation(), config, 2);
+        let mut handle = rt.handle(0);
+        let report = run(&m, &mut handle, &[], ExecLimits::default(), &mut NopTracer);
+        assert_eq!(report.result.unwrap(), 10 + 11 + 12 + 13 + 14);
+        let stats = report.stats;
+        assert_eq!(stats.allocations, OBJECTS);
+        assert_eq!(stats.magazine_hits + stats.magazine_refills, stats.allocations);
+        assert!(stats.lockfree_reads > 0, "{stats:?}");
+        assert_eq!(stats.frees, OBJECTS);
     }
 
     #[test]

@@ -2,21 +2,17 @@
 //!
 //! The IR interpreter and the adaptive-attack harness drive "a program"
 //! against "a runtime" without caring whether that runtime is the plain
-//! [`ObjectRuntime`] or the lock-striped [`ShardedRuntime`] facade. This
-//! trait is that seam: every instrumented entry point (`olr_*`), the raw
-//! heap primitives an *uninstrumented* program would use, and the
-//! statistics snapshot the evaluation reads.
+//! [`ObjectRuntime`] or one [`ShardHandle`](crate::ShardHandle) on a lock-striped
+//! [`ShardedRuntime`](crate::ShardedRuntime). This trait is that seam:
+//! every instrumented entry point (`olr_*`), the raw heap primitives an
+//! *uninstrumented* program would use, and the statistics snapshot the
+//! evaluation reads. Its in-crate implementations are exactly those two
+//! op surfaces; wrappers (a tracing runtime, say) implement it too.
 //!
-//! Two deliberate modeling choices:
-//!
-//! * The trait is `&mut self` even though [`ShardedRuntime`]'s inherent
-//!   API is `&self` — a single execution context is one logical thread,
-//!   and the exclusive receiver keeps the two implementations
-//!   interchangeable without `Sync` bounds leaking into executors.
-//! * The sharded implementation allocates from **shard 0** (its
-//!   single-context home shard). Address-keyed operations still route to
-//!   whichever shard owns the address, so cross-shard objects produced
-//!   by `olr_memcpy` behave exactly as they would under a thread handle.
+//! The trait is `&mut self`: a single execution context is one logical
+//! thread, which is exactly what a handle is, so the exclusive receiver
+//! keeps the two implementations interchangeable without `Sync` bounds
+//! leaking into executors.
 
 use std::sync::Arc;
 
@@ -26,7 +22,6 @@ use polar_simheap::{Addr, HeapError};
 
 use crate::error::{RuntimeError, TrapReport};
 use crate::runtime::{ObjectRuntime, RuntimeConfig, SiteCache};
-use crate::sharded::ShardedRuntime;
 use crate::stats::RuntimeStats;
 
 /// One logical thread's view of a POLaR runtime: instrumented object
@@ -36,7 +31,8 @@ pub trait PolarRuntime {
     /// The runtime's configuration.
     fn config(&self) -> &RuntimeConfig;
 
-    /// Statistics snapshot (folded across shards where applicable).
+    /// Statistics snapshot: everything this context did, folded across
+    /// shards where applicable.
     fn stats(&self) -> RuntimeStats;
 
     /// Compile-time plan for `info` under this runtime's mode (the
@@ -288,127 +284,11 @@ impl PolarRuntime for ObjectRuntime {
     }
 }
 
-/// Single-context home shard for facade allocations: shard 0, matching
-/// `handle(0)`.
-const HOME_SHARD: usize = 0;
-
-impl PolarRuntime for ShardedRuntime {
-    fn config(&self) -> &RuntimeConfig {
-        ShardedRuntime::config(self)
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        ShardedRuntime::stats(self)
-    }
-
-    fn compile_time_plan(&mut self, info: &Arc<ClassInfo>) -> Arc<LayoutPlan> {
-        ShardedRuntime::compile_time_plan(self, info)
-    }
-
-    fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
-        self.olr_malloc_on(HOME_SHARD, info)
-    }
-
-    fn olr_free(&mut self, base: Addr) -> Result<(), RuntimeError> {
-        ShardedRuntime::olr_free(self, base)
-    }
-
-    fn olr_getptr_ic(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        ic: &mut SiteCache,
-    ) -> Result<Addr, RuntimeError> {
-        ShardedRuntime::olr_getptr_ic(self, base, expected, field, ic)
-    }
-
-    fn olr_memcpy(
-        &mut self,
-        dst: Addr,
-        src: Addr,
-        site_class: &Arc<ClassInfo>,
-    ) -> Result<(), RuntimeError> {
-        ShardedRuntime::olr_memcpy(self, dst, src, site_class)
-    }
-
-    fn read_field(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<u64, RuntimeError> {
-        ShardedRuntime::read_field(self, base, expected, field)
-    }
-
-    fn write_field(
-        &mut self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        value: u64,
-    ) -> Result<(), RuntimeError> {
-        ShardedRuntime::write_field(self, base, expected, field, value)
-    }
-
-    fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
-        ShardedRuntime::check_traps(self, base)
-    }
-
-    fn plan_size(&self, base: Addr) -> Option<u32> {
-        self.object_meta(base).map(|meta| meta.plan.size())
-    }
-
-    fn heap_malloc(&mut self, size: usize) -> Result<Addr, HeapError> {
-        self.malloc_raw_on(HOME_SHARD, size).map_err(|err| match err {
-            RuntimeError::Heap(e) => e,
-            // malloc_raw only surfaces heap errors; keep the fallback
-            // total anyway.
-            _ => HeapError::OutOfMemory { requested: size },
-        })
-    }
-
-    fn heap_free(&mut self, addr: Addr) -> Result<(), HeapError> {
-        ShardedRuntime::free_raw(self, addr).map_err(|err| match err {
-            RuntimeError::Heap(e) => e,
-            _ => HeapError::InvalidFree(addr),
-        })
-    }
-
-    fn heap_read_uint(&self, addr: Addr, width: usize) -> Result<u64, HeapError> {
-        ShardedRuntime::heap_read_uint(self, addr, width)
-    }
-
-    fn probe_read_uint(&mut self, addr: Addr, width: usize) -> Result<u64, RuntimeError> {
-        ShardedRuntime::probe_read_uint(self, addr, width)
-    }
-
-    fn heap_write_uint(
-        &mut self,
-        addr: Addr,
-        value: u64,
-        width: usize,
-    ) -> Result<(), HeapError> {
-        ShardedRuntime::heap_write_uint(self, addr, value, width)
-    }
-
-    fn heap_write(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), HeapError> {
-        ShardedRuntime::heap_write(self, addr, bytes)
-    }
-
-    fn heap_memmove(&mut self, dst: Addr, src: Addr, len: usize) -> Result<(), HeapError> {
-        ShardedRuntime::heap_memmove(self, dst, src, len)
-    }
-
-    fn heap_check_in_block(&self, addr: Addr, len: usize) -> Result<(), HeapError> {
-        ShardedRuntime::heap_check_in_block(self, addr, len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::RandomizeMode;
+    use crate::ShardedRuntime;
     use polar_classinfo::{ClassDecl, FieldKind};
 
     fn people() -> Arc<ClassInfo> {
@@ -443,17 +323,15 @@ mod tests {
 
     #[test]
     fn both_implementations_satisfy_the_contract() {
-        let config = RuntimeConfig::default();
-        let mut single = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
-        let mut config_sharded = RuntimeConfig::default();
-        config_sharded.heap.capacity = 64 << 20;
-        let mut sharded =
-            ShardedRuntime::new(RandomizeMode::per_allocation(), config_sharded, 4);
+        let mut single =
+            ObjectRuntime::new(RandomizeMode::per_allocation(), RuntimeConfig::default());
         assert_eq!(drive(&mut single), (0xFEED ^ 30, true, true));
-        assert_eq!(drive(&mut sharded), (0xFEED ^ 30, true, true));
-        // And through a boxed trait object, as the attack search uses it.
-        let mut boxed: Box<dyn PolarRuntime> =
-            Box::new(ObjectRuntime::new(RandomizeMode::per_allocation(), RuntimeConfig::default()));
+        let mut config = RuntimeConfig::default();
+        config.heap.capacity = 64 << 20;
+        let sharded = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 4);
+        assert_eq!(drive(&mut sharded.handle(0)), (0xFEED ^ 30, true, true));
+        // And through a boxed trait object borrowing the runtime.
+        let mut boxed: Box<dyn PolarRuntime + '_> = Box::new(sharded.handle(1));
         assert_eq!(drive(&mut *boxed), (0xFEED ^ 30, true, true));
     }
 }

@@ -63,7 +63,7 @@ pub enum RuntimeError {
     /// An underlying simulated-heap failure.
     Heap(HeapError),
     /// The shard's mutex was poisoned by a panicking thread: the shard
-    /// is degraded (its objects unreachable through the facade) but the
+    /// is degraded (its objects unreachable through the mutex) but the
     /// caller — and every other shard — keeps running.
     ShardPoisoned {
         /// Index of the degraded shard.

@@ -109,12 +109,12 @@ pub struct RuntimeConfig {
     /// bytes. Models trap slots being mapped-unreadable in a real
     /// deployment (Section IV-A3's traps, extended to reads).
     pub detect_probe_traps: bool,
-    /// Magazine policy for the sharded facade's per-handle allocation
+    /// Magazine policy for the sharded runtime's per-handle allocation
     /// front-end: each [`ShardHandle`](crate::ShardHandle) keeps a
     /// per-size-class magazine of pre-reserved allocation capsules,
     /// refilled `batch` at a time under one shard-lock acquisition, so
-    /// the common-case `olr_malloc` is a lock-free pop. Fast frees from
-    /// the same facade push onto a per-shard remote-free stack drained
+    /// the common-case `olr_malloc` is a lock-free pop. Fast frees on
+    /// the same runtime push onto a per-shard remote-free stack drained
     /// by the owning shard at its next lock acquisition.
     /// [`MagazinePolicy::disabled`] restores one lock round-trip per
     /// allocation and per free. Plain `ObjectRuntime`s ignore this.
@@ -140,13 +140,13 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Policy for the sharded facade's magazine-cached allocation front-end
+/// Policy for the sharded runtime's magazine-cached allocation front-end
 /// (see [`RuntimeConfig::magazine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MagazinePolicy {
     /// Capsules reserved per refill (one shard-lock acquisition amortized
     /// over this many allocations). `0` disables magazines *and* the
-    /// lock-free free path: every facade malloc/free takes the shard
+    /// lock-free free path: every handle malloc/free takes the shard
     /// mutex, exactly as before the front-end existed.
     pub batch: usize,
 }
@@ -737,7 +737,7 @@ impl ObjectRuntime {
 
     /// Instrumented allocation with a caller-supplied layout plan.
     ///
-    /// This is how the sharded facade allocates: each thread draws the
+    /// This is how a sharded runtime's handles allocate: each thread draws the
     /// plan from its *own* pool and RNG outside the shard lock, then the
     /// shard only has to malloc, seed traps and record metadata. Callers
     /// must pass a plan generated (or interned) for `info`.
@@ -1246,7 +1246,7 @@ impl ObjectRuntime {
 
     /// Resolve the class and source-side layout for an object copy from
     /// `src` (UAF-checked), counting the attempt. Split out of
-    /// [`ObjectRuntime::olr_memcpy`] so the sharded facade can run the
+    /// [`ObjectRuntime::olr_memcpy`] so a sharded runtime's handles can run the
     /// source half on one shard and [`ObjectRuntime::install_copy`] on
     /// another.
     pub(crate) fn copy_source(
@@ -1559,7 +1559,7 @@ fn plan_payload_bytes(p: &LayoutPlan) -> usize {
 }
 
 /// Stored width of a dummy slot's canary. `pub(crate)` so the sharded
-/// facade's lock-free free path scans traps with byte-identical
+/// runtime's lock-free free path scans traps with byte-identical
 /// semantics to [`ObjectRuntime::olr_free`]'s locked sweep.
 pub(crate) fn canary_width(size: u32) -> usize {
     match size {

@@ -20,23 +20,27 @@
 //!   and of every other thread (the cross-thread determinism the tests
 //!   pin down, and the independence Heelan-style heap-shaping attacks
 //!   are meant to be starved by).
+//! * **One op surface.** A [`ShardHandle`] is the only way to operate
+//!   on the runtime; [`ShardedRuntime`] itself offers construction,
+//!   [`ShardedRuntime::handle`] and inspection. A single-context
+//!   program (the IR interpreter, the attack harness) is simply one
+//!   handle, so it allocates through magazines like every threaded
+//!   program.
 //! * **One counter model.** Every count is a [`RuntimeStats`] column.
-//!   Locked paths count into their shard's [`ObjectRuntime`]; everything
-//!   else counts into the runtime's one [`AtomicRuntimeStats`]. Each op
-//!   has one body, shared by the `&self` facade and by [`ShardHandle`],
-//!   that counts into a `&mut RuntimeStats` sink: the facade passes a
-//!   local sheet and adds it to the atomics as the op returns, while a
-//!   handle passes its plain pending sheet, which becomes visible at
+//!   Locked paths count into their shard's [`ObjectRuntime`]; a handle
+//!   counts everything else into its plain pending sheet, which reaches
+//!   the runtime's one [`AtomicRuntimeStats`] at
 //!   [`ShardHandle::flush_stats`] or when the handle drops.
 //!   [`ShardedRuntime::stats`] drains every shard's remote-free stack,
-//!   sums the shards' counters, and then snapshots the atomics.
+//!   sums the shards' counters, and then snapshots the atomics;
+//!   [`ShardHandle::stats`] adds the handle's unflushed sheet.
 //! * **Lock-free reads.** Every shard's heap is *published*
 //!   ([`SimHeap::new_published`](polar_simheap::SimHeap::new_published)):
 //!   block identity and object metadata are mirrored into per-slot
 //!   seqlocked publication slots, plans are interned into a shared
 //!   [`PlanRegistry`] resolvable by integer id, and
-//!   [`ShardedRuntime::olr_getptr`], [`ShardedRuntime::olr_getptr_ic`]
-//!   and [`ShardedRuntime::read_field`] first attempt the access with
+//!   [`ShardHandle::olr_getptr`], [`ShardHandle::olr_getptr_ic`]
+//!   and [`ShardHandle::read_field`] first attempt the access with
 //!   **no lock at all**: snapshot the slot, validate
 //!   `(base, live, generation, class)`, resolve the field through the
 //!   registry plan, and — for `read_field` — load the value from the
@@ -82,7 +86,8 @@ use polar_simheap::{
     Addr, HeapError, HeapPublisher, SnapshotOutcome, PUB_STATE_FREED, PUB_STATE_LIVE,
 };
 
-use crate::error::RuntimeError;
+use crate::api::PolarRuntime;
+use crate::error::{RuntimeError, TrapReport};
 use crate::runtime::{
     canary_width, truncate, Capsule, ObjectMeta, ObjectRuntime, RandomizeMode, RuntimeConfig,
     SiteCache,
@@ -134,9 +139,9 @@ enum FastAttempt {
 /// A thread-safe POLaR runtime: N address-partitioned [`ObjectRuntime`]
 /// shards behind striped locks, shared by reference across threads.
 ///
-/// The existing single-thread API is untouched — `ShardedRuntime` is a
-/// facade over ordinary `ObjectRuntime`s, and single-threaded code keeps
-/// using `ObjectRuntime` directly.
+/// The runtime itself only builds, hands out and inspects: every
+/// operation goes through a per-thread [`ShardHandle`]. Single-threaded
+/// code that needs no sharing keeps using `ObjectRuntime` directly.
 #[derive(Debug)]
 pub struct ShardedRuntime {
     shards: Vec<Mutex<ObjectRuntime>>,
@@ -157,9 +162,8 @@ pub struct ShardedRuntime {
     span_shift: Option<u32>,
     mode: RandomizeMode,
     config: RuntimeConfig,
-    /// Every count the shard mutexes do not own: the facade ops' per-op
-    /// counts, the handles' flushed pending sheets and the remote-free
-    /// drains.
+    /// Every count the shard mutexes do not own: the handles' flushed
+    /// pending sheets and the remote-free drains.
     counters: AtomicRuntimeStats,
 }
 
@@ -167,7 +171,7 @@ impl ShardedRuntime {
     /// Create a runtime with `shards` address-partitioned shards.
     ///
     /// `config.heap.capacity` is the *total* arena budget, split evenly;
-    /// `config.heap.arena_base` must be 0 (the facade assigns bases).
+    /// `config.heap.arena_base` must be 0 (the runtime assigns bases).
     ///
     /// # Panics
     ///
@@ -177,7 +181,7 @@ impl ShardedRuntime {
         assert!(shards > 0, "a sharded runtime needs at least one shard");
         assert_eq!(
             config.heap.arena_base, 0,
-            "the facade owns arena partitioning; leave arena_base at 0"
+            "the runtime owns arena partitioning; leave arena_base at 0"
         );
         // Round the per-shard span down to an alignment-friendly boundary
         // so every shard window starts on a block-aligned address.
@@ -237,7 +241,7 @@ impl ShardedRuntime {
         &self.mode
     }
 
-    /// The configuration the facade was built from (total capacity,
+    /// The configuration the runtime was built from (total capacity,
     /// root seed).
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
@@ -494,100 +498,6 @@ impl ShardedRuntime {
         }
     }
 
-    /// The one body of `olr_getptr`/`olr_getptr_ic` for the facade and
-    /// for handles: try the lock-free path, and fall back to the owning
-    /// shard's mutex, which counts and classifies everything the fast
-    /// path does not. Lock-free successes and fallbacks are counted into
-    /// `sink`.
-    #[inline]
-    fn getptr_in(
-        &self,
-        sink: &mut RuntimeStats,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        mut ic: Option<&mut SiteCache>,
-    ) -> Result<Addr, RuntimeError> {
-        let Some(shard) = self.shard_of(base) else {
-            return Err(RuntimeError::UnknownObject(base));
-        };
-        for _ in 0..FAST_RETRIES {
-            match self.fast_attempt(shard, base, expected, field, ic.as_deref_mut()) {
-                FastAttempt::Hit { addr, slot, ic_hit, warmed, .. } => {
-                    self.count_hit(sink, shard, slot, ic_hit, warmed);
-                    return Ok(addr);
-                }
-                FastAttempt::Fallback => break,
-                FastAttempt::Contended => std::hint::spin_loop(),
-            }
-        }
-        sink.lockfree_fallbacks += 1;
-        let mut rt = self.shard(shard)?;
-        match ic {
-            Some(ic) => rt.olr_getptr_ic(base, expected, field, ic),
-            None => rt.olr_getptr(base, expected, field),
-        }
-    }
-
-    /// The one body of `read_field`, counted as in
-    /// [`ShardedRuntime::getptr_in`]: resolve, load the value from the
-    /// shared arena, then re-check the slot's sequence — an unchanged
-    /// sequence proves no writer window (field store, free, reuse)
-    /// overlapped the byte load, so the value is never torn.
-    #[inline]
-    fn read_field_in(
-        &self,
-        sink: &mut RuntimeStats,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<u64, RuntimeError> {
-        let Some(shard) = self.shard_of(base) else {
-            return Err(RuntimeError::UnknownObject(base));
-        };
-        for _ in 0..FAST_RETRIES {
-            match self.fast_attempt(shard, base, expected, field, None) {
-                FastAttempt::Hit { addr, width, slot, seq, ic_hit, warmed } => {
-                    let p = &self.pubs[shard];
-                    let Some(value) = p.read_uint(addr.0, width) else { break };
-                    if !p.recheck(slot, seq) {
-                        std::hint::spin_loop();
-                        continue; // torn load: retry from a fresh snapshot
-                    }
-                    self.count_hit(sink, shard, slot, ic_hit, warmed);
-                    return Ok(value);
-                }
-                FastAttempt::Fallback => break,
-                FastAttempt::Contended => std::hint::spin_loop(),
-            }
-        }
-        sink.lockfree_fallbacks += 1;
-        self.shard(shard)?.read_field(base, expected, field)
-    }
-
-    /// The one body of `olr_free`: a lock-free claim when
-    /// [`ShardedRuntime::fast_free`] can prove it, counted into `sink`;
-    /// the owning shard's mutex otherwise.
-    fn free_in(&self, sink: &mut RuntimeStats, addr: Addr) -> Result<(), RuntimeError> {
-        if let Some(scanned) = self.fast_free(addr) {
-            sink.frees += 1;
-            sink.fast_frees += 1;
-            sink.trap_scans += u64::from(scanned);
-            return Ok(());
-        }
-        self.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
-    }
-
-    /// Run one facade op against a local sheet and add it to the shared
-    /// counters: facade counts are visible as soon as the op returns.
-    #[inline]
-    fn counted<T>(&self, op: impl FnOnce(&mut RuntimeStats) -> T) -> T {
-        let mut sink = RuntimeStats::default();
-        let out = op(&mut sink);
-        self.counters.add(&sink);
-        out
-    }
-
     /// Lock-free `olr_free` attempt. `Some(scanned)` means the free
     /// completed without the shard mutex: the published snapshot proved
     /// a live, generation-current object at exactly `addr`, the trap
@@ -676,132 +586,6 @@ impl ShardedRuntime {
         self.registry.get(id).cloned()
     }
 
-    /// [`ObjectRuntime::olr_free`], routed by address. With magazines
-    /// enabled the free first attempts the lock-free path
-    /// ([`ShardedRuntime::fast_free`]); every condition the fast path
-    /// cannot classify falls back to the shard mutex.
-    ///
-    /// # Errors
-    ///
-    /// As for the single-thread call; addresses outside every shard
-    /// window report [`HeapError::InvalidFree`].
-    pub fn olr_free(&self, addr: Addr) -> Result<(), RuntimeError> {
-        self.counted(|sink| self.free_in(sink, addr))
-    }
-
-    /// [`ObjectRuntime::olr_getptr`], routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for the single-thread call; unroutable addresses report
-    /// [`RuntimeError::UnknownObject`].
-    #[inline]
-    pub fn olr_getptr(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<Addr, RuntimeError> {
-        self.counted(|sink| self.getptr_in(sink, base, expected, field, None))
-    }
-
-    /// [`ObjectRuntime::olr_getptr_ic`], routed by address. The site
-    /// cache is the caller's (typically thread-local) storage.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_getptr`].
-    #[inline]
-    pub fn olr_getptr_ic(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        ic: &mut SiteCache,
-    ) -> Result<Addr, RuntimeError> {
-        self.counted(|sink| self.getptr_in(sink, base, expected, field, Some(ic)))
-    }
-
-    /// [`ObjectRuntime::read_field`], routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_getptr`] plus heap faults.
-    #[inline]
-    pub fn read_field(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<u64, RuntimeError> {
-        self.counted(|sink| self.read_field_in(sink, base, expected, field))
-    }
-
-    /// [`ObjectRuntime::write_field`], routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_getptr`] plus heap faults.
-    pub fn write_field(
-        &self,
-        base: Addr,
-        expected: ClassHash,
-        field: usize,
-        value: u64,
-    ) -> Result<(), RuntimeError> {
-        self.route(base, RuntimeError::UnknownObject(base))?
-            .write_field(base, expected, field, value)
-    }
-
-    /// [`ObjectRuntime::olr_memcpy`] across shards: same-shard copies
-    /// delegate under one lock; cross-shard copies stage the source
-    /// fields on the source shard, then install the duplicate on the
-    /// destination shard. Both locks are taken in shard-index order so
-    /// concurrent copies in opposite directions cannot deadlock.
-    ///
-    /// # Errors
-    ///
-    /// As for the single-thread call; unroutable endpoints fault.
-    pub fn olr_memcpy(
-        &self,
-        dst: Addr,
-        src: Addr,
-        site_class: &Arc<ClassInfo>,
-    ) -> Result<(), RuntimeError> {
-        let len = site_class.size() as usize;
-        let src_i = self
-            .shard_of(src)
-            .ok_or(RuntimeError::Heap(HeapError::Fault { addr: src, len }))?;
-        let dst_i = self
-            .shard_of(dst)
-            .ok_or(RuntimeError::Heap(HeapError::Fault { addr: dst, len }))?;
-        if src_i == dst_i {
-            return self.shard(src_i)?.olr_memcpy(dst, src, site_class);
-        }
-        // Index-ordered locking: every cross-shard copy acquires the
-        // lower-numbered shard first.
-        let (first, second) = (src_i.min(dst_i), src_i.max(dst_i));
-        let first_guard = self.shard(first)?;
-        let second_guard = self.shard(second)?;
-        let (mut src_rt, mut dst_rt) = if src_i < dst_i {
-            (first_guard, second_guard)
-        } else {
-            (second_guard, first_guard)
-        };
-        let (info, src_plan) = src_rt.copy_source(src, site_class)?;
-        let staged = src_rt.stage_fields(src, &src_plan)?;
-        dst_rt.install_copy(dst, info, &src_plan, &staged)
-    }
-
-    /// [`ObjectRuntime::check_traps`], routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for the single-thread call.
-    pub fn check_traps(&self, base: Addr) -> Result<Vec<crate::TrapReport>, RuntimeError> {
-        self.route(base, RuntimeError::UnknownObject(base))?.check_traps(base)
-    }
-
     /// Metadata snapshot for the object at `base` (cloned out of the
     /// owning shard), if tracked.
     pub fn object_meta(&self, base: Addr) -> Option<ObjectMeta> {
@@ -814,9 +598,9 @@ impl ShardedRuntime {
     /// numbers are internally consistent) plus one snapshot of the
     /// shared counters.
     ///
-    /// Coherence contract: facade ops are counted as each op returns; a
-    /// [`ShardHandle`]'s counts become visible at its
-    /// [`ShardHandle::flush_stats`] or drop; and this call drains every
+    /// Coherence contract: a [`ShardHandle`]'s counts become visible
+    /// here at its [`ShardHandle::flush_stats`] or drop (and at once
+    /// through its own [`ShardHandle::stats`]); this call drains every
     /// shard's remote-free stack *before* it snapshots the shared
     /// counters. Exact at quiescence; while threads are mid-operation
     /// each counter is individually exact but the cross-counter view is
@@ -877,125 +661,6 @@ impl ShardedRuntime {
             Some(i) => self.shard(i).map_err(|_| HeapError::Fault { addr, len }),
             None => Err(HeapError::Fault { addr, len }),
         }
-    }
-
-    /// Raw (untracked) allocation on shard `shard % shard_count()` — the
-    /// sharded analogue of [`ObjectRuntime::malloc_raw`] for callers
-    /// embedding the facade as one execution context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates heap errors.
-    pub fn malloc_raw_on(&self, shard: usize, size: usize) -> Result<Addr, RuntimeError> {
-        self.shard(shard % self.shards.len())?.malloc_raw(size)
-    }
-
-    /// Instrumented allocation on shard `shard % shard_count()`, using
-    /// the shard's own deterministic plan state rather than a per-thread
-    /// [`ShardHandle`]. Single-context embeddings (one logical thread
-    /// driving the whole facade) allocate this way.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ObjectRuntime::olr_malloc`].
-    pub fn olr_malloc_on(
-        &self,
-        shard: usize,
-        info: &Arc<ClassInfo>,
-    ) -> Result<Addr, RuntimeError> {
-        self.shard(shard % self.shards.len())?.olr_malloc(info)
-    }
-
-    /// [`ObjectRuntime::compile_time_plan`], delegated to shard 0. The
-    /// static-OLR table derives from the mode's binary seed, which every
-    /// shard shares, so any shard would answer identically.
-    pub fn compile_time_plan(&self, info: &Arc<ClassInfo>) -> Arc<polar_layout::LayoutPlan> {
-        self.shard_ignore_poison(0).compile_time_plan(info)
-    }
-
-    /// Raw free, routed by address.
-    ///
-    /// # Errors
-    ///
-    /// Propagates heap errors; addresses outside every shard window
-    /// report [`HeapError::InvalidFree`].
-    pub fn free_raw(&self, addr: Addr) -> Result<(), RuntimeError> {
-        self.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.free_raw(addr)
-    }
-
-    /// Arena-bounded raw read ([`SimHeap::read_uint`]), routed by
-    /// address. Like the single-heap primitive this deliberately ignores
-    /// block boundaries within a shard — it is the attack-model probe.
-    ///
-    /// [`SimHeap::read_uint`]: polar_simheap::SimHeap::read_uint
-    ///
-    /// # Errors
-    ///
-    /// Faults outside every shard window or past a shard's arena.
-    pub fn heap_read_uint(&self, addr: Addr, width: usize) -> Result<u64, HeapError> {
-        self.heap_shard(addr, width)?.heap().read_uint(addr, width)
-    }
-
-    /// A raw probe read with booby-trap screening, routed by address to
-    /// the owning shard (see [`ObjectRuntime::probe_read_uint`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::TrapTriggered`] when the probed range overlaps a
-    /// live object's canary-carrying dummy; faults as
-    /// [`RuntimeError::Heap`].
-    pub fn probe_read_uint(&self, addr: Addr, width: usize) -> Result<u64, RuntimeError> {
-        self.heap_shard(addr, width)?.probe_read_uint(addr, width)
-    }
-
-    /// Arena-bounded raw write, routed by address (the attack-model
-    /// corruption primitive; see [`ShardedRuntime::heap_read_uint`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::heap_read_uint`].
-    pub fn heap_write_uint(&self, addr: Addr, value: u64, width: usize) -> Result<(), HeapError> {
-        self.heap_shard(addr, width)?.heap_mut().write_uint(addr, value, width)
-    }
-
-    /// Arena-bounded raw byte write, routed by address.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::heap_read_uint`].
-    pub fn heap_write(&self, addr: Addr, bytes: &[u8]) -> Result<(), HeapError> {
-        self.heap_shard(addr, bytes.len())?.heap_mut().write(addr, bytes)
-    }
-
-    /// Raw `memmove`, routed by endpoint. Same-shard moves delegate to
-    /// the shard heap (overlap-safe); cross-shard moves stage through a
-    /// buffer — the windows are disjoint, so there is no overlap to
-    /// preserve and the two locks can be taken one at a time.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::heap_read_uint`] on either endpoint.
-    pub fn heap_memmove(&self, dst: Addr, src: Addr, len: usize) -> Result<(), HeapError> {
-        let src_i = self.shard_of(src).ok_or(HeapError::Fault { addr: src, len })?;
-        let dst_i = self.shard_of(dst).ok_or(HeapError::Fault { addr: dst, len })?;
-        if src_i == dst_i {
-            return self.heap_shard(src, len)?.heap_mut().memmove(dst, src, len);
-        }
-        let staged = self.heap_shard(src, len)?.heap().read_vec(src, len)?;
-        self.heap_shard(dst, len)?.heap_mut().write(dst, &staged)
-    }
-
-    /// Block-boundary check ([`SimHeap::read_in_block`]), routed by
-    /// address — the redzone-mode guard.
-    ///
-    /// [`SimHeap::read_in_block`]: polar_simheap::SimHeap::read_in_block
-    ///
-    /// # Errors
-    ///
-    /// [`HeapError::OutOfBlock`] for accesses crossing a block boundary,
-    /// plus routing faults.
-    pub fn heap_check_in_block(&self, addr: Addr, len: usize) -> Result<(), HeapError> {
-        self.heap_shard(addr, len)?.heap().check_in_block(addr, len)
     }
 }
 
@@ -1231,30 +896,42 @@ impl ShardHandle<'_> {
     ///
     /// # Errors
     ///
-    /// Propagates heap errors.
+    /// Propagates heap errors; addresses outside every shard window
+    /// report [`HeapError::InvalidFree`].
     pub fn free_raw(&mut self, addr: Addr) -> Result<(), RuntimeError> {
         self.rt
             .route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?
             .free_raw(addr)
     }
 
-    /// [`ShardedRuntime::olr_free`] (address-routed; works on any
-    /// shard's objects, not just the home shard's), counted into this
-    /// handle's pending sheet.
+    /// [`ObjectRuntime::olr_free`], routed by address (works on any
+    /// shard's objects, not just the home shard's). With magazines
+    /// enabled the free first attempts the lock-free claim
+    /// ([`ShardedRuntime::fast_free`]), counted into this handle's
+    /// pending sheet; every condition the fast path cannot classify
+    /// falls back to the owning shard's mutex.
     ///
     /// # Errors
     ///
-    /// As for [`ShardedRuntime::olr_free`].
+    /// As for the single-thread call; addresses outside every shard
+    /// window report [`HeapError::InvalidFree`].
     pub fn olr_free(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        self.rt.free_in(&mut self.pending, addr)
+        if let Some(scanned) = self.rt.fast_free(addr) {
+            self.pending.frees += 1;
+            self.pending.fast_frees += 1;
+            self.pending.trap_scans += u64::from(scanned);
+            return Ok(());
+        }
+        self.rt.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
     }
 
-    /// [`ShardedRuntime::olr_getptr`], counted into this handle's
-    /// pending sheet (see [`ShardHandle::flush_stats`]).
+    /// [`ObjectRuntime::olr_getptr`], routed by address and counted into
+    /// this handle's pending sheet (see [`ShardHandle::flush_stats`]).
     ///
     /// # Errors
     ///
-    /// As for [`ShardedRuntime::olr_getptr`].
+    /// As for the single-thread call; unroutable addresses report
+    /// [`RuntimeError::UnknownObject`].
     #[inline]
     pub fn olr_getptr(
         &mut self,
@@ -1262,15 +939,15 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        self.rt.getptr_in(&mut self.pending, base, expected, field, None)
+        self.getptr_in(base, expected, field, None)
     }
 
-    /// [`ShardedRuntime::olr_getptr_ic`], counted into this handle's
-    /// pending sheet (see [`ShardHandle::flush_stats`]).
+    /// [`ObjectRuntime::olr_getptr_ic`], routed by address. The site
+    /// cache is the caller's (typically thread-local) storage.
     ///
     /// # Errors
     ///
-    /// As for [`ShardedRuntime::olr_getptr`].
+    /// As for [`ShardHandle::olr_getptr`].
     #[inline]
     pub fn olr_getptr_ic(
         &mut self,
@@ -1279,15 +956,52 @@ impl ShardHandle<'_> {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        self.rt.getptr_in(&mut self.pending, base, expected, field, Some(ic))
+        self.getptr_in(base, expected, field, Some(ic))
     }
 
-    /// [`ShardedRuntime::read_field`], counted into this handle's
-    /// pending sheet (see [`ShardHandle::flush_stats`]).
+    /// The one body of `olr_getptr`/`olr_getptr_ic`: try the lock-free
+    /// path, and fall back to the owning shard's mutex, which counts and
+    /// classifies everything the fast path does not. Lock-free successes
+    /// and fallbacks are counted into the pending sheet.
+    #[inline]
+    fn getptr_in(
+        &mut self,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+        mut ic: Option<&mut SiteCache>,
+    ) -> Result<Addr, RuntimeError> {
+        let rt = self.rt;
+        let Some(shard) = rt.shard_of(base) else {
+            return Err(RuntimeError::UnknownObject(base));
+        };
+        for _ in 0..FAST_RETRIES {
+            match rt.fast_attempt(shard, base, expected, field, ic.as_deref_mut()) {
+                FastAttempt::Hit { addr, slot, ic_hit, warmed, .. } => {
+                    rt.count_hit(&mut self.pending, shard, slot, ic_hit, warmed);
+                    return Ok(addr);
+                }
+                FastAttempt::Fallback => break,
+                FastAttempt::Contended => std::hint::spin_loop(),
+            }
+        }
+        self.pending.lockfree_fallbacks += 1;
+        let mut shard = rt.shard(shard)?;
+        match ic {
+            Some(ic) => shard.olr_getptr_ic(base, expected, field, ic),
+            None => shard.olr_getptr(base, expected, field),
+        }
+    }
+
+    /// [`ObjectRuntime::read_field`], routed by address and counted as in
+    /// [`ShardHandle::olr_getptr`]: resolve, load the value from the
+    /// shared arena, then re-check the slot's sequence — an unchanged
+    /// sequence proves no writer window (field store, free, reuse)
+    /// overlapped the byte load, so the value is never torn.
     ///
     /// # Errors
     ///
-    /// As for [`ShardedRuntime::read_field`].
+    /// As for [`ShardHandle::olr_getptr`] plus heap faults.
     #[inline]
     pub fn read_field(
         &mut self,
@@ -1295,7 +1009,103 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        self.rt.read_field_in(&mut self.pending, base, expected, field)
+        let rt = self.rt;
+        let Some(shard) = rt.shard_of(base) else {
+            return Err(RuntimeError::UnknownObject(base));
+        };
+        for _ in 0..FAST_RETRIES {
+            match rt.fast_attempt(shard, base, expected, field, None) {
+                FastAttempt::Hit { addr, width, slot, seq, ic_hit, warmed } => {
+                    let p = &rt.pubs[shard];
+                    let Some(value) = p.read_uint(addr.0, width) else { break };
+                    if !p.recheck(slot, seq) {
+                        std::hint::spin_loop();
+                        continue; // torn load: retry from a fresh snapshot
+                    }
+                    rt.count_hit(&mut self.pending, shard, slot, ic_hit, warmed);
+                    return Ok(value);
+                }
+                FastAttempt::Fallback => break,
+                FastAttempt::Contended => std::hint::spin_loop(),
+            }
+        }
+        self.pending.lockfree_fallbacks += 1;
+        rt.shard(shard)?.read_field(base, expected, field)
+    }
+
+    /// [`ObjectRuntime::write_field`], routed by address.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ShardHandle::olr_getptr`] plus heap faults.
+    pub fn write_field(
+        &mut self,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+        value: u64,
+    ) -> Result<(), RuntimeError> {
+        self.rt
+            .route(base, RuntimeError::UnknownObject(base))?
+            .write_field(base, expected, field, value)
+    }
+
+    /// [`ObjectRuntime::olr_memcpy`] across shards: same-shard copies
+    /// delegate under one lock; cross-shard copies stage the source
+    /// fields on the source shard, then install the duplicate on the
+    /// destination shard. Both locks are taken in shard-index order so
+    /// concurrent copies in opposite directions cannot deadlock.
+    ///
+    /// # Errors
+    ///
+    /// As for the single-thread call; unroutable endpoints fault.
+    pub fn olr_memcpy(
+        &mut self,
+        dst: Addr,
+        src: Addr,
+        site_class: &Arc<ClassInfo>,
+    ) -> Result<(), RuntimeError> {
+        let rt = self.rt;
+        let len = site_class.size() as usize;
+        let src_i = rt
+            .shard_of(src)
+            .ok_or(RuntimeError::Heap(HeapError::Fault { addr: src, len }))?;
+        let dst_i = rt
+            .shard_of(dst)
+            .ok_or(RuntimeError::Heap(HeapError::Fault { addr: dst, len }))?;
+        if src_i == dst_i {
+            return rt.shard(src_i)?.olr_memcpy(dst, src, site_class);
+        }
+        // Index-ordered locking: every cross-shard copy acquires the
+        // lower-numbered shard first.
+        let (first, second) = (src_i.min(dst_i), src_i.max(dst_i));
+        let first_guard = rt.shard(first)?;
+        let second_guard = rt.shard(second)?;
+        let (mut src_rt, mut dst_rt) = if src_i < dst_i {
+            (first_guard, second_guard)
+        } else {
+            (second_guard, first_guard)
+        };
+        let (info, src_plan) = src_rt.copy_source(src, site_class)?;
+        let staged = src_rt.stage_fields(src, &src_plan)?;
+        dst_rt.install_copy(dst, info, &src_plan, &staged)
+    }
+
+    /// [`ObjectRuntime::check_traps`], routed by address.
+    ///
+    /// # Errors
+    ///
+    /// As for the single-thread call.
+    pub fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
+        self.rt.route(base, RuntimeError::UnknownObject(base))?.check_traps(base)
+    }
+
+    /// The runtime's statistics plus this handle's unflushed pending
+    /// sheet: exact for everything this handle did, without a flush.
+    pub fn stats(&self) -> RuntimeStats {
+        let mut stats = self.rt.stats();
+        stats += self.pending;
+        stats
     }
 
     /// Fold this handle's pending sheet into the runtime's shared
@@ -1339,34 +1149,131 @@ impl ShardHandle<'_> {
         }
         self.flush_stats();
     }
+}
 
-    /// [`ShardedRuntime::write_field`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::write_field`].
-    pub fn write_field(
+/// One program's context on a [`ShardedRuntime`]: allocations come from
+/// the handle's home shard through its magazines, and every
+/// address-keyed operation routes to the shard owning the address.
+/// The arena-bounded raw reads, writes and moves exist only here: a
+/// threaded program has no reason to bypass the runtime, but an
+/// uninstrumented one (or an attacker) does.
+impl PolarRuntime for ShardHandle<'_> {
+    fn config(&self) -> &RuntimeConfig {
+        self.rt.config()
+    }
+
+    fn stats(&self) -> RuntimeStats {
+        ShardHandle::stats(self)
+    }
+
+    /// Answered by the home shard: the static-OLR table derives from the
+    /// mode's binary seed, which every shard shares.
+    fn compile_time_plan(&mut self, info: &Arc<ClassInfo>) -> Arc<LayoutPlan> {
+        self.rt.shard_ignore_poison(self.home).compile_time_plan(info)
+    }
+
+    fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
+        ShardHandle::olr_malloc(self, info)
+    }
+
+    fn olr_free(&mut self, base: Addr) -> Result<(), RuntimeError> {
+        ShardHandle::olr_free(self, base)
+    }
+
+    fn olr_getptr_ic(
+        &mut self,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+        ic: &mut SiteCache,
+    ) -> Result<Addr, RuntimeError> {
+        ShardHandle::olr_getptr_ic(self, base, expected, field, ic)
+    }
+
+    fn olr_memcpy(
+        &mut self,
+        dst: Addr,
+        src: Addr,
+        site_class: &Arc<ClassInfo>,
+    ) -> Result<(), RuntimeError> {
+        ShardHandle::olr_memcpy(self, dst, src, site_class)
+    }
+
+    fn read_field(
+        &mut self,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+    ) -> Result<u64, RuntimeError> {
+        ShardHandle::read_field(self, base, expected, field)
+    }
+
+    fn write_field(
         &mut self,
         base: Addr,
         expected: ClassHash,
         field: usize,
         value: u64,
     ) -> Result<(), RuntimeError> {
-        self.rt.write_field(base, expected, field, value)
+        ShardHandle::write_field(self, base, expected, field, value)
     }
 
-    /// [`ShardedRuntime::olr_memcpy`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::olr_memcpy`].
-    pub fn olr_memcpy(
-        &mut self,
-        dst: Addr,
-        src: Addr,
-        site_class: &Arc<ClassInfo>,
-    ) -> Result<(), RuntimeError> {
-        self.rt.olr_memcpy(dst, src, site_class)
+    fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
+        ShardHandle::check_traps(self, base)
+    }
+
+    fn plan_size(&self, base: Addr) -> Option<u32> {
+        self.rt.object_meta(base).map(|meta| meta.plan.size())
+    }
+
+    fn heap_malloc(&mut self, size: usize) -> Result<Addr, HeapError> {
+        self.malloc_raw(size).map_err(|err| match err {
+            RuntimeError::Heap(e) => e,
+            _ => HeapError::OutOfMemory { requested: size },
+        })
+    }
+
+    fn heap_free(&mut self, addr: Addr) -> Result<(), HeapError> {
+        self.free_raw(addr).map_err(|err| match err {
+            RuntimeError::Heap(e) => e,
+            _ => HeapError::InvalidFree(addr),
+        })
+    }
+
+    /// Like the single-heap primitive this deliberately ignores block
+    /// boundaries within a shard — it is the attack-model probe.
+    fn heap_read_uint(&self, addr: Addr, width: usize) -> Result<u64, HeapError> {
+        self.rt.heap_shard(addr, width)?.heap().read_uint(addr, width)
+    }
+
+    fn probe_read_uint(&mut self, addr: Addr, width: usize) -> Result<u64, RuntimeError> {
+        self.rt.heap_shard(addr, width)?.probe_read_uint(addr, width)
+    }
+
+    fn heap_write_uint(&mut self, addr: Addr, value: u64, width: usize) -> Result<(), HeapError> {
+        self.rt.heap_shard(addr, width)?.heap_mut().write_uint(addr, value, width)
+    }
+
+    fn heap_write(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), HeapError> {
+        self.rt.heap_shard(addr, bytes.len())?.heap_mut().write(addr, bytes)
+    }
+
+    /// Same-shard moves delegate to the shard heap (overlap-safe);
+    /// cross-shard moves stage through a buffer — the windows are
+    /// disjoint, so there is no overlap to preserve and the two locks
+    /// can be taken one at a time.
+    fn heap_memmove(&mut self, dst: Addr, src: Addr, len: usize) -> Result<(), HeapError> {
+        let src_i = self.rt.shard_of(src).ok_or(HeapError::Fault { addr: src, len })?;
+        let dst_i = self.rt.shard_of(dst).ok_or(HeapError::Fault { addr: dst, len })?;
+        if src_i == dst_i {
+            return self.rt.heap_shard(src, len)?.heap_mut().memmove(dst, src, len);
+        }
+        let staged = self.rt.heap_shard(src, len)?.heap().read_vec(src, len)?;
+        self.rt.heap_shard(dst, len)?.heap_mut().write(dst, &staged)
+    }
+
+    fn heap_check_in_block(&self, addr: Addr, len: usize) -> Result<(), HeapError> {
+        self.rt.heap_shard(addr, len)?.heap().check_in_block(addr, len)
     }
 }
 
@@ -1406,7 +1313,7 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_facade_behaves_like_object_runtime() {
+    fn single_shard_handle_behaves_like_object_runtime() {
         let rt = sharded(1);
         let info = people();
         let mut h = rt.handle(0);
@@ -1414,24 +1321,29 @@ mod tests {
         h.write_field(obj, info.hash(), 1, 30).unwrap();
         h.write_field(obj, info.hash(), 2, 170).unwrap();
         assert_eq!(h.read_field(obj, info.hash(), 1).unwrap(), 30);
-        assert_eq!(rt.read_field(obj, info.hash(), 2).unwrap(), 170);
-        rt.olr_free(obj).unwrap();
+        assert_eq!(h.read_field(obj, info.hash(), 2).unwrap(), 170);
+        h.olr_free(obj).unwrap();
         assert!(matches!(
-            rt.olr_getptr(obj, info.hash(), 1).unwrap_err(),
+            h.olr_getptr(obj, info.hash(), 1).unwrap_err(),
             RuntimeError::UseAfterFree { .. }
         ));
-        assert!(matches!(rt.olr_free(obj).unwrap_err(), RuntimeError::DoubleFree(_)));
-        h.flush_stats();
-        let stats = rt.stats();
+        assert!(matches!(h.olr_free(obj).unwrap_err(), RuntimeError::DoubleFree(_)));
+        // The handle's own view includes its unflushed counts...
+        let stats = h.stats();
         assert_eq!(stats.allocations, 1);
         assert_eq!(stats.frees, 1);
         assert_eq!(stats.uaf_detected, 1);
+        // ...which the runtime's view shows once they are flushed.
+        assert_eq!(rt.stats().allocations, 0);
+        h.flush_stats();
+        assert_eq!(rt.stats(), stats);
     }
 
     #[test]
     fn addresses_route_back_to_their_shard() {
         let rt = sharded(4);
         let info = people();
+        let mut freer = rt.handle(7);
         for t in 0..4u64 {
             let mut h = rt.handle(t);
             let obj = h.olr_malloc(&info).unwrap();
@@ -1441,16 +1353,16 @@ mod tests {
                 "allocation must land in the handle's home shard window"
             );
             // Any thread can free any address: routing is by address.
-            rt.olr_free(obj).unwrap();
+            freer.olr_free(obj).unwrap();
         }
         // Unroutable addresses fail cleanly instead of hitting shard 0.
         let wild = Addr(rt.shard_span() * 5);
         assert!(matches!(
-            rt.olr_getptr(wild, info.hash(), 0).unwrap_err(),
+            freer.olr_getptr(wild, info.hash(), 0).unwrap_err(),
             RuntimeError::UnknownObject(_)
         ));
         assert!(matches!(
-            rt.olr_free(wild).unwrap_err(),
+            freer.olr_free(wild).unwrap_err(),
             RuntimeError::Heap(HeapError::InvalidFree(_))
         ));
         assert!(rt.object_meta(Addr::NULL).is_none());
@@ -1472,17 +1384,17 @@ mod tests {
             "test requires endpoints on different shards"
         );
         // Both directions, so both lock orders are exercised.
-        rt.olr_memcpy(dst, src, &info).unwrap();
-        assert_eq!(rt.read_field(dst, info.hash(), 1).unwrap(), 41);
-        assert_eq!(rt.read_field(dst, info.hash(), 2).unwrap(), 182);
-        rt.write_field(dst, info.hash(), 1, 99).unwrap();
-        rt.olr_memcpy(src, dst, &info).unwrap();
-        assert_eq!(rt.read_field(src, info.hash(), 1).unwrap(), 99);
+        h1.olr_memcpy(dst, src, &info).unwrap();
+        assert_eq!(h1.read_field(dst, info.hash(), 1).unwrap(), 41);
+        assert_eq!(h1.read_field(dst, info.hash(), 2).unwrap(), 182);
+        h1.write_field(dst, info.hash(), 1, 99).unwrap();
+        h0.olr_memcpy(src, dst, &info).unwrap();
+        assert_eq!(h0.read_field(src, info.hash(), 1).unwrap(), 99);
         assert_eq!(rt.stats().memcpys, 2);
         // A freed cross-shard source is still UAF-detected.
-        rt.olr_free(dst).unwrap();
+        h1.olr_free(dst).unwrap();
         assert!(matches!(
-            rt.olr_memcpy(src, dst, &info).unwrap_err(),
+            h0.olr_memcpy(src, dst, &info).unwrap_err(),
             RuntimeError::UseAfterFree { .. }
         ));
     }
@@ -1657,7 +1569,7 @@ mod tests {
         let a = trace(&rt);
         assert_eq!(a, trace(&placed()), "sharded placement must replay from the root seed");
         // The placement layer actually engaged: the trace diverges from
-        // the deterministic (placement-off) facade's.
+        // the deterministic (placement-off) runtime's.
         assert_ne!(a, trace(&sharded(SHARDS)), "placement should perturb the address trace");
     }
 
@@ -1667,21 +1579,21 @@ mod tests {
     /// free either way, and the new trap counters fold across shards.
     #[test]
     fn cross_shard_memcpy_preserves_trap_detection_parity() {
-        fn corrupt_and_free(rt: &ShardedRuntime, dst: Addr) -> bool {
-            let Some(meta) = rt.object_meta(dst) else {
+        fn corrupt_and_free(h: &mut ShardHandle<'_>, dst: Addr) -> bool {
+            let Some(meta) = h.runtime().object_meta(dst) else {
                 panic!("copy destination must be tracked after olr_memcpy");
             };
             let Some(dummy) = meta.plan.dummies().iter().find(|d| d.canary.is_some()) else {
                 // This draw carried no canaried dummy; clean free, retry.
-                rt.olr_free(dst).unwrap();
+                h.olr_free(dst).unwrap();
                 return false;
             };
             let slot = dst.offset(u64::from(dummy.offset));
             // Flip the canary's low byte so the scan cannot miss it.
-            let cur = rt.heap_read_uint(slot, 1).unwrap();
-            rt.heap_write_uint(slot, !cur & 0xFF, 1).unwrap();
+            let cur = h.heap_read_uint(slot, 1).unwrap();
+            h.heap_write_uint(slot, !cur & 0xFF, 1).unwrap();
             assert!(
-                matches!(rt.olr_free(dst).unwrap_err(), RuntimeError::TrapTriggered(_)),
+                matches!(h.olr_free(dst).unwrap_err(), RuntimeError::TrapTriggered(_)),
                 "corrupted duplicate dummy must trip the free-path trap scan"
             );
             true
@@ -1705,9 +1617,9 @@ mod tests {
                     "destination must be {} the source shard",
                     if cross { "outside" } else { "inside" }
                 );
-                rt.olr_memcpy(dst, src, &info).unwrap();
-                assert_eq!(rt.read_field(dst, info.hash(), 1).unwrap(), 5);
-                if corrupt_and_free(&rt, dst) {
+                handle.olr_memcpy(dst, src, &info).unwrap();
+                assert_eq!(handle.read_field(dst, info.hash(), 1).unwrap(), 5);
+                if corrupt_and_free(handle, dst) {
                     proved = true;
                     break;
                 }
@@ -1719,6 +1631,7 @@ mod tests {
             );
         }
 
+        drop((h0, h1));
         let stats = rt.stats();
         assert!(stats.traps_triggered >= 2, "both paths must have fired: {stats:?}");
         assert!(stats.dummy_touches >= stats.traps_triggered);
@@ -1726,7 +1639,7 @@ mod tests {
     }
 
     #[test]
-    fn in_place_memcpy_works_through_the_facade() {
+    fn in_place_memcpy_works_through_a_handle() {
         // The overlap fix holds on the sharded path too (same-shard
         // delegation uses the staged single-runtime copy).
         let rt = sharded(2);
@@ -1735,9 +1648,9 @@ mod tests {
         let obj = h.olr_malloc(&info).unwrap();
         h.write_field(obj, info.hash(), 1, 7).unwrap();
         h.write_field(obj, info.hash(), 2, 9).unwrap();
-        rt.olr_memcpy(obj, obj, &info).unwrap();
-        assert_eq!(rt.read_field(obj, info.hash(), 1).unwrap(), 7);
-        assert_eq!(rt.read_field(obj, info.hash(), 2).unwrap(), 9);
+        h.olr_memcpy(obj, obj, &info).unwrap();
+        assert_eq!(h.read_field(obj, info.hash(), 1).unwrap(), 7);
+        assert_eq!(h.read_field(obj, info.hash(), 2).unwrap(), 9);
     }
 
     /// The lock-free read path serves plain, inline-cached and
@@ -1752,23 +1665,23 @@ mod tests {
         h.write_field(obj, info.hash(), 1, 23).unwrap();
         h.write_field(obj, info.hash(), 2, 99).unwrap();
 
-        let before = rt.stats();
+        let before = h.stats();
         let mut ic = SiteCache::empty();
         for _ in 0..10 {
-            assert_eq!(rt.read_field(obj, info.hash(), 1).unwrap(), 23);
-            let via_plain = rt.olr_getptr(obj, info.hash(), 2).unwrap();
-            let via_ic = rt.olr_getptr_ic(obj, info.hash(), 2, &mut ic).unwrap();
+            assert_eq!(h.read_field(obj, info.hash(), 1).unwrap(), 23);
+            let via_plain = h.olr_getptr(obj, info.hash(), 2).unwrap();
+            let via_ic = h.olr_getptr_ic(obj, info.hash(), 2, &mut ic).unwrap();
             assert_eq!(via_plain, via_ic, "both paths must resolve the same address");
         }
         let delta = {
-            let mut d = rt.stats();
+            let mut d = h.stats();
             d.member_accesses -= before.member_accesses;
             d.lockfree_reads -= before.lockfree_reads;
             d.cache_hits -= before.cache_hits;
             d.site_ic_hits -= before.site_ic_hits;
             d
         };
-        assert_eq!(delta.member_accesses, 30, "every facade read is one member access");
+        assert_eq!(delta.member_accesses, 30, "every read is one member access");
         assert_eq!(
             delta.lockfree_reads, 30,
             "an uncontended single thread must never fall back: {delta:?}"
@@ -1780,12 +1693,12 @@ mod tests {
         assert_eq!(delta.cache_hits, 30);
 
         // Detections still work (via fallback to the locked path).
-        rt.olr_free(obj).unwrap();
+        h.olr_free(obj).unwrap();
         assert!(matches!(
-            rt.read_field(obj, info.hash(), 1).unwrap_err(),
+            h.read_field(obj, info.hash(), 1).unwrap_err(),
             RuntimeError::UseAfterFree { .. }
         ));
-        let after = rt.stats();
+        let after = h.stats();
         assert_eq!(after.uaf_detected, 1);
         assert!(after.lockfree_fallbacks > 0, "the freed read must have fallen back");
     }
@@ -1804,7 +1717,7 @@ mod tests {
         let objects: Vec<Addr> = (0..OBJECTS).map(|_| h.olr_malloc(&info).unwrap()).collect();
         for &obj in &objects {
             for field in 0..info.field_count() {
-                rt.write_field(obj, info.hash(), field, 0).unwrap();
+                h.write_field(obj, info.hash(), field, 0).unwrap();
             }
         }
         let stop = std::sync::atomic::AtomicBool::new(false);
@@ -1826,6 +1739,7 @@ mod tests {
             let readers: Vec<_> = (0..READERS)
                 .map(|r| {
                     scope.spawn(move || {
+                        let mut h = rt.handle(2 + r as u64);
                         let mut driver = SplitMix64::new(0x4EAD + r as u64);
                         let mut n = 0u64;
                         // Floor of 1000 reads per reader: on a single
@@ -1837,7 +1751,7 @@ mod tests {
                         while !stop.load(std::sync::atomic::Ordering::Acquire) || n < 1_000 {
                             let obj = objects[driver.random_range(0..OBJECTS)];
                             let field = driver.random_range(0..2usize);
-                            let v = rt.read_field(obj, info.hash(), field).unwrap();
+                            let v = h.read_field(obj, info.hash(), field).unwrap();
                             assert_eq!(
                                 v >> 32,
                                 v & 0xFFFF_FFFF,
@@ -1856,7 +1770,7 @@ mod tests {
         assert_eq!(
             stats.lockfree_reads + stats.lockfree_fallbacks,
             attempts,
-            "every facade read attempt must be counted exactly once"
+            "every read attempt must be counted exactly once"
         );
         assert!(
             stats.lockfree_reads > 0,
@@ -1910,6 +1824,7 @@ mod tests {
                 stop.store(true, std::sync::atomic::Ordering::Release);
             });
             let reader = scope.spawn(move || {
+                let mut h = rt.handle(1);
                 let mut driver = SplitMix64::new(0x5EE5);
                 let mut probes = 0u64;
                 // Same 1000-probe floor as the torn-read torture: the
@@ -1917,7 +1832,7 @@ mod tests {
                 while !stop.load(std::sync::atomic::Ordering::Acquire) || probes < 1_000 {
                     probes += 1;
                     let obj = seed_objs[driver.random_range(0..seed_objs.len())];
-                    match rt.read_field(obj, info.hash(), 1) {
+                    match h.read_field(obj, info.hash(), 1) {
                         Ok(_) => {}
                         Err(
                             RuntimeError::UseAfterFree { .. }
@@ -1975,21 +1890,21 @@ mod tests {
 
         // Mutating paths on the poisoned shard report the typed error.
         assert!(matches!(
-            rt.olr_malloc_on(victim, &info).unwrap_err(),
+            rt.handle(victim as u64).olr_malloc(&info).unwrap_err(),
             RuntimeError::ShardPoisoned { shard } if shard == victim
         ));
         // The lock-free free path stays available on the degraded shard
         // (claim + remote push, no mutex)...
-        rt.olr_free(obj).unwrap();
+        h.olr_free(obj).unwrap();
         // ...while a free the fast path cannot classify (here: a double
         // free) falls back to the mutex and reports the degradation.
         assert!(matches!(
-            rt.olr_free(obj).unwrap_err(),
+            h.olr_free(obj).unwrap_err(),
             RuntimeError::ShardPoisoned { shard } if shard == victim
         ));
         // The other shard keeps working.
         let alive = (victim + 1) % rt.shard_count();
-        rt.olr_malloc_on(alive, &info).unwrap();
+        rt.handle(alive as u64).olr_malloc(&info).unwrap();
         // Observability stays available (poison ignored)...
         h.flush_stats();
         assert!(rt.stats().allocations >= 3);
@@ -1997,7 +1912,7 @@ mod tests {
         assert!(rt.object_meta(keep).is_some());
         assert!(rt.estimated_metadata_bytes() > 0);
         // ...and the lock-free read path never touches the mutex at all.
-        assert_eq!(rt.read_field(keep, info.hash(), 1).unwrap(), 77);
+        assert_eq!(h.read_field(keep, info.hash(), 1).unwrap(), 77);
     }
 
     #[test]
@@ -2052,7 +1967,7 @@ mod tests {
         assert_eq!(stats.total_detections(), 0);
     }
 
-    /// `MagazinePolicy::disabled()` restores the pre-magazine facade:
+    /// `MagazinePolicy::disabled()` restores the pre-magazine paths:
     /// every allocation takes the shard lock, every free goes through
     /// the mutex, and the magazine/fast-free counters stay zero.
     #[test]
@@ -2065,7 +1980,7 @@ mod tests {
         let mut h = rt.handle(0);
         let objs: Vec<Addr> = (0..20).map(|_| h.olr_malloc(&info).unwrap()).collect();
         for obj in objs {
-            rt.olr_free(obj).unwrap();
+            h.olr_free(obj).unwrap();
         }
         h.flush_stats();
         let stats = rt.stats();
@@ -2079,7 +1994,7 @@ mod tests {
     }
 
     /// Satellite: dropping a handle mid-unwind (the panic-safe flush
-    /// point) still folds its pending counters into the facade and
+    /// point) still folds its pending counters into the runtime and
     /// returns parked capsules to the shard, so no allocation capacity
     /// or statistics leak with the dying thread.
     #[test]
@@ -2196,12 +2111,15 @@ mod tests {
                 stop.store(true, std::sync::atomic::Ordering::Release);
             });
             let freers: Vec<_> = (0..FREERS)
-                .map(|_| {
-                    scope.spawn(move || loop {
-                        let next = rx.lock().unwrap().recv();
-                        match next {
-                            Ok(addr) => rt.olr_free(addr).unwrap(),
-                            Err(_) => break, // owner hung up: all freed
+                .map(|f| {
+                    scope.spawn(move || {
+                        let mut h = rt.handle(1 + f as u64);
+                        loop {
+                            let next = rx.lock().unwrap().recv();
+                            match next {
+                                Ok(addr) => h.olr_free(addr).unwrap(),
+                                Err(_) => break, // owner hung up: all freed
+                            }
                         }
                     })
                 })
@@ -2209,12 +2127,13 @@ mod tests {
             let readers: Vec<_> = (0..READERS)
                 .map(|r| {
                     scope.spawn(move || {
+                        let mut h = rt.handle(1 + (FREERS + r) as u64);
                         let mut driver = SplitMix64::new(0x4EAD + r as u64);
                         let mut n = 0u64;
                         while !stop.load(std::sync::atomic::Ordering::Acquire) || n < 1_000 {
                             let obj = stable[driver.random_range(0..stable.len())];
                             let field = driver.random_range(0..2usize);
-                            let v = rt.read_field(obj, info.hash(), field).unwrap();
+                            let v = h.read_field(obj, info.hash(), field).unwrap();
                             assert_eq!(v >> 32, v & 0xFFFF_FFFF, "torn read on reader {r}");
                             n += 1;
                         }

@@ -25,9 +25,9 @@ macro_rules! runtime_stats {
 
         /// [`RuntimeStats`] with every counter behind a relaxed
         /// [`AtomicU64`]: the one shared sheet of a
-        /// [`ShardedRuntime`](crate::ShardedRuntime), which its `&self`
-        /// facade ops count into per op and its handles fold their
-        /// pending sheets into.
+        /// [`ShardedRuntime`](crate::ShardedRuntime), which its handles
+        /// fold their pending sheets into and its remote-free drains
+        /// count into.
         ///
         /// Counters are individually exact and monotone. A
         /// [`snapshot`](AtomicRuntimeStats::snapshot) taken while other

@@ -5,14 +5,15 @@
 //! allocations, field writes and reads, plain and inline-cached member
 //! accesses (hits, cold-site misses and interior-pointer misses),
 //! object copies, frees, double frees, use-after-free accesses and
-//! class-mismatch reads. It runs through five paths:
+//! class-mismatch reads. It runs through four paths:
 //!
 //! * a plain [`ObjectRuntime`];
-//! * the [`ShardedRuntime`] facade with one shard;
-//! * the facade with two shards (allocations alternate between them,
-//!   and copies land on the other shard);
-//! * a [`ShardHandle`](polar_runtime::ShardHandle) with magazines on;
-//! * a handle with magazines off.
+//! * a [`ShardHandle`] on a one-shard [`ShardedRuntime`] with magazines
+//!   on;
+//! * a handle with magazines off;
+//! * two handles on a two-shard runtime (allocations alternate between
+//!   them, and copy destinations come from the other one, so copies
+//!   cross shards).
 //!
 //! Two things are asserted. Every op's value or error variant agrees
 //! with the plain runtime's. Every path's final [`RuntimeStats`] equals
@@ -103,7 +104,7 @@ fn pooled() -> Arc<ClassInfo> {
     let mut decl = ClassDecl::builder("Wide").field("vtable", FieldKind::VtablePtr);
     for i in 0..11 {
         let kind = if i % 2 == 0 { FieldKind::I64 } else { FieldKind::I32 };
-        decl = decl.field(&format!("f{i}"), kind);
+        decl = decl.field(format!("f{i}"), kind);
     }
     Arc::new(ClassInfo::from_decl(decl.build()))
 }
@@ -152,7 +153,7 @@ fn tape() -> Vec<Op> {
 }
 
 /// The op surface the tape drives. `nth` counts allocations so the
-/// two-shard facade can spread objects across its shards.
+/// two-handle path can spread objects across its shards.
 trait Surface {
     fn malloc(&mut self, info: &Arc<ClassInfo>, nth: usize) -> Result<Addr, RuntimeError>;
     fn malloc_raw(&mut self, size: usize, nth: usize) -> Result<Addr, RuntimeError>;
@@ -204,44 +205,6 @@ impl Surface for ObjectRuntime {
     }
 }
 
-/// The `&self` facade ops, allocating on shard `nth % shards`.
-struct Facade<'a>(&'a ShardedRuntime);
-
-impl Surface for Facade<'_> {
-    fn malloc(&mut self, info: &Arc<ClassInfo>, nth: usize) -> Result<Addr, RuntimeError> {
-        self.0.olr_malloc_on(nth, info)
-    }
-    fn malloc_raw(&mut self, size: usize, nth: usize) -> Result<Addr, RuntimeError> {
-        // The copy destination goes to the *other* shard when there are
-        // two, so copies exercise the cross-shard staging path.
-        self.0.malloc_raw_on(nth + 1, size)
-    }
-    fn write(&mut self, b: Addr, c: ClassHash, f: usize, v: u64) -> Result<(), RuntimeError> {
-        self.0.write_field(b, c, f, v)
-    }
-    fn read(&mut self, b: Addr, c: ClassHash, f: usize) -> Result<u64, RuntimeError> {
-        self.0.read_field(b, c, f)
-    }
-    fn getptr(&mut self, b: Addr, c: ClassHash, f: usize) -> Result<Addr, RuntimeError> {
-        self.0.olr_getptr(b, c, f)
-    }
-    fn getptr_ic(
-        &mut self,
-        b: Addr,
-        c: ClassHash,
-        f: usize,
-        ic: &mut SiteCache,
-    ) -> Result<Addr, RuntimeError> {
-        self.0.olr_getptr_ic(b, c, f, ic)
-    }
-    fn memcpy(&mut self, d: Addr, s: Addr, info: &Arc<ClassInfo>) -> Result<(), RuntimeError> {
-        self.0.olr_memcpy(d, s, info)
-    }
-    fn free(&mut self, b: Addr) -> Result<(), RuntimeError> {
-        self.0.olr_free(b)
-    }
-}
-
 impl Surface for ShardHandle<'_> {
     fn malloc(&mut self, info: &Arc<ClassInfo>, _: usize) -> Result<Addr, RuntimeError> {
         self.olr_malloc(info)
@@ -272,6 +235,45 @@ impl Surface for ShardHandle<'_> {
     }
     fn free(&mut self, b: Addr) -> Result<(), RuntimeError> {
         self.olr_free(b)
+    }
+}
+
+/// Two handles on a two-shard runtime driven as one context: the
+/// `nth` allocation comes from handle `nth % 2`, a copy destination
+/// from the other handle, and every other op goes through handle 0, so
+/// its frees of handle 1's objects are remote frees.
+struct Pair<'a>([ShardHandle<'a>; 2]);
+
+impl Surface for Pair<'_> {
+    fn malloc(&mut self, info: &Arc<ClassInfo>, nth: usize) -> Result<Addr, RuntimeError> {
+        self.0[nth % 2].olr_malloc(info)
+    }
+    fn malloc_raw(&mut self, size: usize, nth: usize) -> Result<Addr, RuntimeError> {
+        self.0[(nth + 1) % 2].malloc_raw(size)
+    }
+    fn write(&mut self, b: Addr, c: ClassHash, f: usize, v: u64) -> Result<(), RuntimeError> {
+        self.0[0].write_field(b, c, f, v)
+    }
+    fn read(&mut self, b: Addr, c: ClassHash, f: usize) -> Result<u64, RuntimeError> {
+        self.0[0].read_field(b, c, f)
+    }
+    fn getptr(&mut self, b: Addr, c: ClassHash, f: usize) -> Result<Addr, RuntimeError> {
+        self.0[0].olr_getptr(b, c, f)
+    }
+    fn getptr_ic(
+        &mut self,
+        b: Addr,
+        c: ClassHash,
+        f: usize,
+        ic: &mut SiteCache,
+    ) -> Result<Addr, RuntimeError> {
+        self.0[0].olr_getptr_ic(b, c, f, ic)
+    }
+    fn memcpy(&mut self, d: Addr, s: Addr, info: &Arc<ClassInfo>) -> Result<(), RuntimeError> {
+        self.0[0].olr_memcpy(d, s, info)
+    }
+    fn free(&mut self, b: Addr) -> Result<(), RuntimeError> {
+        self.0[0].olr_free(b)
     }
 }
 
@@ -364,12 +366,6 @@ fn reference() -> (Vec<Outcome>, RuntimeStats) {
     (out, rt.stats())
 }
 
-fn facade(shards: usize) -> (Vec<Outcome>, RuntimeStats) {
-    let rt = ShardedRuntime::new(mode(), config(true), shards);
-    let out = replay(&mut Facade(&rt), &tape());
-    (out, rt.stats())
-}
-
 fn handle(magazines: bool) -> (Vec<Outcome>, RuntimeStats) {
     let rt = ShardedRuntime::new(mode(), config(magazines), 1);
     let out = {
@@ -378,6 +374,12 @@ fn handle(magazines: bool) -> (Vec<Outcome>, RuntimeStats) {
         // Dropping the handle returns parked capsules and flushes its
         // pending counters.
     };
+    (out, rt.stats())
+}
+
+fn two_handles() -> (Vec<Outcome>, RuntimeStats) {
+    let rt = ShardedRuntime::new(mode(), config(true), 2);
+    let out = replay(&mut Pair([rt.handle(0), rt.handle(1)]), &tape());
     (out, rt.stats())
 }
 
@@ -408,20 +410,6 @@ fn golden_counters_object_runtime() {
 }
 
 #[test]
-fn golden_counters_facade_one_shard() {
-    let (out, stats) = facade(1);
-    assert_agrees("facade/1", &out);
-    assert_eq!(stats, GOLDEN_FACADE_1);
-}
-
-#[test]
-fn golden_counters_facade_two_shards() {
-    let (out, stats) = facade(2);
-    assert_agrees("facade/2", &out);
-    assert_eq!(stats, GOLDEN_FACADE_2);
-}
-
-#[test]
 fn golden_counters_handle_with_magazines() {
     let (out, stats) = handle(true);
     assert_agrees("handle/magazines", &out);
@@ -436,13 +424,19 @@ fn golden_counters_handle_without_magazines() {
 }
 
 #[test]
+fn golden_counters_two_handles_two_shards() {
+    let (out, stats) = two_handles();
+    assert_agrees("two-handles/2", &out);
+    assert_eq!(stats, GOLDEN_TWO_HANDLES);
+}
+
+#[test]
 #[ignore = "prints the counter literals for re-recording"]
 fn print_golden_counters() {
     println!("OBJECT_RUNTIME {:?}", reference().1);
-    println!("FACADE_1 {:?}", facade(1).1);
-    println!("FACADE_2 {:?}", facade(2).1);
     println!("HANDLE_MAGAZINES {:?}", handle(true).1);
     println!("HANDLE_MUTEX {:?}", handle(false).1);
+    println!("TWO_HANDLES {:?}", two_handles().1);
 }
 
 const GOLDEN_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
@@ -474,68 +468,6 @@ const GOLDEN_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
     magazine_returns: 0,
     fast_frees: 0,
     remote_drained: 0,
-};
-
-const GOLDEN_FACADE_1: RuntimeStats = RuntimeStats {
-    allocations: 104,
-    frees: 34,
-    memcpys: 29,
-    member_accesses: 424,
-    cache_hits: 223,
-    uaf_detected: 98,
-    mismatch_detected: 28,
-    traps_triggered: 0,
-    trap_scans: 34,
-    dummy_touches: 0,
-    double_free_detected: 9,
-    unique_plans: 109,
-    dedup_saved: 13,
-    shadow_hits: 408,
-    shadow_misses: 16,
-    site_ic_hits: 8,
-    site_ic_misses: 56,
-    stateless_allocs: 55,
-    probe_traps: 0,
-    pool_hits: 63,
-    pool_refills: 7,
-    lockfree_reads: 188,
-    lockfree_fallbacks: 110,
-    magazine_hits: 0,
-    magazine_refills: 0,
-    magazine_returns: 0,
-    fast_frees: 34,
-    remote_drained: 34,
-};
-
-const GOLDEN_FACADE_2: RuntimeStats = RuntimeStats {
-    allocations: 104,
-    frees: 34,
-    memcpys: 29,
-    member_accesses: 424,
-    cache_hits: 223,
-    uaf_detected: 98,
-    mismatch_detected: 28,
-    traps_triggered: 0,
-    trap_scans: 34,
-    dummy_touches: 0,
-    double_free_detected: 9,
-    unique_plans: 181,
-    dedup_saved: 5,
-    shadow_hits: 408,
-    shadow_misses: 16,
-    site_ic_hits: 6,
-    site_ic_misses: 58,
-    stateless_allocs: 55,
-    probe_traps: 0,
-    pool_hits: 59,
-    pool_refills: 11,
-    lockfree_reads: 188,
-    lockfree_fallbacks: 110,
-    magazine_hits: 0,
-    magazine_refills: 0,
-    magazine_returns: 0,
-    fast_frees: 34,
-    remote_drained: 34,
 };
 
 const GOLDEN_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
@@ -598,4 +530,35 @@ const GOLDEN_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     magazine_returns: 0,
     fast_frees: 0,
     remote_drained: 0,
+};
+
+const GOLDEN_TWO_HANDLES: RuntimeStats = RuntimeStats {
+    allocations: 104,
+    frees: 34,
+    memcpys: 29,
+    member_accesses: 424,
+    cache_hits: 223,
+    uaf_detected: 98,
+    mismatch_detected: 28,
+    traps_triggered: 0,
+    trap_scans: 34,
+    dummy_touches: 0,
+    double_free_detected: 9,
+    unique_plans: 265,
+    dedup_saved: 25,
+    shadow_hits: 408,
+    shadow_misses: 16,
+    site_ic_hits: 6,
+    site_ic_misses: 58,
+    stateless_allocs: 55,
+    probe_traps: 0,
+    pool_hits: 71,
+    pool_refills: 14,
+    lockfree_reads: 188,
+    lockfree_fallbacks: 110,
+    magazine_hits: 99,
+    magazine_refills: 5,
+    magazine_returns: 56,
+    fast_frees: 34,
+    remote_drained: 34,
 };

@@ -107,6 +107,10 @@ fn seqlock_interleaving(ops: &Vec<Op>) -> Result<(), String> {
     config.heap.capacity = 1 << 20;
     config.seed = 0x1EA7_5EED;
     let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 2);
+    // The one thread's handle. Tapes are shorter than a magazine batch,
+    // so its single refill happens before any free and no freed address
+    // can come back as a parked (published, never handed out) capsule.
+    let mut h = rt.handle(0);
     let info = test_class();
     let hash = info.hash();
 
@@ -121,29 +125,26 @@ fn seqlock_interleaving(ops: &Vec<Op>) -> Result<(), String> {
         // strictly advance its sequence.
         let touched = match op {
             Op::Malloc => {
-                let obj = rt
-                    .handle(0)
-                    .olr_malloc(&info)
-                    .map_err(|e| format!("malloc failed: {e}"))?;
+                let obj = h.olr_malloc(&info).map_err(|e| format!("malloc failed: {e}"))?;
                 freed.retain(|&a| a != obj);
                 live.push(obj);
                 Some(obj)
             }
             Op::Free(i) if !live.is_empty() => {
                 let obj = live.remove(i % live.len());
-                rt.olr_free(obj).map_err(|e| format!("free failed: {e}"))?;
+                h.olr_free(obj).map_err(|e| format!("free failed: {e}"))?;
                 freed.push(obj);
                 Some(obj)
             }
             Op::Write(i, f, v) if !live.is_empty() => {
                 let obj = live[i % live.len()];
-                rt.write_field(obj, hash, 1 + f % 3, *v)
+                h.write_field(obj, hash, 1 + f % 3, *v)
                     .map_err(|e| format!("write failed: {e}"))?;
                 Some(obj)
             }
             Op::Remalloc(i) if !live.is_empty() => {
                 let obj = live[i % live.len()];
-                rt.olr_memcpy(obj, obj, &info)
+                h.olr_memcpy(obj, obj, &info)
                     .map_err(|e| format!("rerandomize failed: {e}"))?;
                 Some(obj)
             }
@@ -203,7 +204,7 @@ fn seqlock_interleaving(ops: &Vec<Op>) -> Result<(), String> {
                 ));
             }
             for field in 1..info.field_count() {
-                let served = rt
+                let served = h
                     .olr_getptr(addr, hash, field)
                     .map_err(|e| format!("getptr({addr:?}, {field}) failed on live object: {e}"))?;
                 let access = plan

@@ -85,7 +85,7 @@ echo "== stateless default smoke =="
 # Boots the stock config (stateless derived plans are the small-class
 # default), verifies pooled vs stateless selection per class size, and
 # asserts exact seeded replay of a mixed-mode allocation run.
-./target/release/smoke_stateless
+cargo test -q --offline --release -p polar-bench --test smoke_stateless -- --nocapture
 echo "ok: stateless default smoke green"
 
 echo "== placement smoke =="
@@ -94,7 +94,7 @@ echo "== placement smoke =="
 # invariants under churn, seeded replay of the placed address sequence,
 # and that placement actually moves addresses off the deterministic
 # baseline.
-./target/release/smoke_placement
+cargo test -q --offline --release -p polar-bench --test smoke_placement -- --nocapture
 echo "ok: placement smoke green"
 
 echo "== session-store smoke =="
