@@ -24,14 +24,22 @@
 //! no dangling address is ever re-armed: magazine refills reserve blocks
 //! at different times than the mutex path, and address reuse would make
 //! a use-after-free outcome depend on the path.
+//!
+//! A second tape covers exactly that reuse, at quarantine 0: objects
+//! freed and reallocated at the same address, blocks recycled raw
+//! through `heap_free`/`heap_malloc` (whose stale record must read as
+//! untracked), and copies onto live same-class destinations. Since
+//! reuse makes outcomes path-dependent, each path pins its own digest
+//! of outcomes and `object_meta` views (state, generation, plan hash)
+//! next to its [`RuntimeStats`] literal.
 
 use std::sync::Arc;
 
 use polar_classinfo::{ClassDecl, ClassHash, ClassInfo, FieldKind};
 use polar_rng::{Rng, RngExt, SplitMix64};
 use polar_runtime::{
-    Addr, MagazinePolicy, ObjectRuntime, RandomizeMode, RuntimeConfig, RuntimeError,
-    RuntimeStats, ShardHandle, ShardedRuntime, SiteCache,
+    Addr, MagazinePolicy, ObjectRuntime, ObjectState, PolarRuntime, RandomizeMode,
+    RuntimeConfig, RuntimeError, RuntimeStats, ShardHandle, ShardedRuntime, SiteCache,
 };
 
 const TAPE_SEED: u64 = 0x60_1DE7;
@@ -561,4 +569,373 @@ const GOLDEN_TWO_HANDLES: RuntimeStats = RuntimeStats {
     magazine_returns: 56,
     fast_frees: 34,
     remote_drained: 34,
+};
+
+// ----- the reuse tape -----
+
+const REUSE_SEED: u64 = 0x0005_EC0D;
+const REUSE_LEN: usize = 500;
+
+/// One reuse-tape op; indices are reduced at execution time as above.
+#[derive(Debug, Clone, Copy)]
+enum ReuseOp {
+    Malloc { pooled: bool },
+    /// `olr_free` followed at once by an allocation of the same class,
+    /// which at quarantine 0 lands on the freed block.
+    FreeRealloc { obj: usize },
+    Free { obj: usize },
+    /// `heap_free` of an object's block, then `heap_malloc` of the
+    /// block's size: the raw buffer takes the block back.
+    RawReuse { obj: usize },
+    /// `olr_memcpy` from `src` onto a live object of the same class.
+    CopyOnto { src: usize, dst: usize },
+    Write { obj: usize, field: usize, value: u64 },
+    Read { obj: usize, field: usize },
+    GetptrIc { obj: usize, site: usize },
+}
+
+fn reuse_config(magazines: bool) -> RuntimeConfig {
+    let mut config = config(magazines);
+    config.heap.quarantine = 0;
+    config
+}
+
+fn reuse_tape() -> Vec<ReuseOp> {
+    let mut rng = SplitMix64::new(REUSE_SEED);
+    let mut tape = Vec::with_capacity(REUSE_LEN);
+    for i in 0..6 {
+        tape.push(ReuseOp::Malloc { pooled: i % 2 == 1 });
+    }
+    while tape.len() < REUSE_LEN {
+        let obj = rng.next_u64() as usize;
+        let field = rng.random_range(0..16usize);
+        let op = match rng.random_range(0..100u32) {
+            0..=11 => ReuseOp::Malloc { pooled: rng.random_range(0..2u32) == 0 },
+            12..=21 => ReuseOp::FreeRealloc { obj },
+            22..=27 => ReuseOp::Free { obj },
+            28..=35 => ReuseOp::RawReuse { obj },
+            36..=45 => ReuseOp::CopyOnto { src: obj, dst: rng.next_u64() as usize },
+            46..=65 => ReuseOp::Write { obj, field, value: rng.next_u64() & 0x7FFF_FFFF },
+            66..=85 => ReuseOp::Read { obj, field },
+            _ => ReuseOp::GetptrIc { obj, site: rng.random_range(0..SITES) },
+        };
+        tape.push(op);
+    }
+    tape
+}
+
+/// FNV-1a over 64-bit words: a digest that is stable across builds.
+fn mix(digest: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *digest ^= u64::from(byte);
+        *digest = digest.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+fn mix_outcome(digest: &mut u64, o: Outcome) {
+    match o {
+        Outcome::Skipped => mix(digest, 0),
+        Outcome::Done => mix(digest, 1),
+        Outcome::Value(v) => {
+            mix(digest, 2);
+            mix(digest, v);
+        }
+        Outcome::Err(class) => {
+            mix(digest, 3);
+            class.bytes().for_each(|b| mix(digest, u64::from(b)));
+        }
+    }
+}
+
+/// What `object_meta` says about `base`: state, generation and plan
+/// hash, or `None` when the address is untracked.
+type MetaView = Option<(ObjectState, u64, u64)>;
+
+fn mix_meta(digest: &mut u64, view: MetaView) {
+    match view {
+        None => mix(digest, 0),
+        Some((state, generation, plan)) => {
+            mix(digest, 1 + u64::from(state == ObjectState::Freed));
+            mix(digest, generation);
+            mix(digest, plan);
+        }
+    }
+}
+
+/// Largest size class the live block at `base` spans, probed through
+/// the trait's checked-access primitive (16 when the block is freed).
+fn block_size<R: PolarRuntime>(rt: &R, base: Addr) -> usize {
+    (4..=12)
+        .rev()
+        .map(|k| 1usize << k)
+        .find(|&n| rt.heap_check_in_block(base, n).is_ok())
+        .unwrap_or(16)
+}
+
+/// What one reuse-tape replay saw.
+#[derive(Debug, Default)]
+struct ReuseReport {
+    digest: u64,
+    /// Allocations that landed on the block an `olr_free` just released.
+    realloc_hits: usize,
+    /// Raw reallocations that took back the object's block.
+    raw_hits: usize,
+    /// Copies onto a live same-class destination that succeeded.
+    copies_onto_live: usize,
+}
+
+/// Replay the reuse tape through the trait surface; `meta` reads the
+/// path's `object_meta` view.
+fn replay_reuse<R: PolarRuntime>(rt: &mut R, meta: impl Fn(&R, Addr) -> MetaView) -> ReuseReport {
+    let classes = [small(), pooled()];
+    let mut objects: Vec<(Addr, usize)> = Vec::new();
+    let mut sites: Vec<SiteCache> = (0..SITES).map(|_| SiteCache::empty()).collect();
+    let mut report = ReuseReport { digest: 0xcbf2_9ce4_8422_2325, ..ReuseReport::default() };
+    for op in reuse_tape() {
+        let n = objects.len().max(1);
+        let d = &mut report.digest;
+        match op {
+            ReuseOp::Malloc { pooled } => {
+                let class = usize::from(pooled);
+                let got = rt.olr_malloc(&classes[class]);
+                if let Ok(addr) = got {
+                    objects.push((addr, class));
+                    mix_meta(d, meta(rt, addr));
+                }
+                mix_outcome(d, outcome(got, |_| Outcome::Done));
+            }
+            ReuseOp::FreeRealloc { obj } | ReuseOp::Free { obj } if !objects.is_empty() => {
+                let (base, class) = objects[obj % n];
+                mix_outcome(d, outcome(rt.olr_free(base), |()| Outcome::Done));
+                mix_meta(d, meta(rt, base));
+                if let ReuseOp::FreeRealloc { .. } = op {
+                    let got = rt.olr_malloc(&classes[class]);
+                    if let Ok(addr) = got {
+                        report.realloc_hits += usize::from(addr == base);
+                        objects.push((addr, class));
+                        mix_meta(d, meta(rt, addr));
+                    }
+                    mix_outcome(d, outcome(got, |_| Outcome::Done));
+                }
+            }
+            ReuseOp::RawReuse { obj } if !objects.is_empty() => {
+                let (base, _) = objects[obj % n];
+                let size = block_size(rt, base);
+                let freed = rt.heap_free(base);
+                mix(d, u64::from(freed.is_ok()));
+                let raw = rt.heap_malloc(size).expect("raw buffer");
+                if freed.is_ok() && raw == base {
+                    report.raw_hits += 1;
+                    let stale = meta(rt, raw);
+                    assert_eq!(stale, None, "a raw-recycled block's record must read as untracked");
+                }
+                mix_meta(d, meta(rt, raw));
+                let mut ic = SiteCache::empty();
+                let hash = classes[0].hash();
+                let access = rt.olr_getptr_ic(base, hash, 1, &mut ic);
+                mix_outcome(d, outcome(access, |_| Outcome::Done));
+            }
+            ReuseOp::CopyOnto { src, dst } if !objects.is_empty() => {
+                let (src, class) = objects[src % n];
+                let same: Vec<Addr> = objects
+                    .iter()
+                    .filter(|&&(a, c)| c == class && a != src)
+                    .map(|&(a, _)| a)
+                    .collect();
+                if let Some(&dst) = same.get(dst % same.len().max(1)) {
+                    let was_live = matches!(meta(rt, dst), Some((ObjectState::Live, _, _)));
+                    let copied = rt.olr_memcpy(dst, src, &classes[class]);
+                    report.copies_onto_live += usize::from(was_live && copied.is_ok());
+                    mix_outcome(d, outcome(copied, |()| Outcome::Done));
+                    mix_meta(d, meta(rt, dst));
+                } else {
+                    mix_outcome(d, Outcome::Skipped);
+                }
+            }
+            ReuseOp::Write { obj, field, value } if !objects.is_empty() => {
+                let (base, class) = objects[obj % n];
+                let info = &classes[class];
+                let nf = info.field_count();
+                let wrote = rt.write_field(base, info.hash(), field % nf, value);
+                mix_outcome(d, outcome(wrote, |()| Outcome::Done));
+            }
+            ReuseOp::Read { obj, field } if !objects.is_empty() => {
+                let (base, class) = objects[obj % n];
+                let info = &classes[class];
+                let nf = info.field_count();
+                let read = rt.read_field(base, info.hash(), field % nf);
+                mix_outcome(d, outcome(read, Outcome::Value));
+            }
+            ReuseOp::GetptrIc { obj, site } if !objects.is_empty() => {
+                let (base, class) = objects[obj % n];
+                let info = &classes[class];
+                let ic = &mut sites[site];
+                let access = rt.olr_getptr_ic(base, info.hash(), site + 1, ic);
+                mix_outcome(d, outcome(access, |_| Outcome::Done));
+            }
+            _ => mix_outcome(d, Outcome::Skipped),
+        }
+    }
+    report
+}
+
+fn reuse_object_runtime() -> (ReuseReport, RuntimeStats) {
+    let mut rt = ObjectRuntime::new(mode(), reuse_config(true));
+    let report = replay_reuse(&mut rt, |rt, a| {
+        rt.object_meta(a).map(|m| (m.state, m.generation, m.plan.plan_hash().0))
+    });
+    (report, PolarRuntime::stats(&rt))
+}
+
+fn reuse_handle(magazines: bool) -> (ReuseReport, RuntimeStats) {
+    let rt = ShardedRuntime::new(mode(), reuse_config(magazines), 1);
+    let report = {
+        let mut h = rt.handle(0);
+        replay_reuse(&mut h, |h, a| {
+            h.runtime().object_meta(a).map(|m| (m.state, m.generation, m.plan.plan_hash().0))
+        })
+    };
+    (report, rt.stats())
+}
+
+#[test]
+fn reuse_tape_covers_every_reuse_kind() {
+    let (report, _) = reuse_object_runtime();
+    assert!(report.realloc_hits > 0, "{report:?}");
+    assert!(report.raw_hits > 0, "{report:?}");
+    assert!(report.copies_onto_live > 0, "{report:?}");
+    for magazines in [true, false] {
+        let (report, _) = reuse_handle(magazines);
+        assert!(report.raw_hits > 0 && report.copies_onto_live > 0, "{report:?}");
+    }
+}
+
+#[test]
+fn golden_reuse_object_runtime() {
+    let (report, stats) = reuse_object_runtime();
+    assert_eq!(report.digest, REUSE_DIGEST_OBJECT_RUNTIME);
+    assert_eq!(stats, GOLDEN_REUSE_OBJECT_RUNTIME);
+}
+
+#[test]
+fn golden_reuse_handle_with_magazines() {
+    let (report, stats) = reuse_handle(true);
+    assert_eq!(report.digest, REUSE_DIGEST_HANDLE_MAGAZINES);
+    assert_eq!(stats, GOLDEN_REUSE_HANDLE_MAGAZINES);
+}
+
+#[test]
+fn golden_reuse_handle_without_magazines() {
+    let (report, stats) = reuse_handle(false);
+    assert_eq!(report.digest, REUSE_DIGEST_HANDLE_MUTEX);
+    assert_eq!(stats, GOLDEN_REUSE_HANDLE_MUTEX);
+}
+
+#[test]
+#[ignore = "prints the reuse-tape literals for re-recording"]
+fn print_golden_reuse() {
+    for (name, (report, stats)) in [
+        ("OBJECT_RUNTIME", reuse_object_runtime()),
+        ("HANDLE_MAGAZINES", reuse_handle(true)),
+        ("HANDLE_MUTEX", reuse_handle(false)),
+    ] {
+        println!("{name} {:#x} {report:?}\n{stats:?}", report.digest);
+    }
+}
+
+const REUSE_DIGEST_OBJECT_RUNTIME: u64 = 0x525337c50c3ef56b;
+const REUSE_DIGEST_HANDLE_MAGAZINES: u64 = 0xe946de90354deb98;
+const REUSE_DIGEST_HANDLE_MUTEX: u64 = 0xbef5c78c005b8b58;
+
+const GOLDEN_REUSE_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
+    allocations: 106,
+    frees: 53,
+    memcpys: 48,
+    member_accesses: 320,
+    cache_hits: 126,
+    uaf_detected: 13,
+    mismatch_detected: 41,
+    traps_triggered: 0,
+    trap_scans: 54,
+    dummy_touches: 0,
+    double_free_detected: 4,
+    unique_plans: 119,
+    dedup_saved: 21,
+    shadow_hits: 230,
+    shadow_misses: 90,
+    site_ic_hits: 3,
+    site_ic_misses: 98,
+    stateless_allocs: 68,
+    probe_traps: 0,
+    pool_hits: 52,
+    pool_refills: 6,
+    lockfree_reads: 0,
+    lockfree_fallbacks: 0,
+    magazine_hits: 0,
+    magazine_refills: 0,
+    magazine_returns: 0,
+    fast_frees: 0,
+    remote_drained: 0,
+};
+
+const GOLDEN_REUSE_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
+    allocations: 106,
+    frees: 45,
+    memcpys: 48,
+    member_accesses: 320,
+    cache_hits: 103,
+    uaf_detected: 73,
+    mismatch_detected: 13,
+    traps_triggered: 0,
+    trap_scans: 46,
+    dummy_touches: 0,
+    double_free_detected: 16,
+    unique_plans: 163,
+    dedup_saved: 39,
+    shadow_hits: 260,
+    shadow_misses: 60,
+    site_ic_hits: 1,
+    site_ic_misses: 100,
+    stateless_allocs: 68,
+    probe_traps: 0,
+    pool_hits: 71,
+    pool_refills: 9,
+    lockfree_reads: 107,
+    lockfree_fallbacks: 106,
+    magazine_hits: 101,
+    magazine_refills: 5,
+    magazine_returns: 54,
+    fast_frees: 45,
+    remote_drained: 45,
+};
+
+const GOLDEN_REUSE_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
+    allocations: 106,
+    frees: 53,
+    memcpys: 48,
+    member_accesses: 320,
+    cache_hits: 126,
+    uaf_detected: 13,
+    mismatch_detected: 41,
+    traps_triggered: 0,
+    trap_scans: 54,
+    dummy_touches: 0,
+    double_free_detected: 4,
+    unique_plans: 152,
+    dedup_saved: 20,
+    shadow_hits: 230,
+    shadow_misses: 90,
+    site_ic_hits: 3,
+    site_ic_misses: 98,
+    stateless_allocs: 68,
+    probe_traps: 0,
+    pool_hits: 50,
+    pool_refills: 8,
+    lockfree_reads: 110,
+    lockfree_fallbacks: 103,
+    magazine_hits: 0,
+    magazine_refills: 0,
+    magazine_returns: 0,
+    fast_frees: 0,
+    remote_drained: 0,
 };
