@@ -273,8 +273,8 @@ fn run_benches(quick: bool) -> Vec<Entry> {
 
     // The headline: cache-warm member access on a single hot object —
     // stateful pooled plans, then the derived stateless plan (same op,
-    // plan cached in the SiteCache/PubSlot mirror after the first
-    // access, so warm cost must land within a few percent).
+    // plan registered and the slot record warm after the first access,
+    // so warm cost must land within a few percent).
     for (label, cfg) in [
         ("polar", pooled_config()),
         ("polar-stateless", big_config()),
@@ -649,7 +649,7 @@ fn measure_malloc_free_mt(threads: u64) -> f64 {
 /// the pooled interner keeps absorbing fresh pool plans while the
 /// stateless interner is capped at the class's `n!` derived layouts, so
 /// the pinned ratio is only reproducible by churning the same amount —
-/// a live-population measurement would be dominated by the shadow slab
+/// a live-population measurement would be dominated by the slot records
 /// both modes share and gate nothing. Returns (pooled, stateless).
 fn gate_metadata_bytes() -> (usize, usize) {
     const CHURN: usize = 200_000 / 10 + 1 + 5 * 200_000;

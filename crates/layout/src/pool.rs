@@ -140,7 +140,8 @@ pub struct PoolStats {
 /// One class's ring of pregenerated plans.
 #[derive(Debug, Clone, Default)]
 struct ClassPool {
-    plans: Vec<Arc<LayoutPlan>>,
+    /// Each ring plan with its registry id.
+    plans: Vec<(u32, Arc<LayoutPlan>)>,
     /// `Unique` mode: next unconsumed entry.
     cursor: usize,
     /// `Sampled` mode: total draws (drives the churn cadence).
@@ -200,13 +201,15 @@ impl PlanPools {
         let rings: usize = self
             .pools
             .iter()
-            .map(|p| p.plans.capacity() * size_of::<Arc<LayoutPlan>>() + size_of::<ClassPool>())
+            .map(|p| {
+                p.plans.capacity() * size_of::<(u32, Arc<LayoutPlan>)>() + size_of::<ClassPool>()
+            })
             .sum();
         rings + self.index.len() * (size_of::<ClassHash>() + size_of::<u32>())
     }
 
-    /// Draw a plan for `info`: the pooled replacement for
-    /// `interner.intern(engine.generate(info, rng))`.
+    /// Draw a plan for `info` with its registry id: the pooled
+    /// replacement for `interner.intern_id(engine.generate(info, rng))`.
     ///
     /// All randomness flows through `rng`, so for a fixed seed the draw
     /// sequence — and every plan it returns — is deterministic.
@@ -216,7 +219,7 @@ impl PlanPools {
         engine: &LayoutEngine,
         interner: &mut PlanInterner,
         rng: &mut R,
-    ) -> Arc<LayoutPlan> {
+    ) -> (u32, Arc<LayoutPlan>) {
         debug_assert!(self.policy.enabled(), "draw() on a disabled pool");
         let id = self.class_pool_id(info.hash());
         self.draw_at(id, info, engine, interner, rng)
@@ -235,7 +238,7 @@ impl PlanPools {
         interner: &mut PlanInterner,
         rng: &mut R,
         k: usize,
-        out: &mut Vec<Arc<LayoutPlan>>,
+        out: &mut Vec<(u32, Arc<LayoutPlan>)>,
     ) {
         debug_assert!(self.policy.enabled(), "draw_batch() on a disabled pool");
         let id = self.class_pool_id(info.hash());
@@ -277,7 +280,7 @@ impl PlanPools {
         engine: &LayoutEngine,
         interner: &mut PlanInterner,
         rng: &mut R,
-    ) -> Arc<LayoutPlan> {
+    ) -> (u32, Arc<LayoutPlan>) {
         let policy = self.policy;
         let pool = &mut self.pools[id as usize];
         match policy.draw {
@@ -287,23 +290,23 @@ impl PlanPools {
                     pool.cursor = 0;
                     let batch = policy.refill_batch.min(policy.size).max(1);
                     for _ in 0..batch {
-                        pool.plans.push(interner.intern(engine.generate(info, rng)));
+                        pool.plans.push(interner.intern_id(engine.generate(info, rng)));
                     }
                     self.stats.refills += 1;
                     self.stats.generated += batch as u64;
                 } else {
                     self.stats.hits += 1;
                 }
-                let plan = Arc::clone(&pool.plans[pool.cursor]);
+                let (id, plan) = &pool.plans[pool.cursor];
                 pool.cursor += 1;
-                plan
+                (*id, Arc::clone(plan))
             }
             DrawMode::Sampled => {
                 if pool.plans.len() < policy.size {
                     // Warm-up: batch-fill toward capacity.
                     let batch = policy.refill_batch.max(1).min(policy.size - pool.plans.len());
                     for _ in 0..batch {
-                        pool.plans.push(interner.intern(engine.generate(info, rng)));
+                        pool.plans.push(interner.intern_id(engine.generate(info, rng)));
                     }
                     self.stats.refills += 1;
                     self.stats.generated += batch as u64;
@@ -311,7 +314,7 @@ impl PlanPools {
                     // Steady state: churn one ring entry every
                     // `refill_batch` draws so pool contents keep moving.
                     let victim = pool.victim;
-                    pool.plans[victim] = interner.intern(engine.generate(info, rng));
+                    pool.plans[victim] = interner.intern_id(engine.generate(info, rng));
                     pool.victim = (victim + 1) % pool.plans.len();
                     self.stats.refills += 1;
                     self.stats.generated += 1;
@@ -319,8 +322,8 @@ impl PlanPools {
                     self.stats.hits += 1;
                 }
                 pool.draws += 1;
-                let idx = rng.random_range(0..pool.plans.len());
-                Arc::clone(&pool.plans[idx])
+                let (id, plan) = &pool.plans[rng.random_range(0..pool.plans.len())];
+                (*id, Arc::clone(plan))
             }
         }
     }
@@ -352,7 +355,7 @@ mod tests {
         let mut pools = PlanPools::new(policy);
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| pools.draw(&info, &engine, &mut interner, &mut rng).plan_hash().0)
+            .map(|_| pools.draw(&info, &engine, &mut interner, &mut rng).1.plan_hash().0)
             .collect()
     }
 
@@ -365,12 +368,12 @@ mod tests {
             let (mut pa, mut pb) = (PlanPools::new(policy), PlanPools::new(policy));
             let (mut ra, mut rb) = (StdRng::seed_from_u64(42), StdRng::seed_from_u64(42));
             let sequential: Vec<u64> = (0..50)
-                .map(|_| pa.draw(&info, &engine, &mut ia, &mut ra).plan_hash().0)
+                .map(|_| pa.draw(&info, &engine, &mut ia, &mut ra).1.plan_hash().0)
                 .collect();
             let mut batched = Vec::new();
             pb.draw_batch(&info, &engine, &mut ib, &mut rb, 32, &mut batched);
             pb.draw_batch(&info, &engine, &mut ib, &mut rb, 18, &mut batched);
-            let batched: Vec<u64> = batched.iter().map(|p| p.plan_hash().0).collect();
+            let batched: Vec<u64> = batched.iter().map(|(_, p)| p.plan_hash().0).collect();
             assert_eq!(sequential, batched, "policy {policy:?} diverged");
             assert_eq!(pa.stats(), pb.stats(), "policy {policy:?} stats diverged");
         }
@@ -438,11 +441,11 @@ mod tests {
         let mut pools = PlanPools::new(PoolPolicy::sampled(4, 2));
         let mut rng = StdRng::seed_from_u64(13);
         pools.draw(&info, &engine, &mut interner, &mut rng);
-        let warm: Vec<u64> = pools.pools[0].plans.iter().map(|p| p.plan_hash().0).collect();
+        let warm: Vec<u64> = pools.pools[0].plans.iter().map(|(_, p)| p.plan_hash().0).collect();
         for _ in 0..64 {
             pools.draw(&info, &engine, &mut interner, &mut rng);
         }
-        let now: Vec<u64> = pools.pools[0].plans.iter().map(|p| p.plan_hash().0).collect();
+        let now: Vec<u64> = pools.pools[0].plans.iter().map(|(_, p)| p.plan_hash().0).collect();
         assert_ne!(warm, now);
     }
 
@@ -460,8 +463,8 @@ mod tests {
         let mut pools = PlanPools::new(PoolPolicy::default());
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..10 {
-            let pa = pools.draw(&a, &engine, &mut interner, &mut rng);
-            let pb = pools.draw(&b, &engine, &mut interner, &mut rng);
+            let (_, pa) = pools.draw(&a, &engine, &mut interner, &mut rng);
+            let (_, pb) = pools.draw(&b, &engine, &mut interner, &mut rng);
             assert_eq!(pa.field_count(), 5);
             assert_eq!(pb.field_count(), 2);
         }

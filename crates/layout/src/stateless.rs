@@ -516,7 +516,7 @@ impl PermBlock {
 /// Permute-only (no dummies, no traps): fields are laid out sequentially
 /// in derived order with natural alignment. The result is a plain
 /// [`LayoutPlan`], so every downstream consumer — access tables, the
-/// shadow index, `olr_memcpy` translation — works unchanged.
+/// slot records, `olr_memcpy` translation — works unchanged.
 ///
 /// This is the reference derivation kept for the ablation and the
 /// byte-identity property tests; the runtime builds plans through

@@ -104,9 +104,9 @@ runtime_stats! {
     /// Metadata records saved by plan deduplication.
     dedup_saved,
     /// Member accesses whose metadata came from a generation-current
-    /// shadow-index slot (O(1) lookup, no hashing).
+    /// slot record (O(1) lookup, no hashing).
     shadow_hits,
-    /// Member accesses that found no current shadow-index entry: the
+    /// Member accesses that found no current slot record: the
     /// address was never tracked, or its slot was re-allocated since the
     /// metadata was recorded (generation mismatch — a self-invalidated
     /// stale entry).
@@ -134,8 +134,8 @@ runtime_stats! {
     /// path: no shard mutex was taken.
     lockfree_reads,
     /// Optimistic read attempts that fell back to the shard mutex
-    /// (contended seqlock window, unpublished slot, or a condition the
-    /// fast path cannot classify, e.g. a detection).
+    /// (contended seqlock window, or a condition the fast path cannot
+    /// classify, e.g. a detection).
     lockfree_fallbacks,
     /// Allocations served from a per-handle magazine of pre-reserved
     /// capsules: no shard mutex was taken.

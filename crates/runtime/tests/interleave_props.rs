@@ -3,7 +3,7 @@
 //!
 //! A generated tape of writer mutations — malloc, free, field writes,
 //! in-place rerandomization — is stepped one op at a time, and after
-//! every op the property probes the publication mirror of every address
+//! every op the property probes the slot record of every address
 //! the model has ever seen, asserting the invariants the lock-free
 //! readers depend on:
 //!

@@ -1,171 +1,37 @@
-//! Seqlock publication of block and object metadata for lock-free
-//! readers.
+//! Lock-free access to a published heap: the shared arena bytes and the
+//! `address → slot` unit index in front of the heap's record table.
 //!
 //! A published heap ([`SimHeap::new_published`](crate::SimHeap::new_published))
-//! mirrors the fields a member access needs — block base, allocation
-//! generation, the runtime's object metadata (class hash, plan hash,
-//! plan registry id, lifecycle state) — into a table of cache-line
-//! sized [`PubSlot`]s, one per heap slot, each guarded by its own
-//! **seqlock** word:
+//! keeps its arena in a [`SharedArena`] of atomic words and maps every
+//! [`ALIGN`]-sized arena unit to the slot covering it, so another thread
+//! can go from any address to the slot's [`SlotRecords`] entry without
+//! the heap owner's lock. The records themselves — and their seqlock
+//! protocol — live in [`crate::record`]; this type adds only the two
+//! things a reader needs beyond them.
 //!
-//! * The writer (the shard, already serialized by its mutex) brackets
-//!   every mutation of a slot in [`HeapPublisher::open`] /
-//!   [`HeapPublisher::close`]: `open` bumps the sequence to odd with a
-//!   `Release` fence after it, `close` stores back even with `Release`.
-//!   Data stores inside the window are plain relaxed stores.
-//! * A reader ([`HeapPublisher::try_snapshot`]) loads the sequence with
-//!   `Acquire`, rejects odd values, copies the data words relaxed,
-//!   issues an `Acquire` fence and re-loads the sequence: an unchanged
-//!   even value proves no writer window overlapped the copy, so the
-//!   snapshot is a consistent point-in-time view. Anything else is
-//!   [`SnapshotOutcome::Unstable`] and the caller retries or falls back
-//!   to the shard mutex.
-//!
-//! The fence pairing makes the protocol airtight for stores *inside*
-//! a window. Object payload bytes live in the shared arena and are
-//! also read outside any window (`read_field`'s value load); those
-//! loads are validated by re-checking the slot's sequence *after* the
-//! byte load ([`HeapPublisher::recheck`]), so a torn value can never be
-//! returned — it is retried or re-read under the lock.
-//!
-//! Capacity is bounded: slots beyond [`HeapPublisher::covered_slots`]
-//! are simply never published, and readers get
-//! [`SnapshotOutcome::Untracked`] — correct, just slow (they take the
-//! mutex). Unit-index entries are written once per unit (blocks are
-//! never split or merged) with `Release`, so a reader that finds an
-//! entry also finds the initialized slot behind it.
+//! Unit-index entries are written once per unit (blocks are never split
+//! or merged) with `Release`, after the slot's record is initialized, so
+//! a reader that finds an entry also finds the initialized record.
 
-use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::atomic::{fence, AtomicU32, AtomicU64};
+use std::sync::atomic::AtomicU32;
+use std::sync::atomic::Ordering::{Acquire, Release};
 use std::sync::{Arc, OnceLock};
 
+use crate::record::{SlotRecords, SnapshotOutcome};
 use crate::shared::SharedArena;
 use crate::ALIGN;
 
-/// `PubSlot.state`: nothing recorded for this slot yet.
-pub const PUB_STATE_NONE: u32 = 0;
-/// `PubSlot.state`: a live tracked object.
-pub const PUB_STATE_LIVE: u32 = 1;
-/// `PubSlot.state`: the tracked object was freed.
-pub const PUB_STATE_FREED: u32 = 2;
-
-/// Shift of the metadata generation inside a packed `life` word.
-const LIFE_GEN_SHIFT: u32 = 2;
-/// Mask of the lifecycle state inside a packed `life` word.
-const LIFE_STATE_MASK: u64 = 0b11;
-
-/// Pack a metadata generation and a `PUB_STATE_*` lifecycle state into
-/// one `life` word. Keeping both in a single atomic is what makes the
-/// lock-free free claim ([`HeapPublisher::claim_free`]) ABA-safe: the
-/// CAS can only succeed against the exact `(generation, Live)` pair the
-/// caller validated, and generations are strictly monotonic per slot,
-/// so a recycled slot can never satisfy a stale claim.
-#[inline]
-fn pack_life(meta_gen: u64, state: u32) -> u64 {
-    (meta_gen << LIFE_GEN_SHIFT) | u64::from(state)
-}
-
-/// Published slots per on-demand committed chunk (64 KiB chunks).
-const SLOTS_PER_CHUNK: usize = 1024;
-/// Cap on slot chunks: slots past `MAX_SLOT_CHUNKS * SLOTS_PER_CHUNK`
-/// are never published (readers for them fall back to the mutex).
-const MAX_SLOT_CHUNKS: usize = 1024;
 /// Arena units (`ALIGN` bytes each) per unit-index chunk.
 const UNITS_PER_CHUNK: usize = 16384;
 
-/// One published slot: every field a lock-free member access needs,
-/// packed into a single cache line behind a per-slot seqlock.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PubSlot {
-    /// Seqlock word: odd while a writer window is open.
-    seq: AtomicU64,
-    /// Block base address (global).
-    base: AtomicU64,
-    /// Heap allocation generation (mirrors `BlockInfo::generation`).
-    heap_gen: AtomicU64,
-    /// Packed lifecycle word: `meta_gen << 2 | state` (see
-    /// [`pack_life`]). `meta_gen` is the generation the runtime
-    /// recorded its metadata under — a live object requires
-    /// `meta_gen == heap_gen`; raw-path reuse bumps `heap_gen` and
-    /// thereby orphans stale metadata, exactly like the shadow index's
-    /// generation stamps. The state bits are one of the `PUB_STATE_*`
-    /// constants. Packed so [`HeapPublisher::claim_free`] can retire a
-    /// live object with a single generation-checked CAS.
-    life: AtomicU64,
-    /// Class hash of the recorded object.
-    class_hash: AtomicU64,
-    /// Layout plan hash (for inline-cache comparisons).
-    plan_hash: AtomicU64,
-    /// Plan registry id + 1 (0 = not registered).
-    plan_id: AtomicU32,
-    /// Warm-access flag (first access per recorded object is a "cold"
-    /// metadata touch, later ones count as cache hits).
-    warmed: AtomicU32,
-    /// Intrusive link for the owning shard's remote-free Treiber stack:
-    /// the next remote-freed slot id + 1 (0 = end of list). Only
-    /// meaningful between a successful [`HeapPublisher::claim_free`]
-    /// and the owning shard's drain; plain relaxed accesses, ordered by
-    /// the stack head's release/acquire CAS pair.
-    remote_next: AtomicU32,
-}
-
-/// A consistent point-in-time copy of one [`PubSlot`].
-#[derive(Debug, Clone, Copy)]
-pub struct PubSnapshot {
-    /// Heap slot id.
-    pub slot: u32,
-    /// The (even) sequence the snapshot was taken at; feed it back to
-    /// [`HeapPublisher::recheck`] to validate later arena loads.
-    pub seq: u64,
-    /// Block base address (global).
-    pub base: u64,
-    /// Heap allocation generation.
-    pub heap_gen: u64,
-    /// Generation the object metadata was recorded under.
-    pub meta_gen: u64,
-    /// Recorded class hash.
-    pub class_hash: u64,
-    /// Recorded plan hash.
-    pub plan_hash: u64,
-    /// Plan registry id, when the plan was registered.
-    pub plan_id: Option<u32>,
-    /// Lifecycle state (`PUB_STATE_*`).
-    pub state: u32,
-    /// Whether the warm-access flag was already set at snapshot time:
-    /// `true` lets readers skip the [`HeapPublisher::warm_probe`]
-    /// probe-and-set (and its chunk-directory walk) in steady state.
-    pub warmed: bool,
-}
-
-/// Result of a lock-free snapshot attempt.
-#[derive(Debug, Clone, Copy)]
-pub enum SnapshotOutcome {
-    /// A consistent snapshot.
-    Snap(PubSnapshot),
-    /// The address maps to no published slot (never allocated, out of
-    /// publication coverage, or a redzone gap): take the mutex.
-    Untracked,
-    /// A writer window overlapped the read: retry or take the mutex.
-    Unstable,
-}
-
-/// The publication side-table of one published [`SimHeap`]: the shared
-/// arena handle, the per-slot seqlocked metadata mirror, and the
-/// `addr/ALIGN → slot` unit index.
-///
-/// Mutation methods (`open`/`close`/`mirror_*`/`init_slot`/
-/// `publish_units`) are the writer half of the protocol and must only
-/// be called by the heap's owner, under whatever lock serializes heap
-/// mutation — they are published (`pub`) because the object runtime
-/// mirrors its own metadata through them, not because they are safe
-/// for arbitrary callers.
+/// The reader side of one published [`SimHeap`]: the shared arena, the
+/// unit index, and the heap's record table.
 ///
 /// [`SimHeap`]: crate::SimHeap
 pub struct HeapPublisher {
     arena: Arc<SharedArena>,
     arena_base: u64,
-    slot_chunks: Box<[OnceLock<Box<[PubSlot]>>]>,
+    records: Arc<SlotRecords>,
     unit_chunks: Box<[OnceLock<Box<[AtomicU32]>>]>,
 }
 
@@ -174,23 +40,22 @@ impl std::fmt::Debug for HeapPublisher {
         f.debug_struct("HeapPublisher")
             .field("arena", &self.arena)
             .field("arena_base", &self.arena_base)
-            .field("covered_slots", &self.covered_slots())
             .finish()
     }
 }
 
 impl HeapPublisher {
-    /// A publisher for a heap of `capacity` bytes based at `arena_base`.
-    pub(crate) fn new(capacity: usize, arena_base: u64) -> Self {
-        // At most one slot (and exactly one unit) per ALIGN-sized unit.
+    /// A publisher for a heap of `capacity` bytes based at `arena_base`
+    /// whose records live in `records`.
+    pub(crate) fn new(capacity: usize, arena_base: u64, records: Arc<SlotRecords>) -> Self {
         let max_units = (capacity / ALIGN).max(1);
         HeapPublisher {
             arena: Arc::new(SharedArena::new(capacity)),
             arena_base,
-            slot_chunks: (0..max_units.div_ceil(SLOTS_PER_CHUNK).min(MAX_SLOT_CHUNKS))
+            records,
+            unit_chunks: (0..max_units.div_ceil(UNITS_PER_CHUNK))
                 .map(|_| OnceLock::new())
                 .collect(),
-            unit_chunks: (0..max_units.div_ceil(UNITS_PER_CHUNK)).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -198,71 +63,16 @@ impl HeapPublisher {
         Arc::clone(&self.arena)
     }
 
-    /// Number of heap slots this publisher can mirror; higher slot ids
-    /// stay unpublished and their readers fall back to the lock.
-    pub fn covered_slots(&self) -> usize {
-        self.slot_chunks.len() * SLOTS_PER_CHUNK
-    }
-
+    /// The heap's record table.
     #[inline]
-    fn slot(&self, slot: u32) -> Option<&PubSlot> {
-        let (chunk, i) = (slot as usize / SLOTS_PER_CHUNK, slot as usize % SLOTS_PER_CHUNK);
-        Some(&self.slot_chunks.get(chunk)?.get()?[i])
+    pub fn records(&self) -> &SlotRecords {
+        &self.records
     }
 
-    fn ensure_slot(&self, slot: u32) -> Option<&PubSlot> {
-        let (chunk, i) = (slot as usize / SLOTS_PER_CHUNK, slot as usize % SLOTS_PER_CHUNK);
-        let chunk = self.slot_chunks.get(chunk)?;
-        Some(&chunk.get_or_init(|| (0..SLOTS_PER_CHUNK).map(|_| PubSlot::default()).collect())[i])
-    }
-
-    // ----- writer half (call under the heap owner's lock) -----
-
-    /// Open a writer window on `slot`: sequence goes odd, and the
-    /// `Release` fence orders the bump before the window's data stores.
-    /// Returns the window token for [`HeapPublisher::close`], or `None`
-    /// when the slot is out of publication coverage (no window needed —
-    /// nothing is published for it).
-    #[must_use]
-    pub fn open(&self, slot: u32) -> Option<u64> {
-        let ps = self.ensure_slot(slot)?;
-        // RMW, not load+store: a lock-free free claim may bump this
-        // slot's sequence concurrently (it does not hold the owner's
-        // lock), and a plain store would roll its advance back.
-        let s = ps.seq.fetch_add(1, Relaxed);
-        fence(Release);
-        Some(s)
-    }
-
-    /// Close a writer window opened with the returned token.
-    pub fn close(&self, slot: u32, token: u64) {
-        let ps = self.slot(slot).expect("close pairs with a successful open");
-        // RMW for the same reason as `open`: a concurrent claim's +2
-        // must survive the close. The window parity is preserved either
-        // way (open +1, claims +2k, close +1 — even again).
-        let prev = ps.seq.fetch_add(1, Release);
-        debug_assert!(prev & 1 == 1 && prev > token, "close pairs with a successful open");
-    }
-
-    /// Initialize a fresh (never-published) slot outside any window:
-    /// the unit index does not point here yet, so no reader can see the
-    /// partial state. Follow with [`HeapPublisher::publish_units`].
-    pub fn init_slot(&self, slot: u32, base: u64, heap_gen: u64) {
-        if let Some(ps) = self.ensure_slot(slot) {
-            ps.base.store(base, Relaxed);
-            ps.heap_gen.store(heap_gen, Relaxed);
-            ps.life.store(pack_life(0, PUB_STATE_NONE), Relaxed);
-        }
-    }
-
-    /// Point arena units `[first, last)` at `slot`. Write-once per unit
-    /// (blocks are never split or merged); the `Release` store makes
-    /// the [`HeapPublisher::init_slot`] stores visible to any reader
-    /// that observes the entry.
-    pub fn publish_units(&self, first: usize, last: usize, slot: u32) {
-        if self.slot(slot).is_none() {
-            return; // out of coverage: readers must keep missing the units
-        }
+    /// Point arena units `[first, last)` at `slot` (heap owner only).
+    /// Write-once per unit; the `Release` store makes the slot's record
+    /// initialization visible to any reader that observes the entry.
+    pub(crate) fn publish_units(&self, first: usize, last: usize, slot: u32) {
         for unit in first..last {
             let (chunk, i) = (unit / UNITS_PER_CHUNK, unit % UNITS_PER_CHUNK);
             let Some(chunk) = self.unit_chunks.get(chunk) else { return };
@@ -271,123 +81,8 @@ impl HeapPublisher {
         }
     }
 
-    /// Mirror a heap-generation bump (slot reuse). Window-required.
-    pub fn mirror_heap_gen(&self, slot: u32, heap_gen: u64) {
-        if let Some(ps) = self.slot(slot) {
-            ps.heap_gen.store(heap_gen, Relaxed);
-        }
-    }
-
-    /// Mirror the runtime recording object metadata. Window-required.
-    pub fn mirror_record(
-        &self,
-        slot: u32,
-        class_hash: u64,
-        plan_hash: u64,
-        plan_id: Option<u32>,
-        meta_gen: u64,
-    ) {
-        if let Some(ps) = self.slot(slot) {
-            ps.class_hash.store(class_hash, Relaxed);
-            ps.plan_hash.store(plan_hash, Relaxed);
-            ps.plan_id.store(plan_id.map_or(0, |id| id + 1), Relaxed);
-            ps.life.store(pack_life(meta_gen, PUB_STATE_LIVE), Relaxed);
-            ps.warmed.store(0, Relaxed);
-        }
-    }
-
-    /// Mirror an object free. Window-required. Preserves the recorded
-    /// metadata generation (only the state bits change), so a stale
-    /// snapshot can still be diagnosed by generation.
-    pub fn mirror_free(&self, slot: u32) {
-        if let Some(ps) = self.slot(slot) {
-            let life = ps.life.load(Relaxed);
-            ps.life.store((life & !LIFE_STATE_MASK) | u64::from(PUB_STATE_FREED), Relaxed);
-            ps.warmed.store(0, Relaxed);
-        }
-    }
-
-    /// Lock-free free claim: atomically retire `(meta_gen, Live)` to
-    /// `(meta_gen, Freed)`. This is the one publication mutation legal
-    /// *outside* a writer window and *without* the heap owner's lock:
-    /// the state flip touches only the packed `life` word (readers
-    /// load that word atomically, so no torn view is possible), the
-    /// sequence then advances by a full window so optimistic readers
-    /// re-validate, and the generation baked into the compare makes
-    /// the claim ABA-safe — a slot that was
-    /// freed and re-recorded in between carries a higher generation and
-    /// the CAS fails. Returns `true` when this caller won the claim;
-    /// `false` means the object is already freed, was never recorded at
-    /// this generation, or a racing claim got there first — the caller
-    /// must fall back to the locked path, which will diagnose it.
-    ///
-    /// A successful claim only marks the object logically dead. The
-    /// heap-side release (poisoning, quarantine, free-list push) still
-    /// happens under the owner's lock when the remote-free stack is
-    /// drained, so the block's storage stays intact until then.
-    #[inline]
-    pub fn claim_free(&self, slot: u32, meta_gen: u64) -> bool {
-        let Some(ps) = self.slot(slot) else { return false };
-        let live = pack_life(meta_gen, PUB_STATE_LIVE);
-        let freed = pack_life(meta_gen, PUB_STATE_FREED);
-        if ps
-            .life
-            .compare_exchange(live, freed, std::sync::atomic::Ordering::AcqRel, Relaxed)
-            .is_ok()
-        {
-            ps.warmed.store(0, Relaxed);
-            // Advance the seqlock by a full window (+2, parity kept) so
-            // in-flight optimistic readers that validated against the
-            // pre-claim sequence retry and re-classify the object, and
-            // the "every mutation advances the sequence" monotonicity
-            // contract holds for lock-free frees too. The state flip
-            // itself is already un-tearable (single word), so no odd
-            // intermediate is needed.
-            ps.seq.fetch_add(2, Release);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Set the remote-free stack link of `slot` (see
-    /// [`PubSlot::remote_next`]): `next` is the next slot id + 1, 0
-    /// terminates. Only the claimant that just won
-    /// [`HeapPublisher::claim_free`] may write this.
-    #[inline]
-    pub fn set_remote_next(&self, slot: u32, next_plus1: u32) {
-        if let Some(ps) = self.slot(slot) {
-            ps.remote_next.store(next_plus1, Relaxed);
-        }
-    }
-
-    /// Read the remote-free stack link of `slot`. Only the draining
-    /// owner (after acquiring the detached stack head) may read this.
-    #[inline]
-    pub fn remote_next(&self, slot: u32) -> u32 {
-        self.slot(slot).map_or(0, |ps| ps.remote_next.load(Relaxed))
-    }
-
-    /// Warm-flag probe: returns whether the slot was already warm, and
-    /// warms it if not. Relaxed — the flag is a statistic, not a guard.
-    #[inline]
-    pub fn warm_probe(&self, slot: u32) -> bool {
-        match self.slot(slot) {
-            Some(ps) => ps.warmed.load(Relaxed) == 1 || ps.warmed.swap(1, Relaxed) == 1,
-            None => false,
-        }
-    }
-
-    /// Whether `slot` is inside publication coverage (its mirror, not
-    /// the runtime's shadow record, is then the warm-flag authority).
-    #[inline]
-    pub fn covers(&self, slot: u32) -> bool {
-        (slot as usize) < self.covered_slots()
-    }
-
-    // ----- reader half (lock-free) -----
-
-    /// Attempt a consistent snapshot of the slot covering `addr`.
+    /// Attempt a consistent snapshot of the record of the block covering
+    /// `addr` (any interior byte).
     #[inline]
     pub fn try_snapshot(&self, addr: u64) -> SnapshotOutcome {
         let Some(local) = addr.checked_sub(self.arena_base) else {
@@ -402,83 +97,24 @@ impl HeapPublisher {
         if slot_plus1 == 0 {
             return SnapshotOutcome::Untracked;
         }
-        self.try_snapshot_slot(slot_plus1 - 1)
-    }
-
-    /// [`HeapPublisher::try_snapshot`] for a reader that already knows
-    /// the slot id (e.g. from an inline cache's slot hint), skipping
-    /// the `addr -> slot` unit-index walk. The caller must validate the
-    /// returned snapshot's `base` against the address it believes the
-    /// slot belongs to — a stale hint simply yields a snapshot of some
-    /// other (or no longer live) block, never an unsound one.
-    #[inline]
-    pub fn try_snapshot_slot(&self, slot: u32) -> SnapshotOutcome {
-        let Some(ps) = self.slot(slot) else {
-            return SnapshotOutcome::Untracked;
-        };
-        let s1 = ps.seq.load(Acquire);
-        if s1 & 1 == 1 {
-            return SnapshotOutcome::Unstable;
-        }
-        let life = ps.life.load(Relaxed);
-        let snap = PubSnapshot {
-            slot,
-            seq: s1,
-            base: ps.base.load(Relaxed),
-            heap_gen: ps.heap_gen.load(Relaxed),
-            meta_gen: life >> LIFE_GEN_SHIFT,
-            class_hash: ps.class_hash.load(Relaxed),
-            plan_hash: ps.plan_hash.load(Relaxed),
-            plan_id: ps.plan_id.load(Relaxed).checked_sub(1),
-            state: (life & LIFE_STATE_MASK) as u32,
-            warmed: ps.warmed.load(Relaxed) == 1,
-        };
-        fence(Acquire);
-        if ps.seq.load(Relaxed) != s1 {
-            return SnapshotOutcome::Unstable;
-        }
-        SnapshotOutcome::Snap(snap)
-    }
-
-    /// Validate that `slot`'s sequence still equals `seq` (an arena
-    /// byte load issued since the snapshot is then not torn by any
-    /// writer window on the slot).
-    #[inline]
-    pub fn recheck(&self, slot: u32, seq: u64) -> bool {
-        fence(Acquire);
-        matches!(self.slot(slot), Some(ps) if ps.seq.load(Relaxed) == seq)
+        self.records.try_snapshot_slot(slot_plus1 - 1)
     }
 
     /// Lock-free little-endian load of `width` ∈ {1,2,4,8} bytes from
     /// the shared arena; `None` when the range is uncommitted. Validate
-    /// with [`HeapPublisher::recheck`] before trusting the value.
+    /// with [`SlotRecords::recheck`] before trusting the value.
     #[inline]
     pub fn read_uint(&self, addr: u64, width: usize) -> Option<u64> {
         let local = addr.checked_sub(self.arena_base)?;
         self.arena.read_uint(local as usize, width)
     }
 
-    /// Bytes held by publication metadata (committed slot and unit
-    /// chunks plus the chunk directories). Arena bytes are program
-    /// data, not metadata, and are excluded.
+    /// Bytes held by the unit index (committed chunks plus the chunk
+    /// directory). Records are counted with their table; arena bytes are
+    /// program data, not metadata.
     pub fn metadata_bytes(&self) -> usize {
-        let slot_bytes: usize = self
-            .slot_chunks
-            .iter()
-            .filter(|c| c.get().is_some())
-            .count()
-            * SLOTS_PER_CHUNK
-            * std::mem::size_of::<PubSlot>();
-        let unit_bytes: usize = self
-            .unit_chunks
-            .iter()
-            .filter(|c| c.get().is_some())
-            .count()
-            * UNITS_PER_CHUNK
-            * std::mem::size_of::<AtomicU32>();
-        slot_bytes
-            + unit_bytes
-            + std::mem::size_of_val(self.slot_chunks.as_ref())
+        let committed = self.unit_chunks.iter().filter(|c| c.get().is_some()).count();
+        committed * UNITS_PER_CHUNK * std::mem::size_of::<AtomicU32>()
             + std::mem::size_of_val(self.unit_chunks.as_ref())
     }
 }
@@ -486,122 +122,25 @@ impl HeapPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::PUB_STATE_LIVE;
 
     #[test]
-    fn pubslot_is_one_cache_line() {
-        assert_eq!(std::mem::size_of::<PubSlot>(), 64);
-        assert_eq!(std::mem::align_of::<PubSlot>(), 64);
-    }
-
-    #[test]
-    fn snapshot_sees_published_metadata() {
-        let p = HeapPublisher::new(1 << 20, 0);
-        p.init_slot(0, 16, 1);
+    fn snapshot_resolves_interior_pointers_through_the_unit_index() {
+        let records = Arc::new(SlotRecords::default());
+        let p = HeapPublisher::new(1 << 20, 0, Arc::clone(&records));
+        records.init(0, 16);
         p.publish_units(1, 3, 0);
-        let win = p.open(0).unwrap();
-        p.mirror_record(0, 0xC1A55, 0x91A4, Some(7), 1);
-        p.close(0, win);
-        match p.try_snapshot(16) {
-            SnapshotOutcome::Snap(s) => {
-                assert_eq!(s.base, 16);
-                assert_eq!(s.heap_gen, 1);
-                assert_eq!(s.meta_gen, 1);
-                assert_eq!(s.class_hash, 0xC1A55);
-                assert_eq!(s.plan_hash, 0x91A4);
-                assert_eq!(s.plan_id, Some(7));
-                assert_eq!(s.state, PUB_STATE_LIVE);
-                assert!(p.recheck(s.slot, s.seq));
-                // Interior pointers resolve to the same slot.
-                assert!(matches!(p.try_snapshot(40), SnapshotOutcome::Snap(i) if i.slot == s.slot));
+        let win = records.open(0);
+        records.record(0, 0xC1A55, 0x91A4, 7, 1);
+        records.close(0, win);
+        match (p.try_snapshot(16), p.try_snapshot(40)) {
+            (SnapshotOutcome::Snap(a), SnapshotOutcome::Snap(b)) => {
+                assert_eq!(a, b, "interior pointers resolve to the same slot");
+                assert_eq!((a.base, a.state, a.plan_id), (16, PUB_STATE_LIVE, Some(7)));
             }
-            other => panic!("expected a snapshot, got {other:?}"),
+            other => panic!("expected snapshots, got {other:?}"),
         }
         assert!(matches!(p.try_snapshot(4096), SnapshotOutcome::Untracked));
-    }
-
-    #[test]
-    fn open_windows_are_unstable_and_invalidate_rechecks() {
-        let p = HeapPublisher::new(1 << 20, 0);
-        p.init_slot(0, 16, 1);
-        p.publish_units(1, 2, 0);
-        let snap = match p.try_snapshot(16) {
-            SnapshotOutcome::Snap(s) => s,
-            other => panic!("expected snapshot, got {other:?}"),
-        };
-        let win = p.open(0).unwrap();
-        assert!(matches!(p.try_snapshot(16), SnapshotOutcome::Unstable));
-        assert!(!p.recheck(snap.slot, snap.seq), "open window must fail recheck");
-        p.close(0, win);
-        assert!(!p.recheck(snap.slot, snap.seq), "closed window bumped the sequence");
-        assert!(matches!(p.try_snapshot(16), SnapshotOutcome::Snap(_)));
-    }
-
-    #[test]
-    fn out_of_coverage_slots_degrade_to_untracked() {
-        let p = HeapPublisher::new(1 << 20, 0);
-        let beyond = p.covered_slots() as u32 + 5;
-        assert!(p.open(beyond).is_none());
-        assert!(!p.covers(beyond));
-        p.init_slot(beyond, 16, 1);
-        p.publish_units(1, 2, beyond);
-        assert!(matches!(p.try_snapshot(16), SnapshotOutcome::Untracked));
-        assert!(!p.warm_probe(beyond));
-    }
-
-    #[test]
-    fn claim_free_is_generation_exact_and_single_shot() {
-        let p = HeapPublisher::new(1 << 20, 0);
-        p.init_slot(0, 16, 3);
-        p.publish_units(1, 2, 0);
-        let win = p.open(0).unwrap();
-        p.mirror_record(0, 1, 2, None, 3);
-        p.close(0, win);
-
-        assert!(!p.claim_free(0, 2), "stale generation must not claim");
-        assert!(!p.claim_free(0, 4), "future generation must not claim");
-        assert!(p.claim_free(0, 3), "exact live generation claims");
-        assert!(!p.claim_free(0, 3), "double claim must lose");
-        match p.try_snapshot(16) {
-            SnapshotOutcome::Snap(s) => {
-                assert_eq!(s.state, PUB_STATE_FREED);
-                assert_eq!(s.meta_gen, 3, "claim preserves the generation");
-            }
-            other => panic!("expected snapshot, got {other:?}"),
-        }
-
-        // Re-recording under a new generation revives the slot and the
-        // old claim key stays dead.
-        let win = p.open(0).unwrap();
-        p.mirror_record(0, 1, 2, None, 4);
-        p.close(0, win);
-        assert!(!p.claim_free(0, 3), "recycled slot must reject the stale claim");
-        assert!(p.claim_free(0, 4));
-    }
-
-    #[test]
-    fn remote_links_round_trip() {
-        let p = HeapPublisher::new(1 << 20, 0);
-        p.init_slot(0, 16, 1);
-        p.init_slot(1, 32, 1);
-        assert_eq!(p.remote_next(0), 0, "links start clear");
-        p.set_remote_next(0, 2);
-        p.set_remote_next(1, 0);
-        assert_eq!(p.remote_next(0), 2);
-        assert_eq!(p.remote_next(1), 0);
-        let beyond = p.covered_slots() as u32 + 1;
-        p.set_remote_next(beyond, 9);
-        assert_eq!(p.remote_next(beyond), 0, "out-of-coverage links are inert");
-    }
-
-    #[test]
-    fn warm_probe_reports_prior_state_and_record_resets_it() {
-        let p = HeapPublisher::new(1 << 20, 0);
-        p.init_slot(0, 16, 1);
-        assert!(!p.warm_probe(0), "first probe is cold");
-        assert!(p.warm_probe(0), "second probe is warm");
-        let win = p.open(0).unwrap();
-        p.mirror_record(0, 1, 2, None, 1);
-        p.close(0, win);
-        assert!(!p.warm_probe(0), "re-record resets warmth");
+        assert!(p.metadata_bytes() > 0);
     }
 }

@@ -5,6 +5,8 @@
 #    policy, so any dependency that is not an in-tree path dependency
 #    (i.e. anything that would hit a registry) fails the check.
 # 2. Run the tier-1 gate: cargo build --release && cargo test -q.
+# 3. Build and unit-test the benchmark package, then run the release-mode
+#    stress and smoke tests and the bench and security gates.
 #
 # Usage: scripts/check.sh [--lint-only]
 
@@ -62,6 +64,14 @@ echo "== tier-1 gate =="
 cargo build --release --offline
 cargo test -q --offline
 echo "ok: tier-1 green"
+
+echo "== benchmark package (build + unit tests) =="
+# perfbench is a package of its own outside the workspace, so the
+# workspace build never compiles it. It builds ObjectRuntime, reads its
+# heap() and implements PolarRuntime for a tracing wrapper: a runtime API
+# change that breaks the benchmark must fail here, not when it runs.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
+echo "ok: benchmark package green"
 
 echo "== threaded stress smoke (release) =="
 # The sharded-runtime tests and the churn workload re-run in release
