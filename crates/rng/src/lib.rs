@@ -26,13 +26,16 @@
 //! let _ = (coin, word);
 //! ```
 //!
-//! `no_std`-friendly: the crate only uses `core` outside its tests.
+//! The crate also hosts [`Segments`], the stable-address table the
+//! heap's slot records and the layout plan registry both grow in: it is
+//! the one leaf crate both of them depend on. The generators and
+//! samplers use only `core`.
 
-#![cfg_attr(not(test), no_std)]
 #![forbid(unsafe_code)]
 
 mod buffered;
 mod distr;
+mod segments;
 mod splitmix;
 mod xoshiro;
 mod zipf;
@@ -42,6 +45,7 @@ pub mod seq;
 
 pub use buffered::{BufferedRng, BUFFERED_RNG_WORDS};
 pub use distr::{Random, SampleRange, UniformInt};
+pub use segments::Segments;
 pub use splitmix::SplitMix64;
 pub use xoshiro::Xoshiro256StarStar;
 pub use zipf::Zipf;

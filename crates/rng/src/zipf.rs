@@ -10,10 +10,11 @@
 //! expected draws, and works for any exponent `s >= 0` including the
 //! classic `s = 1` harmonic case.
 //!
-//! The crate is `no_std`, so the transcendentals the method needs
-//! (`ln`, `exp`) are implemented here on top of core float arithmetic:
-//! argument reduction into a narrow interval plus a short series, good
-//! to ~1e-14 relative error (verified against `std` in the tests).
+//! The samplers use only `core`, which has no float `ln` or `exp`, so
+//! the method's transcendentals are implemented here on top of core
+//! float arithmetic: argument reduction into a narrow interval plus a
+//! short series, good to ~1e-14 relative error (verified against `std`
+//! in the tests).
 //! Sampling is fully deterministic per seed: every draw consumes raw
 //! words from the caller's [`Rng`] and nothing else.
 
