@@ -108,6 +108,7 @@ fn signature_of(e: &ExecError) -> String {
         ExecError::Fault(_) => "fault".to_owned(),
         ExecError::Detection(_) => "detection".to_owned(),
         ExecError::StepLimit | ExecError::CallDepth => "hang".to_owned(),
+        ExecError::Invalid(_) => "invalid".to_owned(),
     }
 }
 

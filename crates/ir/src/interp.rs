@@ -24,6 +24,7 @@ use polar_simheap::{Addr, HeapError};
 
 use crate::trace::{NopTracer, TraceEvent, Tracer};
 use crate::types::{BlockId, FuncId, Inst, Module, Reg, Terminator};
+use crate::validate::{validate, ValidateError};
 
 /// Execution limits preventing runaway programs (fuzzing inputs routinely
 /// produce infinite loops).
@@ -64,6 +65,8 @@ pub enum ExecError {
     Detection(RuntimeError),
     /// The program executed an explicit `abort`.
     Abort(u32),
+    /// The module failed [`validate`]: it was not executed.
+    Invalid(ValidateError),
 }
 
 impl fmt::Display for ExecError {
@@ -75,6 +78,7 @@ impl fmt::Display for ExecError {
             ExecError::Fault(e) => write!(f, "memory fault: {e}"),
             ExecError::Detection(e) => write!(f, "security detection: {e}"),
             ExecError::Abort(code) => write!(f, "abort({code})"),
+            ExecError::Invalid(e) => write!(f, "{e}"),
         }
     }
 }
@@ -144,6 +148,10 @@ struct Frame {
 /// [`PolarRuntime`] — the plain [`ObjectRuntime`] or one `ShardHandle`
 /// of a sharded runtime. The report's counters are `rt.stats()` at the
 /// end of the run, so they cover everything this execution did.
+///
+/// A module's fields are public, so it may never have passed
+/// [`validate`]: one that fails it ends in [`ExecError::Invalid`]
+/// before any instruction runs.
 pub fn run<T: Tracer, R: PolarRuntime + ?Sized>(
     module: &Module,
     rt: &mut R,
@@ -151,6 +159,10 @@ pub fn run<T: Tracer, R: PolarRuntime + ?Sized>(
     limits: ExecLimits,
     tracer: &mut T,
 ) -> ExecReport {
+    if let Err(err) = validate(module) {
+        let result = Err(ExecError::Invalid(err));
+        return ExecReport { result, output: Vec::new(), steps: 0, stats: rt.stats() };
+    }
     // Resolve the layouts compile-time object sites bake in: natural
     // offsets for native/POLaR binaries, per-binary randomized offsets
     // under static OLR (randstruct-style hardening has no runtime
@@ -539,6 +551,42 @@ mod tests {
             .field("age", FieldKind::I32)
             .field("height", FieldKind::I32)
             .build()
+    }
+
+    /// Modules are plain data: one edited after `build` must be refused,
+    /// not executed into a panic (a 3-byte load reaches the heap's width
+    /// assertion; an out-of-range register indexes past the frame).
+    #[test]
+    fn modules_that_fail_validation_are_refused() {
+        let mut mb = ModuleBuilder::new("m");
+        let mut f = mb.function("main", 0);
+        let bb = f.entry_block();
+        let buf = f.alloc_buf_bytes(bb, 16);
+        let v = f.load(bb, buf, 8);
+        f.ret(bb, Some(v));
+        mb.finish_function(f);
+        let good = mb.build().unwrap();
+        assert_eq!(run_native(&good, &[], ExecLimits::default()).result, Ok(0));
+
+        let edit = |edit: fn(&mut Inst)| {
+            let mut m = good.clone();
+            m.funcs[0].blocks[0].insts.iter_mut().for_each(edit);
+            run_native(&m, &[], ExecLimits::default())
+        };
+        let bad_width = edit(|inst| {
+            if let Inst::Load { width, .. } = inst {
+                *width = 3;
+            }
+        });
+        let bad_reg = edit(|inst| {
+            if let Inst::Load { addr, .. } = inst {
+                *addr = Reg(999);
+            }
+        });
+        for report in [bad_width, bad_reg] {
+            assert!(matches!(report.result, Err(ExecError::Invalid(_))), "{:?}", report.result);
+            assert_eq!(report.steps, 0);
+        }
     }
 
     #[test]

@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod api;
+mod classify;
 mod error;
 mod runtime;
 mod sharded;

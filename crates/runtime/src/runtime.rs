@@ -5,8 +5,9 @@
 //! ([`polar_simheap::SlotRecords`]), holding class hash, plan hash, plan
 //! registry id, lifecycle state, the offset-cache warm flag and the
 //! record generation next to the block's own identity. The locked paths
-//! here read and write that record directly; a sharded runtime's
-//! lock-free readers read the same record through its seqlock. Plans are
+//! here write that record directly and, like a sharded runtime's
+//! lock-free readers, read it as a seqlock snapshot that the one access
+//! classifier ([`crate::classify`]) decides every access on. Plans are
 //! named by their id in the runtime's [`PlanRegistry`]: a standalone
 //! runtime's interner owns a private one, the shards of a sharded
 //! runtime share one. A standalone runtime's locked paths resolve an id
@@ -23,8 +24,9 @@ use polar_layout::{
     PlanRegistry, PoolPolicy, RandomizationPolicy, RoundKeys, StatelessPolicy, StaticOlrTable,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64};
-use polar_simheap::{Addr, BlockState, HeapConfig, SimHeap, SlotRecord, PUB_STATE_FREED};
+use polar_simheap::{Addr, BlockState, HeapConfig, SimHeap, PUB_STATE_FREED};
 
+use crate::classify::{scan_traps, Access, RecordView};
 use crate::error::{RuntimeError, TrapReport};
 use crate::stats::RuntimeStats;
 
@@ -297,16 +299,6 @@ struct StatelessState {
     hits: u64,
 }
 
-/// A generation-current slot record found by [`ObjectRuntime::probe`].
-#[derive(Clone, Copy)]
-struct Found<'a> {
-    slot: u32,
-    rec: &'a SlotRecord,
-    /// The recorded object was freed (anything else the owner treats as
-    /// live).
-    freed: bool,
-}
-
 /// Source field bytes staged for an object copy: the packed contents of
 /// every field, plus each field's start offset in the packed buffer.
 /// Produced by [`ObjectRuntime::stage_fields`], consumed by
@@ -374,16 +366,15 @@ impl SiteCache {
     }
 
     /// The cached `(offset, width)` if the cache pins exactly this
-    /// `(class, plan)` pair — the same predicate the locked path's
-    /// inline-cache branch uses, exposed for the lock-free read path.
+    /// `(class, plan)` pair.
     #[inline]
     pub(crate) fn lookup(&self, expected: ClassHash, plan: PlanHash) -> Option<(u32, u8)> {
         (self.filled && self.class == expected && self.plan == plan)
             .then_some((self.offset, self.width))
     }
 
-    /// Pin a resolution, as the locked path does after a full lookup.
-    /// Keeps the slot hint: pin happens on plan churn, not base churn.
+    /// Pin a resolution made by a full lookup. Keeps the slot hint: pin
+    /// happens on plan churn, not base churn.
     #[inline]
     pub(crate) fn pin(&mut self, class: ClassHash, plan: PlanHash, offset: u32, width: u8) {
         self.filled = true;
@@ -601,39 +592,17 @@ impl ObjectRuntime {
         self.stats = RuntimeStats::default();
     }
 
-    /// The generation-current record at block base `base`, if an object
-    /// is tracked there. A record orphaned by recycling the block through
-    /// the raw path is behind the block's generation and reads as
-    /// absent. Associated (not a method) so callers can keep the record
-    /// borrowed while they count into `self.stats`.
-    #[inline]
-    fn probe(heap: &SimHeap, base: Addr) -> Option<Found<'_>> {
-        let (slot, rec) = heap.record_at(base)?;
-        let state = rec.current_state()?;
-        Some(Found { slot, rec, freed: state == PUB_STATE_FREED })
-    }
-
-    /// [`ObjectRuntime::probe`] plus the recorded plan, resolved by id.
-    #[inline]
-    fn probe_plan<'a>(
-        heap: &'a SimHeap,
-        plans: &'a PlanTable,
-        base: Addr,
-    ) -> Option<(Found<'a>, &'a Arc<LayoutPlan>)> {
-        let found = Self::probe(heap, base)?;
-        Some((found, plans.get(found.rec.plan_id())?))
-    }
-
     /// Metadata for the object at `base`, if tracked (and not stale: a
     /// record orphaned by recycling the block through the raw path is
     /// treated as absent).
     pub fn object_meta(&self, base: Addr) -> Option<ObjectMeta> {
-        let (found, plan) = Self::probe_plan(&self.heap, &self.plans, base)?;
+        let (snap, plan) = Self::view(&self.heap, &self.plans, base).tracked_plan()?;
+        let freed = snap.state == PUB_STATE_FREED;
         Some(ObjectMeta {
-            class: ClassHash(found.rec.class_hash()),
+            class: ClassHash(snap.class_hash),
             plan: Arc::clone(plan),
-            state: if found.freed { ObjectState::Freed } else { ObjectState::Live },
-            generation: u64::from(found.rec.record_gen()),
+            state: if freed { ObjectState::Freed } else { ObjectState::Live },
+            generation: u64::from(self.heap.records().get(snap.slot)?.record_gen()),
         })
     }
 
@@ -928,32 +897,21 @@ impl ObjectRuntime {
     /// object is *not* freed in that case — the program should abort), and
     /// heap errors for invalid raw frees.
     pub fn olr_free(&mut self, base: Addr) -> Result<(), RuntimeError> {
-        let Some((found, plan)) = Self::probe_plan(&self.heap, &self.plans, base)
-        else {
+        let heap = &self.heap;
+        let read = |a, w| heap.read_uint(a, w).ok();
+        let checked =
+            Self::view(heap, &self.plans, base).free_check(&self.config, read, &mut self.stats);
+        let Some(slot) = checked? else {
             // Untracked pointer (or a record self-invalidated by raw
             // reuse): behave like plain free().
-            self.heap.free(base)?;
-            return Ok(());
+            return Ok(self.heap.free(base)?);
         };
-        if found.freed {
-            self.stats.double_free_detected += 1;
-            return Err(RuntimeError::DoubleFree(base));
-        }
-        if self.config.check_traps_on_free {
-            self.stats.trap_scans += 1;
-            let reports = scan_traps_with(&self.heap, plan, base);
-            if let Some(report) = reports.first() {
-                self.stats.traps_triggered += reports.len() as u64;
-                self.stats.dummy_touches += reports.len() as u64;
-                return Err(RuntimeError::TrapTriggered(*report));
-            }
-        }
         // Retire the record (the offset-cache entry dies with it) before
         // releasing the block, inside its own writer window: a lock-free
         // reader sees LIVE or FREED, never the torn in-between.
-        let win = self.heap.pub_open(found.slot);
-        self.heap.records().retire(found.slot);
-        self.heap.pub_close(found.slot, win);
+        let win = self.heap.pub_open(slot);
+        self.heap.records().retire(slot);
+        self.heap.pub_close(slot, win);
         self.heap.free(base)?;
         self.stats.frees += 1;
         Ok(())
@@ -976,7 +934,8 @@ impl ObjectRuntime {
     /// caller treats as "nothing left to do". A drained claim whose
     /// block the raw heap path had already released strands its record
     /// ([`PUB_STATE_STRANDED`](polar_simheap::PUB_STATE_STRANDED)): the
-    /// object stays live to the locked paths, since nothing was freed.
+    /// object stays live to every classification, since nothing was
+    /// freed.
     pub(crate) fn retire_reserved(&mut self, slot: u32) -> bool {
         let Some(block) = self.heap.block_by_slot(slot) else { return false };
         if block.state == BlockState::Freed {
@@ -1010,7 +969,7 @@ impl ObjectRuntime {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        self.getptr_core(base, expected, field, None).map(|(addr, _, _)| addr)
+        self.access(base, expected, field, None).map(|a| a.addr)
     }
 
     /// [`ObjectRuntime::olr_getptr`] with a per-call-site inline cache.
@@ -1032,89 +991,38 @@ impl ObjectRuntime {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        self.getptr_core(base, expected, field, Some(ic)).map(|(addr, _, _)| addr)
+        self.access(base, expected, field, Some(ic)).map(|a| a.addr)
     }
 
-    /// Shared body of the getptr family; returns the resolved address,
-    /// the field's access width and the object's slot, so
-    /// `read_field`/`write_field` need no second metadata lookup.
-    fn getptr_core(
+    /// The classifier's view of `base`: the owner's snapshot of the
+    /// record at that block base, resolved through `plans`. Every writer
+    /// window on the record is the owner's, and a concurrent lock-free
+    /// free claim flips one word, so the copy needs no validation.
+    /// Associated, so callers can count into `self.stats` while the view
+    /// borrows the heap.
+    #[inline]
+    fn view<'a>(
+        heap: &'a SimHeap,
+        plans: &'a PlanTable,
+        base: Addr,
+    ) -> RecordView<'a, impl Fn(u32) -> Option<&'a Arc<LayoutPlan>>> {
+        let snap = heap.record_at(base).map(|(slot, rec)| rec.snapshot(slot));
+        RecordView { base, snap, records: heap.records(), plans: move |id| plans.get(id) }
+    }
+
+    /// Shared body of the getptr family and the field accessors: the
+    /// classified access, with the field's width and the object's slot,
+    /// so `read_field`/`write_field` need no second metadata lookup.
+    #[inline]
+    pub(crate) fn access(
         &mut self,
         base: Addr,
         expected: ClassHash,
         field: usize,
-        mut ic: Option<&mut SiteCache>,
-    ) -> Result<(Addr, usize, u32), RuntimeError> {
-        self.stats.member_accesses += 1;
-        let Some(Found { slot, rec, freed }) = Self::probe(&self.heap, base) else {
-            self.stats.shadow_misses += 1;
-            if ic.is_some() {
-                self.stats.site_ic_misses += 1;
-            }
-            return Err(RuntimeError::UnknownObject(base));
-        };
-        self.stats.shadow_hits += 1;
-        let actual = ClassHash(rec.class_hash());
-        let cached = self.config.offset_cache && !freed;
-
-        if let Some(site) = ic.as_deref_mut().filter(|_| cached && actual == expected) {
-            if let Some((offset, width)) = site.lookup(expected, PlanHash(rec.plan_hash())) {
-                self.stats.site_ic_hits += 1;
-                // Keep the Section V-B counter's semantics: the first
-                // access warms the per-object entry, later ones hit.
-                if rec.warm_probe() {
-                    self.stats.cache_hits += 1;
-                }
-                return Ok((base.offset(u64::from(offset)), usize::from(width), slot));
-            }
-        }
-        if ic.is_some() {
-            self.stats.site_ic_misses += 1;
-        }
-
-        if freed && self.config.detect_use_after_free {
-            self.stats.uaf_detected += 1;
-            return Err(RuntimeError::UseAfterFree { addr: base });
-        }
-        // With UAF detection disabled a freed object's access falls
-        // through to the retained plan, exactly like an uninstrumented
-        // dangling dereference.
-        if cached && rec.warm_probe() {
-            self.stats.cache_hits += 1;
-        }
-        let plan = self.plans.get(rec.plan_id()).ok_or(RuntimeError::UnknownObject(base))?;
-        let (addr, access) =
-            Self::resolve(&self.config, &mut self.stats, base, actual, plan, expected, field)?;
-        if let Some(site) = ic {
-            if cached && actual == expected {
-                site.pin(expected, plan.plan_hash(), access.offset, access.width);
-            }
-        }
-        Ok((addr, access.width as usize, slot))
-    }
-
-    fn resolve(
-        config: &RuntimeConfig,
-        stats: &mut RuntimeStats,
-        base: Addr,
-        actual: ClassHash,
-        plan: &LayoutPlan,
-        expected: ClassHash,
-        field: usize,
-    ) -> Result<(Addr, FieldAccess), RuntimeError> {
-        if actual != expected {
-            stats.mismatch_detected += 1;
-            if config.detect_class_mismatch {
-                return Err(RuntimeError::ClassMismatch { addr: base, expected, actual });
-            }
-            // Detection disabled: resolve through the *actual* object's
-            // randomized plan — the confused access lands on an
-            // unpredictable member, which is POLaR's probabilistic defense.
-        }
-        let access = plan
-            .access(field)
-            .ok_or(RuntimeError::FieldOutOfBounds { class: actual, field })?;
-        Ok((base.offset(access.offset as u64), access))
+        ic: Option<&mut SiteCache>,
+    ) -> Result<Access, RuntimeError> {
+        let view = Self::view(&self.heap, &self.plans, base);
+        view.classify(expected, field, ic, &self.config, &mut self.stats)
     }
 
     /// Instrumented object copy (`memcpy`/`memmove` on objects): copies
@@ -1157,16 +1065,15 @@ impl ObjectRuntime {
         site_class: &Arc<ClassInfo>,
     ) -> Result<(Arc<ClassInfo>, Arc<LayoutPlan>), RuntimeError> {
         self.stats.memcpys += 1;
-        let Some((found, plan)) = Self::probe_plan(&self.heap, &self.plans, src)
-        else {
+        let Some((snap, plan)) = Self::view(&self.heap, &self.plans, src).tracked_plan() else {
             let natural = self.interner.intern(LayoutPlan::natural_for(site_class));
             return Ok((Arc::clone(site_class), natural));
         };
-        if found.freed && self.config.detect_use_after_free {
+        if snap.state == PUB_STATE_FREED && self.config.detect_use_after_free {
             self.stats.uaf_detected += 1;
             return Err(RuntimeError::UseAfterFree { addr: src });
         }
-        let class = self.classes.iter().find(|c| c.info.hash().0 == found.rec.class_hash());
+        let class = self.classes.iter().find(|c| c.info.hash().0 == snap.class_hash);
         let info = class.ok_or(RuntimeError::UnknownObject(src))?;
         Ok((Arc::clone(&info.info), Arc::clone(plan)))
     }
@@ -1216,9 +1123,10 @@ impl ObjectRuntime {
         // Reuse live same-class metadata at dst when present (and
         // generation-current — a stale record never donates a plan);
         // otherwise mint a fresh randomized plan for the duplicate.
-        let reusable = Self::probe_plan(&self.heap, &self.plans, dst)
-            .filter(|(found, _)| !found.freed && found.rec.class_hash() == info.hash().0)
-            .map(|(found, plan)| (found.rec.plan_id(), Arc::clone(plan)));
+        let reusable = Self::view(&self.heap, &self.plans, dst)
+            .tracked_plan()
+            .filter(|(snap, _)| snap.state != PUB_STATE_FREED && snap.class_hash == info.hash().0)
+            .and_then(|(snap, plan)| Some((snap.plan_id?, Arc::clone(plan))));
         let (plan_id, dst_plan) = match reusable {
             Some(reused) => reused,
             None => self.plan_fitting(&info, dst_limit)?,
@@ -1278,8 +1186,8 @@ impl ObjectRuntime {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        let (addr, width, _) = self.getptr_core(base, expected, field, None)?;
-        Ok(self.heap.read_uint(addr, width)?)
+        let access = self.access(base, expected, field, None)?;
+        Ok(self.heap.read_uint(access.addr, access.width)?)
     }
 
     /// Write the member's value (`olr_getptr` + store).
@@ -1294,7 +1202,7 @@ impl ObjectRuntime {
         field: usize,
         value: u64,
     ) -> Result<(), RuntimeError> {
-        let (addr, width, slot) = self.getptr_core(base, expected, field, None)?;
+        let Access { addr, width, slot } = self.access(base, expected, field, None)?;
         // Bump the object's seqlock around the store so a concurrent
         // lock-free `read_field` retries instead of returning a torn
         // mix of old and new bytes.
@@ -1311,14 +1219,11 @@ impl ObjectRuntime {
     ///
     /// [`RuntimeError::UnknownObject`] for untracked addresses.
     pub fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
-        let Some((_, plan)) = Self::probe_plan(&self.heap, &self.plans, base) else {
+        let Some((_, plan)) = Self::view(&self.heap, &self.plans, base).tracked_plan() else {
             return Err(RuntimeError::UnknownObject(base));
         };
-        let reports = scan_traps_with(&self.heap, plan, base);
-        self.stats.trap_scans += 1;
-        self.stats.traps_triggered += reports.len() as u64;
-        self.stats.dummy_touches += reports.len() as u64;
-        Ok(reports)
+        let heap = &self.heap;
+        Ok(scan_traps(plan, base, |a, w| heap.read_uint(a, w).ok(), &mut self.stats))
     }
 
     /// A raw *probe* read: `heap_read_uint` plus booby-trap screening.
@@ -1354,8 +1259,8 @@ impl ObjectRuntime {
     /// live tracked object's canary-carrying dummy, if any.
     fn probe_trap_overlap(&self, addr: Addr, width: usize) -> Option<TrapReport> {
         let block = self.heap.block_containing(addr)?;
-        let (found, plan) = Self::probe_plan(&self.heap, &self.plans, block.base)?;
-        if found.freed {
+        let (snap, plan) = Self::view(&self.heap, &self.plans, block.base).tracked_plan()?;
+        if snap.state == PUB_STATE_FREED {
             return None;
         }
         let rel = addr.0 - block.base.0;
@@ -1395,27 +1300,6 @@ impl ObjectRuntime {
     }
 }
 
-/// Every corrupted canary of the object at `base` laid out by `plan`.
-fn scan_traps_with(heap: &SimHeap, plan: &LayoutPlan, base: Addr) -> Vec<TrapReport> {
-    let mut reports = Vec::new();
-    for dummy in plan.dummies() {
-        if let Some(expected) = dummy.canary {
-            let width = canary_width(dummy.size);
-            let found = heap.read_uint(base.offset(dummy.offset as u64), width).unwrap_or(0);
-            let expected_trunc = truncate(expected, width);
-            if found != expected_trunc {
-                reports.push(TrapReport {
-                    base,
-                    offset: dummy.offset,
-                    expected: expected_trunc,
-                    found,
-                });
-            }
-        }
-    }
-    reports
-}
-
 /// Bytes one interned plan costs: offsets/sizes/aligns (3×u32/field),
 /// the packed access table, dummy slots, and fixed header overhead.
 fn plan_payload_bytes(p: &LayoutPlan) -> usize {
@@ -1425,9 +1309,7 @@ fn plan_payload_bytes(p: &LayoutPlan) -> usize {
         + 32
 }
 
-/// Stored width of a dummy slot's canary. `pub(crate)` so the sharded
-/// runtime's lock-free free path scans traps with byte-identical
-/// semantics to [`ObjectRuntime::olr_free`]'s locked sweep.
+/// Stored width of a dummy slot's canary.
 pub(crate) fn canary_width(size: u32) -> usize {
     match size {
         1 | 2 | 4 | 8 => size as usize,

@@ -34,25 +34,22 @@
 //!   [`ShardedRuntime::stats`] drains every shard's remote-free stack,
 //!   sums the shards' counters, and then snapshots the atomics;
 //!   [`ShardHandle::stats`] adds the handle's unflushed sheet.
-//! * **Lock-free reads.** Every shard's heap is *published*
+//! * **Lock-free classification.** Every shard's heap is *published*
 //!   ([`SimHeap::new_published`](polar_simheap::SimHeap::new_published)):
 //!   its per-slot object records — the one metadata record of each
 //!   object, which the shard's locked paths read and write directly —
 //!   are seqlocked and reachable by address through the heap's
-//!   [`HeapPublisher`] unit index, plans live in a shared
-//!   [`PlanRegistry`] resolvable by integer id, and
-//!   [`ShardHandle::olr_getptr`], [`ShardHandle::olr_getptr_ic`]
-//!   and [`ShardHandle::read_field`] first attempt the access with
-//!   **no lock at all**: snapshot the slot, validate
-//!   `(base, live, generation, class)`, resolve the field through the
-//!   registry plan, and — for `read_field` — load the value from the
-//!   shared arena and re-check the sequence. Any condition the fast
-//!   path cannot classify (a miss, a detection, a contended writer
-//!   window after a few retries) falls back to the
-//!   shard mutex, whose path does all of its own counting and error
-//!   construction; the fast path only counts its successes (with the
-//!   locked path's column meaning) and its fallbacks, keeping the two
-//!   paths' statistics semantics identical.
+//!   [`HeapPublisher`] unit index, and plans live in a shared
+//!   [`PlanRegistry`] resolvable by integer id. So
+//!   [`ShardHandle::olr_getptr`], [`ShardHandle::olr_getptr_ic`] and
+//!   [`ShardHandle::read_field`] run with **no lock at all**: snapshot
+//!   the slot and hand it to the same classifier the locked paths use
+//!   ([`RecordView::classify`]), which resolves the access or reports
+//!   the miss or detection, counting into the handle's pending sheet.
+//!   A result counts only if the slot's sequence is unchanged after it
+//!   was computed (after the value load, for `read_field`); otherwise
+//!   the attempt's counts are taken back and it retries. Only writer
+//!   contention past a few retries reaches the shard mutex.
 //! * **Magazine front-end + remote frees.** With
 //!   [`RuntimeConfig::magazine`] enabled (the default), each
 //!   [`ShardHandle`] keeps per-size-class **magazines** of pre-reserved
@@ -60,15 +57,17 @@
 //!   canaries seeded, metadata recorded and published) — refilled
 //!   `batch` at a time under one home-shard lock acquisition, so the
 //!   common-case `olr_malloc` is a lock-free pop. The matching free
-//!   fast path validates the published snapshot (and scans traps
-//!   through the shared arena when configured), claims the slot with a
-//!   generation-exact CAS on the slot record's packed life word, and
-//!   pushes the slot onto the owning shard's **MPSC remote-free stack**
-//!   (a Treiber stack threaded through the slot records). Every
-//!   shard-lock acquisition drains that shard's stack first, so mutex
-//!   paths always observe completed frees — double frees and dangling
-//!   accesses keep being classified by the one locked path that owns
-//!   detection semantics.
+//!   fast path runs the shared free check on a stable snapshot (its
+//!   canary sweep reads the shared arena), so a double free or a trap
+//!   hit is reported without the lock; a live object's slot is claimed
+//!   with a generation-exact CAS on the record's packed life word and
+//!   pushed onto the owning shard's **MPSC remote-free stack** (a
+//!   Treiber stack threaded through the slot records). Every shard-lock
+//!   acquisition drains that shard's stack first, so the heap release
+//!   happens under the lock and mutex paths observe completed frees.
+//!   The mutex is left for state changes: frees it must finish
+//!   (untracked pointers, refused claims), refills, drains, field
+//!   writes, copies, trap sweeps and raw heap operations.
 //!
 //! Handles round-robin their **home shard** (`thread % shards`) for
 //! allocations; accesses to any address still work from any thread
@@ -80,20 +79,17 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use polar_classinfo::{ClassHash, ClassInfo};
 use polar_layout::{
-    LayoutEngine, LayoutPlan, PlanHash, PlanInterner, PlanPools, PlanRegistry,
-    RandomizationPolicy,
+    LayoutEngine, LayoutPlan, PlanInterner, PlanPools, PlanRegistry, RandomizationPolicy,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64, Xoshiro256StarStar};
 use polar_simheap::{
-    Addr, HeapError, HeapPublisher, SnapshotOutcome, PUB_STATE_FREED, PUB_STATE_LIVE,
+    Addr, HeapError, HeapPublisher, PubSnapshot, SnapshotOutcome, PUB_STATE_FREED,
 };
 
 use crate::api::PolarRuntime;
+use crate::classify::{Access, RecordView};
 use crate::error::{RuntimeError, TrapReport};
-use crate::runtime::{
-    canary_width, truncate, Capsule, ObjectMeta, ObjectRuntime, RandomizeMode, RuntimeConfig,
-    SiteCache,
-};
+use crate::runtime::{Capsule, ObjectMeta, ObjectRuntime, RandomizeMode, RuntimeConfig, SiteCache};
 use crate::stats::{AtomicRuntimeStats, RuntimeStats};
 
 /// Smallest per-shard arena the constructor accepts: a shard must at
@@ -122,21 +118,6 @@ const FAST_RETRIES: usize = 8;
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct RemoteHead(AtomicU32);
-
-/// Outcome of one optimistic snapshot-and-resolve attempt.
-enum FastAttempt {
-    /// Resolved: `addr`/`width` are the access, `(slot, seq)` validate
-    /// any later arena load, `ic_hit` is `None` for a plain access and
-    /// whether the site cache served it otherwise, and `warmed` is the
-    /// published warm flag at snapshot time (a `true` skips
-    /// [`ShardedRuntime::count_hit`]'s probe-and-set).
-    Hit { addr: Addr, width: usize, slot: u32, seq: u64, ic_hit: Option<bool>, warmed: bool },
-    /// A condition the fast path does not classify (miss, detection):
-    /// take the mutex, which owns those outcomes.
-    Fallback,
-    /// A writer window overlapped the snapshot: worth retrying.
-    Contended,
-}
 
 /// A thread-safe POLaR runtime: N address-partitioned [`ObjectRuntime`]
 /// shards behind striped locks, shared by reference across threads.
@@ -384,144 +365,57 @@ impl ShardedRuntime {
         }
     }
 
-    // ----- the lock-free read path -----
+    // ----- the lock-free paths -----
 
-    /// One optimistic attempt at resolving `(base, expected, field)` on
-    /// `shard` without its mutex. Success means the published snapshot
-    /// proved a live, generation-current object of the expected class
-    /// and the field resolved through the registry plan; every other
-    /// condition routes to the mutex, which owns miss/detection
-    /// counting and error construction.
+    /// A snapshot of the record covering `base` on `shard`, through the
+    /// site's slot hint when it names this base. The hint only skips the
+    /// unit-index walk: a hinted snapshot of another base is discarded.
     #[inline]
-    fn fast_attempt(
-        &self,
+    fn snapshot(&self, shard: usize, base: Addr, ic: Option<&SiteCache>) -> SnapshotOutcome {
+        let p = &self.pubs[shard];
+        let hinted = ic.and_then(|site| site.slot_hint(base.0));
+        match hinted.map(|slot| p.records().try_snapshot_slot(slot)) {
+            Some(SnapshotOutcome::Snap(s)) if s.base == base.0 => SnapshotOutcome::Snap(s),
+            _ => p.try_snapshot(base.0),
+        }
+    }
+
+    /// The classifier's view of `base` through a snapshot on `shard`:
+    /// plans resolve through the shared registry.
+    #[inline]
+    fn view<'a>(
+        &'a self,
         shard: usize,
         base: Addr,
-        expected: ClassHash,
-        field: usize,
-        mut ic: Option<&mut SiteCache>,
-    ) -> FastAttempt {
-        // Slot hint: a warmed-up inline cache remembers which published
-        // slot its base resolved to, skipping the addr -> slot unit
-        // walk. The hint is *only* a shortcut — the snapshot below is
-        // re-validated against `base` (and the seqlock metadata), so a
-        // stale hint degrades to the full walk, never to a wrong read.
-        let hinted = ic
-            .as_deref()
-            .and_then(|site| site.slot_hint(base.0))
-            .and_then(|slot| match self.pubs[shard].records().try_snapshot_slot(slot) {
-                SnapshotOutcome::Snap(s) if s.base == base.0 => Some(s),
-                _ => None,
-            });
-        let snap = match hinted {
-            Some(s) => s,
-            None => match self.pubs[shard].try_snapshot(base.0) {
-                SnapshotOutcome::Snap(s) => s,
-                SnapshotOutcome::Untracked => return FastAttempt::Fallback,
-                SnapshotOutcome::Unstable => return FastAttempt::Contended,
-            },
-        };
-        if snap.base != base.0
-            || snap.state != PUB_STATE_LIVE
-            || snap.meta_gen != snap.heap_gen
-            || snap.class_hash != expected.0
-        {
-            // Interior pointer, freed or raw-recycled object, class
-            // mismatch: all of these are misses or detections, and the
-            // locked path is the single place that classifies them.
-            return FastAttempt::Fallback;
-        }
-        if self.config.offset_cache {
-            if let Some(site) = ic.as_deref_mut() {
-                if let Some((offset, width)) = site.lookup(expected, PlanHash(snap.plan_hash)) {
-                    site.note_slot(base.0, snap.slot);
-                    return FastAttempt::Hit {
-                        addr: base.offset(u64::from(offset)),
-                        width: width as usize,
-                        slot: snap.slot,
-                        seq: snap.seq,
-                        ic_hit: Some(true),
-                        warmed: snap.warmed,
-                    };
-                }
-            }
-        }
-        let plan = snap.plan_id.and_then(|id| self.registry.get(id));
-        let Some(access) = plan.and_then(|plan| plan.access(field)) else {
-            return FastAttempt::Fallback; // FieldOutOfBounds: raised under the lock
-        };
-        let ic_hit = ic.map(|site| {
-            if self.config.offset_cache {
-                site.pin(expected, PlanHash(snap.plan_hash), access.offset, access.width);
-                site.note_slot(base.0, snap.slot);
-            }
-            false
-        });
-        FastAttempt::Hit {
-            addr: base.offset(u64::from(access.offset)),
-            width: access.width as usize,
-            slot: snap.slot,
-            seq: snap.seq,
-            ic_hit,
-            warmed: snap.warmed,
-        }
+        snap: Option<PubSnapshot>,
+    ) -> RecordView<'a, impl Fn(u32) -> Option<&'a Arc<LayoutPlan>>> {
+        let records = self.pubs[shard].records();
+        RecordView { base, snap, records, plans: |id| self.registry.get(id) }
     }
 
-    /// Count one lock-free success into `sink` with the meaning
-    /// [`ObjectRuntime`]'s locked getptr gives it: a member access served
-    /// from the slot record, an offset-cache hit once the object is warm
-    /// (probe-and-set the record's warm flag unless the snapshot already
-    /// saw it set), and the site-cache column for inline-cached accesses.
-    #[inline]
-    fn count_hit(
-        &self,
-        sink: &mut RuntimeStats,
-        shard: usize,
-        slot: u32,
-        ic_hit: Option<bool>,
-        warmed: bool,
-    ) {
-        sink.member_accesses += 1;
-        sink.shadow_hits += 1;
-        sink.lockfree_reads += 1;
-        let warm = || self.pubs[shard].records().get(slot).is_some_and(|r| r.warm_probe());
-        if self.config.offset_cache && (warmed || warm()) {
-            sink.cache_hits += 1;
-        }
-        match ic_hit {
-            Some(true) => sink.site_ic_hits += 1,
-            Some(false) => sink.site_ic_misses += 1,
-            None => {}
-        }
-    }
-
-    /// Lock-free `olr_free` attempt. `Some(scanned)` means the free
-    /// completed without the shard mutex: the published snapshot proved
-    /// a live, generation-current object at exactly `addr`, the trap
-    /// sweep (when configured; `scanned` reports it ran) found every
-    /// canary intact through the shared arena, and the generation-exact
-    /// [`claim_free`] CAS flipped the slot `LIVE → FREED` — after which
-    /// the slot went onto the owning shard's remote-free stack for the
-    /// next lock holder to retire. `None` routes to the mutex, which
-    /// owns every miss/detection outcome (untracked pointer, double
-    /// free, UAF, corrupted canary, interior pointer).
+    /// Lock-free `olr_free`, counted into `sink`. `Some` is the free's
+    /// result, decided without the shard mutex: a double free or a trap
+    /// hit read from a stable snapshot, or a live object whose canaries
+    /// scanned intact through the shared arena and whose slot this call
+    /// claimed with the generation-exact [`claim_free`] CAS, flipping it
+    /// `LIVE → FREED` and pushing it onto the owning shard's remote-free
+    /// stack for the next lock holder to release. `None` routes to the
+    /// mutex: an untracked address (a plain `free()` needs the heap), a
+    /// lost or refused claim (a stranded record, a racing free), or
+    /// contention past the retry budget.
     ///
-    /// The trap sweep reads racily against writers, so a mismatched
-    /// canary is only *reported* via the locked path, and only after a
-    /// seqlock recheck proves the bytes were not torn by a concurrent
-    /// writer window: a stable-snapshot mismatch is a real detection
-    /// (the mutex rescans, counts and constructs the error), an
-    /// unstable one retries from a fresh snapshot.
+    /// The sweep reads racily against writers, so every verdict waits
+    /// for a seqlock recheck: a torn attempt retries from a fresh
+    /// snapshot, the sheet restored to drop its counts.
     ///
     /// [`claim_free`]: polar_simheap::SlotRecords::claim_free
-    fn fast_free(&self, addr: Addr) -> Option<bool> {
+    fn fast_free(&self, addr: Addr, sink: &mut RuntimeStats) -> Option<Result<(), RuntimeError>> {
         if !self.config.magazine.enabled() {
             return None;
         }
         let shard = self.shard_of(addr)?;
         let p = &self.pubs[shard];
-        let records = p.records();
-        'retry: for _ in 0..FAST_RETRIES {
+        for _ in 0..FAST_RETRIES {
             let snap = match p.try_snapshot(addr.0) {
                 SnapshotOutcome::Snap(s) => s,
                 SnapshotOutcome::Untracked => return None,
@@ -530,38 +424,24 @@ impl ShardedRuntime {
                     continue;
                 }
             };
-            if snap.base != addr.0
-                || snap.state != PUB_STATE_LIVE
-                || snap.meta_gen != snap.heap_gen
-            {
-                return None;
-            }
-            let mut scanned = false;
-            if self.config.check_traps_on_free {
-                let plan = self.registry.get(snap.plan_id?)?;
-                for dummy in plan.dummies() {
-                    let Some(canary) = dummy.canary else { continue };
-                    let width = canary_width(dummy.size);
-                    let found = p.read_uint(addr.offset(u64::from(dummy.offset)).0, width)?;
-                    if found != truncate(canary, width) {
-                        if records.recheck(snap.slot, snap.seq) {
-                            return None; // stable mismatch: a real trap hit
-                        }
-                        std::hint::spin_loop();
-                        continue 'retry; // torn read: retry from a fresh snapshot
-                    }
+            let counted = *sink;
+            let read = |a: Addr, w| p.read_uint(a.0, w);
+            let check = self.view(shard, addr, Some(snap)).free_check(&self.config, read, sink);
+            let stable = p.records().recheck(snap.slot, snap.seq);
+            match check {
+                Err(err) if stable => return Some(Err(err)),
+                Ok(Some(slot)) if stable && p.records().claim_free(slot, snap.meta_gen) => {
+                    self.remote_push(shard, slot);
+                    sink.frees += 1;
+                    sink.fast_frees += 1;
+                    return Some(Ok(()));
                 }
-                if !records.recheck(snap.slot, snap.seq) {
-                    std::hint::spin_loop();
-                    continue 'retry;
-                }
-                scanned = true;
+                _ => *sink = counted,
             }
-            if !records.claim_free(snap.slot, snap.meta_gen) {
-                return None; // lost the claim race: the mutex classifies it
+            if stable {
+                return None; // untracked, or a refused claim: the mutex decides
             }
-            self.remote_push(shard, snap.slot);
-            return Some(scanned);
+            std::hint::spin_loop();
         }
         None
     }
@@ -903,21 +783,20 @@ impl ShardHandle<'_> {
 
     /// [`ObjectRuntime::olr_free`], routed by address (works on any
     /// shard's objects, not just the home shard's). With magazines
-    /// enabled the free first attempts the lock-free claim
-    /// ([`ShardedRuntime::fast_free`]), counted into this handle's
-    /// pending sheet; every condition the fast path cannot classify
-    /// falls back to the owning shard's mutex.
+    /// enabled the free is first checked and claimed without the lock,
+    /// counted into this handle's pending sheet: a double free or trap
+    /// hit is reported there, a live object is claimed for the owning
+    /// shard to release. A free that needs the heap (an untracked
+    /// pointer) or whose claim is refused takes the owning shard's
+    /// mutex.
     ///
     /// # Errors
     ///
     /// As for the single-thread call; addresses outside every shard
     /// window report [`HeapError::InvalidFree`].
     pub fn olr_free(&mut self, addr: Addr) -> Result<(), RuntimeError> {
-        if let Some(scanned) = self.rt.fast_free(addr) {
-            self.pending.frees += 1;
-            self.pending.fast_frees += 1;
-            self.pending.trap_scans += u64::from(scanned);
-            return Ok(());
+        if let Some(freed) = self.rt.fast_free(addr, &mut self.pending) {
+            return freed;
         }
         self.rt.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
     }
@@ -936,7 +815,7 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<Addr, RuntimeError> {
-        self.getptr_in(base, expected, field, None)
+        self.read_in(base, expected, field, None, false, |_, access| Ok(access.addr))
     }
 
     /// [`ObjectRuntime::olr_getptr_ic`], routed by address. The site
@@ -953,41 +832,62 @@ impl ShardHandle<'_> {
         field: usize,
         ic: &mut SiteCache,
     ) -> Result<Addr, RuntimeError> {
-        self.getptr_in(base, expected, field, Some(ic))
+        self.read_in(base, expected, field, Some(ic), false, |_, access| Ok(access.addr))
     }
 
-    /// The one body of `olr_getptr`/`olr_getptr_ic`: try the lock-free
-    /// path, and fall back to the owning shard's mutex, which counts and
-    /// classifies everything the fast path does not. Lock-free successes
-    /// and fallbacks are counted into the pending sheet.
+    /// The one body of the handle's reads: classify the access without
+    /// the lock, then `load` through the resolved access (a load that
+    /// reads the arena says so in `loads`). A detection, or a loaded
+    /// value, counts and returns only if no writer window overlapped its
+    /// snapshot; otherwise the attempt retries from a fresh snapshot,
+    /// the pending sheet restored to drop its counts. Past the retry
+    /// budget the owning shard's mutex serves the access.
     #[inline]
-    fn getptr_in(
+    fn read_in<T>(
         &mut self,
         base: Addr,
         expected: ClassHash,
         field: usize,
         mut ic: Option<&mut SiteCache>,
-    ) -> Result<Addr, RuntimeError> {
+        loads: bool,
+        load: impl Fn(&HeapPublisher, Access) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
         let rt = self.rt;
         let Some(shard) = rt.shard_of(base) else {
             return Err(RuntimeError::UnknownObject(base));
         };
+        let p = &rt.pubs[shard];
         for _ in 0..FAST_RETRIES {
-            match rt.fast_attempt(shard, base, expected, field, ic.as_deref_mut()) {
-                FastAttempt::Hit { addr, slot, ic_hit, warmed, .. } => {
-                    rt.count_hit(&mut self.pending, shard, slot, ic_hit, warmed);
-                    return Ok(addr);
+            let snap = match rt.snapshot(shard, base, ic.as_deref()) {
+                SnapshotOutcome::Snap(s) => Some(s),
+                SnapshotOutcome::Untracked => None,
+                SnapshotOutcome::Unstable => {
+                    std::hint::spin_loop();
+                    continue;
                 }
-                FastAttempt::Fallback => break,
-                FastAttempt::Contended => std::hint::spin_loop(),
+            };
+            let counted = self.pending;
+            let view = rt.view(shard, base, snap);
+            let result = view
+                .classify(expected, field, ic.as_deref_mut(), &rt.config, &mut self.pending)
+                .and_then(|access| load(p, access));
+            // A resolved address came from a stable snapshot and stands;
+            // a detection or a loaded value is rechecked. An untracked
+            // address has no record to recheck: unit-index entries are
+            // written once, so it stays untracked.
+            let settled = result.is_ok() && !loads;
+            if settled || snap.is_none_or(|s| p.records().recheck(s.slot, s.seq)) {
+                self.pending.lockfree_reads += 1;
+                return result;
             }
+            self.pending = counted;
+            std::hint::spin_loop();
         }
         self.pending.lockfree_fallbacks += 1;
-        let mut shard = rt.shard(shard)?;
-        match ic {
-            Some(ic) => shard.olr_getptr_ic(base, expected, field, ic),
-            None => shard.olr_getptr(base, expected, field),
-        }
+        // The guard outlives the load: writers need this lock.
+        let mut guard = rt.shard(shard)?;
+        let access = guard.access(base, expected, field, ic)?;
+        load(p, access)
     }
 
     /// [`ObjectRuntime::read_field`], routed by address and counted as in
@@ -1006,28 +906,10 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        let rt = self.rt;
-        let Some(shard) = rt.shard_of(base) else {
-            return Err(RuntimeError::UnknownObject(base));
-        };
-        for _ in 0..FAST_RETRIES {
-            match rt.fast_attempt(shard, base, expected, field, None) {
-                FastAttempt::Hit { addr, width, slot, seq, ic_hit, warmed } => {
-                    let p = &rt.pubs[shard];
-                    let Some(value) = p.read_uint(addr.0, width) else { break };
-                    if !p.records().recheck(slot, seq) {
-                        std::hint::spin_loop();
-                        continue; // torn load: retry from a fresh snapshot
-                    }
-                    rt.count_hit(&mut self.pending, shard, slot, ic_hit, warmed);
-                    return Ok(value);
-                }
-                FastAttempt::Fallback => break,
-                FastAttempt::Contended => std::hint::spin_loop(),
-            }
-        }
-        self.pending.lockfree_fallbacks += 1;
-        rt.shard(shard)?.read_field(base, expected, field)
+        self.read_in(base, expected, field, None, true, |p, Access { addr, width, .. }| {
+            let fault = RuntimeError::Heap(HeapError::Fault { addr, len: width });
+            p.read_uint(addr.0, width).ok_or(fault)
+        })
     }
 
     /// [`ObjectRuntime::write_field`], routed by address.
@@ -1281,6 +1163,7 @@ mod tests {
     use polar_classinfo::{ClassDecl, FieldKind};
     use polar_layout::PlanHash;
     use polar_rng::RngExt;
+    use polar_simheap::PUB_STATE_LIVE;
 
     fn people() -> Arc<ClassInfo> {
         Arc::new(ClassInfo::from_decl(
@@ -1689,15 +1572,17 @@ mod tests {
         // is an offset-cache hit.
         assert_eq!(delta.cache_hits, 30);
 
-        // Detections still work (via fallback to the locked path).
+        // Detections are classified without the lock too.
         h.olr_free(obj).unwrap();
+        let before = h.stats();
         assert!(matches!(
             h.read_field(obj, info.hash(), 1).unwrap_err(),
             RuntimeError::UseAfterFree { .. }
         ));
         let after = h.stats();
-        assert_eq!(after.uaf_detected, 1);
-        assert!(after.lockfree_fallbacks > 0, "the freed read must have fallen back");
+        assert_eq!(after.uaf_detected, before.uaf_detected + 1);
+        assert_eq!(after.lockfree_reads, before.lockfree_reads + 1);
+        assert_eq!(after.lockfree_fallbacks, before.lockfree_fallbacks, "the freed read fell back");
     }
 
     /// Torture phase 1: fixed live objects, writers churning field
@@ -1776,62 +1661,101 @@ mod tests {
         assert_eq!(stats.total_detections(), 0);
     }
 
-    /// Torture phase 2: full lifecycle churn (free / re-malloc / copy)
-    /// against concurrent lock-free readers. Readers must only ever see
-    /// clean outcomes (a value, or a classified detection), and raw
-    /// publication snapshots must be self-consistent.
+    /// Torture phase 2: no false detection without the lock. On one
+    /// shard a writer churns field writes, in-place rerandomization and
+    /// malloc/free with slot reuse, and frees a doomed set one object at
+    /// a time, raising each object's flag after its free. Readers must
+    /// never see an error on the fixed live set, must see exactly
+    /// `UseAfterFree` on a doomed object once its flag is up, and may see
+    /// only classified outcomes on the churned set, whose addresses the
+    /// writer frees and reuses. Raw snapshots must stay self-consistent.
     #[test]
-    fn torture_lifecycle_churn_keeps_snapshots_consistent() {
+    #[cfg_attr(debug_assertions, ignore = "release-mode torture: cargo test --release")]
+    fn torture_lock_free_detections_are_never_false() {
+        use std::sync::atomic::{
+            AtomicBool,
+            Ordering::{Acquire, Release},
+        };
         const WRITER_OPS: usize = 8_000;
-        let rt = sharded(2);
-        let info = people();
-        let other = record();
+        const SET: usize = 16;
+        let rt = sharded(1);
+        let (info, other) = (people(), record());
+        // Twenty 64-bit fields: a size class no churned allocation uses,
+        // so a doomed block is never reused.
+        let mut decl = ClassDecl::builder("Doomed");
+        for i in 0..20 {
+            decl = decl.field(format!("f{i}"), FieldKind::I64);
+        }
+        let wide = Arc::new(ClassInfo::from_decl(decl.build()));
         let mut h = rt.handle(0);
-        let seed_objs: Vec<Addr> = (0..16).map(|_| h.olr_malloc(&info).unwrap()).collect();
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let live: Vec<Addr> = (0..SET).map(|_| h.olr_malloc(&other).unwrap()).collect();
+        let doomed: Vec<Addr> = (0..SET).map(|_| h.olr_malloc(&wide).unwrap()).collect();
+        let churned: Vec<Addr> = (0..SET).map(|_| h.olr_malloc(&info).unwrap()).collect();
+        drop(h);
+        let flags: Vec<AtomicBool> = doomed.iter().map(|_| AtomicBool::new(false)).collect();
+        let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
-            let (rt, info, other, seed_objs, stop) = (&rt, &info, &other, &seed_objs, &stop);
-            let writer = scope.spawn(move || {
-                let mut h = rt.handle(0);
+            let (rt, info, other, wide) = (&rt, &info, &other, &wide);
+            let (live, doomed, churned, flags, stop) = (&live, &doomed, &churned, &flags, &stop);
+            scope.spawn(move || {
+                let mut h = rt.handle(1);
                 let mut driver = SplitMix64::new(0xC43F);
-                let mut live = seed_objs.clone();
-                for _ in 0..WRITER_OPS {
-                    match driver.random_range(0..3u32) {
+                let mut pool = churned.clone();
+                for op in 0..WRITER_OPS {
+                    if op % (WRITER_OPS / SET) == 0 {
+                        let i = op / (WRITER_OPS / SET);
+                        h.olr_free(doomed[i]).unwrap();
+                        flags[i].store(true, Release);
+                    }
+                    let obj = live[driver.random_range(0..SET)];
+                    match driver.random_range(0..5u32) {
                         0 => {
                             let class =
                                 if driver.random_range(0..2u32) == 0 { info } else { other };
-                            live.push(h.olr_malloc(class).unwrap());
+                            pool.push(h.olr_malloc(class).unwrap());
                         }
-                        1 if live.len() > 4 => {
-                            let obj = live.swap_remove(driver.random_range(0..live.len()));
-                            h.olr_free(obj).unwrap();
+                        1 if pool.len() > 4 => {
+                            h.olr_free(pool.swap_remove(driver.random_range(0..pool.len())))
+                                .unwrap();
                         }
-                        _ if !live.is_empty() => {
-                            let obj = live[driver.random_range(0..live.len())];
-                            // In-place rerandomization: the riskiest
-                            // publication window (fields move).
-                            if rt.object_meta(obj).is_some_and(|m| m.class == info.hash())
-                            {
+                        2 => {
+                            let x = driver.next_u64() & 0xFFFF_FFFF;
+                            let field = driver.random_range(0..2usize);
+                            h.write_field(obj, other.hash(), field, (x << 32) | x).unwrap();
+                        }
+                        3 => h.olr_memcpy(obj, obj, other).unwrap(),
+                        _ => {
+                            let obj = pool[driver.random_range(0..pool.len())];
+                            if rt.object_meta(obj).is_some_and(|m| m.class == info.hash()) {
                                 h.olr_memcpy(obj, obj, info).unwrap();
                             }
                         }
-                        _ => {}
                     }
                 }
-                stop.store(true, std::sync::atomic::Ordering::Release);
+                stop.store(true, Release);
             });
-            let reader = scope.spawn(move || {
-                let mut h = rt.handle(1);
+            scope.spawn(move || {
+                let mut h = rt.handle(2);
                 let mut driver = SplitMix64::new(0x5EE5);
+                // A floor of probes: on one core the writer can finish
+                // before this thread is first scheduled.
                 let mut probes = 0u64;
-                // Same 1000-probe floor as the torn-read torture: the
-                // writer can finish before this thread is scheduled.
-                while !stop.load(std::sync::atomic::Ordering::Acquire) || probes < 1_000 {
+                while !stop.load(Acquire) || probes < 1_000 {
                     probes += 1;
-                    let obj = seed_objs[driver.random_range(0..seed_objs.len())];
+                    let i = driver.random_range(0..SET);
+                    let v = h.read_field(live[i], other.hash(), i % 2).unwrap();
+                    assert_eq!(v >> 32, v & 0xFFFF_FFFF, "torn read of live object {i}");
+                    h.olr_getptr(live[i], other.hash(), 2).unwrap();
+                    let was_freed = flags[i].load(Acquire);
+                    match h.read_field(doomed[i], wide.hash(), 1) {
+                        Err(RuntimeError::UseAfterFree { .. }) => {}
+                        Ok(_) if !was_freed => {}
+                        got => panic!("doomed object {i} (freed: {was_freed}) read as {got:?}"),
+                    }
+                    let obj = churned[i];
                     match h.read_field(obj, info.hash(), 1) {
-                        Ok(_) => {}
-                        Err(
+                        Ok(_)
+                        | Err(
                             RuntimeError::UseAfterFree { .. }
                             | RuntimeError::UnknownObject(_)
                             | RuntimeError::ClassMismatch { .. }
@@ -1839,24 +1763,23 @@ mod tests {
                         ) => {}
                         Err(other) => panic!("unclassified churn outcome: {other}"),
                     }
-                    // Raw snapshot self-consistency: a stable LIVE,
-                    // generation-current snapshot must carry a
+                    // A stable live, generation-current snapshot names a
                     // registered plan whose hash matches.
-                    if let Some(SnapshotOutcome::Snap(s)) = rt.publish_probe(obj) {
-                        if s.state == PUB_STATE_LIVE && s.meta_gen == s.heap_gen {
-                            let id = s.plan_id.expect("a live record names its plan");
-                            let plan =
-                                rt.registry_plan(id).expect("recorded plan ids must resolve");
-                            assert_eq!(plan.plan_hash().0, s.plan_hash, "id and hash must agree");
+                    for obj in [live[i], obj] {
+                        if let Some(SnapshotOutcome::Snap(s)) = rt.publish_probe(obj) {
+                            if s.state == PUB_STATE_LIVE && s.meta_gen == s.heap_gen {
+                                let id = s.plan_id.expect("a live record names its plan");
+                                let plan = rt.registry_plan(id).expect("recorded ids resolve");
+                                assert_eq!(plan.plan_hash().0, s.plan_hash, "id and hash disagree");
+                            }
                         }
                     }
                 }
             });
-            writer.join().unwrap();
-            reader.join().unwrap();
         });
         let stats = rt.stats();
-        assert!(stats.lockfree_reads + stats.lockfree_fallbacks > 0);
+        assert!(stats.uaf_detected > 0 && stats.lockfree_reads > 0, "{stats:?}");
+        assert_eq!(stats.double_free_detected + stats.traps_triggered, 0, "{stats:?}");
     }
 
     /// Satellite: a thread dying inside one shard degrades that shard
@@ -1870,6 +1793,7 @@ mod tests {
         let mut h = rt.handle(0);
         let obj = h.olr_malloc(&info).unwrap();
         let keep = h.olr_malloc(&info).unwrap();
+        let raw = h.malloc_raw(64).unwrap();
         h.write_field(keep, info.hash(), 1, 77).unwrap();
         let victim = (obj.0 / rt.shard_span()) as usize;
 
@@ -1885,12 +1809,13 @@ mod tests {
             RuntimeError::ShardPoisoned { shard } if shard == victim
         ));
         // The lock-free free path stays available on the degraded shard
-        // (claim + remote push, no mutex)...
+        // (claim + remote push, no mutex), detections included...
         h.olr_free(obj).unwrap();
-        // ...while a free the fast path cannot classify (here: a double
-        // free) falls back to the mutex and reports the degradation.
+        assert!(matches!(h.olr_free(obj).unwrap_err(), RuntimeError::DoubleFree(_)));
+        // ...while a free that needs the heap (here: an untracked
+        // buffer) falls back to the mutex and reports the degradation.
         assert!(matches!(
-            h.olr_free(obj).unwrap_err(),
+            h.olr_free(raw).unwrap_err(),
             RuntimeError::ShardPoisoned { shard } if shard == victim
         ));
         // The other shard keeps working.
@@ -1934,8 +1859,8 @@ mod tests {
         // A program frees a live object's block raw, then frees the
         // dangling pointer through the lock-free path: the claim
         // succeeds, but the drain finds nothing to release. The locked
-        // paths keep seeing the object live; lock-free reads defer to
-        // them.
+        // paths keep seeing the object live, and so does the lock-free
+        // classifier.
         let rt = sharded(1);
         let info = people();
         let mut h = rt.handle(0);
@@ -1953,8 +1878,8 @@ mod tests {
         let before = h.stats();
         h.olr_getptr(obj, info.hash(), 1).unwrap();
         let after = h.stats();
-        assert_eq!(after.lockfree_fallbacks, before.lockfree_fallbacks + 1);
-        assert_eq!(after.lockfree_reads, before.lockfree_reads);
+        assert_eq!(after.lockfree_fallbacks, before.lockfree_fallbacks);
+        assert_eq!(after.lockfree_reads, before.lockfree_reads + 1);
         // Freeing it again reaches the heap, which reports the raw free.
         assert!(matches!(h.olr_free(obj), Err(RuntimeError::Heap(HeapError::DoubleFree(_)))));
     }

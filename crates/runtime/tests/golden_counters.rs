@@ -500,8 +500,8 @@ const GOLDEN_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
     probe_traps: 0,
     pool_hits: 76,
     pool_refills: 9,
-    lockfree_reads: 188,
-    lockfree_fallbacks: 110,
+    lockfree_reads: 298,
+    lockfree_fallbacks: 0,
     magazine_hits: 100,
     magazine_refills: 4,
     magazine_returns: 24,
@@ -531,8 +531,8 @@ const GOLDEN_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     probe_traps: 0,
     pool_hits: 61,
     pool_refills: 9,
-    lockfree_reads: 188,
-    lockfree_fallbacks: 110,
+    lockfree_reads: 298,
+    lockfree_fallbacks: 0,
     magazine_hits: 0,
     magazine_refills: 0,
     magazine_returns: 0,
@@ -562,8 +562,8 @@ const GOLDEN_TWO_HANDLES: RuntimeStats = RuntimeStats {
     probe_traps: 0,
     pool_hits: 71,
     pool_refills: 14,
-    lockfree_reads: 188,
-    lockfree_fallbacks: 110,
+    lockfree_reads: 298,
+    lockfree_fallbacks: 0,
     magazine_hits: 99,
     magazine_refills: 5,
     magazine_returns: 56,
@@ -900,8 +900,8 @@ const GOLDEN_REUSE_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
     probe_traps: 0,
     pool_hits: 71,
     pool_refills: 9,
-    lockfree_reads: 107,
-    lockfree_fallbacks: 106,
+    lockfree_reads: 213,
+    lockfree_fallbacks: 0,
     magazine_hits: 101,
     magazine_refills: 5,
     magazine_returns: 54,
@@ -931,8 +931,8 @@ const GOLDEN_REUSE_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     probe_traps: 0,
     pool_hits: 50,
     pool_refills: 8,
-    lockfree_reads: 110,
-    lockfree_fallbacks: 103,
+    lockfree_reads: 213,
+    lockfree_fallbacks: 0,
     magazine_hits: 0,
     magazine_refills: 0,
     magazine_returns: 0,

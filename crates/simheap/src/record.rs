@@ -49,9 +49,9 @@ pub const PUB_STATE_LIVE: u32 = 1;
 pub const PUB_STATE_FREED: u32 = 2;
 /// Record state: a lock-free free claimed the object, but when the owner
 /// drained the claim the block had already been released through the
-/// raw heap path, so nothing was freed. The owner keeps treating the
-/// object as live; lock-free paths, which only act on
-/// [`PUB_STATE_LIVE`], defer to the owner.
+/// raw heap path, so nothing was freed. Readers classify the object as
+/// live; only a lock-free free claim, which needs [`PUB_STATE_LIVE`],
+/// is refused and left to the owner.
 pub const PUB_STATE_STRANDED: u32 = 3;
 
 /// Shift of the metadata generation inside a packed `life` word.
@@ -157,6 +157,33 @@ impl SlotRecord {
     #[inline]
     pub fn warm_probe(&self) -> bool {
         self.warmed.load(Relaxed) == 1 || self.warmed.swap(1, Relaxed) == 1
+    }
+
+    /// A copy of the record, as slot `slot`, without seqlock validation:
+    /// the owner's view, for the reason [`SlotRecord::current_state`]
+    /// gives (the lifecycle pair is one word, read once). Other readers
+    /// go through [`SlotRecords::try_snapshot_slot`].
+    #[inline]
+    pub fn snapshot(&self, slot: u32) -> PubSnapshot {
+        self.copy(slot, self.seq.load(Relaxed))
+    }
+
+    #[inline]
+    fn copy(&self, slot: u32, seq: u64) -> PubSnapshot {
+        let life = self.life.load(Relaxed);
+        let state = (life & LIFE_STATE_MASK) as u32;
+        PubSnapshot {
+            slot,
+            seq,
+            base: self.base.load(Relaxed),
+            heap_gen: self.heap_gen.load(Relaxed),
+            meta_gen: life >> LIFE_GEN_SHIFT,
+            class_hash: self.class_hash.load(Relaxed),
+            plan_hash: self.plan_hash.load(Relaxed),
+            plan_id: (state != PUB_STATE_NONE).then(|| self.plan_id.load(Relaxed)),
+            state,
+            warmed: self.warmed.load(Relaxed) == 1,
+        }
     }
 }
 
@@ -361,20 +388,7 @@ impl SlotRecords {
         if s1 & 1 == 1 {
             return SnapshotOutcome::Unstable;
         }
-        let life = r.life.load(Relaxed);
-        let state = (life & LIFE_STATE_MASK) as u32;
-        let snap = PubSnapshot {
-            slot,
-            seq: s1,
-            base: r.base.load(Relaxed),
-            heap_gen: r.heap_gen.load(Relaxed),
-            meta_gen: life >> LIFE_GEN_SHIFT,
-            class_hash: r.class_hash.load(Relaxed),
-            plan_hash: r.plan_hash.load(Relaxed),
-            plan_id: (state != PUB_STATE_NONE).then(|| r.plan_id.load(Relaxed)),
-            state,
-            warmed: r.warmed.load(Relaxed) == 1,
-        };
+        let snap = r.copy(slot, s1);
         fence(Acquire);
         if r.seq.load(Relaxed) != s1 {
             return SnapshotOutcome::Unstable;
@@ -427,6 +441,7 @@ mod tests {
         assert_eq!(s.state, PUB_STATE_LIVE);
         assert!(t.recheck(0, s.seq));
         let r = t.get(0).unwrap();
+        assert_eq!(r.snapshot(0), s, "the owner's copy equals a validated snapshot");
         assert_eq!(r.current_state(), Some(PUB_STATE_LIVE));
         let fields = (r.class_hash(), r.plan_hash(), r.plan_id(), r.record_gen());
         assert_eq!(fields, (0xC1A55, 0x91A4, 7, 1));

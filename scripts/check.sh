@@ -86,10 +86,21 @@ echo "== lock-free stress smoke (release) =="
 # Read-dominated contention over one shared object set (the contend
 # mix): readers race writer seqlock windows with a torn-read oracle on
 # every load, thread count clamped to the detected parallelism. Checks
-# the counting partition (every read = one lock-free hit XOR one mutex
-# fallback) and that pure readers never leave the optimistic path.
+# the counting partition (every read is counted once: classified
+# without the lock, hit or detection alike, or served by the mutex
+# after the retry budget ran out under contention) and that pure
+# readers never leave the optimistic path.
 cargo test -q --offline --release -p polar-bench --test stress_lockfree -- --nocapture
 echo "ok: lock-free stress green"
+
+echo "== differential detection property (release) =="
+# One classifier decides every member access and free, under the shard
+# lock and without it. The tier-1 run replays 96 generated op tapes
+# through the plain runtime, one-shard handles with magazines on and off
+# and two handles on two shards; this stage replays 4000, so a rare op
+# mix that classifies or counts differently on one surface is caught.
+POLAR_CHECK_CASES=4000 cargo test -q --offline --release -p polar-runtime --test classify_props
+echo "ok: differential property green"
 
 echo "== stateless default smoke =="
 # Boots the stock config (stateless derived plans are the small-class
