@@ -2,12 +2,14 @@
 //! their unhardened equivalents — where the Figure 6 overhead actually
 //! comes from.
 
+use std::hint::black_box;
 use std::sync::Arc;
 
 use polar_bench::micro::Criterion;
 use polar_bench::{bench_group, bench_main};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
 use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig};
+use polar_simheap::{Addr, HeapConfig, SimHeap};
 
 fn probe() -> Arc<ClassInfo> {
     Arc::new(ClassInfo::from_decl(
@@ -90,5 +92,21 @@ fn bench_memcpy(c: &mut Criterion) {
     group.finish();
 }
 
-bench_group!(benches, bench_alloc_free, bench_getptr, bench_memcpy);
+/// The heap's address → block hops: the unit index, then the slot
+/// record. Slot ids below 64 sit in the record table's first segments,
+/// ids from 2^17 in a later, larger one.
+fn bench_heap_locate(c: &mut Criterion) {
+    let mut heap = SimHeap::new(HeapConfig { capacity: 1 << 30, ..HeapConfig::default() });
+    let blocks: Vec<Addr> = (0..=1usize << 17).map(|_| heap.malloc(256).expect("alloc")).collect();
+    let (low, high) = (blocks[7], blocks[1 << 17]);
+    let mut group = c.benchmark_group("heap_locate");
+    group.bench_function("slot_gen_slot_lt_64", |b| b.iter(|| heap.slot_gen(black_box(low))));
+    group.bench_function("slot_gen_slot_ge_2e17", |b| b.iter(|| heap.slot_gen(black_box(high))));
+    group.bench_function("block_containing_interior", |b| {
+        b.iter(|| heap.block_containing(black_box(high.offset(200))))
+    });
+    group.finish();
+}
+
+bench_group!(benches, bench_alloc_free, bench_getptr, bench_memcpy, bench_heap_locate);
 bench_main!(benches);

@@ -1755,9 +1755,10 @@ mod tests {
         let mut rt = polar_rt();
         let info = people();
         let obj = rt.olr_malloc(&info).unwrap();
-        // Re-request the block's own size: the stateless path mallocs
-        // the identity-independent bound, which can exceed plan.size().
-        let size = rt.heap().block_at(obj).unwrap().requested;
+        // Re-request the block's own class size: the stateless path
+        // mallocs the identity-independent bound, which can exceed
+        // plan.size().
+        let size = rt.heap().block_at(obj).unwrap().size;
         rt.free_raw(obj).unwrap();
         let buf = rt.malloc_raw(size).unwrap();
         assert_eq!(obj, buf, "allocator should reuse the slot");

@@ -38,8 +38,8 @@
 //!   ([`SimHeap::new_published`](polar_simheap::SimHeap::new_published)):
 //!   its per-slot object records — the one metadata record of each
 //!   object, which the shard's locked paths read and write directly —
-//!   are seqlocked and reachable by address through the heap's
-//!   [`HeapPublisher`] unit index, and plans live in a shared
+//!   are seqlocked and reachable by address through the heap's unit
+//!   index, which its [`HeapPublisher`] shares, and plans live in a shared
 //!   [`PlanRegistry`] resolvable by integer id. So
 //!   [`ShardHandle::olr_getptr`], [`ShardHandle::olr_getptr_ic`] and
 //!   [`ShardHandle::read_field`] run with **no lock at all**: snapshot

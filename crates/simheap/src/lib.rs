@@ -16,6 +16,14 @@
 //! ([`SimHeap::read_in_block`], [`SimHeap::write_in_block`]) are available
 //! for tooling that wants ASan-like precision.
 //!
+//! Block metadata lives outside the arena, in two tables and nothing
+//! else: one cache-line [`SlotRecord`] per block (base, span, state and
+//! allocation generation, beside the POLaR runtime's object record) and
+//! one unit index from every 16-byte arena unit to the block
+//! covering it. A 256 B block thus costs 128 B of heap metadata, on a
+//! published heap ([`SimHeap::new_published`]) as on a standalone one:
+//! the publisher shares the heap's index instead of keeping its own.
+//!
 //! # Example
 //!
 //! ```
@@ -46,6 +54,8 @@ mod publish;
 mod record;
 mod shared;
 
+use publish::UnitIndex;
+use record::MAX_SPAN_UNITS;
 use shared::SharedArena;
 
 pub use publish::HeapPublisher;
@@ -120,6 +130,13 @@ pub enum HeapError {
     /// recovery — while the offending entry is dropped from the
     /// quarantine rather than recycled blind.
     IndexCorrupt(Addr),
+    /// An integer access of a width other than 1, 2, 4 or 8 bytes.
+    InvalidWidth {
+        /// Accessed address.
+        addr: Addr,
+        /// Requested width in bytes.
+        width: usize,
+    },
 }
 
 impl fmt::Display for HeapError {
@@ -140,6 +157,9 @@ impl fmt::Display for HeapError {
             HeapError::IndexCorrupt(a) => {
                 write!(f, "allocator index lost track of quarantined block {a}")
             }
+            HeapError::InvalidWidth { addr, width } => {
+                write!(f, "integer access of invalid width {width} at {addr}")
+            }
         }
     }
 }
@@ -155,16 +175,15 @@ pub enum BlockState {
     Freed,
 }
 
-/// Metadata the allocator keeps about one block (outside the arena, so
-/// exploits target object data rather than allocator metadata).
+/// The allocator's view of one block, read from its [`SlotRecord`]
+/// (outside the arena, so exploits target object data rather than
+/// allocator metadata).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInfo {
     /// Base address of the usable block.
     pub base: Addr,
     /// Usable size in bytes (the rounded size-class size).
     pub size: usize,
-    /// Requested size at allocation time.
-    pub requested: usize,
     /// Current lifecycle state.
     pub state: BlockState,
     /// Monotonic allocation generation; bumped each time the slot is
@@ -329,26 +348,16 @@ impl ArenaStore {
         }
     }
 
+    /// `None` when the range is not committed.
     #[inline]
-    fn read_uint(&self, start: usize, width: usize) -> u64 {
+    fn read_uint(&self, start: usize, width: usize) -> Option<u64> {
         match self {
             ArenaStore::Local(v) => {
                 let mut buf = [0u8; 8];
-                buf[..width].copy_from_slice(&v[start..start + width]);
-                u64::from_le_bytes(buf)
+                buf[..width].copy_from_slice(v.get(start..start + width)?);
+                Some(u64::from_le_bytes(buf))
             }
-            ArenaStore::Shared(a) => {
-                a.read_uint(start, width).expect("access within the committed arena")
-            }
-        }
-    }
-
-    fn write_uint(&mut self, start: usize, value: u64, width: usize) {
-        match self {
-            ArenaStore::Local(v) => {
-                v[start..start + width].copy_from_slice(&value.to_le_bytes()[..width]);
-            }
-            ArenaStore::Shared(a) => a.write_uint(start, value, width),
+            ArenaStore::Shared(a) => a.read_uint(start, width),
         }
     }
 
@@ -393,43 +402,44 @@ fn placement_mask(bits: u32) -> u64 {
     (1u64 << bits.min(MAX_PLACEMENT_BITS)) - 1
 }
 
-/// The simulated heap: arena + segregated freelists + block table.
+/// The simulated heap: arena + segregated freelists + slot records.
 ///
-/// Block metadata lives in dense structures instead of a hashtable:
-/// `slots` is an append-only table of [`BlockInfo`] records — one per
-/// distinct base address the allocator has ever handed out, identified
-/// by a stable **slot id** — and `index` maps every [`ALIGN`]-sized
-/// arena unit to the slot covering it (`0` = unowned: never allocated,
-/// or a redzone gap). Every metadata lookup, base-exact or interior, is
-/// therefore a constant-time array read. The same slot ids index the
-/// heap's [`SlotRecords`], the one per-object record the POLaR runtime
-/// keeps.
+/// Block metadata lives in two dense tables instead of a hashtable:
+/// every distinct base address the allocator has ever handed out gets a
+/// stable **slot id** and one [`SlotRecord`] — block base, span, state
+/// and generation beside the POLaR runtime's object record — and a unit
+/// index maps every 16-byte arena unit to the slot covering it.
+/// Every metadata lookup, base-exact or interior, is therefore a
+/// constant-time table read, and a freed block keeps its record.
 #[derive(Debug)]
 pub struct SimHeap {
     store: ArenaStore,
     config: HeapConfig,
-    free_lists: [Vec<u64>; SIZE_CLASSES.len()],
-    large_free: Vec<(u64, usize)>,
+    /// Per-class free lists of slot ids: a reused block is found through
+    /// its record, with no unit-index walk.
+    free_lists: [Vec<u32>; SIZE_CLASSES.len()],
+    /// Freed oversize spans as `(slot id, span)`.
+    large_free: Vec<(u32, usize)>,
     quarantine: VecDeque<Addr>,
-    /// Dense block table, indexed by slot id; entries are never removed
-    /// (freed blocks keep their record, exactly like the old hashtable).
-    slots: Vec<BlockInfo>,
-    /// `addr / ALIGN → slot id + 1` for every unit a block covers.
-    index: Vec<u32>,
+    /// Slot ids handed out so far (the next fresh block's id).
+    slot_count: u32,
+    /// The one `address → slot` map; shared with the publisher on a
+    /// published heap.
+    units: UnitIndex,
     /// Per-size-class shuffle buffers: freed blocks held back from their
     /// free list and released in random order
     /// ([`PlacementPolicy::shuffle_depth`]). Blocks in here are `Freed`,
     /// exactly like free-list entries; empty when shuffling is off.
-    shuffle: [Vec<u64>; SIZE_CLASSES.len()],
+    shuffle: [Vec<u32>; SIZE_CLASSES.len()],
     /// Seeded stream every placement decision draws from; never advanced
     /// when the placement policy is fully disabled.
     placement_rng: SplitMix64,
     stats: HeapStats,
-    /// One record per slot: block identity plus the runtime's object
+    /// One record per slot: the block plus the runtime's object
     /// metadata. Shared with the publisher on a published heap.
     records: Arc<SlotRecords>,
-    /// Lock-free reader access (shared arena, unit index); `None` for
-    /// ordinary (local, single-threaded) heaps.
+    /// Lock-free reader access (shared arena, unit index, records);
+    /// `None` for ordinary (local, single-threaded) heaps.
     publisher: Option<Arc<HeapPublisher>>,
 }
 
@@ -453,12 +463,14 @@ impl SimHeap {
             extent = (ALIGN + units as usize * ALIGN).min((config.capacity / 2).max(ALIGN));
         }
         let records = Arc::new(SlotRecords::default());
-        let publisher = published.then(|| {
-            Arc::new(HeapPublisher::new(config.capacity, config.arena_base, Arc::clone(&records)))
-        });
-        let mut store = match &publisher {
-            Some(p) => ArenaStore::Shared(p.arena_handle()),
-            None => ArenaStore::Local(Vec::new()),
+        let units = UnitIndex::new(config.capacity, config.arena_base);
+        let (mut store, publisher) = if published {
+            let arena = Arc::new(SharedArena::new(config.capacity));
+            let (units, records) = (units.clone(), Arc::clone(&records));
+            let p = HeapPublisher { arena: Arc::clone(&arena), units, records };
+            (ArenaStore::Shared(arena), Some(Arc::new(p)))
+        } else {
+            (ArenaStore::Local(Vec::new()), None)
         };
         store.grow_to(extent);
         SimHeap {
@@ -467,8 +479,8 @@ impl SimHeap {
             free_lists: Default::default(),
             large_free: Vec::new(),
             quarantine: VecDeque::new(),
-            slots: Vec::new(),
-            index: vec![0],
+            slot_count: 0,
+            units,
             shuffle: Default::default(),
             placement_rng: rng,
             stats: HeapStats::default(),
@@ -478,11 +490,11 @@ impl SimHeap {
     }
 
     /// Create a **published** heap: arena bytes live in a shared atomic
-    /// store and a [`HeapPublisher`] unit index leads any address to its
-    /// seqlocked slot record, so other threads can read fields and
-    /// snapshots without this heap's owner lock. Mutation still requires
-    /// `&mut self` (the owner serializes writers); the record seqlocks
-    /// order the racing readers.
+    /// store, and a [`HeapPublisher`] shares them and the unit index that
+    /// leads any address to its seqlocked slot record, so other threads
+    /// can read fields and snapshots without this heap's owner lock.
+    /// Mutation still requires `&mut self` (the owner serializes
+    /// writers); the record seqlocks order the racing readers.
     ///
     /// Borrowing reads ([`SimHeap::read`], [`SimHeap::read_in_block`])
     /// panic on a published heap — use [`SimHeap::read_vec`],
@@ -555,7 +567,8 @@ impl SimHeap {
     /// # Errors
     ///
     /// [`HeapError::ZeroSize`] for `size == 0`;
-    /// [`HeapError::OutOfMemory`] when the arena capacity is exhausted.
+    /// [`HeapError::OutOfMemory`] when the arena capacity is exhausted or
+    /// the span exceeds what a slot record holds (`2^31 - 1` units).
     pub fn malloc(&mut self, size: usize) -> Result<Addr, HeapError> {
         self.malloc_slot(size).map(|(addr, _, _)| addr)
     }
@@ -571,11 +584,10 @@ impl SimHeap {
         if size == 0 {
             return Err(HeapError::ZeroSize);
         }
-        let (base, usable) = match size_class(size) {
+        let (reused, usable) = match size_class(size) {
             Some(class) => {
-                let usable = SIZE_CLASSES[class];
                 let popped = self.free_lists[class].pop();
-                let base = if !self.shuffle[class].is_empty() {
+                let reused = if !self.shuffle[class].is_empty() {
                     // Shuffle swap: the block actually handed out comes
                     // from a random buffer slot; the freshly popped one
                     // (if any) takes its place for a later allocation.
@@ -583,19 +595,20 @@ impl SimHeap {
                         % self.shuffle[class].len() as u64)
                         as usize;
                     Some(match popped {
-                        Some(base) => std::mem::replace(&mut self.shuffle[class][pick], base),
+                        Some(slot) => std::mem::replace(&mut self.shuffle[class][pick], slot),
                         None => self.shuffle[class].swap_remove(pick),
                     })
                 } else {
                     popped
                 };
-                match base {
-                    Some(base) => (base, usable),
-                    None => (self.grow(usable)?, usable),
-                }
+                (reused, SIZE_CLASSES[class])
             }
             None => {
-                let usable = round_up(size, ALIGN);
+                let units = size.div_ceil(ALIGN);
+                if units > MAX_SPAN_UNITS {
+                    return Err(HeapError::OutOfMemory { requested: size });
+                }
+                let usable = units * ALIGN;
                 // Best fit: the smallest free span that covers the
                 // request, so a 4 KB ask can no longer absorb a 64 KB
                 // block that a later large request would then miss.
@@ -606,59 +619,38 @@ impl SimHeap {
                     .filter(|&(_, &(_, free_size))| free_size >= usable)
                     .min_by_key(|&(_, &(_, free_size))| free_size)
                     .map(|(pos, _)| pos);
-                if let Some(pos) = fit {
-                    let (base, free_size) = self.large_free.swap_remove(pos);
-                    (base, free_size)
-                } else {
-                    (self.grow(usable)?, usable)
-                }
+                (fit.map(|pos| self.large_free.swap_remove(pos).0), usable)
             }
         };
-        let addr = Addr(base);
-        let start = (base - self.config.arena_base) as usize;
-        let (slot, generation, span) = match self.slot_of_base(addr) {
+        let (addr, slot, generation, span) = match reused {
             Some(slot) => {
                 // Reused slot: same base, same span — bump the generation.
                 // The generation bump and the zero-fill race concurrent
                 // readers of a published heap, so both sit inside one
                 // seqlock window; the bump also orphans any object record
-                // on the slot (its meta_gen falls behind heap_gen).
-                self.stats.reuses += 1;
-                let slot = slot as u32;
+                // on the slot (its meta_gen falls behind heap_gen). The
+                // recorded span is authoritative — it can exceed the
+                // class size when a best-fit or re-pooled span serves a
+                // smaller request.
+                let rec = self.records.get(slot).expect("a pooled slot has a record");
+                let old = rec.block_info();
+                let block =
+                    BlockInfo { state: BlockState::Live, generation: old.generation + 1, ..old };
                 let win = self.pub_open(slot);
-                let info = &mut self.slots[slot as usize];
-                // The slot's recorded span is authoritative — it can
-                // exceed the class size when a best-fit or re-pooled
-                // span serves a smaller request.
-                let span = info.size;
-                info.requested = size;
-                info.state = BlockState::Live;
-                info.generation += 1;
-                let generation = info.generation;
-                self.records.set_heap_gen(slot, generation);
+                rec.set_block(block);
+                self.stats.reuses += 1;
                 if self.config.zero_on_alloc {
-                    self.store.fill(start, span, 0);
+                    let start = (block.base.0 - self.config.arena_base) as usize;
+                    self.store.fill(start, block.size, 0);
                 }
                 self.pub_close(slot, win);
-                (slot, generation, span)
+                (block.base, slot, block.generation, block.size)
             }
             None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(BlockInfo {
-                    base: addr,
-                    size: usable,
-                    requested: size,
-                    state: BlockState::Live,
-                    generation: 1,
-                });
-                let first = start / ALIGN;
-                let last = first + usable.div_ceil(ALIGN);
-                if self.index.len() < last {
-                    self.index.resize(last, 0);
-                }
-                for unit in &mut self.index[first..last] {
-                    *unit = slot + 1;
-                }
+                let addr = Addr(self.grow(usable)?);
+                let start = (addr.0 - self.config.arena_base) as usize;
+                let slot = self.slot_count;
+                self.slot_count += 1;
                 if self.config.zero_on_alloc {
                     self.store.fill(start, usable, 0);
                 }
@@ -666,11 +658,11 @@ impl SimHeap {
                 // index points at it — no reader can observe the slot
                 // until the Release unit stores land, so no window is
                 // needed.
-                self.records.init(slot, base);
-                if let Some(p) = &self.publisher {
-                    p.publish_units(first, last, slot);
-                }
-                (slot, 1, usable)
+                let block =
+                    BlockInfo { base: addr, size: usable, state: BlockState::Live, generation: 1 };
+                self.records.ensure(slot).set_block(block);
+                self.units.publish(start / ALIGN, (start + usable) / ALIGN, slot);
+                (addr, slot, 1, usable)
             }
         };
         self.stats.allocs += 1;
@@ -691,7 +683,7 @@ impl SimHeap {
                 & placement_mask(self.config.placement.guard_gap_bits);
             base += units as usize * ALIGN;
         }
-        let new_len = base + usable + round_up(self.config.redzone, ALIGN);
+        let new_len = base + usable + self.config.redzone.next_multiple_of(ALIGN);
         if new_len > self.config.capacity {
             return Err(HeapError::OutOfMemory { requested: usable });
         }
@@ -714,31 +706,29 @@ impl SimHeap {
     /// to be recycled no longer has an owning slot (the block itself was
     /// freed successfully; the corrupt entry is dropped, not recycled).
     pub fn free(&mut self, addr: Addr) -> Result<(), HeapError> {
-        let slot = match self.slot_of_base(addr) {
-            Some(slot) => slot,
-            None => return Err(HeapError::InvalidFree(addr)),
+        let Some((slot, rec)) = self.record_at(addr) else {
+            return Err(HeapError::InvalidFree(addr));
         };
-        match self.slots[slot].state {
-            BlockState::Freed => return Err(HeapError::DoubleFree(addr)),
-            BlockState::Live => {}
+        let block = rec.block_info();
+        if block.state == BlockState::Freed {
+            return Err(HeapError::DoubleFree(addr));
         }
         // The state flip and the poison fill are one atomic event to a
         // racing lock-free reader: window them together.
-        let win = self.pub_open(slot as u32);
-        self.slots[slot].state = BlockState::Freed;
-        let size = self.slots[slot].size;
+        let win = self.pub_open(slot);
+        rec.set_block(BlockInfo { state: BlockState::Freed, ..block });
         if let Some(poison) = self.config.poison {
             let start = (addr.0 - self.config.arena_base) as usize;
-            self.store.fill(start, size, poison);
+            self.store.fill(start, block.size, poison);
         }
-        self.pub_close(slot as u32, win);
+        self.pub_close(slot, win);
         self.stats.frees += 1;
-        self.stats.bytes_live -= size;
+        self.stats.bytes_live -= block.size;
         if self.config.quarantine == 0 {
             // Immediate reuse (the default): the block just freed is the
             // one released — skip the deque round-trip and the second
             // slot lookup it would cost on every free.
-            self.release_to_free_list(addr, size);
+            self.release_to_free_list(slot, block.size);
             return Ok(());
         }
         self.quarantine.push_back(addr);
@@ -749,15 +739,15 @@ impl SimHeap {
                 0
             };
             let released = self.quarantine.remove(pick).expect("non-empty");
-            let released_size = match self.slot_of_base(released) {
-                Some(slot) => self.slots[slot].size,
-                // The unit index no longer maps this base to a slot:
-                // metadata corruption. Drop the entry (recycling it
-                // blind could alias a live block) and surface the
-                // error instead of panicking.
-                None => return Err(HeapError::IndexCorrupt(released)),
+            // The unit index no longer maps this base to a slot:
+            // metadata corruption. Drop the entry (recycling it blind
+            // could alias a live block) and surface the error instead of
+            // panicking.
+            let Some((slot, evicted)) = self.record_at(released) else {
+                return Err(HeapError::IndexCorrupt(released));
             };
-            self.release_to_free_list(released, released_size);
+            let size = evicted.block_info().size;
+            self.release_to_free_list(slot, size);
         }
         Ok(())
     }
@@ -766,7 +756,7 @@ impl SimHeap {
     /// when a shuffle buffer is configured, hold it back and release a
     /// random previously-buffered block in its place.
     #[inline]
-    fn release_to_free_list(&mut self, released: Addr, released_size: usize) {
+    fn release_to_free_list(&mut self, released: u32, released_size: usize) {
         match release_class(released_size) {
             Some(class) => {
                 let depth = self.config.placement.shuffle_depth;
@@ -774,19 +764,19 @@ impl SimHeap {
                     if self.shuffle[class].len() < depth {
                         // Buffer not yet full: hold the block back; it
                         // only becomes reusable via a random swap.
-                        self.shuffle[class].push(released.0);
+                        self.shuffle[class].push(released);
                         return;
                     }
                     let pick =
                         (self.placement_rng.next_u64() % depth as u64) as usize;
                     let evicted =
-                        std::mem::replace(&mut self.shuffle[class][pick], released.0);
+                        std::mem::replace(&mut self.shuffle[class][pick], released);
                     self.free_lists[class].push(evicted);
                 } else {
-                    self.free_lists[class].push(released.0);
+                    self.free_lists[class].push(released);
                 }
             }
-            None => self.large_free.push((released.0, released_size)),
+            None => self.large_free.push((released, released_size)),
         }
     }
 
@@ -796,39 +786,22 @@ impl SimHeap {
     /// and only ever hold freed blocks). Not a stable API.
     #[doc(hidden)]
     pub fn free_pool_snapshot(&self) -> (Vec<Vec<u64>>, Vec<(u64, usize)>, Vec<u64>) {
+        let base = |&slot: &u32| self.records.get(slot).map_or(0, SlotRecord::base);
         (
-            self.free_lists.iter().cloned().collect(),
-            self.large_free.clone(),
-            self.shuffle.iter().flatten().copied().collect(),
+            self.free_lists.iter().map(|list| list.iter().map(base).collect()).collect(),
+            self.large_free.iter().map(|(slot, size)| (base(slot), *size)).collect(),
+            self.shuffle.iter().flatten().map(base).collect(),
         )
-    }
-
-    /// Slot id covering `addr` (any interior byte), if a block owns it.
-    #[inline]
-    fn slot_containing(&self, addr: Addr) -> Option<usize> {
-        let unit = (self.local(addr)? as usize) / ALIGN;
-        match self.index.get(unit) {
-            Some(&raw) if raw != 0 => Some(raw as usize - 1),
-            _ => None,
-        }
     }
 
     /// The slot record of the block based exactly at `addr`, with its
     /// slot id. O(1) through the arena-unit index; the record's own base
-    /// decides whether `addr` is a base, so the block table is not
-    /// touched.
+    /// decides whether `addr` is a base.
     #[inline]
     pub fn record_at(&self, addr: Addr) -> Option<(u32, &SlotRecord)> {
-        let slot = self.slot_containing(addr)? as u32;
+        let slot = self.units.slot_of(addr.0)?;
         let rec = self.records.get(slot)?;
         (rec.base() == addr.0).then_some((slot, rec))
-    }
-
-    /// Slot id when `addr` is exactly a block base.
-    #[inline]
-    fn slot_of_base(&self, addr: Addr) -> Option<usize> {
-        let slot = self.slot_containing(addr)?;
-        (self.slots.get(slot)?.base == addr).then_some(slot)
     }
 
     /// Stable dense slot id and current allocation generation for a block
@@ -841,25 +814,21 @@ impl SimHeap {
     /// instead of explicitly removing it.
     #[inline]
     pub fn slot_gen(&self, addr: Addr) -> Option<(u32, u64)> {
-        let slot = self.slot_containing(addr)?;
-        let info = self.slots.get(slot)?;
-        (info.base == addr).then(|| (slot as u32, info.generation))
+        self.record_at(addr).map(|(slot, rec)| (slot, rec.block_info().generation))
     }
 
     /// Number of distinct block slots ever created (freed slots included).
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.slot_count as usize
     }
 
-    /// Bytes of heap metadata: the block table, the arena-unit index,
-    /// the shuffle buffers, the slot records and (when published) the
-    /// lock-free unit index.
+    /// Bytes of heap metadata: the slot records, the unit index (one
+    /// table, shared with the publisher on a published heap) and the
+    /// shuffle buffers.
     pub fn metadata_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<BlockInfo>()
-            + self.index.capacity() * std::mem::size_of::<u32>()
-            + self.shuffle.iter().map(|b| b.capacity() * std::mem::size_of::<u64>()).sum::<usize>()
-            + self.records.metadata_bytes()
-            + self.publisher.as_ref().map_or(0, |p| p.metadata_bytes())
+        self.records.metadata_bytes()
+            + self.units.metadata_bytes()
+            + self.shuffle.iter().map(|b| b.capacity() * std::mem::size_of::<u32>()).sum::<usize>()
     }
 
     /// Block metadata for the block *containing* `addr`, if any. O(1)
@@ -868,12 +837,12 @@ impl SimHeap {
     /// This is a diagnostic/tooling interface (the runtime and sanitizers
     /// use it); ordinary program accesses never consult it.
     pub fn block_containing(&self, addr: Addr) -> Option<BlockInfo> {
-        self.slot_containing(addr).map(|slot| self.slots[slot])
+        self.block_by_slot(self.units.slot_of(addr.0)?)
     }
 
     /// Block metadata when `addr` is exactly a block base. O(1).
     pub fn block_at(&self, addr: Addr) -> Option<BlockInfo> {
-        self.slot_of_base(addr).map(|slot| self.slots[slot])
+        self.record_at(addr).map(|(_, rec)| rec.block_info())
     }
 
     /// Block metadata by dense slot id (the id [`SimHeap::slot_gen`]
@@ -881,7 +850,8 @@ impl SimHeap {
     /// ids never handed out. Remote-free intake uses this to map a
     /// drained slot index back to its block base.
     pub fn block_by_slot(&self, slot: u32) -> Option<BlockInfo> {
-        self.slots.get(slot as usize).copied()
+        let rec = self.records.get(slot).filter(|_| slot < self.slot_count)?;
+        Some(rec.block_info())
     }
 
     fn check_range(&self, addr: Addr, len: usize) -> Result<(usize, usize), HeapError> {
@@ -956,34 +926,34 @@ impl SimHeap {
         Ok(())
     }
 
+    /// The arena range of a `width`-byte integer access at `addr`.
+    fn check_uint(&self, addr: Addr, width: usize) -> Result<usize, HeapError> {
+        match width {
+            1 | 2 | 4 | 8 => self.check_range(addr, width).map(|(start, _)| start),
+            _ => Err(HeapError::InvalidWidth { addr, width }),
+        }
+    }
+
     /// Read an unsigned little-endian integer of `width` ∈ {1,2,4,8} bytes.
     ///
     /// # Errors
     ///
+    /// [`HeapError::InvalidWidth`] for any other width;
     /// [`HeapError::Fault`] as for [`SimHeap::read`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 1, 2, 4 or 8.
     pub fn read_uint(&self, addr: Addr, width: usize) -> Result<u64, HeapError> {
-        assert!(matches!(width, 1 | 2 | 4 | 8), "invalid width {width}");
-        let (start, _) = self.check_range(addr, width)?;
-        Ok(self.store.read_uint(start, width))
+        let start = self.check_uint(addr, width)?;
+        self.store.read_uint(start, width).ok_or(HeapError::Fault { addr, len: width })
     }
 
     /// Write the low `width` bytes of `value` little-endian at `addr`.
     ///
     /// # Errors
     ///
+    /// [`HeapError::InvalidWidth`] for a width other than 1, 2, 4 or 8;
     /// [`HeapError::Fault`] as for [`SimHeap::write`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not 1, 2, 4 or 8.
     pub fn write_uint(&mut self, addr: Addr, value: u64, width: usize) -> Result<(), HeapError> {
-        assert!(matches!(width, 1 | 2 | 4 | 8), "invalid width {width}");
-        let (start, _) = self.check_range(addr, width)?;
-        self.store.write_uint(start, value, width);
+        let start = self.check_uint(addr, width)?;
+        self.store.write(start, &value.to_le_bytes()[..width]);
         Ok(())
     }
 
@@ -1088,13 +1058,9 @@ impl SimHeap {
     }
 
     /// Iterate over all blocks the allocator knows about (live and freed).
-    pub fn blocks(&self) -> impl Iterator<Item = &BlockInfo> {
-        self.slots.iter()
+    pub fn blocks(&self) -> impl Iterator<Item = BlockInfo> + '_ {
+        (0..self.slot_count).filter_map(|slot| self.block_by_slot(slot))
     }
-}
-
-fn round_up(value: usize, to: usize) -> usize {
-    (value + to - 1) & !(to - 1)
 }
 
 #[cfg(test)]
@@ -1247,6 +1213,14 @@ mod tests {
     }
 
     #[test]
+    fn stores_report_uncommitted_integer_loads() {
+        let shared = ArenaStore::Shared(Arc::new(SharedArena::new(64)));
+        for store in [ArenaStore::Local(vec![0; 16]), shared] {
+            assert_eq!(store.read_uint(12, 8), None, "{store:?}");
+        }
+    }
+
+    #[test]
     fn memmove_handles_overlap() {
         let mut h = heap();
         let a = h.malloc(32).unwrap();
@@ -1306,15 +1280,15 @@ mod tests {
 
     #[test]
     fn corrupt_quarantine_index_surfaces_an_error_not_a_panic() {
-        // Fault injection: clobber the unit index of a quarantined block,
-        // then force its eviction. The old code panicked via
-        // `expect("quarantined block has a slot")`.
+        // Fault injection: point the unit index of a quarantined block at
+        // another slot, then force its eviction. The old code panicked
+        // via `expect("quarantined block has a slot")`.
         let mut h = SimHeap::new(HeapConfig { quarantine: 1, ..HeapConfig::default() });
         let a = h.malloc(32).unwrap();
-        let b = h.malloc(32).unwrap();
+        let (b, slot_b, _) = h.malloc_slot(32).unwrap();
         h.free(a).unwrap(); // `a` sits in quarantine
         let unit = (a.0 as usize) / ALIGN;
-        h.index[unit] = 0; // simulate index corruption
+        h.units.publish(unit, unit + 1, slot_b); // simulate index corruption
         let err = h.free(b).unwrap_err();
         assert_eq!(err, HeapError::IndexCorrupt(a));
         // The corrupt entry was dropped, not recycled: the heap keeps

@@ -1,13 +1,18 @@
-//! Lock-free access to a published heap: the shared arena bytes and the
-//! `address → slot` unit index in front of the heap's record table.
+//! The `address → slot` unit index of every heap, and lock-free access to
+//! a published heap through it.
+//!
+//! Every [`SimHeap`](crate::SimHeap) maps each [`ALIGN`]-sized arena unit
+//! a block covers to the block's slot in a [`UnitIndex`]: the one map
+//! from an address, base or interior, to the slot's [`SlotRecords`]
+//! entry. Its chunks are committed on first write and never move, so the
+//! owner's lookups and other threads' lock-free lookups read the same
+//! table.
 //!
 //! A published heap ([`SimHeap::new_published`](crate::SimHeap::new_published))
-//! keeps its arena in a [`SharedArena`] of atomic words and maps every
-//! [`ALIGN`]-sized arena unit to the slot covering it, so another thread
-//! can go from any address to the slot's [`SlotRecords`] entry without
-//! the heap owner's lock. The records themselves — and their seqlock
-//! protocol — live in [`crate::record`]; this type adds only the two
-//! things a reader needs beyond them.
+//! also keeps its arena in a [`SharedArena`] of atomic words, and its
+//! [`HeapPublisher`] shares the arena, the unit index and the record
+//! table with readers on other threads. The records themselves — and
+//! their seqlock protocol — live in [`crate::record`].
 //!
 //! Unit-index entries are written once per unit (blocks are never split
 //! or merged) with `Release`, after the slot's record is initialized, so
@@ -24,80 +29,85 @@ use crate::ALIGN;
 /// Arena units (`ALIGN` bytes each) per unit-index chunk.
 const UNITS_PER_CHUNK: usize = 16384;
 
-/// The reader side of one published [`SimHeap`]: the shared arena, the
-/// unit index, and the heap's record table.
-///
-/// [`SimHeap`]: crate::SimHeap
-pub struct HeapPublisher {
-    arena: Arc<SharedArena>,
+/// One unit-index chunk, committed on first write.
+type Chunk = OnceLock<Box<[AtomicU32; UNITS_PER_CHUNK]>>;
+
+/// One heap's `addr / ALIGN → slot id + 1` map (`0` = unowned: never
+/// allocated, or a redzone or guard gap), in chunks committed on first
+/// write. Clones share the chunks: the heap and its publisher hold one
+/// each, and a lookup is one chunk-directory load away from its entry.
+#[derive(Clone, Debug)]
+pub(crate) struct UnitIndex {
     arena_base: u64,
-    records: Arc<SlotRecords>,
-    unit_chunks: Box<[OnceLock<Box<[AtomicU32]>>]>,
+    chunks: Arc<[Chunk]>,
 }
 
-impl std::fmt::Debug for HeapPublisher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapPublisher")
-            .field("arena", &self.arena)
-            .field("arena_base", &self.arena_base)
-            .finish()
+impl UnitIndex {
+    /// An index able to cover a heap of `capacity` bytes based at
+    /// `arena_base`.
+    pub(crate) fn new(capacity: usize, arena_base: u64) -> Self {
+        let chunks = (capacity / ALIGN).max(1).div_ceil(UNITS_PER_CHUNK);
+        UnitIndex { arena_base, chunks: (0..chunks).map(|_| Chunk::new()).collect() }
     }
-}
 
-impl HeapPublisher {
-    /// A publisher for a heap of `capacity` bytes based at `arena_base`
-    /// whose records live in `records`.
-    pub(crate) fn new(capacity: usize, arena_base: u64, records: Arc<SlotRecords>) -> Self {
-        let max_units = (capacity / ALIGN).max(1);
-        HeapPublisher {
-            arena: Arc::new(SharedArena::new(capacity)),
-            arena_base,
-            records,
-            unit_chunks: (0..max_units.div_ceil(UNITS_PER_CHUNK))
-                .map(|_| OnceLock::new())
-                .collect(),
+    /// Point local arena units `[first, last)` at `slot` (heap owner
+    /// only). Write-once per unit; the `Release` store makes the slot's
+    /// record initialization visible to any reader that observes the
+    /// entry.
+    pub(crate) fn publish(&self, first: usize, last: usize, slot: u32) {
+        for unit in first..last {
+            let Some(chunk) = self.chunks.get(unit / UNITS_PER_CHUNK) else { return };
+            let entries = chunk.get_or_init(|| {
+                let entries: Box<[AtomicU32]> = (0..UNITS_PER_CHUNK).map(|_| 0.into()).collect();
+                entries.try_into().expect("UNITS_PER_CHUNK entries")
+            });
+            entries[unit % UNITS_PER_CHUNK].store(slot + 1, Release);
         }
     }
 
-    pub(crate) fn arena_handle(&self) -> Arc<SharedArena> {
-        Arc::clone(&self.arena)
+    /// Slot id of the block covering global address `addr` (any interior
+    /// byte), if a block owns it.
+    #[inline]
+    pub(crate) fn slot_of(&self, addr: u64) -> Option<u32> {
+        let unit = addr.checked_sub(self.arena_base)? as usize / ALIGN;
+        let chunk = self.chunks.get(unit / UNITS_PER_CHUNK)?.get()?;
+        chunk[unit % UNITS_PER_CHUNK].load(Acquire).checked_sub(1)
     }
 
+    /// Bytes of the committed chunks plus the chunk directory.
+    pub(crate) fn metadata_bytes(&self) -> usize {
+        let committed = self.chunks.iter().filter(|c| c.get().is_some()).count();
+        committed * UNITS_PER_CHUNK * std::mem::size_of::<AtomicU32>()
+            + std::mem::size_of_val(self.chunks.as_ref())
+    }
+}
+
+/// The reader side of one published [`SimHeap`]: the shared arena, the
+/// heap's unit index, and the heap's record table.
+///
+/// [`SimHeap`]: crate::SimHeap
+#[derive(Debug)]
+pub struct HeapPublisher {
+    pub(crate) arena: Arc<SharedArena>,
+    pub(crate) units: UnitIndex,
+    pub(crate) records: Arc<SlotRecords>,
+}
+
+impl HeapPublisher {
     /// The heap's record table.
     #[inline]
     pub fn records(&self) -> &SlotRecords {
         &self.records
     }
 
-    /// Point arena units `[first, last)` at `slot` (heap owner only).
-    /// Write-once per unit; the `Release` store makes the slot's record
-    /// initialization visible to any reader that observes the entry.
-    pub(crate) fn publish_units(&self, first: usize, last: usize, slot: u32) {
-        for unit in first..last {
-            let (chunk, i) = (unit / UNITS_PER_CHUNK, unit % UNITS_PER_CHUNK);
-            let Some(chunk) = self.unit_chunks.get(chunk) else { return };
-            chunk.get_or_init(|| (0..UNITS_PER_CHUNK).map(|_| AtomicU32::new(0)).collect())[i]
-                .store(slot + 1, Release);
-        }
-    }
-
     /// Attempt a consistent snapshot of the record of the block covering
     /// `addr` (any interior byte).
     #[inline]
     pub fn try_snapshot(&self, addr: u64) -> SnapshotOutcome {
-        let Some(local) = addr.checked_sub(self.arena_base) else {
-            return SnapshotOutcome::Untracked;
-        };
-        let unit = local as usize / ALIGN;
-        let (chunk, i) = (unit / UNITS_PER_CHUNK, unit % UNITS_PER_CHUNK);
-        let slot_plus1 = match self.unit_chunks.get(chunk).and_then(|c| c.get()) {
-            Some(units) => units[i].load(Acquire),
-            None => 0,
-        };
-        if slot_plus1 == 0 {
-            return SnapshotOutcome::Untracked;
+        match self.units.slot_of(addr) {
+            Some(slot) => self.records.try_snapshot_slot(slot),
+            None => SnapshotOutcome::Untracked,
         }
-        self.records.try_snapshot_slot(slot_plus1 - 1)
     }
 
     /// Lock-free little-endian load of `width` ∈ {1,2,4,8} bytes from
@@ -105,17 +115,15 @@ impl HeapPublisher {
     /// with [`SlotRecords::recheck`] before trusting the value.
     #[inline]
     pub fn read_uint(&self, addr: u64, width: usize) -> Option<u64> {
-        let local = addr.checked_sub(self.arena_base)?;
+        let local = addr.checked_sub(self.units.arena_base)?;
         self.arena.read_uint(local as usize, width)
     }
 
-    /// Bytes held by the unit index (committed chunks plus the chunk
-    /// directory). Records are counted with their table; arena bytes are
-    /// program data, not metadata.
+    /// Bytes held by the heap's unit index (committed chunks plus the
+    /// chunk directory). Records are counted with their table; arena
+    /// bytes are program data, not metadata.
     pub fn metadata_bytes(&self) -> usize {
-        let committed = self.unit_chunks.iter().filter(|c| c.get().is_some()).count();
-        committed * UNITS_PER_CHUNK * std::mem::size_of::<AtomicU32>()
-            + std::mem::size_of_val(self.unit_chunks.as_ref())
+        self.units.metadata_bytes()
     }
 }
 
@@ -123,16 +131,19 @@ impl HeapPublisher {
 mod tests {
     use super::*;
     use crate::record::PUB_STATE_LIVE;
+    use crate::{Addr, BlockInfo, BlockState};
 
     #[test]
     fn snapshot_resolves_interior_pointers_through_the_unit_index() {
-        let records = Arc::new(SlotRecords::default());
-        let p = HeapPublisher::new(1 << 20, 0, Arc::clone(&records));
-        records.init(0, 16);
-        p.publish_units(1, 3, 0);
+        let (records, units) = (SlotRecords::default(), UnitIndex::new(1 << 20, 0));
+        let block = BlockInfo { base: Addr(16), size: 32, state: BlockState::Live, generation: 1 };
+        records.ensure(0).set_block(block);
+        units.publish(1, 3, 0);
         let win = records.open(0);
         records.record(0, 0xC1A55, 0x91A4, 7, 1);
         records.close(0, win);
+        let arena = Arc::new(SharedArena::new(1 << 20));
+        let p = HeapPublisher { arena, units, records: Arc::new(records) };
         match (p.try_snapshot(16), p.try_snapshot(40)) {
             (SnapshotOutcome::Snap(a), SnapshotOutcome::Snap(b)) => {
                 assert_eq!(a, b, "interior pointers resolve to the same slot");

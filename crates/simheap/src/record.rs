@@ -4,11 +4,12 @@
 //!
 //! Every [`SimHeap`](crate::SimHeap) owns a [`SlotRecords`] table with
 //! one cache-line [`SlotRecord`] per block slot. The heap keeps the
-//! block identity in it (base address, allocation generation); the
-//! runtime keeps the paper's Figure 4 record in it (class hash, plan
-//! registry id, lifecycle state) plus its offset-cache warm flag and the
-//! remote-free link. Nothing else mirrors it: the locked paths and the
-//! lock-free readers read the same words.
+//! whole block in it (base address, span, heap-level state, allocation
+//! generation): there is no separate block table. The runtime keeps the
+//! paper's Figure 4 record in it (class hash, plan registry id,
+//! lifecycle state) plus its offset-cache warm flag and the remote-free
+//! link. Nothing else mirrors it: the locked paths and the lock-free
+//! readers read the same words.
 //!
 //! Each record carries its own **seqlock** word. On a published heap
 //! ([`SimHeap::new_published`](crate::SimHeap::new_published)) other
@@ -41,6 +42,8 @@ use std::sync::atomic::{fence, AtomicU32, AtomicU64};
 
 use polar_rng::Segments;
 
+use crate::{Addr, BlockInfo, BlockState, ALIGN};
+
 /// Record state: nothing recorded for this slot yet.
 pub const PUB_STATE_NONE: u32 = 0;
 /// Record state: a live tracked object.
@@ -58,6 +61,12 @@ pub const PUB_STATE_STRANDED: u32 = 3;
 const LIFE_GEN_SHIFT: u32 = 2;
 /// Mask of the lifecycle state inside a packed `life` word.
 const LIFE_STATE_MASK: u64 = 0b11;
+/// Offset-cache warm flag: the top bit of the `record_gen` word.
+const WARM: u32 = 1 << 31;
+/// Heap-level Freed flag: bit 0 of the `block` word.
+const BLOCK_FREED: u32 = 1;
+/// Largest block span, in `ALIGN` units, the `block` word can hold.
+pub(crate) const MAX_SPAN_UNITS: usize = (u32::MAX >> 1) as usize;
 
 /// Pack a metadata generation and a `PUB_STATE_*` state into one `life`
 /// word. Keeping both in a single atomic is what makes the lock-free
@@ -79,7 +88,8 @@ pub struct SlotRecord {
     seq: AtomicU64,
     /// Block base address (global).
     base: AtomicU64,
-    /// Heap allocation generation (a copy of `BlockInfo::generation`).
+    /// Heap allocation generation: bumped each time the heap hands the
+    /// block out again.
     heap_gen: AtomicU64,
     /// Packed lifecycle word: `meta_gen << 2 | state` (see
     /// [`pack_life`]). `meta_gen` is the heap generation the object was
@@ -94,11 +104,15 @@ pub struct SlotRecord {
     /// The plan's id in the owner's plan registry.
     plan_id: AtomicU32,
     /// Records ever written on this slot (the object generation a
-    /// runtime reports; 0 = never recorded).
+    /// runtime reports; 0 = never recorded) in the low 31 bits, and the
+    /// offset-cache warm flag in [`WARM`]: the first access to a
+    /// recorded object is a cold metadata touch, later ones count as
+    /// cache hits.
     record_gen: AtomicU32,
-    /// Offset-cache warm flag: the first access to a recorded object is
-    /// a cold metadata touch, later ones count as cache hits.
-    warmed: AtomicU32,
+    /// Heap-owned block word: the span in `ALIGN` units above the
+    /// [`BLOCK_FREED`] bit. Written only by the heap owner; lock-free
+    /// readers never load it.
+    block: AtomicU32,
     /// Intrusive link for the owning shard's remote-free Treiber stack:
     /// the next remote-freed slot id + 1 (0 = end of list). Only
     /// meaningful between a successful [`SlotRecords::claim_free`] and
@@ -149,14 +163,41 @@ impl SlotRecord {
     /// Records ever written on the slot.
     #[inline]
     pub fn record_gen(&self) -> u32 {
-        self.record_gen.load(Relaxed)
+        self.record_gen.load(Relaxed) & !WARM
     }
 
     /// Warm-flag probe: returns whether the record was already warm, and
     /// warms it if not. Relaxed — the flag is a statistic, not a guard.
     #[inline]
     pub fn warm_probe(&self) -> bool {
-        self.warmed.load(Relaxed) == 1 || self.warmed.swap(1, Relaxed) == 1
+        self.record_gen.load(Relaxed) & WARM != 0
+            || self.record_gen.fetch_or(WARM, Relaxed) & WARM != 0
+    }
+
+    /// The heap's view of the block (owner only).
+    #[inline]
+    pub(crate) fn block_info(&self) -> BlockInfo {
+        let block = self.block.load(Relaxed);
+        BlockInfo {
+            base: Addr(self.base()),
+            size: (block >> 1) as usize * ALIGN,
+            state: if block & BLOCK_FREED == 0 { BlockState::Live } else { BlockState::Freed },
+            generation: self.heap_gen.load(Relaxed),
+        }
+    }
+
+    /// Store the heap's view of the block, whose span is at most
+    /// [`MAX_SPAN_UNITS`] `ALIGN` units. A fresh slot needs no window on
+    /// a published heap (the unit index does not point at it yet); a
+    /// reused or freed one is window-required.
+    #[inline]
+    pub(crate) fn set_block(&self, block: BlockInfo) {
+        let units = block.size / ALIGN;
+        debug_assert!(units <= MAX_SPAN_UNITS, "span checked by the allocator");
+        self.base.store(block.base.0, Relaxed);
+        self.heap_gen.store(block.generation, Relaxed);
+        let freed = u32::from(block.state == BlockState::Freed);
+        self.block.store((units as u32) << 1 | freed, Relaxed);
     }
 
     /// A copy of the record, as slot `slot`, without seqlock validation:
@@ -182,7 +223,7 @@ impl SlotRecord {
             plan_hash: self.plan_hash.load(Relaxed),
             plan_id: (state != PUB_STATE_NONE).then(|| self.plan_id.load(Relaxed)),
             state,
-            warmed: self.warmed.load(Relaxed) == 1,
+            warmed: self.record_gen.load(Relaxed) & WARM != 0,
         }
     }
 }
@@ -267,18 +308,10 @@ impl SlotRecords {
         debug_assert!(prev & 1 == 1 && prev > token, "close pairs with an open");
     }
 
-    /// Initialize a fresh slot's block identity. On a published heap the
-    /// unit index does not point at the slot yet, so no window is
-    /// needed.
-    pub(crate) fn init(&self, slot: u32, base: u64) {
-        let r = self.records.ensure(slot);
-        r.base.store(base, Relaxed);
-        r.heap_gen.store(1, Relaxed);
-    }
-
-    /// Record a heap-generation bump (slot reuse). Window-required.
-    pub(crate) fn set_heap_gen(&self, slot: u32, heap_gen: u64) {
-        self.records.ensure(slot).heap_gen.store(heap_gen, Relaxed);
+    /// `slot`'s record, committing its segment first (the heap owner
+    /// only, for a slot it is about to hand out).
+    pub(crate) fn ensure(&self, slot: u32) -> &SlotRecord {
+        self.records.ensure(slot)
     }
 
     /// Record a live object on `slot` under heap generation `meta_gen`,
@@ -297,8 +330,8 @@ impl SlotRecords {
         r.plan_hash.store(plan_hash, Relaxed);
         r.plan_id.store(plan_id, Relaxed);
         r.life.store(pack_life(meta_gen, PUB_STATE_LIVE), Relaxed);
-        r.warmed.store(0, Relaxed);
-        let record_gen = r.record_gen.load(Relaxed) + 1;
+        // Count one more record and clear the warm flag in one store.
+        let record_gen = r.record_gen.load(Relaxed).wrapping_add(1) & !WARM;
         r.record_gen.store(record_gen, Relaxed);
         record_gen
     }
@@ -320,7 +353,7 @@ impl SlotRecords {
         let r = self.records.ensure(slot);
         let life = r.life.load(Relaxed);
         r.life.store((life & !LIFE_STATE_MASK) | u64::from(PUB_STATE_FREED), Relaxed);
-        r.warmed.store(0, Relaxed);
+        r.record_gen.fetch_and(!WARM, Relaxed);
     }
 
     /// Lock-free free claim: atomically retire `(meta_gen, Live)` to
@@ -348,7 +381,7 @@ impl SlotRecords {
         if r.life.compare_exchange(live, freed, AcqRel, Relaxed).is_err() {
             return false;
         }
-        r.warmed.store(0, Relaxed);
+        r.record_gen.fetch_and(!WARM, Relaxed);
         // Advance the seqlock by a full window (+2, parity kept) so
         // in-flight optimistic readers retry and re-classify the object;
         // the state flip itself is a single word, so no odd intermediate
@@ -415,6 +448,11 @@ impl SlotRecords {
 mod tests {
     use super::*;
 
+    /// A fresh one-unit block at `base`.
+    fn fresh(base: u64) -> BlockInfo {
+        BlockInfo { base: Addr(base), size: ALIGN, state: BlockState::Live, generation: 1 }
+    }
+
     fn snap(t: &SlotRecords, slot: u32) -> PubSnapshot {
         match t.try_snapshot_slot(slot) {
             SnapshotOutcome::Snap(s) => s,
@@ -431,7 +469,7 @@ mod tests {
     #[test]
     fn snapshot_sees_the_recorded_object() {
         let t = SlotRecords::default();
-        t.init(0, 16);
+        t.ensure(0).set_block(fresh(16));
         let win = t.open(0);
         assert_eq!(t.record(0, 0xC1A55, 0x91A4, 7, 1), 1);
         t.close(0, win);
@@ -451,7 +489,7 @@ mod tests {
     #[test]
     fn open_windows_are_unstable_and_invalidate_rechecks() {
         let t = SlotRecords::default();
-        t.init(0, 16);
+        t.ensure(0).set_block(fresh(16));
         let s = snap(&t, 0);
         let win = t.open(0);
         assert!(matches!(t.try_snapshot_slot(0), SnapshotOutcome::Unstable));
@@ -464,9 +502,9 @@ mod tests {
     #[test]
     fn raw_reuse_orphans_the_record() {
         let t = SlotRecords::default();
-        t.init(0, 16);
+        t.ensure(0).set_block(fresh(16));
         t.record(0, 1, 2, 0, 1);
-        t.set_heap_gen(0, 2);
+        t.ensure(0).set_block(BlockInfo { generation: 2, ..fresh(16) });
         let s = snap(&t, 0);
         assert_eq!(s.state, PUB_STATE_LIVE);
         assert_eq!((s.meta_gen, s.heap_gen), (1, 2), "a record behind the block generation");
@@ -479,7 +517,7 @@ mod tests {
     #[test]
     fn claim_free_is_generation_exact_and_single_shot() {
         let t = SlotRecords::default();
-        t.init(0, 16);
+        t.ensure(0).set_block(fresh(16));
         t.record(0, 1, 2, 0, 3);
         assert!(!t.claim_free(0, 2), "stale generation must not claim");
         assert!(!t.claim_free(0, 4), "future generation must not claim");
@@ -497,8 +535,8 @@ mod tests {
     #[test]
     fn remote_links_round_trip() {
         let t = SlotRecords::default();
-        t.init(0, 16);
-        t.init(1, 32);
+        t.ensure(0).set_block(fresh(16));
+        t.ensure(1).set_block(fresh(32));
         assert_eq!(t.remote_next(0), 0, "links start clear");
         t.set_remote_next(0, 2);
         t.set_remote_next(1, 0);
@@ -508,12 +546,14 @@ mod tests {
     #[test]
     fn warm_probe_reports_prior_state_and_record_and_retire_reset_it() {
         let t = SlotRecords::default();
-        t.init(0, 16);
+        t.ensure(0).set_block(fresh(16));
         let r = t.get(0).unwrap();
         assert!(!r.warm_probe(), "first probe is cold");
         assert!(r.warm_probe(), "second probe is warm");
         t.record(0, 1, 2, 0, 1);
         assert!(!r.warm_probe(), "re-record resets warmth");
+        assert!(r.warm_probe());
+        assert_eq!(r.record_gen(), 1, "the warm flag is not part of the count");
         t.retire(0);
         assert!(!r.warm_probe(), "retire resets warmth");
     }
@@ -521,7 +561,7 @@ mod tests {
     #[test]
     fn only_a_freed_record_strands() {
         let t = SlotRecords::default();
-        t.init(0, 16);
+        t.ensure(0).set_block(fresh(16));
         t.record(0, 1, 2, 0, 1);
         t.strand(0);
         assert_eq!(snap(&t, 0).state, PUB_STATE_LIVE, "a live record is left alone");

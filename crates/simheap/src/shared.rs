@@ -96,13 +96,8 @@ impl SharedArena {
         }
     }
 
-    /// Writer-side integer store (load-merge-store; the shard mutex
-    /// excludes other writers, the seqlock orders racing readers).
-    pub(crate) fn write_uint(&self, start: usize, value: u64, width: usize) {
-        self.write(start, &value.to_le_bytes()[..width]);
-    }
-
-    /// Writer-side byte store.
+    /// Writer-side byte store (load-merge-store per word; the shard
+    /// mutex excludes other writers, the seqlock orders racing readers).
     pub(crate) fn write(&self, start: usize, bytes: &[u8]) {
         let mut i = 0;
         while i < bytes.len() {
@@ -172,7 +167,7 @@ mod tests {
         a.read_into(3, 18, &mut out);
         assert_eq!(out, b"hello shared arena");
         // Unaligned width-8 load spanning two words.
-        a.write_uint(13, 0xDEAD_BEEF_CAFE_F00D, 8);
+        a.write(13, &0xDEAD_BEEF_CAFE_F00Du64.to_le_bytes());
         assert_eq!(a.read_uint(13, 8), Some(0xDEAD_BEEF_CAFE_F00D));
         assert_eq!(a.read_uint(13, 4), Some(0xCAFE_F00D));
         assert_eq!(a.read_uint(13, 1), Some(0x0D));

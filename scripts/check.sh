@@ -102,6 +102,15 @@ echo "== differential detection property (release) =="
 POLAR_CHECK_CASES=4000 cargo test -q --offline --release -p polar-runtime --test classify_props
 echo "ok: differential property green"
 
+echo "== heap footprint pin (release, session scale) =="
+# A heap's block metadata is its slot records plus one unit index: 128 B
+# per 256 B block. The pin builds a standalone and a published heap of
+# 131,072 such blocks each (one session-store shard's worth apiece) and
+# checks metadata_bytes() to the byte, so a side table reintroduced next
+# to the records fails here. Unit tests run it at 4096 blocks.
+POLAR_FOOTPRINT_BLOCKS=131072 cargo test -q --offline --release -p polar-simheap --test metadata
+echo "ok: heap footprint pin green"
+
 echo "== stateless default smoke =="
 # Boots the stock config (stateless derived plans are the small-class
 # default), verifies pooled vs stateless selection per class size, and

@@ -706,10 +706,10 @@ fn raw_reuse_never_serves_a_stale_plan() {
         config.seed = *seed;
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).unwrap();
-        // The block's actual requested size, not plan.size(): the
-        // stateless default reserves derived virtual-trap room beyond
-        // the plan footprint for small classes.
-        let size = (rt.heap().block_at(obj).unwrap().requested as usize).max(1);
+        // The block's class size, not plan.size(): the stateless
+        // default reserves derived virtual-trap room beyond the plan
+        // footprint for small classes.
+        let size = rt.heap().block_at(obj).unwrap().size;
         rt.free_raw(obj).unwrap();
         let buf = rt.malloc_raw(size).unwrap();
         ensure_eq!(obj, buf, "LIFO allocator should hand the block back");
