@@ -11,8 +11,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
-use polar_layout::{PlanHash, StatelessPolicy};
-use polar_runtime::{ObjectRuntime, PoolPolicy, RandomizeMode, RuntimeConfig};
+use polar_layout::{PlanHash, POOL_SIZE};
+use polar_runtime::{LayoutSource, ObjectRuntime, RandomizeMode, RuntimeConfig};
 
 use crate::harness::Defense;
 
@@ -77,10 +77,10 @@ fn layouts_of_run(defense: &Defense, run: u64, instances: usize) -> Vec<PlanHash
             c.seed = process_seed ^ (run.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
             // Mirror the harness configs: stateful plans for polar and
             // sharded, derived plans (traps per variant) for stateless.
-            c.stateless = match defense {
-                Defense::PolarStateless { traps: true, .. } => StatelessPolicy::on(),
-                Defense::PolarStateless { traps: false, .. } => StatelessPolicy::permute_only(),
-                _ => StatelessPolicy::off(),
+            c.layout = match defense {
+                Defense::PolarStateless { traps: true, .. } => LayoutSource::Derived,
+                Defense::PolarStateless { traps: false, .. } => LayoutSource::DerivedUntrapped,
+                _ => LayoutSource::Pooled,
             };
             (RandomizeMode::per_allocation(), c)
         }
@@ -124,27 +124,29 @@ pub fn measure(defense: Defense, instances: usize) -> DiversityReport {
 }
 
 /// Probability that two consecutive same-class allocations share a
-/// layout, estimated over `pairs` adjacent allocation pairs.
+/// layout under `mode` and `layout`, estimated over `pairs` adjacent
+/// allocation pairs.
 ///
 /// Plan pooling makes POLaR's per-allocation guarantee explicitly
 /// probabilistic: a sampled pool of `K` interned plans shares between
-/// neighbours at rate ≈ `1/K`
-/// ([`PoolPolicy::expected_consecutive_share`]), against ~0 for
-/// unpooled draws and 1 for static OLR. The estimator warms the pool
-/// past its fill phase first so the rate reflects the steady state the
-/// policy configures.
-pub fn consecutive_share_rate(seed: u64, pool: PoolPolicy, pairs: usize) -> f64 {
+/// neighbours at rate ≈ `1/K` (`K` = [`POOL_SIZE`]; structural plan
+/// collisions add a little on top for tiny classes), against ~0 for
+/// fresh draws and 1 for static OLR. The estimator warms the pool
+/// past its fill phase first so the rate reflects the steady state.
+pub fn consecutive_share_rate(
+    seed: u64,
+    mode: RandomizeMode,
+    layout: LayoutSource,
+    pairs: usize,
+) -> f64 {
     assert!(pairs > 0, "need at least one pair");
     let info = probe_class();
     let mut config = RuntimeConfig::default();
     config.seed = seed;
-    config.pool = pool;
-    // This estimator characterizes the *stored-plan pool*; the stateless
-    // derived path never consults it, so pin it off.
-    config.stateless = StatelessPolicy::off();
+    config.layout = layout;
     config.heap.capacity = 256 << 20;
-    let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
-    for _ in 0..2 * pool.size.max(1) {
+    let mut rt = ObjectRuntime::new(mode, config);
+    for _ in 0..2 * POOL_SIZE {
         let a = rt.olr_malloc(&info).expect("alloc");
         rt.olr_free(a).expect("free");
     }
@@ -207,13 +209,13 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_share_matches_the_default_pool_policy() {
+    fn consecutive_share_matches_the_pooled_ring() {
         // Diversity regression for the allocation fast path: pooling may
-        // only dilute per-allocation diversity to the configured rate
-        // (~1/32 for the default sampled pool), not collapse it.
-        let pool = PoolPolicy::default();
-        let expect = pool.expected_consecutive_share();
-        let rate = consecutive_share_rate(0xD1CE, pool, 4000);
+        // only dilute per-allocation diversity to the ring's rate (~1/32),
+        // not collapse it.
+        let expect = 1.0 / POOL_SIZE as f64;
+        let polar = RandomizeMode::per_allocation();
+        let rate = consecutive_share_rate(0xD1CE, polar, LayoutSource::Pooled, 4000);
         assert!(
             rate > expect * 0.3 && rate < expect * 3.0,
             "consecutive-share rate {rate:.4} far from configured {expect:.4}"
@@ -221,17 +223,19 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_pool_restores_full_per_allocation_diversity() {
-        let rate = consecutive_share_rate(7, PoolPolicy::disabled(), 2000);
+    fn fresh_plans_restore_full_per_allocation_diversity() {
+        let polar = RandomizeMode::per_allocation();
+        let rate = consecutive_share_rate(7, polar, LayoutSource::Fresh, 2000);
         assert!(rate < 0.01, "unpooled consecutive-share rate {rate:.4} should be ~0");
     }
 
     #[test]
-    fn degenerate_single_plan_pool_shares_almost_always() {
-        // The other extreme pins the estimator's sign: a size-1 sampled
-        // pool behaves like static OLR between churn points.
-        let rate = consecutive_share_rate(3, PoolPolicy::sampled(1, 8), 500);
-        assert!(rate > 0.8, "size-1 pool consecutive-share rate {rate:.4} should be ~1");
+    fn static_layouts_share_always() {
+        // The other extreme pins the estimator's sign: one plan per
+        // class shares between every pair of neighbours.
+        let static_olr = RandomizeMode::static_olr(3);
+        let rate = consecutive_share_rate(3, static_olr, LayoutSource::Pooled, 500);
+        assert_eq!(rate, 1.0, "static consecutive-share rate {rate:.4} should be 1");
     }
 
     #[test]

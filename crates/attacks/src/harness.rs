@@ -9,7 +9,10 @@ use polar_instrument::{instrument, InstrumentOptions};
 use polar_ir::interp::{run, ExecLimits, ExecReport};
 use polar_ir::trace::NopTracer;
 use polar_layout::{LayoutPlan, RandomizationPolicy, StaticOlrTable};
-use polar_runtime::{ObjectRuntime, PolarRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime};
+use polar_runtime::{
+    LayoutSource, ObjectRuntime, PolarRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime,
+};
+use polar_simheap::PlacementPolicy;
 
 use crate::scenarios::{Scenario, ScenarioKind};
 
@@ -27,27 +30,31 @@ pub enum Defense {
         /// The binary's randomization seed.
         binary_seed: u64,
     },
-    /// POLaR: the instrumented binary with per-allocation randomization.
+    /// POLaR: the instrumented binary with per-allocation randomization,
+    /// every class on the pooled stateful path
+    /// ([`LayoutSource::Pooled`]).
     Polar {
         /// The process's runtime entropy (fresh per execution).
         process_seed: u64,
-        /// Whether the runtime's class-mismatch/UAF detections are armed
-        /// (on by default in the paper's prototype; off isolates the
-        /// purely probabilistic layout defense).
+        /// Whether the runtime's detections are armed
+        /// ([`RuntimeConfig::detect`]: class mismatch and use after free
+        /// on accesses, trap checks on free and on probes). On by
+        /// default in the paper's prototype; off isolates the purely
+        /// probabilistic layout defense.
         detect: bool,
     },
     /// POLaR plus placement randomization: the same per-allocation
     /// layout engine as [`Defense::Polar`], with the sim heap's
-    /// [`PlacementPolicy`](polar_simheap::PlacementPolicy) armed —
-    /// shuffle buffers, guard gaps, and arena offset entropy — so the
-    /// *addresses* the groomer relies on are randomized too.
+    /// [`PlacementPolicy`] on — shuffle buffers, guard gaps, and arena
+    /// offset entropy, in the fixed
+    /// [`PLACEMENT_GEOMETRY`](polar_simheap::PLACEMENT_GEOMETRY) — so
+    /// the *addresses* the groomer relies on are randomized too.
     PolarPlacement {
         /// The process's runtime entropy (fresh per execution).
         process_seed: u64,
     },
     /// Placement randomization *alone*: natural (native) layouts on a
-    /// heap with the same [`PlacementPolicy`](polar_simheap::PlacementPolicy)
-    /// as [`Defense::PolarPlacement`]. The isolating ablation for the
+    /// heap with placement on, as for [`Defense::PolarPlacement`]. The isolating ablation for the
     /// layout-only / placement-only / both comparison (`tables --
     /// placement`); deliberately not part of the gated scorecard.
     PlacementOnly {
@@ -57,9 +64,10 @@ pub enum Defense {
     /// POLaR with the stateless small-class path: classes at or under
     /// the stateless field bound get keyed-permutation layouts derived
     /// from heap identity (SPAM-style). With `traps` on — the runtime's
-    /// default — the derived plans interleave virtual booby-trap slots
-    /// whose geometry rederives from the same identity; with `traps`
-    /// off this is the original permute-only space/detection trade-off,
+    /// default, [`LayoutSource::Derived`] — the derived plans interleave
+    /// virtual booby-trap slots whose geometry rederives from the same
+    /// identity; with `traps` off ([`LayoutSource::DerivedUntrapped`])
+    /// this is the original permute-only space/detection trade-off,
     /// kept as a measured ablation. Metadata checks stay armed.
     PolarStateless {
         /// The process's runtime entropy (fresh per execution).
@@ -69,7 +77,8 @@ pub enum Defense {
     },
     /// POLaR on the concurrent sharded runtime, driven through one
     /// thread handle (allocations from its home shard's magazines,
-    /// accesses routed by address).
+    /// accesses routed by address), on the pooled stateful path like
+    /// [`Defense::Polar`].
     Sharded {
         /// The process's runtime entropy (fresh per execution).
         process_seed: u64,
@@ -77,8 +86,10 @@ pub enum Defense {
         shards: usize,
     },
     /// Redzone-based memory safety (ASan-style, Section VII-C of the
-    /// paper): natural layouts, but every raw access is checked against
-    /// its heap block.
+    /// paper): natural layouts on a heap with redzones, quarantine and
+    /// poisoning; the redzones arm the runtime's check of every raw
+    /// access against its heap block
+    /// ([`RuntimeConfig::redzone_checks`]).
     Redzone,
 }
 
@@ -164,66 +175,46 @@ impl Defense {
         match self {
             Defense::Polar { process_seed, detect } => {
                 config.seed = *process_seed;
-                config.detect_class_mismatch = *detect;
-                config.detect_use_after_free = *detect;
-                config.check_traps_on_free = *detect;
-                config.detect_probe_traps = *detect;
+                config.detect = *detect;
                 // The "polar" scorecard row measures the *stateful*
                 // engine path (stored plans, engine-drawn dummies);
                 // keep it pinned there even though the runtime default
-                // flipped small classes to stateless.
-                config.stateless = polar_layout::StatelessPolicy::off();
+                // derives small classes' layouts.
+                config.layout = LayoutSource::Pooled;
             }
             Defense::PolarPlacement { process_seed } => {
                 config.seed = *process_seed;
-                config.detect_class_mismatch = true;
-                config.detect_use_after_free = true;
-                config.check_traps_on_free = true;
-                config.detect_probe_traps = true;
-                config.stateless = polar_layout::StatelessPolicy::off();
+                config.layout = LayoutSource::Pooled;
                 // The placement column: layout engine identical to
                 // `polar`, plus address randomization. Seed 0 means the
                 // runtime derives the placement stream from its own seed,
                 // so one `process_seed` still replays the whole trial.
-                config.heap.placement = polar_simheap::PlacementPolicy {
-                    shuffle_depth: 16,
-                    offset_entropy_bits: 8,
-                    guard_gap_bits: 6,
-                    seed: 0,
-                };
+                config.heap.placement = PlacementPolicy::on(0);
             }
             Defense::PlacementOnly { process_seed } => {
                 // Native layouts, no detections: everything stays at the
                 // unhardened default except the placement policy, so the
                 // row isolates address entropy from layout entropy.
                 config.seed = *process_seed;
-                config.heap.placement = polar_simheap::PlacementPolicy {
-                    shuffle_depth: 16,
-                    offset_entropy_bits: 8,
-                    guard_gap_bits: 6,
-                    seed: 0,
-                };
+                config.heap.placement = PlacementPolicy::on(0);
             }
             Defense::PolarStateless { process_seed, traps } => {
                 config.seed = *process_seed;
-                config.stateless = if *traps {
-                    polar_layout::StatelessPolicy::on()
-                } else {
-                    polar_layout::StatelessPolicy::permute_only()
-                };
+                config.layout =
+                    if *traps { LayoutSource::Derived } else { LayoutSource::DerivedUntrapped };
             }
             Defense::Sharded { process_seed, .. } => {
                 config.seed = *process_seed;
                 // Stateful plans on every shard, as for `polar`.
-                config.stateless = polar_layout::StatelessPolicy::off();
+                config.layout = LayoutSource::Pooled;
                 // The scenarios touch a few hundred bytes; a small total
                 // arena keeps per-trial runtime construction cheap.
                 config.heap.capacity = 4 << 20;
             }
             Defense::Redzone => {
-                config.redzone_checks = true;
-                // ASan pads every allocation with poisoned no-man's-land,
-                // quarantines freed blocks, and poisons their contents.
+                // ASan pads every allocation with poisoned no-man's-land
+                // (which arms the redzone checks), quarantines freed
+                // blocks, and poisons their contents.
                 config.heap.redzone = 16;
                 config.heap.quarantine = 64;
                 config.heap.poison = Some(0xDD);

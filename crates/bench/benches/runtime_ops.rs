@@ -8,6 +8,11 @@ use std::sync::Arc;
 use polar_bench::micro::Criterion;
 use polar_bench::{bench_group, bench_main};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
+use polar_layout::{
+    pack_perm, stateless_perm, stateless_plan_from_code, EpochKey, LayoutEngine, PlanInterner,
+    RandomizationPolicy, RoundKeys,
+};
+use polar_rng::{rngs::StdRng, SeedableRng};
 use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig};
 use polar_simheap::{Addr, HeapConfig, SimHeap};
 
@@ -108,5 +113,83 @@ fn bench_heap_locate(c: &mut Criterion) {
     group.finish();
 }
 
-bench_group!(benches, bench_alloc_free, bench_getptr, bench_memcpy, bench_heap_locate);
+/// An `n`-field class of mixed widths.
+fn wide(n: usize) -> ClassInfo {
+    let mut decl = ClassDecl::builder(format!("Wide{n}")).field("vtable", FieldKind::VtablePtr);
+    for i in 1..n {
+        let kind = if i % 2 == 0 { FieldKind::I64 } else { FieldKind::I32 };
+        decl = decl.field(format!("f{i}"), kind);
+    }
+    ClassInfo::from_decl(decl.build())
+}
+
+/// What a read would pay to derive its object's layout on every access
+/// instead of resolving the interned plan its record names (one field
+/// offset either way), cycling over 64 layouts. A 7-field derivation is
+/// the runtime's own `stateless_plan_from_code` (with traps), from an
+/// already derived code. A 12-field class exceeds the 8 positions a
+/// permutation code packs, so its row prices only the permuted position
+/// of the one field read: the 16-point Feistel mapping of the hot path
+/// (`RoundKeys::mapping`) and a cycle walk into `[0, 12)` — a lower
+/// bound on any derivation over the full 16-point domain.
+fn bench_plan_resolve(c: &mut Criterion) {
+    const LAYOUTS: usize = 64;
+    let key = EpochKey(0x5EED);
+    let (seven, twelve) = (wide(7), wide(12));
+    let codes: Vec<u32> =
+        (0..LAYOUTS as u64).map(|g| pack_perm(&stateless_perm(key, g, 3, 7))).collect();
+    let mut interner = PlanInterner::new();
+    let ids7: Vec<u32> = codes
+        .iter()
+        .map(|&code| interner.intern_id(stateless_plan_from_code(&seven, key, code, true)).0)
+        .collect();
+    let engine = LayoutEngine::new(RandomizationPolicy::default());
+    let mut rng = StdRng::seed_from_u64(12);
+    let ids12: Vec<u32> = (0..LAYOUTS)
+        .map(|_| interner.intern_id(engine.generate(&twelve, &mut rng)).0)
+        .collect();
+    let registry = interner.registry();
+    let mut group = c.benchmark_group("plan_resolve");
+    let mut i = 0usize;
+    group.bench_function("derive_from_code_7f", |b| {
+        b.iter(|| {
+            i = (i + 1) % LAYOUTS;
+            stateless_plan_from_code(&seven, key, black_box(codes[i]), true).access(3)
+        })
+    });
+    group.bench_function("resolve_interned_id_7f", |b| {
+        b.iter(|| {
+            i = (i + 1) % LAYOUTS;
+            registry.get(black_box(ids7[i])).and_then(|p| p.access(3))
+        })
+    });
+    let keys = RoundKeys::new(key);
+    group.bench_function("derive_position_12f", |b| {
+        b.iter(|| {
+            i = (i + 1) % LAYOUTS;
+            let map = keys.mapping(black_box(i as u64), 3);
+            let mut at = map[3];
+            while at >= 12 {
+                at = map[usize::from(at)];
+            }
+            at
+        })
+    });
+    group.bench_function("resolve_interned_id_12f", |b| {
+        b.iter(|| {
+            i = (i + 1) % LAYOUTS;
+            registry.get(black_box(ids12[i])).and_then(|p| p.access(3))
+        })
+    });
+    group.finish();
+}
+
+bench_group!(
+    benches,
+    bench_alloc_free,
+    bench_getptr,
+    bench_memcpy,
+    bench_heap_locate,
+    bench_plan_resolve
+);
 bench_main!(benches);

@@ -59,8 +59,7 @@ use polar_ir::interp::{run, ExecLimits};
 use polar_ir::trace::NopTracer;
 use polar_ir::Inst;
 use polar_runtime::{
-    ObjectRuntime, PoolPolicy, RandomizeMode, RuntimeConfig, ShardedRuntime, SiteCache,
-    StatelessPolicy,
+    LayoutSource, ObjectRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime, SiteCache,
 };
 use polar_workloads::contend::{run_contend, ContendConfig};
 use polar_workloads::session_store::{run_session_store, SessionConfig};
@@ -94,7 +93,7 @@ fn big_config() -> RuntimeConfig {
 /// measure the derived path must not leak into them.
 fn pooled_config() -> RuntimeConfig {
     let mut c = big_config();
-    c.stateless = StatelessPolicy::off();
+    c.layout = LayoutSource::Pooled;
     c
 }
 
@@ -124,18 +123,13 @@ fn session_bench_config(quick: bool) -> SessionConfig {
     }
 }
 
-/// Default config plus the placement-randomization policy the
-/// `polar+placement` security column runs with (shuffle buffers, guard
-/// gaps, arena offset entropy) — what address randomization costs on
-/// the allocation path.
+/// Default config with placement randomization on, as the
+/// `polar+placement` security column runs (shuffle buffers, guard gaps,
+/// arena offset entropy) — what address randomization costs on the
+/// allocation path.
 fn placement_config() -> RuntimeConfig {
     let mut c = big_config();
-    c.heap.placement = polar_simheap::PlacementPolicy {
-        shuffle_depth: 16,
-        offset_entropy_bits: 8,
-        guard_gap_bits: 6,
-        seed: 0,
-    };
+    c.heap.placement = polar_simheap::PlacementPolicy::on(0);
     c
 }
 
@@ -247,18 +241,14 @@ fn run_benches(quick: bool) -> Vec<Entry> {
     // permute-only variant (no traps, pure Feistel layout).
     for (label, cfg) in [
         ("polar-unpooled", {
-            let mut c = pooled_config();
-            c.pool = PoolPolicy::disabled();
-            c
-        }),
-        ("polar-stateless", {
             let mut c = big_config();
-            c.stateless = StatelessPolicy::on();
+            c.layout = LayoutSource::Fresh;
             c
         }),
+        ("polar-stateless", big_config()),
         ("stateless-notraps", {
             let mut c = big_config();
-            c.stateless = StatelessPolicy::permute_only();
+            c.layout = LayoutSource::DerivedUntrapped;
             c
         }),
         ("polar-placement", placement_config()),
@@ -592,21 +582,16 @@ fn gate_measurements() -> Vec<(&'static str, &'static str, Box<dyn FnOnce() -> f
         })
     });
 
-    let stateless_cfg = || {
-        let mut c = big_config();
-        c.stateless = StatelessPolicy::on();
-        c
-    };
     vec![
         (
             "olr_malloc_free",
             "polar",
             malloc_free(pooled_config()) as Box<dyn FnOnce() -> f64>,
         ),
-        ("olr_malloc_free", "polar-stateless", malloc_free(stateless_cfg())),
+        ("olr_malloc_free", "polar-stateless", malloc_free(big_config())),
         ("olr_malloc_free", "polar-placement", malloc_free(placement_config())),
         ("olr_getptr_cached", "polar", getptr_cached(pooled_config())),
-        ("olr_getptr_cached", "polar-stateless", getptr_cached(stateless_cfg())),
+        ("olr_getptr_cached", "polar-stateless", getptr_cached(big_config())),
         ("olr_getptr_mt4", "polar", getptr_mt4),
         (
             "olr_malloc_free_mt1",
@@ -662,9 +647,7 @@ fn gate_metadata_bytes() -> (usize, usize) {
         }
         rt.estimated_metadata_bytes()
     };
-    let mut stateless = big_config();
-    stateless.stateless = StatelessPolicy::on();
-    (run(pooled_config()), run(stateless))
+    (run(pooled_config()), run(big_config()))
 }
 
 /// `--gate FILE`: fail (exit 1) if any gated bench regresses >25%

@@ -436,15 +436,10 @@ fn metadata() {
 
 fn placement() {
     use polar_rng::{Rng, SplitMix64};
-    use polar_simheap::{HeapConfig, PlacementPolicy, SimHeap};
+    use polar_simheap::{HeapConfig, PlacementPolicy, SimHeap, PLACEMENT_GEOMETRY};
 
     heading("Placement randomization — measured address entropy per allocation");
-    let policy = PlacementPolicy {
-        shuffle_depth: 16,
-        offset_entropy_bits: 8,
-        guard_gap_bits: 6,
-        seed: 0,
-    };
+    let policy = PLACEMENT_GEOMETRY;
     const SEEDS: usize = 256;
     const ALLOCS: usize = 24;
     // One fixed grooming prologue (allocs + a few frees), then ALLOCS
@@ -453,9 +448,8 @@ fn placement() {
     // attacker predicting the k-th address is actually up against.
     let run = |placement_seed: u64| -> Vec<u64> {
         let mut config = HeapConfig::default();
-        config.placement = PlacementPolicy { seed: placement_seed, ..policy };
-        if placement_seed == 0 {
-            config.placement = PlacementPolicy::default(); // the off row
+        if placement_seed != 0 {
+            config.placement = PlacementPolicy::on(placement_seed); // seed 0: the off row
         }
         let mut heap = SimHeap::new(config);
         let mut groom: Vec<_> =

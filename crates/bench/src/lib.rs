@@ -19,7 +19,7 @@ use polar_instrument::{instrument, InstrumentOptions};
 use polar_ir::interp::{run, ExecLimits};
 use polar_ir::trace::NopTracer;
 use polar_ir::Module;
-use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig, RuntimeStats};
+use polar_runtime::{LayoutSource, ObjectRuntime, RandomizeMode, RuntimeConfig, RuntimeStats};
 use polar_taint::{analyze, TaintConfig};
 use polar_workloads::{js, Workload};
 
@@ -447,7 +447,7 @@ pub fn ablation_rows(_reps: u32) -> Vec<AblationRow> {
             // Stored-plan rows: the stateless path would shadow the
             // policy under test for small classes (and skips the large
             // probe anyway), so pin it off.
-            config.stateless = polar_runtime::StatelessPolicy::off();
+            config.layout = LayoutSource::Pooled;
             measure(label, entropy_bits, &probe, RandomizeMode::PerAllocation { policy }, config)
         })
         .collect();
@@ -458,7 +458,7 @@ pub fn ablation_rows(_reps: u32) -> Vec<AblationRow> {
         let policy = polar_layout::RandomizationPolicy::default();
         let entropy_bits = polar_layout::entropy::layout_entropy_bits(&probe, &policy);
         let mut config = RuntimeConfig::default();
-        config.stateless = polar_runtime::StatelessPolicy::off();
+        config.layout = LayoutSource::Pooled;
         config.offset_cache = false;
         rows.push(measure(
             "default, cache OFF".into(),
@@ -483,17 +483,13 @@ pub fn ablation_rows(_reps: u32) -> Vec<AblationRow> {
             &small,
             &polar_layout::RandomizationPolicy::default(),
         );
-        for (label, bits, stateless) in [
-            ("small: pooled stored", stored_bits, polar_runtime::StatelessPolicy::off()),
-            ("small: stateless+traps", perm_bits, polar_runtime::StatelessPolicy::on()),
-            (
-                "small: stateless-notraps",
-                perm_bits,
-                polar_runtime::StatelessPolicy::permute_only(),
-            ),
+        for (label, bits, layout) in [
+            ("small: pooled stored", stored_bits, LayoutSource::Pooled),
+            ("small: stateless+traps", perm_bits, LayoutSource::Derived),
+            ("small: stateless-notraps", perm_bits, LayoutSource::DerivedUntrapped),
         ] {
             let mut config = RuntimeConfig::default();
-            config.stateless = stateless;
+            config.layout = layout;
             rows.push(measure(
                 label.into(),
                 bits,

@@ -1,9 +1,9 @@
 //! Placement randomization smoke (`scripts/check.sh`).
 //!
-//! Boots the sim heap and the runtime with the placement policy the
-//! `polar+placement` security column uses (shuffle depth 16, 8 offset
-//! bits, 6 guard-gap bits) and checks the three things the layer
-//! promises:
+//! Boots the sim heap and the runtime with placement on, as the
+//! `polar+placement` security column runs (the fixed geometry: shuffle
+//! depth 16, 8 offset bits, 6 guard-gap bits) and checks the three
+//! things the layer promises:
 //!
 //! 1. Allocator invariants survive randomized placement: live blocks
 //!    never overlap, every aligned unit of a live block resolves back to
@@ -24,14 +24,10 @@ use std::sync::Arc;
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
 use polar_rng::{Rng, SplitMix64};
 use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig};
-use polar_simheap::{Addr, BlockState, HeapConfig, PlacementPolicy, SimHeap};
+use polar_simheap::{Addr, BlockState, HeapConfig, PlacementPolicy, SimHeap, PLACEMENT_GEOMETRY};
 
 /// The allocator's alignment quantum (every block base is a multiple).
 const ALIGN: u64 = 16;
-
-fn policy(seed: u64) -> PlacementPolicy {
-    PlacementPolicy { shuffle_depth: 16, offset_entropy_bits: 8, guard_gap_bits: 6, seed }
-}
 
 /// Deterministic churn workload on a bare heap: mixed-size allocs with
 /// periodic frees, driven by a seeded RNG disjoint from the heap's own
@@ -129,7 +125,7 @@ fn runtime_trace(process_seed: u64) -> Vec<u64> {
     let mut config = RuntimeConfig::default();
     config.seed = process_seed;
     config.heap.capacity = 64 << 20;
-    config.heap.placement = policy(0);
+    config.heap.placement = PlacementPolicy::on(0);
     let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
     let mut live = Vec::new();
     let mut trace = Vec::new();
@@ -149,7 +145,7 @@ fn runtime_trace(process_seed: u64) -> Vec<u64> {
 /// `placement_seed`.
 fn heap_trace(placement_seed: u64) -> Vec<u64> {
     let mut c = HeapConfig::default();
-    c.placement = policy(placement_seed);
+    c.placement = PlacementPolicy::on(placement_seed);
     let mut h = SimHeap::new(c);
     churn(&mut h, 0x0D75, 2000)
 }
@@ -160,7 +156,7 @@ fn heap_trace(placement_seed: u64) -> Vec<u64> {
 #[cfg_attr(debug_assertions, ignore = "release-mode smoke; see the module docs")]
 fn placement_keeps_allocator_invariants_under_churn() {
     let mut config = HeapConfig::default();
-    config.placement = policy(0x9_1ACE);
+    config.placement = PlacementPolicy::on(0x9_1ACE);
     config.quarantine = 8;
     let mut heap = SimHeap::new(config);
     churn(&mut heap, 0x0D75, 4000);
@@ -169,7 +165,7 @@ fn placement_keeps_allocator_invariants_under_churn() {
         "ok: invariants {} allocs / {} frees with {:.1} placement bits",
         heap.stats().allocs,
         heap.stats().frees,
-        config.placement.entropy_bits()
+        PLACEMENT_GEOMETRY.entropy_bits()
     );
 }
 

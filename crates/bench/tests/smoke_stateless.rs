@@ -17,7 +17,8 @@
 use std::sync::Arc;
 
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
-use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig};
+use polar_layout::STATELESS_MAX_FIELDS;
+use polar_runtime::{LayoutSource, ObjectRuntime, RandomizeMode, RuntimeConfig};
 
 fn small_class() -> Arc<ClassInfo> {
     Arc::new(ClassInfo::from_decl(
@@ -76,14 +77,14 @@ fn default_config_selects_the_path_per_class_size() {
     let small = small_class();
     let large = large_class();
     let mut config = RuntimeConfig::default();
-    assert!(
-        config.stateless.enabled && config.stateless.virtual_traps,
-        "the default config must enable the stateless path with traps"
+    assert_eq!(
+        config.layout,
+        LayoutSource::Derived,
+        "the default config must derive small classes' layouts, with traps"
     );
     assert!(
-        config.stateless.applies_to(small.field_count())
-            && !config.stateless.applies_to(large.field_count()),
-        "selection boundary must sit at 8 fields"
+        small.field_count() <= STATELESS_MAX_FIELDS && large.field_count() > STATELESS_MAX_FIELDS,
+        "the two classes must straddle the 8-field selection boundary"
     );
     config.heap.capacity = 64 << 20;
     let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);

@@ -400,7 +400,7 @@ impl<T: Tracer, R: PolarRuntime + ?Sized> Machine<'_, '_, T, R> {
                     }
                     Inst::Load { dst, addr, width } => {
                         let a = Addr(frame.regs[addr.0 as usize]);
-                        if self.rt.config().redzone_checks {
+                        if self.rt.config().redzone_checks() {
                             self.rt.heap_check_in_block(a, usize::from(*width))?;
                         }
                         let v = self.rt.heap_read_uint(a, usize::from(*width))?;
@@ -411,7 +411,7 @@ impl<T: Tracer, R: PolarRuntime + ?Sized> Machine<'_, '_, T, R> {
                     Inst::Store { addr, src, width } => {
                         let a = Addr(frame.regs[addr.0 as usize]);
                         let v = frame.regs[src.0 as usize];
-                        if self.rt.config().redzone_checks {
+                        if self.rt.config().redzone_checks() {
                             self.rt.heap_check_in_block(a, usize::from(*width))?;
                         }
                         self.rt.heap_write_uint(a, v, usize::from(*width))?;
@@ -423,7 +423,7 @@ impl<T: Tracer, R: PolarRuntime + ?Sized> Machine<'_, '_, T, R> {
                         let s = Addr(frame.regs[src.0 as usize]);
                         let l = frame.regs[len.0 as usize];
                         if l > 0 {
-                            if self.rt.config().redzone_checks {
+                            if self.rt.config().redzone_checks() {
                                 self.rt.heap_check_in_block(s, l as usize)?;
                                 self.rt.heap_check_in_block(d, l as usize)?;
                             }

@@ -8,20 +8,14 @@
 //! class, draw one with a single random index, and regenerate entries in
 //! batch / in the background of the draw cadence.
 //!
-//! [`PoolPolicy`] makes the entropy-vs-speed trade explicit:
-//!
-//! * [`DrawMode::Sampled`] — draw with replacement from a `size`-entry
-//!   pool. Each allocation costs one buffered-RNG index plus an `Arc`
-//!   clone; every `refill_batch` draws one ring entry is regenerated
-//!   (round-robin churn) so the pool contents keep rotating. Two
-//!   consecutive same-class allocations share a layout with probability
-//!   ≈ `1/size` — measurable with the estimator in
-//!   `crates/attacks/src/diversity.rs`.
-//! * [`DrawMode::Unique`] — every allocation consumes a distinct
-//!   pregenerated plan; the pool is refilled `refill_batch` at a time
-//!   when it runs dry. Diversity is identical to the unpooled path (one
-//!   fresh generation per allocation, amortized in batches); only the
-//!   batching locality is bought.
+//! Each class keeps a ring of [`POOL_SIZE`] plans. A draw picks one
+//! with one buffered-RNG index (with replacement) and clones its `Arc`;
+//! every [`POOL_CHURN`] draws one ring entry is regenerated (round-robin
+//! churn), so the pool contents keep rotating. Two consecutive
+//! same-class allocations share a layout with probability ≈
+//! `1/POOL_SIZE` — measured by the estimator in
+//! `crates/attacks/src/diversity.rs`. A runtime that wants one fresh
+//! plan per allocation does not consult the pools at all.
 //!
 //! Pools interact with the [`PlanInterner`] exactly like the unpooled
 //! path: every generated plan is interned, so pooled and unpooled plans
@@ -39,92 +33,14 @@ use crate::engine::LayoutEngine;
 use crate::intern::PlanInterner;
 use crate::plan::LayoutPlan;
 
-/// How allocations draw from a class's pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrawMode {
-    /// Consume a distinct pregenerated plan per allocation; regenerate
-    /// the pool `refill_batch` at a time when it runs dry. Per-allocation
-    /// entropy identical to the unpooled path.
-    Unique,
-    /// Draw with replacement via one random index; churn one entry every
-    /// `refill_batch` draws. P(two consecutive same-class allocations
-    /// share a layout) ≈ `1/size`.
-    Sampled,
-}
+/// Plans kept live per class ring. Consecutive-share probability ≈
+/// 1/32 ≈ 3%.
+pub const POOL_SIZE: usize = 32;
 
-/// The entropy-vs-speed knob for the allocation fast path.
-///
-/// `size == 0` (see [`PoolPolicy::disabled`]) turns pooling off: the
-/// runtime falls back to one fresh generation per allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolPolicy {
-    /// Ring capacity per class (distinct pregenerated plans kept live).
-    pub size: usize,
-    /// Generation batch: how many plans are (re)generated per refill
-    /// event, and (in `Sampled` mode) the churn period in draws.
-    pub refill_batch: usize,
-    /// Draw discipline; see [`DrawMode`].
-    pub draw: DrawMode,
-}
-
-impl Default for PoolPolicy {
-    /// The measured default: 32-entry sampled ring, refilled 16 at a
-    /// time. Consecutive-share probability ≈ 1/32 ≈ 3%, amortized
-    /// generation cost ≈ 1/16 of the unpooled path.
-    fn default() -> Self {
-        PoolPolicy {
-            size: 32,
-            refill_batch: 16,
-            draw: DrawMode::Sampled,
-        }
-    }
-}
-
-impl PoolPolicy {
-    /// Pooling off: every allocation generates a fresh plan (the
-    /// pre-fast-path behaviour).
-    pub fn disabled() -> Self {
-        PoolPolicy {
-            size: 0,
-            refill_batch: 0,
-            draw: DrawMode::Unique,
-        }
-    }
-
-    /// A sampled pool of `size` entries churned/refilled `refill_batch`
-    /// at a time.
-    pub fn sampled(size: usize, refill_batch: usize) -> Self {
-        PoolPolicy {
-            size,
-            refill_batch,
-            draw: DrawMode::Sampled,
-        }
-    }
-
-    /// A unique-draw pool refilled `batch` at a time.
-    pub fn unique(batch: usize) -> Self {
-        PoolPolicy {
-            size: batch,
-            refill_batch: batch,
-            draw: DrawMode::Unique,
-        }
-    }
-
-    /// Whether the pool path is active at all.
-    pub fn enabled(&self) -> bool {
-        self.size > 0 && self.refill_batch > 0
-    }
-
-    /// Expected probability that two consecutive same-class allocations
-    /// draw the same pool slot (structural plan collisions add a little
-    /// on top for tiny classes). `Unique` mode never re-serves a slot.
-    pub fn expected_consecutive_share(&self) -> f64 {
-        match self.draw {
-            DrawMode::Unique => 0.0,
-            DrawMode::Sampled => 1.0 / self.size.max(1) as f64,
-        }
-    }
-}
+/// Plans generated per warm-up refill, and the steady-state churn
+/// period in draws: amortized generation cost ≈ 1/16 of one fresh plan
+/// per allocation.
+pub const POOL_CHURN: usize = 16;
 
 /// Draw/refill counters, mirrored into `RuntimeStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -142,11 +58,9 @@ pub struct PoolStats {
 struct ClassPool {
     /// Each ring plan with its registry id.
     plans: Vec<(u32, Arc<LayoutPlan>)>,
-    /// `Unique` mode: next unconsumed entry.
-    cursor: usize,
-    /// `Sampled` mode: total draws (drives the churn cadence).
+    /// Total draws (drives the churn cadence).
     draws: u64,
-    /// `Sampled` mode: next ring entry to regenerate (round-robin).
+    /// Next ring entry to regenerate (round-robin).
     victim: usize,
 }
 
@@ -156,7 +70,6 @@ struct ClassPool {
 /// repeat the same class back-to-back) backed by a `ClassHash` map.
 #[derive(Debug, Clone, Default)]
 pub struct PlanPools {
-    policy: PoolPolicy,
     pools: Vec<ClassPool>,
     index: HashMap<ClassHash, u32>,
     last: Option<(ClassHash, u32)>,
@@ -164,17 +77,9 @@ pub struct PlanPools {
 }
 
 impl PlanPools {
-    /// An empty registry under `policy`.
-    pub fn new(policy: PoolPolicy) -> Self {
-        PlanPools {
-            policy,
-            ..Self::default()
-        }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> PoolPolicy {
-        self.policy
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Draw/refill counters.
@@ -220,7 +125,6 @@ impl PlanPools {
         interner: &mut PlanInterner,
         rng: &mut R,
     ) -> (u32, Arc<LayoutPlan>) {
-        debug_assert!(self.policy.enabled(), "draw() on a disabled pool");
         let id = self.class_pool_id(info.hash());
         self.draw_at(id, info, engine, interner, rng)
     }
@@ -240,7 +144,6 @@ impl PlanPools {
         k: usize,
         out: &mut Vec<(u32, Arc<LayoutPlan>)>,
     ) {
-        debug_assert!(self.policy.enabled(), "draw_batch() on a disabled pool");
         let id = self.class_pool_id(info.hash());
         out.reserve(k);
         for _ in 0..k {
@@ -281,51 +184,29 @@ impl PlanPools {
         interner: &mut PlanInterner,
         rng: &mut R,
     ) -> (u32, Arc<LayoutPlan>) {
-        let policy = self.policy;
         let pool = &mut self.pools[id as usize];
-        match policy.draw {
-            DrawMode::Unique => {
-                if pool.cursor == pool.plans.len() {
-                    pool.plans.clear();
-                    pool.cursor = 0;
-                    let batch = policy.refill_batch.min(policy.size).max(1);
-                    for _ in 0..batch {
-                        pool.plans.push(interner.intern_id(engine.generate(info, rng)));
-                    }
-                    self.stats.refills += 1;
-                    self.stats.generated += batch as u64;
-                } else {
-                    self.stats.hits += 1;
-                }
-                let (id, plan) = &pool.plans[pool.cursor];
-                pool.cursor += 1;
-                (*id, Arc::clone(plan))
+        if pool.plans.len() < POOL_SIZE {
+            // Warm-up: batch-fill toward capacity.
+            let batch = POOL_CHURN.min(POOL_SIZE - pool.plans.len());
+            for _ in 0..batch {
+                pool.plans.push(interner.intern_id(engine.generate(info, rng)));
             }
-            DrawMode::Sampled => {
-                if pool.plans.len() < policy.size {
-                    // Warm-up: batch-fill toward capacity.
-                    let batch = policy.refill_batch.max(1).min(policy.size - pool.plans.len());
-                    for _ in 0..batch {
-                        pool.plans.push(interner.intern_id(engine.generate(info, rng)));
-                    }
-                    self.stats.refills += 1;
-                    self.stats.generated += batch as u64;
-                } else if pool.draws % policy.refill_batch as u64 == 0 {
-                    // Steady state: churn one ring entry every
-                    // `refill_batch` draws so pool contents keep moving.
-                    let victim = pool.victim;
-                    pool.plans[victim] = interner.intern_id(engine.generate(info, rng));
-                    pool.victim = (victim + 1) % pool.plans.len();
-                    self.stats.refills += 1;
-                    self.stats.generated += 1;
-                } else {
-                    self.stats.hits += 1;
-                }
-                pool.draws += 1;
-                let (id, plan) = &pool.plans[rng.random_range(0..pool.plans.len())];
-                (*id, Arc::clone(plan))
-            }
+            self.stats.refills += 1;
+            self.stats.generated += batch as u64;
+        } else if pool.draws % POOL_CHURN as u64 == 0 {
+            // Steady state: churn one ring entry every `POOL_CHURN`
+            // draws so pool contents keep moving.
+            let victim = pool.victim;
+            pool.plans[victim] = interner.intern_id(engine.generate(info, rng));
+            pool.victim = (victim + 1) % pool.plans.len();
+            self.stats.refills += 1;
+            self.stats.generated += 1;
+        } else {
+            self.stats.hits += 1;
         }
+        pool.draws += 1;
+        let (id, plan) = &pool.plans[rng.random_range(0..pool.plans.len())];
+        (*id, Arc::clone(plan))
     }
 }
 
@@ -348,11 +229,11 @@ mod tests {
         )
     }
 
-    fn draw_hashes(policy: PoolPolicy, seed: u64, n: usize) -> Vec<u64> {
+    fn draw_hashes(seed: u64, n: usize) -> Vec<u64> {
         let info = probe();
         let engine = LayoutEngine::new(RandomizationPolicy::default());
         let mut interner = PlanInterner::new();
-        let mut pools = PlanPools::new(policy);
+        let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| pools.draw(&info, &engine, &mut interner, &mut rng).1.plan_hash().0)
@@ -361,29 +242,30 @@ mod tests {
 
     #[test]
     fn draw_batch_matches_sequential_draws() {
-        for policy in [PoolPolicy::default(), PoolPolicy::unique(8), PoolPolicy::sampled(4, 2)] {
-            let info = probe();
-            let engine = LayoutEngine::new(RandomizationPolicy::default());
-            let (mut ia, mut ib) = (PlanInterner::new(), PlanInterner::new());
-            let (mut pa, mut pb) = (PlanPools::new(policy), PlanPools::new(policy));
-            let (mut ra, mut rb) = (StdRng::seed_from_u64(42), StdRng::seed_from_u64(42));
-            let sequential: Vec<u64> = (0..50)
-                .map(|_| pa.draw(&info, &engine, &mut ia, &mut ra).1.plan_hash().0)
-                .collect();
-            let mut batched = Vec::new();
-            pb.draw_batch(&info, &engine, &mut ib, &mut rb, 32, &mut batched);
-            pb.draw_batch(&info, &engine, &mut ib, &mut rb, 18, &mut batched);
-            let batched: Vec<u64> = batched.iter().map(|(_, p)| p.plan_hash().0).collect();
-            assert_eq!(sequential, batched, "policy {policy:?} diverged");
-            assert_eq!(pa.stats(), pb.stats(), "policy {policy:?} stats diverged");
+        // 100 draws span the two warm-up refills and six churn
+        // regenerations; the batches split across both phases.
+        let info = probe();
+        let engine = LayoutEngine::new(RandomizationPolicy::default());
+        let (mut ia, mut ib) = (PlanInterner::new(), PlanInterner::new());
+        let (mut pa, mut pb) = (PlanPools::new(), PlanPools::new());
+        let (mut ra, mut rb) = (StdRng::seed_from_u64(42), StdRng::seed_from_u64(42));
+        let sequential: Vec<u64> = (0..100)
+            .map(|_| pa.draw(&info, &engine, &mut ia, &mut ra).1.plan_hash().0)
+            .collect();
+        let mut batched = Vec::new();
+        for k in [7, 25, 50, 18] {
+            pb.draw_batch(&info, &engine, &mut ib, &mut rb, k, &mut batched);
         }
+        let batched: Vec<u64> = batched.iter().map(|(_, p)| p.plan_hash().0).collect();
+        assert_eq!(sequential, batched);
+        assert_eq!(pa.stats(), pb.stats());
     }
 
     #[test]
     fn sampled_draws_are_deterministic_per_seed() {
-        let a = draw_hashes(PoolPolicy::default(), 77, 100);
-        let b = draw_hashes(PoolPolicy::default(), 77, 100);
-        let c = draw_hashes(PoolPolicy::default(), 78, 100);
+        let a = draw_hashes(77, 100);
+        let b = draw_hashes(77, 100);
+        let c = draw_hashes(78, 100);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -393,7 +275,7 @@ mod tests {
         let info = probe();
         let engine = LayoutEngine::new(RandomizationPolicy::default());
         let mut interner = PlanInterner::new();
-        let mut pools = PlanPools::new(PoolPolicy::sampled(32, 16));
+        let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
             pools.draw(&info, &engine, &mut interner, &mut rng);
@@ -403,29 +285,12 @@ mod tests {
         assert!(stats.generated < 120, "generated {}", stats.generated);
         assert!(stats.hits > 850, "hits {}", stats.hits);
         assert!(stats.refills > 0);
-        assert_eq!(pools.pool_len(info.hash()), 32);
-    }
-
-    #[test]
-    fn unique_mode_consumes_distinct_generations() {
-        let info = probe();
-        let engine = LayoutEngine::new(RandomizationPolicy::default());
-        let mut interner = PlanInterner::new();
-        let mut pools = PlanPools::new(PoolPolicy::unique(8));
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..64 {
-            pools.draw(&info, &engine, &mut interner, &mut rng);
-        }
-        let stats = pools.stats();
-        // 64 draws at batch 8: 8 refills, one generation per draw.
-        assert_eq!(stats.generated, 64);
-        assert_eq!(stats.refills, 8);
-        assert_eq!(stats.hits, 64 - 8);
+        assert_eq!(pools.pool_len(info.hash()), POOL_SIZE);
     }
 
     #[test]
     fn sampled_pool_preserves_within_run_diversity() {
-        let hashes = draw_hashes(PoolPolicy::default(), 9, 64);
+        let hashes = draw_hashes(9, 64);
         let distinct: std::collections::HashSet<_> = hashes.iter().collect();
         // Sampling 64 times from a 32-ring: expect ~28 distinct layouts.
         assert!(distinct.len() > 16, "only {} distinct", distinct.len());
@@ -438,11 +303,14 @@ mod tests {
         let info = probe();
         let engine = LayoutEngine::new(RandomizationPolicy::default());
         let mut interner = PlanInterner::new();
-        let mut pools = PlanPools::new(PoolPolicy::sampled(4, 2));
+        let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(13);
-        pools.draw(&info, &engine, &mut interner, &mut rng);
+        for _ in 0..POOL_SIZE / POOL_CHURN {
+            pools.draw(&info, &engine, &mut interner, &mut rng);
+        }
         let warm: Vec<u64> = pools.pools[0].plans.iter().map(|(_, p)| p.plan_hash().0).collect();
-        for _ in 0..64 {
+        assert_eq!(warm.len(), POOL_SIZE);
+        for _ in 0..POOL_SIZE * POOL_CHURN {
             pools.draw(&info, &engine, &mut interner, &mut rng);
         }
         let now: Vec<u64> = pools.pools[0].plans.iter().map(|(_, p)| p.plan_hash().0).collect();
@@ -460,7 +328,7 @@ mod tests {
         );
         let engine = LayoutEngine::new(RandomizationPolicy::default());
         let mut interner = PlanInterner::new();
-        let mut pools = PlanPools::new(PoolPolicy::default());
+        let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..10 {
             let (_, pa) = pools.draw(&a, &engine, &mut interner, &mut rng);
@@ -470,13 +338,5 @@ mod tests {
         }
         assert_eq!(pools.class_count(), 2);
         assert!(pools.metadata_bytes() > 0);
-    }
-
-    #[test]
-    fn disabled_policy_reports_inactive() {
-        assert!(!PoolPolicy::disabled().enabled());
-        assert!(PoolPolicy::default().enabled());
-        assert_eq!(PoolPolicy::default().expected_consecutive_share(), 1.0 / 32.0);
-        assert_eq!(PoolPolicy::unique(8).expected_consecutive_share(), 0.0);
     }
 }

@@ -51,7 +51,7 @@
 //! alone. This closes the trade the original permute-only mode made
 //! (metadata savings at the price of zero trap coverage), which is why
 //! the stateless path is now the runtime's *default* for small classes
-//! ([`StatelessPolicy`]).
+//! (classes of at most [`STATELESS_MAX_FIELDS`] fields).
 
 use polar_classinfo::ClassInfo;
 
@@ -86,61 +86,6 @@ pub struct EpochKey(pub u64);
 /// `4p..4p+4`): the identity of a stateless layout, used as the plan
 /// cache key. Fits `u32` because `STATELESS_MAX_FIELDS ≤ 8`.
 pub type PermCode = u32;
-
-/// Which classes the runtime serves statelessly — the config switch the
-/// allocation path consults next to [`PoolPolicy`](crate::PoolPolicy).
-///
-/// The default is **on** with virtual traps for classes at or under
-/// [`STATELESS_MAX_FIELDS`] fields: small classes get keyed-permutation
-/// layouts with derived trap slots and near-zero stored metadata, while
-/// larger classes keep the pooled stateful path. [`StatelessPolicy::off`]
-/// restores pooled plans for every class; [`StatelessPolicy::permute_only`]
-/// is the original trap-free ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatelessPolicy {
-    /// Master switch for the stateless path.
-    pub enabled: bool,
-    /// Classes with at most this many fields derive their layouts
-    /// (clamped to [`STATELESS_MAX_FIELDS`]).
-    pub max_fields: usize,
-    /// Interleave derived virtual trap slots between the permuted
-    /// fields. Off = the original permute-only SPAM trade.
-    pub virtual_traps: bool,
-}
-
-impl StatelessPolicy {
-    /// Stateless-by-default with virtual traps (the runtime default).
-    pub fn on() -> Self {
-        StatelessPolicy {
-            enabled: true,
-            max_fields: STATELESS_MAX_FIELDS,
-            virtual_traps: true,
-        }
-    }
-
-    /// Every class takes the stateful (pooled) path.
-    pub fn off() -> Self {
-        StatelessPolicy { enabled: false, ..Self::on() }
-    }
-
-    /// Stateless without traps: the original space/detection trade-off,
-    /// kept as a measured ablation.
-    pub fn permute_only() -> Self {
-        StatelessPolicy { virtual_traps: false, ..Self::on() }
-    }
-
-    /// Whether a class with `field_count` fields is served statelessly.
-    #[inline]
-    pub fn applies_to(&self, field_count: usize) -> bool {
-        self.enabled && field_count <= self.max_fields.min(STATELESS_MAX_FIELDS)
-    }
-}
-
-impl Default for StatelessPolicy {
-    fn default() -> Self {
-        Self::on()
-    }
-}
 
 /// The nibble-SWAR start state: lane `i` of the `u64` holds `i`.
 const SWAR_IDENTITY: u64 = 0xFEDC_BA98_7654_3210;
@@ -890,20 +835,6 @@ mod tests {
             }
         }
         assert!(distinct > 12, "only {distinct} of 18 keys differed");
-    }
-
-    #[test]
-    fn policy_selects_by_field_count() {
-        let on = StatelessPolicy::default();
-        assert!(on.enabled && on.virtual_traps);
-        assert!(on.applies_to(1) && on.applies_to(STATELESS_MAX_FIELDS));
-        assert!(!on.applies_to(STATELESS_MAX_FIELDS + 1));
-        assert!(!StatelessPolicy::off().applies_to(2));
-        let ablation = StatelessPolicy::permute_only();
-        assert!(ablation.applies_to(4) && !ablation.virtual_traps);
-        // max_fields above the Feistel domain bound stays clamped.
-        let wide = StatelessPolicy { max_fields: 32, ..StatelessPolicy::on() };
-        assert!(!wide.applies_to(9));
     }
 
     #[test]

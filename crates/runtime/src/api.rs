@@ -139,8 +139,8 @@ pub trait PolarRuntime {
     /// A raw *probe* read: [`PolarRuntime::heap_read_uint`] plus
     /// booby-trap screening. A probe overlapping a live object's
     /// canary-carrying dummy — stored or stateless-derived — raises
-    /// [`RuntimeError::TrapTriggered`] when the runtime's
-    /// `detect_probe_traps` is on, modeling trap slots that fault on
+    /// [`RuntimeError::TrapTriggered`] when the runtime's detections are
+    /// armed ([`RuntimeConfig::detect`]), modeling trap slots that fault on
     /// access instead of leaking bytes.
     ///
     /// # Errors

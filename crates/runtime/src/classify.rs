@@ -119,7 +119,7 @@ impl<'a, P: Fn(u32) -> Option<&'a Arc<LayoutPlan>>> RecordView<'a, P> {
             }
         }
         sink.site_ic_misses += u64::from(ic.is_some());
-        if freed && config.detect_use_after_free {
+        if freed && config.detect {
             sink.uaf_detected += 1;
             return Err(RuntimeError::UseAfterFree { addr: base });
         }
@@ -129,7 +129,7 @@ impl<'a, P: Fn(u32) -> Option<&'a Arc<LayoutPlan>>> RecordView<'a, P> {
         let plan = self.plan(snap).ok_or(RuntimeError::UnknownObject(base))?;
         if actual != expected {
             sink.mismatch_detected += 1;
-            if config.detect_class_mismatch {
+            if config.detect {
                 return Err(RuntimeError::ClassMismatch { addr: base, expected, actual });
             }
             // Detection off: the confused access lands on an
@@ -164,7 +164,7 @@ impl<'a, P: Fn(u32) -> Option<&'a Arc<LayoutPlan>>> RecordView<'a, P> {
             sink.double_free_detected += 1;
             return Err(RuntimeError::DoubleFree(base));
         }
-        if config.check_traps_on_free {
+        if config.detect {
             if let Some(&report) = scan_traps(plan, base, read, sink).first() {
                 return Err(RuntimeError::TrapTriggered(report));
             }

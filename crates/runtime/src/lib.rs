@@ -66,14 +66,11 @@ mod stats;
 
 pub use api::PolarRuntime;
 pub use error::{RuntimeError, TrapReport};
-// Re-exported so runtime configurators can name the pool policy without
-// a direct polar-layout dependency.
-pub use polar_layout::{DrawMode, PoolPolicy, StatelessPolicy};
 // Re-exported because every runtime entry point takes or returns heap
 // addresses; callers shouldn't need a polar-simheap dependency for that.
 pub use polar_simheap::Addr;
 pub use runtime::{
-    MagazinePolicy, ObjectMeta, ObjectRuntime, ObjectState, RandomizeMode, RuntimeConfig,
+    LayoutSource, MagazinePolicy, ObjectMeta, ObjectRuntime, ObjectState, RandomizeMode, RuntimeConfig,
     SiteCache,
 };
 pub use sharded::{HeapFootprint, ShardHandle, ShardedRuntime};

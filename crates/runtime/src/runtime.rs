@@ -21,7 +21,7 @@ use polar_classinfo::{ClassHash, ClassInfo};
 use polar_layout::{
     code_rank, code_space, stateless_bound, stateless_plan_from_code, EpochKey, FieldAccess,
     LayoutEngine, LayoutPlan, PermBlock, PermCode, PlanHash, PlanInterner, PlanPools,
-    PlanRegistry, PoolPolicy, RandomizationPolicy, RoundKeys, StatelessPolicy, StaticOlrTable,
+    PlanRegistry, RandomizationPolicy, RoundKeys, StaticOlrTable, STATELESS_MAX_FIELDS,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64};
 use polar_simheap::{Addr, BlockState, HeapConfig, SimHeap, PUB_STATE_FREED};
@@ -74,50 +74,91 @@ impl RandomizeMode {
     }
 }
 
-/// Runtime configuration knobs (detections and optimizations; each maps
-/// to a feature discussed in Sections IV–VI of the paper).
+/// Where `PerAllocation` layouts come from: the allocation fast paths
+/// of Section V-B. Each variant is one combination of plan sources the
+/// runtime is run with; per class, one function picks the source that
+/// serves an allocation, on every runtime surface. Other modes ignore
+/// it: their layouts are fixed by the mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LayoutSource {
+    /// The default. Classes of at most [`STATELESS_MAX_FIELDS`] fields
+    /// derive their layout from heap identity (slot, generation, epoch
+    /// key) through a keyed Feistel network, SPAM-style, with virtual
+    /// booby traps, so they keep trap coverage at ~zero per-object
+    /// metadata. Wider classes draw from the pooled ring.
+    #[default]
+    Derived,
+    /// As [`LayoutSource::Derived`] without virtual traps: the original
+    /// permute-only space/detection trade, kept as a measured ablation.
+    DerivedUntrapped,
+    /// Every class draws from its ring of
+    /// [`POOL_SIZE`](polar_layout::POOL_SIZE) pregenerated, interned
+    /// plans (one buffered-RNG index per allocation, one entry
+    /// regenerated every [`POOL_CHURN`](polar_layout::POOL_CHURN)
+    /// draws). The stateful rows of the security scorecard run here.
+    Pooled,
+    /// Every allocation generates a fresh plan: no pools, no derivation.
+    Fresh,
+}
+
+/// The source that serves one allocation, as [`plan_source`] decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PlanSource {
+    /// The mode fixes the layout: natural (native) or the binary's
+    /// per-class plan (static OLR).
+    Mode,
+    /// Derived from heap identity, with or without virtual traps.
+    Derived {
+        /// Whether the derived plan interleaves virtual trap slots.
+        traps: bool,
+    },
+    /// Drawn from the class's pooled ring.
+    Pooled,
+    /// Generated for this allocation alone.
+    Fresh,
+}
+
+/// Which source serves an allocation of a `fields`-field class under
+/// `mode` and `layout`: the one decision both runtime surfaces
+/// ([`ObjectRuntime`] and [`ShardHandle`](crate::ShardHandle)) make.
+#[inline]
+pub(crate) fn plan_source(mode: &RandomizeMode, layout: LayoutSource, fields: usize) -> PlanSource {
+    if !matches!(mode, RandomizeMode::PerAllocation { .. }) {
+        return PlanSource::Mode;
+    }
+    let small = fields <= STATELESS_MAX_FIELDS;
+    match layout {
+        LayoutSource::Derived if small => PlanSource::Derived { traps: true },
+        LayoutSource::DerivedUntrapped if small => PlanSource::Derived { traps: false },
+        LayoutSource::Fresh => PlanSource::Fresh,
+        _ => PlanSource::Pooled,
+    }
+}
+
+/// Runtime configuration: the detections, plan sources and fast paths
+/// of Sections IV–VI of the paper. DESIGN.md's knob table lists every
+/// value and who sets it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Simulated-heap configuration.
+    /// Simulated-heap configuration. A non-zero `heap.redzone` also arms
+    /// the redzone checks ([`RuntimeConfig::redzone_checks`]).
     pub heap: HeapConfig,
     /// Seed for the runtime's plan RNG (the process's secret entropy).
     pub seed: u64,
-    /// Detect accesses whose expected class hash mismatches the metadata.
-    pub detect_class_mismatch: bool,
-    /// Detect member accesses to freed objects.
-    pub detect_use_after_free: bool,
-    /// Verify booby-trap canaries when an object is freed.
-    pub check_traps_on_free: bool,
+    /// Arm the runtime's detections: class-mismatch and use-after-free
+    /// checks on member accesses, booby-trap canary checks on free, and
+    /// trap checks on raw probe reads (`probe_read_uint`: a read
+    /// overlapping a canary-carrying dummy, stored or derived, trips
+    /// [`RuntimeError::TrapTriggered`] instead of leaking bytes, modeling
+    /// trap slots mapped unreadable). Off isolates the purely
+    /// probabilistic layout defense: a confused or dangling access
+    /// resolves through the object's actual plan.
+    pub detect: bool,
     /// Enable the hashtable offset-lookup cache (Section V-B).
     pub offset_cache: bool,
-    /// Enforce ASan-style redzones: every raw load/store/copy must stay
-    /// inside its heap block. Models the redzone-based defenses of the
-    /// paper's Section VII-C — which stop *inter*-object overflows but,
-    /// unlike POLaR, cannot see *in-object* ones.
-    pub redzone_checks: bool,
-    /// Per-class plan-pool policy for the allocation fast path (§V-B):
-    /// pregenerated, interned plans drawn with one buffered-RNG index
-    /// per allocation. [`PoolPolicy::disabled`] restores one fresh
-    /// generation per allocation. Only affects `PerAllocation` mode.
-    pub pool: PoolPolicy,
-    /// The stateless small-class policy: derive permutations for small
-    /// classes from (block generation, slot id, epoch key) via a keyed
-    /// Feistel network, SPAM-style, instead of storing engine-generated
-    /// plans. **On by default** with virtual booby traps
-    /// ([`StatelessPolicy::on`]): the derived plans now interleave
-    /// identity-keyed trap slots, so small classes keep trap coverage
-    /// while paying ~zero per-object metadata. Set
-    /// [`StatelessPolicy::off`] to route every class through the pooled
-    /// stateful path, or [`StatelessPolicy::permute_only`] for the
-    /// original trap-free ablation. Only affects `PerAllocation` mode.
-    pub stateless: StatelessPolicy,
-    /// Check raw probe reads (`probe_read_uint`) against the target
-    /// object's booby-trap slots: a read overlapping a canary-carrying
-    /// dummy — stored (stateful plans) or derived (stateless virtual
-    /// traps) — trips [`RuntimeError::TrapTriggered`] instead of leaking
-    /// bytes. Models trap slots being mapped-unreadable in a real
-    /// deployment (Section IV-A3's traps, extended to reads).
-    pub detect_probe_traps: bool,
+    /// Where per-allocation layouts come from; see [`LayoutSource`].
+    /// Only affects `PerAllocation` mode.
+    pub layout: LayoutSource,
     /// Magazine policy for the sharded runtime's per-handle allocation
     /// front-end: each [`ShardHandle`](crate::ShardHandle) keeps a
     /// per-size-class magazine of pre-reserved allocation capsules,
@@ -130,19 +171,25 @@ pub struct RuntimeConfig {
     pub magazine: MagazinePolicy,
 }
 
+impl RuntimeConfig {
+    /// Whether ASan-style redzone checks are enforced: every raw
+    /// load/store/copy must stay inside its heap block. On exactly when
+    /// the heap leaves redzones between blocks. Models the redzone-based
+    /// defenses of the paper's Section VII-C, which stop *inter*-object
+    /// overflows but, unlike POLaR, cannot see *in-object* ones.
+    pub fn redzone_checks(&self) -> bool {
+        self.heap.redzone > 0
+    }
+}
+
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             heap: HeapConfig::default(),
             seed: 0x504f_4c61_52_u64, // "POLaR"
-            detect_class_mismatch: true,
-            detect_use_after_free: true,
-            check_traps_on_free: true,
+            detect: true,
             offset_cache: true,
-            redzone_checks: false,
-            pool: PoolPolicy::default(),
-            stateless: StatelessPolicy::on(),
-            detect_probe_traps: true,
+            layout: LayoutSource::Derived,
             magazine: MagazinePolicy::default(),
         }
     }
@@ -519,7 +566,7 @@ impl ObjectRuntime {
         // from `rng` must not reveal the stateless permutation key.
         let epoch_key =
             EpochKey(SplitMix64::new(config.seed ^ 0x5350_414d /* "SPAM" */).next_u64());
-        if config.heap.placement.enabled() && config.heap.placement.seed == 0 {
+        if config.heap.placement.enabled && config.heap.placement.seed == 0 {
             config.heap.placement.seed =
                 SplitMix64::new(config.seed ^ PLACEMENT_SALT).next_u64();
         }
@@ -538,7 +585,7 @@ impl ObjectRuntime {
             },
             interner: PlanInterner::with_registry(registry),
             meta_count: 0,
-            pools: PlanPools::new(config.pool),
+            pools: PlanPools::new(),
             epoch_key,
             stateless: StatelessState {
                 keys: RoundKeys::new(epoch_key),
@@ -668,28 +715,22 @@ impl ObjectRuntime {
         }
     }
 
-    /// A plan for a new object of class `info` under the runtime's mode,
-    /// with its registry id.
-    fn draw_plan(&mut self, info: &Arc<ClassInfo>) -> (u32, Arc<LayoutPlan>) {
-        if let Some(table) = self.static_table.as_mut() {
-            return table.plan_id_for(info);
-        }
-        match &self.mode {
-            RandomizeMode::PerAllocation { .. } if self.config.pool.enabled() => {
+    /// A stored plan for a new object of class `info` from `source`, with
+    /// its registry id. A derived source stores nothing of its own: its
+    /// stored plans (a copy's destination plan) come from the pooled
+    /// ring, like its wide classes'.
+    fn draw_plan(&mut self, info: &Arc<ClassInfo>, source: PlanSource) -> (u32, Arc<LayoutPlan>) {
+        match (source, self.static_table.as_mut()) {
+            (PlanSource::Mode, Some(table)) => table.plan_id_for(info),
+            (PlanSource::Mode, None) => self.interner.intern_id(LayoutPlan::natural_for(info)),
+            (PlanSource::Pooled | PlanSource::Derived { .. }, _) => {
                 self.pools.draw(info, &self.engine, &mut self.interner, &mut self.rng)
             }
-            RandomizeMode::PerAllocation { .. } => {
+            (PlanSource::Fresh, _) => {
                 let plan = self.engine.generate(info, &mut self.rng);
                 self.interner.intern_id(plan)
             }
-            _ => self.interner.intern_id(LayoutPlan::natural_for(info)),
         }
-    }
-
-    /// Whether `info` is served by the stateless small-class path.
-    pub(crate) fn stateless_applicable(&self, info: &ClassInfo) -> bool {
-        matches!(self.mode, RandomizeMode::PerAllocation { .. })
-            && self.config.stateless.applies_to(info.field_count())
     }
 
     /// Instrumented allocation: draw a layout plan, allocate, seed booby
@@ -699,11 +740,13 @@ impl ObjectRuntime {
     ///
     /// Propagates heap exhaustion as [`RuntimeError::Heap`].
     pub fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
-        if self.stateless_applicable(info) {
-            return self.olr_malloc_stateless(info);
+        match plan_source(&self.mode, self.config.layout, info.field_count()) {
+            PlanSource::Derived { traps } => self.olr_malloc_stateless(info, traps),
+            source => {
+                let (plan_id, plan) = self.draw_plan(info, source);
+                self.olr_malloc_with_plan(info, plan, plan_id)
+            }
         }
-        let (plan_id, plan) = self.draw_plan(info);
-        self.olr_malloc_with_plan(info, plan, plan_id)
     }
 
     /// Instrumented allocation with a caller-supplied layout plan and
@@ -784,8 +827,12 @@ impl ObjectRuntime {
     /// block on slot-reuse runs, and resolves repeated permutation codes
     /// through the per-class plan cache — an array index plus a registry
     /// lookup in steady state.
-    fn olr_malloc_stateless(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
-        let capsule = self.reserve_stateless(info)?;
+    fn olr_malloc_stateless(
+        &mut self,
+        info: &Arc<ClassInfo>,
+        traps: bool,
+    ) -> Result<Addr, RuntimeError> {
+        let capsule = self.reserve_stateless(info, traps)?;
         self.stats.allocations += 1;
         self.stats.stateless_allocs += 1;
         Ok(capsule.base)
@@ -793,14 +840,14 @@ impl ObjectRuntime {
 
     /// Stateless-path reservation without the allocation stats — the
     /// counterpart of [`reserve_with_plan`](ObjectRuntime::reserve_with_plan)
-    /// for small classes. The magazine front-end counts `allocations`
-    /// and `stateless_allocs` at pop time.
+    /// for small classes, with virtual traps when `traps`. The magazine
+    /// front-end counts `allocations` and `stateless_allocs` at pop time.
     pub(crate) fn reserve_stateless(
         &mut self,
         info: &Arc<ClassInfo>,
+        traps: bool,
     ) -> Result<Capsule, RuntimeError> {
         let ci = self.class_idx(info);
-        let traps = self.config.stateless.virtual_traps;
         let cache = self.classes[ci].stateless.get_or_insert_with(|| {
             StatelessClassCache::new(stateless_bound(info, traps), info.field_count() as u8)
         });
@@ -1069,7 +1116,7 @@ impl ObjectRuntime {
             let natural = self.interner.intern(LayoutPlan::natural_for(site_class));
             return Ok((Arc::clone(site_class), natural));
         };
-        if snap.state == PUB_STATE_FREED && self.config.detect_use_after_free {
+        if snap.state == PUB_STATE_FREED && self.config.detect {
             self.stats.uaf_detected += 1;
             return Err(RuntimeError::UseAfterFree { addr: src });
         }
@@ -1157,8 +1204,9 @@ impl ObjectRuntime {
         info: &Arc<ClassInfo>,
         limit: usize,
     ) -> Result<(u32, Arc<LayoutPlan>), RuntimeError> {
+        let source = plan_source(&self.mode, self.config.layout, info.field_count());
         for _ in 0..8 {
-            let (plan_id, plan) = self.draw_plan(info);
+            let (plan_id, plan) = self.draw_plan(info, source);
             if plan.size() as usize <= limit {
                 return Ok((plan_id, plan));
             }
@@ -1229,7 +1277,7 @@ impl ObjectRuntime {
     /// A raw *probe* read: `heap_read_uint` plus booby-trap screening.
     ///
     /// Attack probes read heap bytes at attacker-chosen (often
-    /// misaligned) offsets. When `detect_probe_traps` is on and the read
+    /// misaligned) offsets. When detections are armed and the read
     /// lands inside a tracked live object, the accessed byte range is
     /// checked against the object's plan: overlapping a canary-carrying
     /// dummy — a stored trap slot, or a stateless plan's *virtual* trap
@@ -1244,7 +1292,7 @@ impl ObjectRuntime {
     /// [`RuntimeError::TrapTriggered`] on trap overlap; heap faults
     /// propagate as [`RuntimeError::Heap`].
     pub fn probe_read_uint(&mut self, addr: Addr, width: usize) -> Result<u64, RuntimeError> {
-        if self.config.detect_probe_traps {
+        if self.config.detect {
             if let Some(report) = self.probe_trap_overlap(addr, width) {
                 self.stats.probe_traps += 1;
                 self.stats.traps_triggered += 1;
@@ -1466,7 +1514,7 @@ mod tests {
     #[test]
     fn type_confusion_without_detection_resolves_through_actual_plan() {
         let mut config = RuntimeConfig::default();
-        config.detect_class_mismatch = false;
+        config.detect = false;
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let (a, b) = confusable();
         let obj_b = rt.olr_malloc(&b).unwrap();
@@ -1897,7 +1945,7 @@ mod tests {
         // The pooled path now serves classes the stateless default does
         // not claim; route the small test class to it explicitly.
         let mut config = RuntimeConfig::default();
-        config.stateless = StatelessPolicy::off();
+        config.layout = LayoutSource::Pooled;
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let info = people();
         for _ in 0..200 {
@@ -1914,7 +1962,7 @@ mod tests {
     #[test]
     fn disabling_the_pool_restores_per_allocation_generation() {
         let mut config = RuntimeConfig::default();
-        config.pool = PoolPolicy::disabled();
+        config.layout = LayoutSource::Fresh;
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let info = people();
         let mut offsets = HashSet::new();
@@ -1926,6 +1974,26 @@ mod tests {
         let stats = rt.stats();
         assert_eq!(stats.pool_hits, 0);
         assert_eq!(stats.pool_refills, 0);
+    }
+
+    #[test]
+    fn plan_source_selects_by_mode_source_and_field_count() {
+        let polar = RandomizeMode::per_allocation();
+        let (small, wide) = (STATELESS_MAX_FIELDS, STATELESS_MAX_FIELDS + 1);
+        let derived = PlanSource::Derived { traps: true };
+        assert_eq!(plan_source(&polar, LayoutSource::Derived, 1), derived);
+        assert_eq!(plan_source(&polar, LayoutSource::Derived, small), derived);
+        assert_eq!(plan_source(&polar, LayoutSource::Derived, wide), PlanSource::Pooled);
+        let untrapped = PlanSource::Derived { traps: false };
+        assert_eq!(plan_source(&polar, LayoutSource::DerivedUntrapped, 4), untrapped);
+        assert_eq!(plan_source(&polar, LayoutSource::DerivedUntrapped, wide), PlanSource::Pooled);
+        for fields in [1, small, wide] {
+            assert_eq!(plan_source(&polar, LayoutSource::Pooled, fields), PlanSource::Pooled);
+            assert_eq!(plan_source(&polar, LayoutSource::Fresh, fields), PlanSource::Fresh);
+            for mode in [RandomizeMode::Native, RandomizeMode::static_olr(1)] {
+                assert_eq!(plan_source(&mode, LayoutSource::Derived, fields), PlanSource::Mode);
+            }
+        }
     }
 
     #[test]
@@ -1962,7 +2030,7 @@ mod tests {
         assert_eq!(meta.plan.plan_hash(), rederived.plan_hash());
         // And with traps off, the permute-only reference matches.
         let mut config = RuntimeConfig::default();
-        config.stateless = StatelessPolicy::permute_only();
+        config.layout = LayoutSource::DerivedUntrapped;
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).unwrap();
         let (slot, generation) = rt.heap().slot_gen(obj).unwrap();
@@ -1990,7 +2058,7 @@ mod tests {
         assert_eq!(rt.probe_read_uint(obj.offset(off), w).unwrap(), 77);
         // With detection off the same probe reads the canary bytes raw.
         let mut config = RuntimeConfig::default();
-        config.detect_probe_traps = false;
+        config.detect = false;
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).unwrap();
         let plan = Arc::clone(&rt.object_meta(obj).unwrap().plan);
@@ -2045,7 +2113,7 @@ mod tests {
             "static table plans must be counted: {baseline} -> {with_plan}"
         );
         let mut config = RuntimeConfig::default();
-        config.stateless = StatelessPolicy::off();
+        config.layout = LayoutSource::Pooled;
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         rt.olr_malloc(&info).unwrap();
         assert!(rt.pools.metadata_bytes() > 0);
@@ -2088,8 +2156,7 @@ mod tests {
         use polar_simheap::PlacementPolicy;
 
         let mut config = RuntimeConfig::default();
-        config.heap.placement =
-            PlacementPolicy { shuffle_depth: 8, guard_gap_bits: 4, ..Default::default() };
+        config.heap.placement = PlacementPolicy::on(0);
         let seeded = |seed: u64| {
             let mut c = config;
             c.seed = seed;

@@ -89,7 +89,10 @@ use polar_simheap::{
 use crate::api::PolarRuntime;
 use crate::classify::{Access, RecordView};
 use crate::error::{RuntimeError, TrapReport};
-use crate::runtime::{Capsule, ObjectMeta, ObjectRuntime, RandomizeMode, RuntimeConfig, SiteCache};
+use crate::runtime::{
+    plan_source, Capsule, ObjectMeta, ObjectRuntime, PlanSource, RandomizeMode, RuntimeConfig,
+    SiteCache,
+};
 use crate::stats::{AtomicRuntimeStats, RuntimeStats};
 
 /// Smallest per-shard arena the constructor accepts: a shard must at
@@ -191,9 +194,7 @@ impl ShardedRuntime {
                 // addresses in one shard window reveal nothing about
                 // placement in another, yet the whole arrangement
                 // replays from the one root seed.
-                if shard_config.heap.placement.enabled()
-                    && shard_config.heap.placement.seed == 0
-                {
+                if shard_config.heap.placement.enabled && shard_config.heap.placement.seed == 0 {
                     shard_config.heap.placement.seed =
                         SplitMix64::stream(config.seed ^ crate::runtime::PLACEMENT_SALT, i as u64)
                             .next_u64();
@@ -256,7 +257,7 @@ impl ShardedRuntime {
             home: (thread % self.shards.len() as u64) as usize,
             engine: LayoutEngine::new(policy),
             interner: PlanInterner::with_registry(Arc::clone(&self.registry)),
-            pools: PlanPools::new(self.config.pool),
+            pools: PlanPools::new(),
             rng: thread_rng(self.config.seed, thread),
             magazines: Vec::new(),
             pending: RuntimeStats::default(),
@@ -640,17 +641,17 @@ impl ShardHandle<'_> {
     ///
     /// As for [`ObjectRuntime::olr_malloc`].
     pub fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
-        let per_alloc = matches!(self.rt.mode, RandomizeMode::PerAllocation { .. });
-        let stateless = per_alloc && self.rt.config.stateless.applies_to(info.field_count());
+        let source = plan_source(&self.rt.mode, self.rt.config.layout, info.field_count());
         let batch = self.rt.config.magazine.batch;
-        if per_alloc && batch > 0 {
-            return self.magazine_malloc(info, stateless, batch);
+        match source {
+            PlanSource::Mode => self.rt.shard(self.home)?.olr_malloc(info),
+            _ if batch > 0 => self.magazine_malloc(info, source, batch),
+            PlanSource::Derived { .. } => self.rt.shard(self.home)?.olr_malloc(info),
+            _ => {
+                let (plan_id, plan) = self.draw_plans(info, source, 1).pop().expect("one plan drawn");
+                self.rt.shard(self.home)?.olr_malloc_with_plan(info, plan, plan_id)
+            }
         }
-        if !per_alloc || stateless {
-            return self.rt.shard(self.home)?.olr_malloc(info);
-        }
-        let (plan_id, plan) = self.draw_plans(info, 1).pop().expect("one plan drawn");
-        self.rt.shard(self.home)?.olr_malloc_with_plan(info, plan, plan_id)
     }
 
     /// Magazine-served allocation: pop a pre-reserved capsule, refilling
@@ -666,7 +667,7 @@ impl ShardHandle<'_> {
     fn magazine_malloc(
         &mut self,
         info: &Arc<ClassInfo>,
-        stateless: bool,
+        source: PlanSource,
         batch: usize,
     ) -> Result<Addr, RuntimeError> {
         let key = info.hash().0;
@@ -678,7 +679,7 @@ impl ShardHandle<'_> {
             }
         };
         let refilled = if self.magazines[idx].1.caps.is_empty() {
-            self.refill_magazine(idx, info, stateless, batch)?;
+            self.refill_magazine(idx, info, source, batch)?;
             true
         } else {
             false
@@ -689,7 +690,7 @@ impl ShardHandle<'_> {
             .pop_front()
             .expect("a successful refill reserves at least one capsule");
         self.pending.allocations += 1;
-        if stateless {
+        if matches!(source, PlanSource::Derived { .. }) {
             self.pending.stateless_allocs += 1;
         }
         if refilled {
@@ -711,15 +712,18 @@ impl ShardHandle<'_> {
         &mut self,
         idx: usize,
         info: &Arc<ClassInfo>,
-        stateless: bool,
+        source: PlanSource,
         batch: usize,
     ) -> Result<(), RuntimeError> {
-        let plans = if stateless { Vec::new() } else { self.draw_plans(info, batch) };
+        let plans = match source {
+            PlanSource::Derived { .. } => Vec::new(),
+            _ => self.draw_plans(info, source, batch),
+        };
         let mut shard = self.rt.shard(self.home)?;
         let caps = &mut self.magazines[idx].1.caps;
-        if stateless {
+        if let PlanSource::Derived { traps } = source {
             for i in 0..batch {
-                match shard.reserve_stateless(info) {
+                match shard.reserve_stateless(info, traps) {
                     Ok(cap) => caps.push_back(cap),
                     Err(err) if i == 0 => return Err(err),
                     Err(_) => break,
@@ -738,14 +742,19 @@ impl ShardHandle<'_> {
     }
 
     /// Draw `n` plans for `info` from this thread's pools (or straight
-    /// from the engine when pooling is off), with their ids in the
-    /// runtime's shared registry, counting the pool and interner growth
-    /// into the pending sheet.
-    fn draw_plans(&mut self, info: &Arc<ClassInfo>, n: usize) -> Vec<(u32, Arc<LayoutPlan>)> {
+    /// from the engine for a [`PlanSource::Fresh`] source), with their
+    /// ids in the runtime's shared registry, counting the pool and
+    /// interner growth into the pending sheet.
+    fn draw_plans(
+        &mut self,
+        info: &Arc<ClassInfo>,
+        source: PlanSource,
+        n: usize,
+    ) -> Vec<(u32, Arc<LayoutPlan>)> {
         let pool = self.pools.stats();
         let (unique, dedup) = (self.interner.unique_plans(), self.interner.dedup_hits());
         let mut plans = Vec::with_capacity(n);
-        if self.rt.config.pool.enabled() {
+        if source == PlanSource::Pooled {
             self.pools.draw_batch(info, &self.engine, &mut self.interner, &mut self.rng, n, &mut plans);
         } else {
             for _ in 0..n {
@@ -1415,8 +1424,7 @@ mod tests {
         let placed = || {
             let mut config = RuntimeConfig::default();
             config.heap.capacity = 64 << 20;
-            config.heap.placement =
-                PlacementPolicy { shuffle_depth: 8, guard_gap_bits: 4, ..Default::default() };
+            config.heap.placement = PlacementPolicy::on(0);
             ShardedRuntime::new(RandomizeMode::per_allocation(), config, SHARDS)
         };
         let rt = placed();
@@ -1926,7 +1934,7 @@ mod tests {
     fn recreated_handles_leave_the_registry_flat() {
         let mut config = RuntimeConfig::default();
         config.heap.capacity = 64 << 20;
-        config.stateless = polar_layout::StatelessPolicy::off();
+        config.layout = crate::runtime::LayoutSource::Pooled;
         let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 1);
         let info = people();
         let mut lens = Vec::new();

@@ -87,7 +87,7 @@ runtime_stats! {
     /// Booby-trap canaries found corrupted.
     traps_triggered,
     /// Booby-trap sweeps performed (explicit [`check_traps`] calls plus
-    /// the free-path scan when `check_traps_on_free` is set).
+    /// the free-path scan when detections are armed).
     ///
     /// [`check_traps`]: crate::ObjectRuntime::check_traps
     trap_scans,

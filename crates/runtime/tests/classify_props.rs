@@ -10,11 +10,17 @@
 //! * two handles on a two-shard runtime, allocations alternating
 //!   between them, so accesses and frees cross shards.
 //!
+//! Each case also draws the runtime configuration: the layout source
+//! (derived with and without traps, pooled, fresh) and whether
+//! detections are armed. Every surface runs the same configuration.
+//!
 //! Each replay checks every op against a liveness-and-value model (use
 //! after free before class mismatch, out-of-range fields, interior
-//! pointers, corrupted canaries), so a defect shared by every surface
-//! fails too. Across surfaces, every op must return the same value or
-//! error class, and the detection counters must agree at the end.
+//! pointers, corrupted canaries; with detections off, dangling and
+//! confused reads return the object's values and corrupted canaries go
+//! unnoticed), so a defect shared by every surface fails too. Across
+//! surfaces, every op must return the same value or error class, and
+//! the detection counters must agree at the end.
 //!
 //! One op is path-dependent by design: freeing an object whose block
 //! the program already released raw. Under the shard lock the heap sees
@@ -34,12 +40,21 @@ use std::sync::Arc;
 use polar_check::{any, one_of, vec as vec_of, Config, StrategyExt};
 use polar_classinfo::{ClassDecl, ClassHash, ClassInfo, FieldKind};
 use polar_runtime::{
-    Addr, MagazinePolicy, ObjectMeta, ObjectRuntime, ObjectState, PolarRuntime, RandomizeMode,
-    RuntimeConfig, RuntimeError, RuntimeStats, ShardHandle, ShardedRuntime, SiteCache,
+    Addr, LayoutSource, MagazinePolicy, ObjectMeta, ObjectRuntime, ObjectState, PolarRuntime,
+    RandomizeMode, RuntimeConfig, RuntimeError, RuntimeStats, ShardHandle, ShardedRuntime,
+    SiteCache,
 };
 use polar_simheap::{SnapshotOutcome, PUB_STATE_STRANDED};
 
 const SITES: usize = 4;
+
+/// Every layout source a case may draw.
+const LAYOUTS: [LayoutSource; 4] = [
+    LayoutSource::Derived,
+    LayoutSource::DerivedUntrapped,
+    LayoutSource::Pooled,
+    LayoutSource::Fresh,
+];
 
 /// One tape op. Object indices are reduced modulo the object list at
 /// execution time, so every generated tape stays executable while the
@@ -128,7 +143,8 @@ fn outcome<T>(result: Result<T, RuntimeError>, ok: impl FnOnce(T) -> Outcome) ->
     result.map_or_else(|err| Outcome::Err(err_class(&err)), ok)
 }
 
-/// A 5-field class: takes the stateless small-class path.
+/// A 5-field class: takes the stateless small-class path under a
+/// derived layout source.
 fn small() -> Arc<ClassInfo> {
     Arc::new(ClassInfo::from_decl(
         ClassDecl::builder("Node")
@@ -141,7 +157,7 @@ fn small() -> Arc<ClassInfo> {
     ))
 }
 
-/// A 12-field class: its plans come from the plan pools.
+/// A 12-field class: its plans come from the plan pools, or fresh.
 fn pooled() -> Arc<ClassInfo> {
     let mut decl = ClassDecl::builder("Wide").field("vtable", FieldKind::VtablePtr);
     for i in 0..11 {
@@ -153,14 +169,13 @@ fn pooled() -> Arc<ClassInfo> {
 
 /// A quarantine longer than any tape: no freed block is re-armed, so a
 /// dangling access means the same thing on every surface.
-fn config(magazines: bool) -> RuntimeConfig {
+fn config(layout: LayoutSource, detect: bool) -> RuntimeConfig {
     let mut config = RuntimeConfig::default();
     config.heap.capacity = 4 << 20;
     config.heap.quarantine = 1 << 20;
     config.seed = 0xC1A5_51F7;
-    if !magazines {
-        config.magazine = MagazinePolicy::disabled();
-    }
+    config.layout = layout;
+    config.detect = detect;
     config
 }
 
@@ -254,18 +269,21 @@ struct Obj {
 }
 
 /// The error a member access must raise, or `None` when it resolves.
+/// With detections off a dangling or confused access resolves through
+/// the object's own plan.
 fn expected_access(
     o: &Obj,
     class_ok: bool,
     field_ok: bool,
     interior: bool,
+    detect: bool,
 ) -> Option<&'static str> {
     if interior {
         Some("UnknownObject")
-    } else if o.freed {
+    } else if o.freed && detect {
         // Use after free is reported before a class mismatch.
         Some("UseAfterFree")
-    } else if !class_ok {
+    } else if !class_ok && detect {
         Some("ClassMismatch")
     } else if !field_ok {
         Some("FieldOutOfBounds")
@@ -274,10 +292,10 @@ fn expected_access(
     }
 }
 
-fn expected_free(o: &Obj) -> Outcome {
+fn expected_free(o: &Obj, detect: bool) -> Outcome {
     if o.freed {
         Outcome::Err("DoubleFree")
-    } else if o.corrupt {
+    } else if o.corrupt && detect {
         Outcome::Err("TrapTriggered")
     } else {
         Outcome::Done
@@ -307,9 +325,14 @@ fn detections(s: &RuntimeStats, extra: u64) -> [u64; 8] {
     ]
 }
 
-/// Replay `tape` on `s`, checking each op against the model; returns
-/// the outcomes and the detection counters.
-fn replay(s: &mut dyn Surface, tape: &[Op]) -> Result<(Vec<Outcome>, [u64; 8]), String> {
+/// Replay `tape` on `s`, built from `config`, checking each op against
+/// the model; returns the outcomes and the detection counters.
+fn replay(
+    s: &mut dyn Surface,
+    config: &RuntimeConfig,
+    tape: &[Op],
+) -> Result<(Vec<Outcome>, [u64; 8]), String> {
+    let detect = config.detect;
     let classes = [small(), pooled()];
     let mut objs: Vec<Obj> = Vec::new();
     let mut sites = [SiteCache::empty(); SITES];
@@ -356,12 +379,12 @@ fn replay(s: &mut dyn Surface, tape: &[Op]) -> Result<(Vec<Outcome>, [u64; 8]), 
         let (hash, nf) = (info.hash(), info.field_count());
         let read = |s: &mut dyn Surface, o: &Obj, class: ClassHash, field: usize| {
             let got = outcome(s.ctx(0).read_field(base, class, field), Outcome::Value);
-            let err = expected_access(o, class == hash, field < nf, false);
+            let err = expected_access(o, class == hash, field < nf, false, detect);
             (got, err.map_or(Outcome::Value(o.vals.get(field).copied().unwrap_or(0)), Outcome::Err))
         };
         let free = |s: &mut dyn Surface, o: &mut Obj| {
             let got = outcome(s.ctx(0).olr_free(base), |()| Outcome::Done);
-            let want = expected_free(o);
+            let want = expected_free(o, detect);
             o.freed |= want == Outcome::Done;
             (got, want)
         };
@@ -380,13 +403,13 @@ fn replay(s: &mut dyn Surface, tape: &[Op]) -> Result<(Vec<Outcome>, [u64; 8]), 
             Op::Getptr { field, interior, .. } => {
                 let at = if interior { base.offset(8) } else { base };
                 let got = outcome(s.getptr(at, hash, field % nf), |_| Outcome::Done);
-                let want = expected_access(o, true, true, interior);
+                let want = expected_access(o, true, true, interior, detect);
                 vec![(got, want.map_or(Outcome::Done, Outcome::Err))]
             }
             Op::GetptrIc { site, interior, .. } => {
                 let at = if interior { base.offset(8) } else { base };
                 let got = s.ctx(0).olr_getptr_ic(at, hash, site + 1, &mut sites[site]);
-                let want = expected_access(o, true, true, interior);
+                let want = expected_access(o, true, true, interior, detect);
                 vec![(outcome(got, |_| Outcome::Done), want.map_or(Outcome::Done, Outcome::Err))]
             }
             Op::Read { field, .. } => vec![read(s, o, hash, field % nf)],
@@ -394,7 +417,7 @@ fn replay(s: &mut dyn Surface, tape: &[Op]) -> Result<(Vec<Outcome>, [u64; 8]), 
                 let got = outcome(s.ctx(0).write_field(base, hash, field % nf, value), |()| {
                     Outcome::Done
                 });
-                let want = expected_access(o, true, true, false);
+                let want = expected_access(o, true, true, false, detect);
                 if want.is_none() {
                     o.vals[field % nf] = value;
                 }
@@ -413,7 +436,7 @@ fn replay(s: &mut dyn Surface, tape: &[Op]) -> Result<(Vec<Outcome>, [u64; 8]), 
                     Ok(()) | Err(RuntimeError::Heap(_)) => Outcome::Released,
                     Err(err) => Outcome::Err(err_class(&err)),
                 };
-                let want = match expected_free(o) {
+                let want = match expected_free(o, detect) {
                     Outcome::Done => Outcome::Released,
                     detected => detected,
                 };
@@ -430,11 +453,22 @@ fn replay(s: &mut dyn Surface, tape: &[Op]) -> Result<(Vec<Outcome>, [u64; 8]), 
             Op::CorruptThenFree { .. } => {
                 let meta = s.meta(base).ok_or("a tape object lost its record")?;
                 let trap = meta.plan.dummies().iter().find_map(|d| Some((d.offset, d.canary?)));
-                let (offset, canary) = trap.ok_or("every default plan carries a canaried dummy")?;
-                // The inverted low byte: corrupt however often it is applied.
-                let at = base.offset(u64::from(offset));
-                s.ctx(0).heap_write_uint(at, !canary & 0xFF, 1).map_err(|e| e.to_string())?;
-                o.corrupt = true;
+                // Derived untrapped plans carry no canary: the op is a
+                // plain free there. Every other plan carries one.
+                let untrapped = config.layout == LayoutSource::DerivedUntrapped && o.class == 0;
+                match trap {
+                    Some((offset, canary)) => {
+                        // The inverted low byte: corrupt however often it
+                        // is applied.
+                        let at = base.offset(u64::from(offset));
+                        s.ctx(0)
+                            .heap_write_uint(at, !canary & 0xFF, 1)
+                            .map_err(|e| e.to_string())?;
+                        o.corrupt = true;
+                    }
+                    None if untrapped => {}
+                    None => return Err("a trapped plan lacks a canaried dummy".into()),
+                }
                 vec![free(s, o)]
             }
         };
@@ -448,25 +482,30 @@ fn replay(s: &mut dyn Surface, tape: &[Op]) -> Result<(Vec<Outcome>, [u64; 8]), 
 }
 
 fn replay_handles(
+    config: &RuntimeConfig,
     tape: &[Op],
     magazines: bool,
     shards: usize,
 ) -> Result<(Vec<Outcome>, [u64; 8]), String> {
-    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config(magazines), shards);
+    let mut config = *config;
+    if !magazines {
+        config.magazine = MagazinePolicy::disabled();
+    }
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config, shards);
     let hs = (0..shards as u64).map(|t| rt.handle(t)).collect();
     let mut handles = Handles { rt: &rt, hs };
-    replay(&mut handles, tape)
+    replay(&mut handles, &config, tape)
 }
 
-#[allow(clippy::ptr_arg)]
-fn surfaces_agree(tape: &Vec<Op>) -> Result<(), String> {
-    let mut reference = ObjectRuntime::new(RandomizeMode::per_allocation(), config(true));
-    let (want, want_counts) = replay(&mut reference, tape)?;
+fn surfaces_agree((layout, detect, tape): &(usize, bool, Vec<Op>)) -> Result<(), String> {
+    let config = config(LAYOUTS[*layout], *detect);
+    let mut reference = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
+    let (want, want_counts) = replay(&mut reference, &config, tape)?;
     for (name, magazines, shards) in
         [("handle/magazines", true, 1), ("handle/mutex", false, 1), ("two-handles/2", true, 2)]
     {
-        let (got, counts) =
-            replay_handles(tape, magazines, shards).map_err(|e| format!("{name}: {e}"))?;
+        let (got, counts) = replay_handles(&config, tape, magazines, shards)
+            .map_err(|e| format!("{name}: {e}"))?;
         if let Some(i) = (0..want.len()).find(|&i| got.get(i) != Some(&want[i])) {
             return Err(format!(
                 "{name}: outcome {i} is {:?}, the plain runtime's {:?}",
@@ -510,8 +549,8 @@ fn every_surface_classifies_detections_identically() {
             obj.clone().prop_map(|obj| Op::RawFreeThenFree { obj }),
             obj.prop_map(|obj| Op::CorruptThenFree { obj }),
         ];
-    let tape = vec_of(op, 0..64);
+    let case = (0..LAYOUTS.len(), any::<bool>(), vec_of(op, 0..64));
     // Cases from POLAR_CHECK_CASES, seed fixed so a failure replays.
     let config = Config::default().seed(0xD1FF_C1A5);
-    polar_check::check_with(config, "surfaces_classify_identically", &tape, surfaces_agree);
+    polar_check::check_with(config, "surfaces_classify_identically", &case, surfaces_agree);
 }

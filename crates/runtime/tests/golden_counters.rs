@@ -1,6 +1,13 @@
 //! Golden counter test: one fixed-seed, single-thread op tape replayed
 //! through every runtime surface.
 //!
+//! The tapes run the default configuration: `LayoutSource::Derived`
+//! (small classes derived with virtual traps, wide classes from the
+//! pooled ring) with `detect` on; only the heap size, quarantine, seed
+//! and magazines are set here. The other layout sources and detections
+//! off are covered by the differential property in `classify_props.rs`,
+//! which checks that every surface agrees rather than pinning literals.
+//!
 //! The tape mixes stateless (≤ 8-field) and pooled (12-field)
 //! allocations, field writes and reads, plain and inline-cached member
 //! accesses (hits, cold-site misses and interior-pointer misses),

@@ -191,51 +191,68 @@ pub struct BlockInfo {
     pub generation: u64,
 }
 
-/// Placement-randomization policy: address-space entropy layered on the
-/// allocator, complementing POLaR's intra-object layout entropy.
-///
-/// The default (all knobs zero) disables the layer entirely and keeps
-/// the heap's address sequence bit-for-bit identical to the historical
-/// deterministic allocator — LIFO free lists, sequential `grow`, FIFO
-/// quarantine — which many tests and the exploit scenarios rely on.
-///
-/// With any knob non-zero the heap draws from its own seeded SplitMix64
-/// stream (`seed`), so placement stays a pure function of the
-/// configuration: same seed, same op sequence, same addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlacementPolicy {
+/// The fixed geometry of placement randomization: how much address
+/// entropy each mechanism adds when [`PlacementPolicy::enabled`] is set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlacementGeometry {
     /// Capacity of the per-size-class shuffle buffer sitting in front of
     /// each free list (shuffling-allocator style). Frees insert into the
     /// buffer and evict a random held-back block; allocations swap the
-    /// popped block with a random buffered one. `0` = no buffer.
+    /// popped block with a random buffered one.
     pub shuffle_depth: usize,
     /// Entropy bits of the one-time arena slide: the first block's base
     /// is offset by `uniform(0 .. 2^bits)` alignment units, an
-    /// ASLR-style displacement of the whole address sequence. `0` = the
-    /// arena starts at its fixed historical base.
+    /// ASLR-style displacement of the whole address sequence.
     pub offset_entropy_bits: u32,
     /// Entropy bits of the per-block guard gap: `grow` skips
     /// `uniform(0 .. 2^bits)` unowned alignment units before each carved
-    /// block, so inter-object deltas vary block to block. `0` = packed.
+    /// block, so inter-object deltas vary block to block.
     pub guard_gap_bits: u32,
-    /// Seed of the heap's placement RNG stream. Callers that want
-    /// replayable placement derive this from their process seed (the
-    /// runtime uses a salted SplitMix64 stream per heap/shard).
-    pub seed: u64,
 }
 
-impl PlacementPolicy {
-    /// Whether any placement randomization is active.
-    pub fn enabled(&self) -> bool {
-        self.shuffle_depth > 0 || self.offset_entropy_bits > 0 || self.guard_gap_bits > 0
-    }
-
+impl PlacementGeometry {
     /// Total placement entropy in bits for one allocation, in the ASLR
     /// accounting style: log2 of the number of equally-likely choices
     /// each mechanism contributes (buffer pick, arena slide, guard gap).
     pub fn entropy_bits(&self) -> f64 {
-        let shuffle = if self.shuffle_depth > 1 { (self.shuffle_depth as f64).log2() } else { 0.0 };
-        shuffle + f64::from(self.offset_entropy_bits) + f64::from(self.guard_gap_bits)
+        (self.shuffle_depth as f64).log2()
+            + f64::from(self.offset_entropy_bits)
+            + f64::from(self.guard_gap_bits)
+    }
+}
+
+/// The placement geometry every placement-randomized heap uses: a
+/// 16-deep shuffle buffer, an 8-bit arena slide and 6-bit guard gaps.
+pub const PLACEMENT_GEOMETRY: PlacementGeometry =
+    PlacementGeometry { shuffle_depth: 16, offset_entropy_bits: 8, guard_gap_bits: 6 };
+
+/// Placement-randomization policy: address-space entropy layered on the
+/// allocator, complementing POLaR's intra-object layout entropy, with
+/// the geometry of [`PLACEMENT_GEOMETRY`].
+///
+/// The default (off) disables the layer entirely and keeps the heap's
+/// address sequence bit-for-bit identical to the historical
+/// deterministic allocator — LIFO free lists, sequential `grow`, FIFO
+/// quarantine — which many tests and the exploit scenarios rely on.
+///
+/// When on, the heap draws from its own seeded SplitMix64 stream
+/// (`seed`), so placement stays a pure function of the configuration:
+/// same seed, same op sequence, same addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlacementPolicy {
+    /// Whether placement randomization is active.
+    pub enabled: bool,
+    /// Seed of the heap's placement RNG stream. Callers that want
+    /// replayable placement derive this from their process seed (the
+    /// runtime derives one per heap/shard from its own seed when this
+    /// is 0).
+    pub seed: u64,
+}
+
+impl PlacementPolicy {
+    /// Placement randomization on, drawing from `seed`.
+    pub fn on(seed: u64) -> Self {
+        PlacementPolicy { enabled: true, seed }
     }
 }
 
@@ -251,9 +268,6 @@ pub struct HeapConfig {
     /// Byte written over freed blocks (`None` leaves stale data in place,
     /// which is what makes use-after-free *reads* informative).
     pub poison: Option<u8>,
-    /// Zero-fill fresh allocations (calloc-like). Off by default: malloc
-    /// returns whatever the previous occupant left behind.
-    pub zero_on_alloc: bool,
     /// Redzone gap in bytes left unowned after every block (0 = packed,
     /// the default; ASan-style defenses set this so linear overflows walk
     /// into no-man's-land before reaching the neighbour).
@@ -275,7 +289,6 @@ impl Default for HeapConfig {
             capacity: 64 << 20,
             quarantine: 0,
             poison: None,
-            zero_on_alloc: false,
             redzone: 0,
             arena_base: 0,
             placement: PlacementPolicy::default(),
@@ -394,12 +407,8 @@ fn release_class(size: usize) -> Option<usize> {
     SIZE_CLASSES.iter().rposition(|&c| c <= size)
 }
 
-/// Entropy draws are clamped to this many bits so a misconfigured policy
-/// cannot demand multi-gigabyte slides or gaps.
-const MAX_PLACEMENT_BITS: u32 = 16;
-
 fn placement_mask(bits: u32) -> u64 {
-    (1u64 << bits.min(MAX_PLACEMENT_BITS)) - 1
+    (1u64 << bits) - 1
 }
 
 /// The simulated heap: arena + segregated freelists + slot records.
@@ -428,11 +437,11 @@ pub struct SimHeap {
     units: UnitIndex,
     /// Per-size-class shuffle buffers: freed blocks held back from their
     /// free list and released in random order
-    /// ([`PlacementPolicy::shuffle_depth`]). Blocks in here are `Freed`,
+    /// ([`PlacementGeometry::shuffle_depth`]). Blocks in here are `Freed`,
     /// exactly like free-list entries; empty when shuffling is off.
     shuffle: [Vec<u32>; SIZE_CLASSES.len()],
     /// Seeded stream every placement decision draws from; never advanced
-    /// when the placement policy is fully disabled.
+    /// when placement is off.
     placement_rng: SplitMix64,
     stats: HeapStats,
     /// One record per slot: the block plus the runtime's object
@@ -446,20 +455,19 @@ pub struct SimHeap {
 impl SimHeap {
     /// Create a heap with the given configuration. Address `0` is never
     /// handed out; the arena starts with one reserved alignment unit
-    /// (plus the one-time placement slide when
-    /// [`PlacementPolicy::offset_entropy_bits`] is set).
+    /// (plus the one-time placement slide when placement is on).
     pub fn new(config: HeapConfig) -> Self {
         Self::build(config, false)
     }
 
     /// A heap whose arena starts with one reserved alignment unit, slid
-    /// by `uniform(0 .. 2^offset_entropy_bits)` units when offset entropy
-    /// is on (never past half the capacity); published when `published`.
+    /// by `uniform(0 .. 2^offset_entropy_bits)` units when placement is
+    /// on (never past half the capacity); published when `published`.
     fn build(config: HeapConfig, published: bool) -> Self {
         let mut rng = SplitMix64::new(config.placement.seed);
         let mut extent = ALIGN;
-        if config.placement.offset_entropy_bits > 0 {
-            let units = rng.next_u64() & placement_mask(config.placement.offset_entropy_bits);
+        if config.placement.enabled {
+            let units = rng.next_u64() & placement_mask(PLACEMENT_GEOMETRY.offset_entropy_bits);
             extent = (ALIGN + units as usize * ALIGN).min((config.capacity / 2).max(ALIGN));
         }
         let records = Arc::new(SlotRecords::default());
@@ -558,8 +566,8 @@ impl SimHeap {
     /// Allocate `size` bytes, rounded up to a size class.
     ///
     /// Freed slots of the same class are reused in LIFO order, matching
-    /// the immediate-reuse behaviour exploits rely on — unless a
-    /// [`PlacementPolicy`] shuffle buffer is configured, in which case
+    /// the immediate-reuse behaviour exploits rely on — unless placement
+    /// randomization is on ([`PlacementPolicy`]), in which case
     /// the reused slot is swapped with a random held-back block first.
     /// Oversize requests best-fit the `large_free` pool: the smallest
     /// span that covers the request is reused whole.
@@ -639,10 +647,6 @@ impl SimHeap {
                 let win = self.pub_open(slot);
                 rec.set_block(block);
                 self.stats.reuses += 1;
-                if self.config.zero_on_alloc {
-                    let start = (block.base.0 - self.config.arena_base) as usize;
-                    self.store.fill(start, block.size, 0);
-                }
                 self.pub_close(slot, win);
                 (block.base, slot, block.generation, block.size)
             }
@@ -651,9 +655,6 @@ impl SimHeap {
                 let start = (addr.0 - self.config.arena_base) as usize;
                 let slot = self.slot_count;
                 self.slot_count += 1;
-                if self.config.zero_on_alloc {
-                    self.store.fill(start, usable, 0);
-                }
                 // Fresh block: initialize the record *before* the unit
                 // index points at it — no reader can observe the slot
                 // until the Release unit stores land, so no window is
@@ -673,14 +674,14 @@ impl SimHeap {
 
     fn grow(&mut self, usable: usize) -> Result<u64, HeapError> {
         let mut base = self.store.len();
-        if self.config.placement.guard_gap_bits > 0 {
+        if self.config.placement.enabled {
             // Randomized guard gap: unowned alignment units between this
             // block and its predecessor. Like a redzone the units keep
             // index entry 0, so checked accesses into the gap report
             // OutOfBlock; unlike the fixed redzone the inter-block
             // distance now varies per block.
             let units = self.placement_rng.next_u64()
-                & placement_mask(self.config.placement.guard_gap_bits);
+                & placement_mask(PLACEMENT_GEOMETRY.guard_gap_bits);
             base += units as usize * ALIGN;
         }
         let new_len = base + usable + self.config.redzone.next_multiple_of(ALIGN);
@@ -733,7 +734,7 @@ impl SimHeap {
         }
         self.quarantine.push_back(addr);
         while self.quarantine.len() > self.config.quarantine {
-            let pick = if self.config.placement.enabled() && self.quarantine.len() > 1 {
+            let pick = if self.config.placement.enabled && self.quarantine.len() > 1 {
                 (self.placement_rng.next_u64() % self.quarantine.len() as u64) as usize
             } else {
                 0
@@ -759,8 +760,8 @@ impl SimHeap {
     fn release_to_free_list(&mut self, released: u32, released_size: usize) {
         match release_class(released_size) {
             Some(class) => {
-                let depth = self.config.placement.shuffle_depth;
-                if depth > 0 {
+                if self.config.placement.enabled {
+                    let depth = PLACEMENT_GEOMETRY.shuffle_depth;
                     if self.shuffle[class].len() < depth {
                         // Buffer not yet full: hold the block back; it
                         // only becomes reusable via a random swap.
@@ -1155,17 +1156,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_on_alloc_clears_recycled_memory() {
-        let mut h = SimHeap::new(HeapConfig { zero_on_alloc: true, ..HeapConfig::default() });
-        let a = h.malloc(16).unwrap();
-        h.write_u64(a, u64::MAX).unwrap();
-        h.free(a).unwrap();
-        let b = h.malloc(16).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(h.read_u64(b).unwrap(), 0);
-    }
-
-    #[test]
     fn out_of_bounds_write_corrupts_neighbour() {
         let mut h = heap();
         let a = h.malloc(16).unwrap();
@@ -1312,16 +1302,8 @@ mod tests {
         assert_eq!(release_class(64 * 1024), None);
     }
 
-    fn placed(shuffle_depth: usize, offset_bits: u32, gap_bits: u32, seed: u64) -> HeapConfig {
-        HeapConfig {
-            placement: PlacementPolicy {
-                shuffle_depth,
-                offset_entropy_bits: offset_bits,
-                guard_gap_bits: gap_bits,
-                seed,
-            },
-            ..HeapConfig::default()
-        }
+    fn placed(seed: u64) -> HeapConfig {
+        HeapConfig { placement: PlacementPolicy::on(seed), ..HeapConfig::default() }
     }
 
     /// Address trace of a fixed malloc/free workload.
@@ -1343,10 +1325,8 @@ mod tests {
 
     #[test]
     fn placement_off_is_bit_identical_to_the_deterministic_heap() {
-        // A non-zero seed with all knobs zero must not change a thing.
-        let mut off = PlacementPolicy::default();
-        off.seed = 0xDEAD_BEEF;
-        assert!(!off.enabled());
+        // A non-zero seed with placement off must not change a thing.
+        let off = PlacementPolicy { enabled: false, seed: 0xDEAD_BEEF };
         assert_eq!(
             trace(HeapConfig::default()),
             trace(HeapConfig { placement: off, ..HeapConfig::default() })
@@ -1355,21 +1335,24 @@ mod tests {
 
     #[test]
     fn placement_replay_is_a_pure_function_of_the_seed() {
-        let a = trace(placed(8, 6, 4, 42));
-        let b = trace(placed(8, 6, 4, 42));
+        let a = trace(placed(42));
+        let b = trace(placed(42));
         assert_eq!(a, b, "same seed, same ops, same addresses");
-        let c = trace(placed(8, 6, 4, 43));
+        let c = trace(placed(43));
         assert_ne!(a, c, "different seeds must diverge");
     }
 
     #[test]
     fn shuffle_buffer_breaks_lifo_reuse_order() {
-        let mut h = SimHeap::new(placed(8, 0, 0, 7));
-        let addrs: Vec<Addr> = (0..16).map(|_| h.malloc(32).unwrap()).collect();
+        // Twice the buffer depth: half the frees are held back, half
+        // released in random order.
+        let n = 2 * PLACEMENT_GEOMETRY.shuffle_depth;
+        let mut h = SimHeap::new(placed(7));
+        let addrs: Vec<Addr> = (0..n).map(|_| h.malloc(32).unwrap()).collect();
         for &a in &addrs {
             h.free(a).unwrap();
         }
-        let reused: Vec<Addr> = (0..16).map(|_| h.malloc(32).unwrap()).collect();
+        let reused: Vec<Addr> = (0..n).map(|_| h.malloc(32).unwrap()).collect();
         let lifo: Vec<Addr> = addrs.iter().rev().copied().collect();
         assert_ne!(reused, lifo, "shuffling must not reproduce the LIFO order");
         // Every handed-out block is live, distinct and class-spanned.
@@ -1382,26 +1365,26 @@ mod tests {
 
     #[test]
     fn shuffle_holds_back_at_most_depth_blocks() {
-        let depth = 4;
-        let mut h = SimHeap::new(placed(depth, 0, 0, 9));
-        let addrs: Vec<Addr> = (0..8).map(|_| h.malloc(64).unwrap()).collect();
+        let depth = PLACEMENT_GEOMETRY.shuffle_depth;
+        let mut h = SimHeap::new(placed(9));
+        let addrs: Vec<Addr> = (0..2 * depth).map(|_| h.malloc(64).unwrap()).collect();
         for &a in &addrs {
             h.free(a).unwrap();
         }
         let (free_lists, large, buffered) = h.free_pool_snapshot();
         assert_eq!(buffered.len(), depth, "buffer holds exactly depth blocks");
-        assert_eq!(free_lists.iter().map(Vec::len).sum::<usize>(), 8 - depth);
+        assert_eq!(free_lists.iter().map(Vec::len).sum::<usize>(), depth);
         assert!(large.is_empty());
         // Held-back blocks are still freed blocks — and stay reachable:
-        // allocating everything back gets all 8 addresses.
+        // allocating everything back gets every address.
         let reused: std::collections::HashSet<u64> =
-            (0..8).map(|_| h.malloc(64).unwrap().0).collect();
+            (0..2 * depth).map(|_| h.malloc(64).unwrap().0).collect();
         assert_eq!(reused, addrs.iter().map(|a| a.0).collect());
     }
 
     #[test]
     fn guard_gaps_vary_inter_block_distance() {
-        let mut h = SimHeap::new(placed(0, 0, 4, 11));
+        let mut h = SimHeap::new(placed(11));
         let addrs: Vec<u64> = (0..16).map(|_| h.malloc(32).unwrap().0).collect();
         let deltas: std::collections::HashSet<u64> =
             addrs.windows(2).map(|w| w[1] - w[0]).collect();
@@ -1418,13 +1401,13 @@ mod tests {
 
     #[test]
     fn offset_entropy_slides_the_whole_arena() {
-        let first = |seed: u64| SimHeap::new(placed(0, 8, 0, seed)).store.len();
+        let first = |seed: u64| SimHeap::new(placed(seed)).store.len();
         let a = first(1);
         let b = first(2);
         let c = first(1);
         assert_eq!(a, c, "slide is a pure function of the seed");
         assert_ne!(a, b, "different seeds should slide differently");
-        let mut h = SimHeap::new(placed(0, 8, 0, 1));
+        let mut h = SimHeap::new(placed(1));
         let addr = h.malloc(32).unwrap();
         assert_eq!(addr.0 % ALIGN as u64, 0);
         assert_eq!(h.read_u64(addr).unwrap(), 0);
@@ -1432,7 +1415,7 @@ mod tests {
 
     #[test]
     fn randomized_quarantine_eviction_preserves_the_quarantine_contract() {
-        let mut cfg = placed(0, 0, 2, 5);
+        let mut cfg = placed(5);
         cfg.quarantine = 4;
         let mut h = SimHeap::new(cfg);
         // Freed blocks must sit out at least one allocation while the
@@ -1642,7 +1625,7 @@ mod tests {
     fn published_heap_matches_local_semantics() {
         // The same op sequence on a local and a published heap must
         // produce identical addresses, stats and visible bytes.
-        let cfg = HeapConfig { poison: Some(0xDD), zero_on_alloc: true, ..HeapConfig::default() };
+        let cfg = HeapConfig { poison: Some(0xDD), ..HeapConfig::default() };
         let mut local = SimHeap::new(cfg);
         let mut published = SimHeap::new_published(cfg);
         for h in [&mut local, &mut published] {

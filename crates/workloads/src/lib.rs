@@ -104,7 +104,7 @@ mod tests {
     fn spec_workloads_draw_from_the_plan_pool() {
         use polar_instrument::{instrument, InstrumentOptions};
         use polar_ir::interp::run_with_mode;
-        use polar_runtime::{PoolPolicy, RandomizeMode, RuntimeConfig};
+        use polar_runtime::{LayoutSource, RandomizeMode, RuntimeConfig};
 
         // Allocation-dominated workload (the paper's worst case) — the
         // fast path's target population.
@@ -115,7 +115,7 @@ mod tests {
         // which the stateless small-class default bypasses entirely.
         let mut config = RuntimeConfig::default();
         config.heap.capacity = 512 << 20;
-        config.stateless = polar_runtime::StatelessPolicy::off();
+        config.layout = LayoutSource::Pooled;
         let pooled = run_with_mode(
             &hardened,
             RandomizeMode::per_allocation(),
@@ -134,8 +134,7 @@ mod tests {
 
         let mut config = RuntimeConfig::default();
         config.heap.capacity = 512 << 20;
-        config.stateless = polar_runtime::StatelessPolicy::off();
-        config.pool = PoolPolicy::disabled();
+        config.layout = LayoutSource::Fresh;
         let unpooled = run_with_mode(
             &hardened,
             RandomizeMode::per_allocation(),

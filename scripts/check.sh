@@ -4,7 +4,8 @@
 # 1. Lint every workspace manifest: the workspace builds offline by
 #    policy, so any dependency that is not an in-tree path dependency
 #    (i.e. anything that would hit a registry) fails the check.
-# 2. Run the tier-1 gate: cargo build --release && cargo test -q.
+# 2. Run the tier-1 gate: cargo build --release && cargo test -q, then
+#    every workspace crate's tests (cargo test --workspace).
 # 3. Build and unit-test the benchmark package, then run the release-mode
 #    stress and smoke tests and the bench and security gates.
 #
@@ -64,6 +65,14 @@ echo "== tier-1 gate =="
 cargo build --release --offline
 cargo test -q --offline
 echo "ok: tier-1 green"
+
+echo "== workspace tests =="
+# The tier-1 command runs only the root package's suites. This stage runs
+# every crate's unit and integration tests too (the golden counter tapes,
+# the magazine, interleaving and differential properties, the runtime,
+# layout, simheap, attacks and ir unit tests), in debug, ~2 minutes.
+cargo test -q --offline --workspace
+echo "ok: workspace tests green"
 
 echo "== benchmark package (build + unit tests) =="
 # perfbench is a package of its own outside the workspace, so the

@@ -8,7 +8,7 @@ use polar::ir::interp::{run_native, run_with_mode, ExecLimits};
 use polar::layout::{
     code_position, stateless_perm, stateless_plan, stateless_size_bound,
     stateless_trapped_plan, stateless_bound, DummyPolicy, EpochKey, LayoutEngine, PermBlock,
-    PermuteMode, PoolPolicy, RandomizationPolicy, RoundKeys,
+    PermuteMode, RandomizationPolicy, RoundKeys,
 };
 use polar::fuzz::{Campaign, CampaignOptions, CampaignTarget, Feedback, Mutator};
 use polar::prelude::*;
@@ -212,8 +212,8 @@ fn heap_blocks_never_overlap() {
     });
 }
 
-/// Placement randomization preserves the allocator's invariants under
-/// any knob setting: live blocks stay disjoint, every aligned unit of a
+/// Placement randomization preserves the allocator's invariants on and
+/// off, under any seed and quarantine depth: live blocks stay disjoint, every aligned unit of a
 /// live block indexes back to its owning block (and guard gaps stay
 /// unowned), the reuse pools stay disjoint (no address sits in a class
 /// free list or shuffle buffer *and* in `large_free` — the unified
@@ -223,27 +223,15 @@ fn heap_blocks_never_overlap() {
 fn placement_preserves_allocator_invariants() {
     use polar::simheap::{Addr, BlockState, PlacementPolicy};
     const ALIGN: u64 = 16;
-    let strategy = (
-        vec_of(any::<u64>(), 1..100),
-        0usize..24,
-        0u32..10,
-        0u32..8,
-        any::<u64>(),
-        0usize..8,
-    );
+    let strategy = (vec_of(any::<u64>(), 1..100), any::<bool>(), any::<u64>(), 0usize..8);
     check_with(
         cfg(),
         "placement_preserves_allocator_invariants",
         &strategy,
-        |(rolls, depth, offset_bits, gap_bits, seed, quarantine)| {
+        |(rolls, enabled, seed, quarantine)| {
             let mut config = HeapConfig::default();
             config.quarantine = *quarantine;
-            config.placement = PlacementPolicy {
-                shuffle_depth: *depth,
-                offset_entropy_bits: *offset_bits,
-                guard_gap_bits: *gap_bits,
-                seed: *seed,
-            };
+            config.placement = PlacementPolicy { enabled: *enabled, seed: *seed };
             // Mixed small/large sizes, including class-aligned-but-not-
             // exact spans, so both reuse pools and the release predicate
             // are exercised.
@@ -495,29 +483,36 @@ fn pool_draw_sequence_is_deterministic() {
 }
 
 /// Plans served from the pool are exactly as well-formed as freshly
-/// generated ones: they validate structurally and their packed access
-/// table agrees with the authoritative offset arrays (the same check
+/// generated (and derived) ones: under every layout source they
+/// validate structurally and their packed access table agrees with the
+/// authoritative offset arrays (the same check
 /// `access_table_agrees_with_field_scan` applies to engine output).
 #[test]
 fn pooled_plans_match_unpooled_validity() {
+    use polar::runtime::LayoutSource;
     let strategy = (arbitrary_class(), any::<u64>());
     check_with(cfg(), "pooled_plans_match_unpooled_validity", &strategy, |(decl, seed)| {
         let info = std::sync::Arc::new(ClassInfo::from_decl(decl.clone()));
-        for pool in [PoolPolicy::default(), PoolPolicy::disabled()] {
+        for layout in [
+            LayoutSource::Derived,
+            LayoutSource::DerivedUntrapped,
+            LayoutSource::Pooled,
+            LayoutSource::Fresh,
+        ] {
             let mut config = RuntimeConfig::default();
             config.seed = *seed;
-            config.pool = pool;
+            config.layout = layout;
             let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
             for _ in 0..6 {
                 let obj = rt.olr_malloc(&info).unwrap();
                 let plan = std::sync::Arc::clone(&rt.object_meta(obj).unwrap().plan);
-                ensure!(plan.validate().is_ok(), "invalid plan (pool {pool:?}): {plan}");
+                ensure!(plan.validate().is_ok(), "invalid plan ({layout:?}): {plan}");
                 for field in 0..plan.field_count() {
                     let access = plan.access(field).expect("in-bounds field has an entry");
                     ensure_eq!(
                         access.offset,
                         plan.offset(field),
-                        "access table diverges (pool {pool:?}): {plan}"
+                        "access table diverges ({layout:?}): {plan}"
                     );
                 }
                 ensure!(plan.access(plan.field_count()).is_none(), "one-past-the-end entry");
