@@ -9,11 +9,11 @@ use polar_bench::micro::Criterion;
 use polar_bench::{bench_group, bench_main};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
 use polar_layout::{
-    pack_perm, stateless_perm, stateless_plan_from_code, EpochKey, LayoutEngine, PlanInterner,
-    RandomizationPolicy, RoundKeys,
+    pack_perm, stateless_perm, stateless_plan_from_code, DerivedLayout, EpochKey, LayoutEngine,
+    PlanInterner, RandomizationPolicy, RoundKeys,
 };
 use polar_rng::{rngs::StdRng, SeedableRng};
-use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig};
+use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime};
 use polar_simheap::{Addr, HeapConfig, SimHeap};
 
 fn probe() -> Arc<ClassInfo> {
@@ -184,12 +184,80 @@ fn bench_plan_resolve(c: &mut Criterion) {
     group.finish();
 }
 
+/// How a stateless reservation of a 7-field class finds the interned
+/// plan of a derived code, over 1,024 codes that are all interned
+/// already (the steady state): lay the code out on the stack, hash it
+/// and probe the interner, against building the plan from the code and
+/// interning it, which finds the plan present and drops the one built.
+fn bench_stateless_resolve(c: &mut Criterion) {
+    const CODES: usize = 1024;
+    let key = EpochKey(0x5EED);
+    let seven = wide(7);
+    let codes: Vec<u32> =
+        (0..CODES as u64).map(|g| pack_perm(&stateless_perm(key, g, 3, 7))).collect();
+    let mut interner = PlanInterner::new();
+    for &code in &codes {
+        interner.intern_id(stateless_plan_from_code(&seven, key, code, true));
+    }
+    let mut group = c.benchmark_group("stateless_resolve_7f");
+    let mut i = 0usize;
+    group.bench_function("probe", |b| {
+        b.iter(|| {
+            i = (i + 1) % CODES;
+            let shape = DerivedLayout::derive(&seven, key, black_box(codes[i]), true);
+            interner.probe(shape.plan_hash())
+        })
+    });
+    group.bench_function("build_and_intern", |b| {
+        b.iter(|| {
+            i = (i + 1) % CODES;
+            interner.intern_id(stateless_plan_from_code(&seven, key, black_box(codes[i]), true)).0
+        })
+    });
+    group.finish();
+}
+
+/// One magazine refill of 32 capsules plus the drain of the 32 frees
+/// before it, per iteration, on a one-shard runtime: the handle pops and
+/// frees 32 objects (lock-free claims onto the shard's remote-free
+/// stack), and the next iteration's first pop finds the magazine empty,
+/// takes the shard lock, drains those frees and reserves 32 capsules.
+/// The 4- and 7-field classes derive their layouts (the ranked plan
+/// cache and the hash probe), the 12-field class draws from the pooled
+/// ring. Each row is warmed until a 7-field class has met all of its
+/// 5,040 codes, as a long-running service has.
+fn bench_magazine_refill(c: &mut Criterion) {
+    const BATCH: usize = 32;
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 1);
+    let mut group = c.benchmark_group("magazine_refill");
+    for n in [4usize, 7, 12] {
+        let info = Arc::new(wide(n));
+        let mut h = rt.handle(0);
+        let mut objs = Vec::with_capacity(BATCH);
+        let mut cycle = move || {
+            for _ in 0..BATCH {
+                objs.push(h.olr_malloc(&info).expect("alloc"));
+            }
+            for obj in objs.drain(..) {
+                h.olr_free(obj).expect("free");
+            }
+        };
+        for _ in 0..2048 {
+            cycle();
+        }
+        group.bench_function(format!("magazine_refill_{n}f"), |b| b.iter(&mut cycle));
+    }
+    group.finish();
+}
+
 bench_group!(
     benches,
     bench_alloc_free,
     bench_getptr,
     bench_memcpy,
     bench_heap_locate,
-    bench_plan_resolve
+    bench_plan_resolve,
+    bench_stateless_resolve,
+    bench_magazine_refill
 );
 bench_main!(benches);

@@ -43,6 +43,7 @@ pub enum FieldKind {
 
 impl FieldKind {
     /// Size of the member in bytes.
+    #[inline]
     pub fn size(self) -> u32 {
         match self {
             FieldKind::I8 => 1,
@@ -55,6 +56,7 @@ impl FieldKind {
     }
 
     /// Natural alignment of the member in bytes (power of two, at most 8).
+    #[inline]
     pub fn align(self) -> u32 {
         match self {
             FieldKind::Bytes(_) => 1,

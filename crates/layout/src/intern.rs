@@ -84,6 +84,16 @@ impl PlanInterner {
         (id, arc)
     }
 
+    /// The registry id of the plan interned under `hash`, if any,
+    /// counted as a dedup hit: the caller holds the hash of a plan it
+    /// did not have to build (a derived layout hashed on the stack).
+    #[inline]
+    pub fn probe(&mut self, hash: PlanHash) -> Option<u32> {
+        let id = self.plans.get(&hash)?.0;
+        self.hits += 1;
+        Some(id)
+    }
+
     /// Look up an already-interned plan by hash.
     pub fn get(&self, hash: PlanHash) -> Option<&Arc<LayoutPlan>> {
         self.plans.get(&hash).map(|(_, plan)| plan)
@@ -176,6 +186,20 @@ mod tests {
             assert!(Arc::ptr_eq(interner.registry().get(*id).unwrap(), plan));
         }
         assert_eq!(interner.registry().len(), 300, "one id per distinct plan");
+    }
+
+    #[test]
+    fn probe_finds_interned_ids_and_counts_hits() {
+        let info = tiny_class();
+        let mut interner = PlanInterner::new();
+        let plan = LayoutPlan::natural_for(&info);
+        let hash = plan.plan_hash();
+        assert_eq!(interner.probe(hash), None, "nothing interned yet");
+        assert_eq!(interner.dedup_hits(), 0, "a missed probe is no dedup hit");
+        let (id, _) = interner.intern_id(plan);
+        assert_eq!(interner.probe(hash), Some(id));
+        assert_eq!((interner.dedup_hits(), interner.dedup_misses()), (1, 1));
+        assert_eq!(interner.unique_plans(), 1, "a probe interns nothing");
     }
 
     #[test]

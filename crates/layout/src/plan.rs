@@ -137,7 +137,11 @@ impl LayoutPlan {
         )
     }
 
-    fn content_hash(
+    /// The content hash of a layout given as slices: what
+    /// [`LayoutPlan::plan_hash`] returns for a plan of these parts. A
+    /// layout derived on the stack hashes through here too, so it can be
+    /// looked up among interned plans without building one.
+    pub fn content_hash(
         class: ClassHash,
         offsets: &[u32],
         dummies: &[DummySlot],

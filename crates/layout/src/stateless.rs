@@ -35,9 +35,10 @@
 //!   reuse (malloc/free churn on one slot) pays one batched refill per
 //!   [`PERM_BLOCK_RUN`] allocations.
 //! * A permutation is summarized as a packed [`PermCode`] (4 bits per
-//!   position), which the runtime uses as the key of a tiny per-class
-//!   plan cache — repeated codes reuse one interned [`LayoutPlan`] `Arc`
-//!   with no plan construction, hashing, or interner probe.
+//!   position). [`DerivedLayout`] lays a code out on the stack and
+//!   hashes it exactly as the [`LayoutPlan`] built from it would hash,
+//!   so the runtime finds the interned plan of a code it has seen by a
+//!   hash probe, and builds a plan only for a layout never interned.
 //!
 //! # Virtual booby traps
 //!
@@ -53,9 +54,9 @@
 //! the stateless path is now the runtime's *default* for small classes
 //! (classes of at most [`STATELESS_MAX_FIELDS`] fields).
 
-use polar_classinfo::ClassInfo;
+use polar_classinfo::{ClassHash, ClassInfo};
 
-use crate::plan::{DummySlot, LayoutPlan};
+use crate::plan::{DummySlot, LayoutPlan, PlanHash};
 
 /// Largest field count served by the stateless path.
 pub const STATELESS_MAX_FIELDS: usize = 8;
@@ -283,45 +284,28 @@ impl RoundKeys {
     #[inline]
     fn code_from_mapping(map: u64, n: usize) -> PermCode {
         debug_assert!(n >= 1 && n <= STATELESS_MAX_FIELDS);
-        // Branch-free cycle walk. A walk from any start re-enters
-        // `[0, n)` within `16 - n` steps (the orbit visits each of the
-        // `16 - n` out-of-domain points at most once), and an in-domain
-        // value is a fixed point of the conditional step — so a fixed
-        // number of select-steps replaces the data-dependent `while`
-        // whose random trip count cost a mispredict per field.
+        // One branch-free worklist over the positions in order. Each
+        // step does one lookup: a position whose value is in `[0, n)` is
+        // recorded and the next position's start `map[p]` is loaded,
+        // any other value steps its walk. The walks from distinct starts
+        // cross disjoint runs of out-of-domain points (each such point
+        // has one predecessor in the permutation), so `n` starts plus at
+        // most `16 - n` walk steps finish every position within 16
+        // steps — a fixed trip count with no data-dependent branch.
         let nn = n as u64;
-        // Step-major, field-minor: the per-field walks are independent
-        // chains, and running one select-step of every field per
-        // iteration lets them pipeline instead of serializing each
-        // field's full walk behind the previous one's. In-domain values
-        // are fixed points of the conditional step, so a fixed unroll of
-        // branch-free steps is correct for however far it gets; 9 steps
-        // resolve >90% of identities, and one well-predicted branch
-        // routes the rare long orbit to a cleanup loop instead of paying
-        // the full worst-case 15-step chain latency every time.
-        const FAST_STEPS: usize = 9;
-        let mut xs = [0u64; STATELESS_MAX_FIELDS];
-        for (p, x) in xs.iter_mut().enumerate().take(n) {
-            *x = (map >> (4 * p)) & 0xF;
+        let mut p = 0u64;
+        let mut x = map & 0xF;
+        let mut code = 0u64;
+        for _ in 0..DOMAIN {
+            let done = x < nn;
+            let keep = u64::from(done & (p < nn)).wrapping_neg();
+            code |= (x << (4 * p)) & keep;
+            p += u64::from(done);
+            let start = (map >> ((4 * p) & 63)) & 0xF;
+            let walk = (map >> (4 * x)) & 0xF;
+            x = if done { start } else { walk };
         }
-        for _ in 0..FAST_STEPS {
-            for x in xs.iter_mut().take(n) {
-                let y = (map >> (4 * *x)) & 0xF;
-                *x = if *x < nn { *x } else { y };
-            }
-        }
-        if xs.iter().take(n).any(|&x| x >= nn) {
-            for x in xs.iter_mut().take(n) {
-                while *x >= nn {
-                    *x = (map >> (4 * *x)) & 0xF;
-                }
-            }
-        }
-        let mut code: PermCode = 0;
-        for (p, &x) in xs.iter().enumerate().take(n) {
-            code |= (x as PermCode) << (4 * p);
-        }
-        code
+        code as PermCode
     }
 }
 
@@ -518,19 +502,166 @@ fn trap_spec(key: EpochKey, code: PermCode, n: usize) -> (usize, [usize; STATELE
     for (j, slot) in at.iter_mut().enumerate().take(t) {
         // Insertion position into the growing memory-order sequence of
         // n fields + j earlier traps.
-        *slot = ((h >> (8 + 6 * j)) as usize) % (n + j + 1);
+        *slot = small_mod(h >> (8 + 6 * j), n + j + 1);
     }
     (t, at, h)
 }
 
-/// Build the [`LayoutPlan`] for a packed permutation code, optionally
-/// interleaving virtual trap slots.
+/// `x % m` for the divisors trap positions use (`m ≤ 11`), each arm a
+/// division by a constant — a multiply and a shift instead of a 64-bit
+/// hardware divide, on the allocation path.
+#[inline]
+fn small_mod(x: u64, m: usize) -> usize {
+    let r = match m {
+        1 => 0,
+        2 => x % 2,
+        3 => x % 3,
+        4 => x % 4,
+        5 => x % 5,
+        6 => x % 6,
+        7 => x % 7,
+        8 => x % 8,
+        9 => x % 9,
+        10 => x % 10,
+        11 => x % 11,
+        _ => x % m as u64,
+    };
+    r as usize
+}
+
+/// The layout one permutation code derives, held on the stack: the
+/// field offsets, the virtual trap slots and the object size — every
+/// input of the plan's content hash, with no allocation.
 ///
-/// Fields are laid out sequentially in the code's derived order with
-/// natural alignment; with `traps` on, 1..=[`STATELESS_TRAP_MAX`]
-/// 8-byte canary dummies (geometry from [`trap_spec`]) are inserted
-/// between them. Sequential assignment makes trap slots and fields
-/// disjoint by construction.
+/// [`stateless_plan_from_code`] builds its plan from this shape, and
+/// [`DerivedLayout::plan_hash`] hashes it through the one
+/// [`LayoutPlan::content_hash`], so the hash of a derived layout is the
+/// hash of the plan it would build. The runtime looks that hash up
+/// among its interned plans and builds the plan only when none matches.
+#[derive(Debug, Clone, Copy)]
+pub struct DerivedLayout {
+    class: ClassHash,
+    /// The offset of each memory-order entry, by entry: field `i` at
+    /// `i`, trap slot `j` at `STATELESS_MAX_FIELDS + j`.
+    offsets: [u32; 16],
+    fields: u8,
+    traps: [DummySlot; STATELESS_TRAP_MAX as usize],
+    trap_count: u8,
+    size: u32,
+}
+
+impl DerivedLayout {
+    /// Lay out `info`'s fields in `code`'s derived order with natural
+    /// alignment; with `traps` on, 1..=[`STATELESS_TRAP_MAX`] 8-byte
+    /// canary dummies (geometry from [`trap_spec`]) are inserted between
+    /// them. Sequential assignment makes trap slots and fields disjoint
+    /// by construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `info` has more than [`STATELESS_MAX_FIELDS`] fields.
+    pub fn derive(info: &ClassInfo, key: EpochKey, code: PermCode, traps: bool) -> Self {
+        let fields = info.fields();
+        let n = fields.len();
+        assert!(
+            n <= STATELESS_MAX_FIELDS,
+            "stateless path is limited to {STATELESS_MAX_FIELDS} fields, got {n}"
+        );
+        // Entries of the memory order: field `i` is `i`, trap slot `j`
+        // is `STATELESS_MAX_FIELDS + j`. Tables of 16 entries take any
+        // 4-bit entry, so one size/alignment table and one offset table
+        // serve fields and traps alike, with no branch or bounds check
+        // per entry.
+        let mut size = [TRAP_SLOT_BYTES; 16];
+        let mut align = [TRAP_SLOT_BYTES; 16];
+        for (i, f) in fields.iter().enumerate() {
+            size[i] = f.kind().size();
+            align[i] = f.kind().align();
+        }
+        // The memory order packed 4 bits per entry like a `PermCode`:
+        // the permuted fields, each trap slot inserted at its derived
+        // position with the entries above it shifted up one lane.
+        let mut order = u64::from(code);
+        let mut len = n;
+        let (mut trap_count, mut canary_seed) = (0, 0);
+        if traps {
+            let (t, at, h) = trap_spec(key, code, n);
+            for (j, &pos) in at.iter().enumerate().take(t) {
+                let below = (1u64 << (4 * pos)) - 1;
+                order = (order & below)
+                    | ((STATELESS_MAX_FIELDS + j) as u64) << (4 * pos)
+                    | (order & !below) << 4;
+                len += 1;
+            }
+            (trap_count, canary_seed) = (t, h);
+        }
+
+        let mut offsets = [0u32; 16];
+        // The trap entries in memory order: every entry is stored, and
+        // only a trap advances `seen` past its store.
+        let mut trap_order = [0usize; 4];
+        let mut seen = 0usize;
+        let mut cursor = 0u32;
+        let mut max_align = 1u32;
+        for p in 0..len {
+            let e = ((order >> (4 * p)) & 0xF) as usize;
+            max_align = max_align.max(align[e]);
+            cursor = round_up(cursor, align[e]);
+            offsets[e] = cursor;
+            cursor += size[e];
+            trap_order[seen & 3] = e;
+            seen += usize::from(e >= STATELESS_MAX_FIELDS);
+        }
+        let mut out = DerivedLayout {
+            class: info.hash(),
+            offsets,
+            fields: n as u8,
+            traps: [DummySlot { offset: 0, size: 0, canary: None }; STATELESS_TRAP_MAX as usize],
+            trap_count: trap_count as u8,
+            size: round_up(cursor.max(1), max_align),
+        };
+        for (trap, &e) in out.traps.iter_mut().zip(&trap_order).take(trap_count) {
+            let j = (e - STATELESS_MAX_FIELDS) as u64;
+            let canary = mix64(canary_seed ^ (j + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1;
+            *trap = DummySlot { offset: offsets[e], size: TRAP_SLOT_BYTES, canary: Some(canary) };
+        }
+        out
+    }
+
+    /// Field offsets, indexed by declaration order.
+    fn offsets(&self) -> &[u32] {
+        &self.offsets[..usize::from(self.fields)]
+    }
+
+    /// The virtual trap slots, in memory order.
+    fn traps(&self) -> &[DummySlot] {
+        &self.traps[..usize::from(self.trap_count)]
+    }
+
+    /// The plan of this layout; `info` is the class it was derived for.
+    pub fn into_plan(self, info: &ClassInfo) -> LayoutPlan {
+        let fields = info.fields();
+        LayoutPlan::with_aligns(
+            self.class,
+            self.offsets().to_vec(),
+            fields.iter().map(|f| f.kind().size()).collect(),
+            fields.iter().map(|f| f.kind().align()).collect(),
+            self.traps().to_vec(),
+            self.size,
+            false,
+        )
+    }
+
+    /// The content hash of the plan this layout builds.
+    #[inline]
+    pub fn plan_hash(&self) -> PlanHash {
+        LayoutPlan::content_hash(self.class, self.offsets(), self.traps(), self.size)
+    }
+}
+
+/// Build the [`LayoutPlan`] for a packed permutation code, optionally
+/// interleaving virtual trap slots: the plan of
+/// [`DerivedLayout::derive`]'s shape.
 ///
 /// # Panics
 ///
@@ -541,57 +672,7 @@ pub fn stateless_plan_from_code(
     code: PermCode,
     traps: bool,
 ) -> LayoutPlan {
-    let fields = info.fields();
-    let n = fields.len();
-    assert!(
-        n <= STATELESS_MAX_FIELDS,
-        "stateless path is limited to {STATELESS_MAX_FIELDS} fields, got {n}"
-    );
-    let mut offsets = vec![0u32; n];
-    let sizes: Vec<u32> = fields.iter().map(|f| f.kind().size()).collect();
-    let aligns: Vec<u32> = fields.iter().map(|f| f.kind().align()).collect();
-
-    // Memory order: the permuted fields, with trap slots (encoded as
-    // `usize::MAX - j`) inserted at their derived positions.
-    let mut order: [usize; STATELESS_MAX_FIELDS + STATELESS_TRAP_MAX as usize] =
-        [0; STATELESS_MAX_FIELDS + STATELESS_TRAP_MAX as usize];
-    for p in 0..n {
-        order[p] = code_position(code, p);
-    }
-    let mut len = n;
-    let mut dummies = Vec::new();
-    let mut canary_seed = 0u64;
-    if traps {
-        let (t, at, h) = trap_spec(key, code, n);
-        canary_seed = h;
-        for j in 0..t {
-            let pos = at[j];
-            order.copy_within(pos..len, pos + 1);
-            order[pos] = usize::MAX - j;
-            len += 1;
-        }
-    }
-
-    let mut cursor = 0u32;
-    let mut max_align = 1u32;
-    for &entry in order.iter().take(len) {
-        if entry >= usize::MAX - STATELESS_TRAP_MAX as usize {
-            let j = (usize::MAX - entry) as u64;
-            cursor = round_up(cursor, TRAP_SLOT_BYTES);
-            max_align = max_align.max(TRAP_SLOT_BYTES);
-            let canary = mix64(canary_seed ^ (j + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1;
-            dummies.push(DummySlot { offset: cursor, size: TRAP_SLOT_BYTES, canary: Some(canary) });
-            cursor += TRAP_SLOT_BYTES;
-        } else {
-            let align = aligns[entry];
-            max_align = max_align.max(align);
-            cursor = round_up(cursor, align);
-            offsets[entry] = cursor;
-            cursor += sizes[entry];
-        }
-    }
-    let size = round_up(cursor.max(1), max_align);
-    LayoutPlan::with_aligns(info.hash(), offsets, sizes, aligns, dummies, size, false)
+    DerivedLayout::derive(info, key, code, traps).into_plan(info)
 }
 
 /// An upper bound on the size of *any* stateless plan for `info`,
@@ -652,6 +733,134 @@ mod tests {
             b = b.field(format!("f{i}"), *kind);
         }
         ClassInfo::from_decl(b.build())
+    }
+
+    /// Every permutation of `0..n` (Heap's algorithm).
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        fn heap(k: usize, a: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if k <= 1 {
+                out.push(a.clone());
+                return;
+            }
+            for i in 0..k {
+                heap(k - 1, a, out);
+                if k % 2 == 0 {
+                    a.swap(i, k - 1);
+                } else {
+                    a.swap(0, k - 1);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        heap(n, &mut (0..n).collect(), &mut out);
+        out
+    }
+
+    /// The derived plan built the way it was before layouts were
+    /// derived on the stack: the memory order as an index array with
+    /// each trap inserted by `copy_within`, one branch per entry, and
+    /// the plan's vectors filled in place. An independent construction
+    /// to hold [`DerivedLayout`] to.
+    fn reference_plan_from_code(
+        info: &ClassInfo,
+        key: EpochKey,
+        code: PermCode,
+        traps: bool,
+    ) -> LayoutPlan {
+        let fields = info.fields();
+        let n = fields.len();
+        let mut offsets = vec![0u32; n];
+        let sizes: Vec<u32> = fields.iter().map(|f| f.kind().size()).collect();
+        let aligns: Vec<u32> = fields.iter().map(|f| f.kind().align()).collect();
+        let mut order = [0usize; STATELESS_MAX_FIELDS + STATELESS_TRAP_MAX as usize];
+        for (p, entry) in order.iter_mut().enumerate().take(n) {
+            *entry = code_position(code, p);
+        }
+        let mut len = n;
+        let mut dummies = Vec::new();
+        let mut canary_seed = 0u64;
+        if traps {
+            let (t, at, h) = trap_spec(key, code, n);
+            canary_seed = h;
+            for (j, &pos) in at.iter().enumerate().take(t) {
+                order.copy_within(pos..len, pos + 1);
+                order[pos] = usize::MAX - j;
+                len += 1;
+            }
+        }
+        let (mut cursor, mut max_align) = (0u32, 1u32);
+        for &entry in order.iter().take(len) {
+            if entry >= usize::MAX - STATELESS_TRAP_MAX as usize {
+                let j = (usize::MAX - entry) as u64;
+                cursor = round_up(cursor, TRAP_SLOT_BYTES);
+                max_align = max_align.max(TRAP_SLOT_BYTES);
+                let canary = mix64(canary_seed ^ (j + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1;
+                let canary = Some(canary);
+                dummies.push(DummySlot { offset: cursor, size: TRAP_SLOT_BYTES, canary });
+                cursor += TRAP_SLOT_BYTES;
+            } else {
+                max_align = max_align.max(aligns[entry]);
+                cursor = round_up(cursor, aligns[entry]);
+                offsets[entry] = cursor;
+                cursor += sizes[entry];
+            }
+        }
+        let size = round_up(cursor.max(1), max_align);
+        LayoutPlan::with_aligns(info.hash(), offsets, sizes, aligns, dummies, size, false)
+    }
+
+    /// The codes checked for an `n`-field class: every code when `n ≤ 6`
+    /// or when `budget` covers all `n!`, otherwise `budget` codes drawn
+    /// uniformly.
+    fn codes_to_check(n: usize, budget: usize, rng: &mut SplitMix64) -> Vec<PermCode> {
+        if n <= 6 || budget >= code_space(n) {
+            return permutations(n).iter().map(|perm| pack_perm(perm)).collect();
+        }
+        (0..budget)
+            .map(|_| {
+                let mut perm: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    perm.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+                }
+                pack_perm(&perm)
+            })
+            .collect()
+    }
+
+    /// For every code of classes up to 6 fields, and sampled codes of 7
+    /// and 8 (`POLAR_DERIVED_CODES` per field count, 2,000 by default;
+    /// at or above `n!` every code), in both trap modes and under
+    /// several keys: the stack layout hashes as the plan built from the
+    /// code, and that plan equals the independent reference build.
+    #[test]
+    fn derived_layout_hashes_as_the_plan_built_from_it() {
+        let budget = std::env::var("POLAR_DERIVED_CODES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(2_000);
+        let mut rng = SplitMix64::new(0xD15C_0DE5);
+        for n in 1..=STATELESS_MAX_FIELDS {
+            let info = small_class(n);
+            let codes = codes_to_check(n, budget, &mut rng);
+            for key in [EpochKey(0), EpochKey(0x5EED), EpochKey(u64::MAX)] {
+                for traps in [false, true] {
+                    for &code in &codes {
+                        let shape = DerivedLayout::derive(&info, key, code, traps);
+                        let plan = stateless_plan_from_code(&info, key, code, traps);
+                        assert_eq!(
+                            shape.plan_hash(),
+                            plan.plan_hash(),
+                            "n={n} code={code:#x} traps={traps} key={key:?}"
+                        );
+                        assert_eq!(
+                            plan,
+                            reference_plan_from_code(&info, key, code, traps),
+                            "n={n} code={code:#x} traps={traps} key={key:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -839,30 +1048,10 @@ mod tests {
 
     #[test]
     fn code_rank_is_a_bijection_onto_the_code_space() {
-        // Enumerate every permutation of 1..=5 elements (Heap's
-        // algorithm), pack it, and check the Lehmer rank hits each value
+        // Enumerate every permutation of 1..=5 elements, pack it, and
+        // check the Lehmer rank hits each value
         // in [0, n!) exactly once — the property the perfect derived-plan
         // cache index rests on.
-        fn permutations(n: usize) -> Vec<Vec<usize>> {
-            let mut out = Vec::new();
-            let mut a: Vec<usize> = (0..n).collect();
-            fn heap(k: usize, a: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-                if k <= 1 {
-                    out.push(a.clone());
-                    return;
-                }
-                for i in 0..k {
-                    heap(k - 1, a, out);
-                    if k % 2 == 0 {
-                        a.swap(i, k - 1);
-                    } else {
-                        a.swap(0, k - 1);
-                    }
-                }
-            }
-            heap(n, &mut a, &mut out);
-            out
-        }
         for n in 1..=5usize {
             let mut seen = vec![false; code_space(n)];
             for perm in permutations(n) {

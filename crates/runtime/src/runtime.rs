@@ -19,9 +19,9 @@ use std::sync::Arc;
 
 use polar_classinfo::{ClassHash, ClassInfo};
 use polar_layout::{
-    code_rank, code_space, stateless_bound, stateless_plan_from_code, EpochKey, FieldAccess,
-    LayoutEngine, LayoutPlan, PermBlock, PermCode, PlanHash, PlanInterner, PlanPools,
-    PlanRegistry, RandomizationPolicy, RoundKeys, StaticOlrTable, STATELESS_MAX_FIELDS,
+    code_rank, code_space, stateless_bound, DerivedLayout, EpochKey, FieldAccess, LayoutEngine,
+    LayoutPlan, PermBlock, PlanHash, PlanInterner, PlanPools, PlanRegistry, RandomizationPolicy,
+    RoundKeys, StaticOlrTable, STATELESS_MAX_FIELDS,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64};
 use polar_simheap::{Addr, BlockState, HeapConfig, SimHeap, PUB_STATE_FREED};
@@ -273,63 +273,35 @@ struct ClassEntry {
     stateless: Option<StatelessClassCache>,
 }
 
-/// One cached derived plan: the packed permutation code it was built
-/// from and the plan's registry id.
-#[derive(Debug, Clone, Copy)]
-struct StatelessEntry {
-    code: PermCode,
-    plan_id: u32,
-}
+/// Largest code space a class's derived plans are cached for: `4! = 24`
+/// codes, so classes of at most 4 fields.
+const RANKED_MAX_CODES: usize = 24;
 
-/// Number of direct-mapped entries in one class's derived-plan cache.
-/// Slot-reuse churn cycles through few generations, so a small table
-/// captures the working set; conflict misses just re-derive.
-const STATELESS_CACHE_WAYS: usize = 64;
-
-/// Per-class cache of derived stateless plans, keyed by permutation
-/// code. A hit turns an allocation's plan work into one array index and
-/// a registry lookup — no Feistel walk, no plan construction, no
-/// interner probe.
+/// Per-class state of the stateless path: the block size bound and,
+/// for small classes, a perfect plan cache.
 ///
-/// Classes whose whole code space fits ([`code_space`]`(n) ≤ 64`, i.e.
-/// ≤4 fields) get a *perfect* cache indexed by the permutation's Lehmer
-/// rank: exactly `n!` misses per class lifetime and then never again.
-/// Larger classes fall back to a direct-mapped Fibonacci spread, where
-/// conflicting codes evict each other (bounded memory beats a perfect
-/// hit rate there — an 8-field class has 40 320 codes).
+/// A class whose whole code space fits ([`code_space`]`(n) ≤`
+/// [`RANKED_MAX_CODES`], i.e. ≤4 fields) caches plan ids by the
+/// permutation's Lehmer rank: exactly `n!` misses per class lifetime
+/// and then never again. Wider classes keep no table (a 7-field class
+/// has 5,040 codes): each reservation derives its code's layout on the
+/// stack, hashes it and probes the interner, and builds a plan only for
+/// a layout never interned.
 #[derive(Debug)]
 struct StatelessClassCache {
     /// Identity-independent block size bound (traps included per
     /// config), computed once per class.
     bound: u32,
     fields: u8,
-    /// Whole code space fits: index by Lehmer rank, collision-free.
-    perfect: bool,
-    entries: Vec<Option<StatelessEntry>>,
+    /// Plan id by Lehmer rank; empty for classes above 4 fields.
+    ranked: Vec<Option<u32>>,
 }
 
 impl StatelessClassCache {
     fn new(bound: u32, fields: u8) -> Self {
-        let ways = code_space(usize::from(fields)).min(STATELESS_CACHE_WAYS);
-        StatelessClassCache {
-            bound,
-            fields,
-            perfect: code_space(usize::from(fields)) <= STATELESS_CACHE_WAYS,
-            entries: vec![None; ways],
-        }
-    }
-
-    /// Cache slot for a code: the Lehmer rank when the class's code
-    /// space fits entirely (bijective — no conflicts), else a
-    /// direct-mapped Fibonacci spread of the packed permutation bits.
-    #[inline]
-    fn way(&self, code: PermCode) -> usize {
-        if self.perfect {
-            code_rank(code, usize::from(self.fields))
-        } else {
-            ((u64::from(code).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize)
-                % STATELESS_CACHE_WAYS
-        }
+        let codes = code_space(usize::from(fields));
+        let ways = if codes <= RANKED_MAX_CODES { codes } else { 0 };
+        StatelessClassCache { bound, fields, ranked: vec![None; ways] }
     }
 }
 
@@ -340,9 +312,10 @@ impl StatelessClassCache {
 struct StatelessState {
     keys: RoundKeys,
     block: PermBlock,
-    /// Allocations served from the derived-plan cache: each is a plan
+    /// Allocations served from the ranked plan cache: each is a plan
     /// record the runtime did not have to build — the stateless path's
-    /// contribution to the dedup counter.
+    /// contribution to the dedup counter (its hash probes count as the
+    /// interner's hits).
     hits: u64,
 }
 
@@ -696,7 +669,7 @@ impl ObjectRuntime {
                 .classes
                 .iter()
                 .filter_map(|c| c.stateless.as_ref())
-                .map(|s| s.entries.capacity() * std::mem::size_of::<Option<StatelessEntry>>())
+                .map(|s| s.ranked.capacity() * std::mem::size_of::<Option<u32>>())
                 .sum::<usize>()
             + std::mem::size_of::<RoundKeys>()
             + std::mem::size_of::<PermBlock>();
@@ -787,31 +760,41 @@ impl ObjectRuntime {
         plan_id: u32,
     ) -> Result<Capsule, RuntimeError> {
         self.class_idx(info);
-        let (base, slot, generation) = self.heap.malloc_slot(plan.size().max(1) as usize)?;
-        self.arm(base, slot, generation, info.hash(), plan, plan_id)?;
-        Ok(Capsule { base, slot })
+        let (plans, meta_count) = (&mut self.plans, &mut self.meta_count);
+        self.heap.malloc_with(plan.size().max(1) as usize, |heap, base, slot, generation| {
+            let cap = Capsule { base, slot };
+            Self::arm(heap, plans, meta_count, cap, generation, info.hash(), plan_id)?;
+            Ok(cap)
+        })?
     }
 
-    /// Seed `plan`'s canaries at `base` and record the object on `slot`,
-    /// inside one writer window: a lock-free reader sees either the
-    /// slot's previous record (whose meta generation no longer matches)
-    /// or the complete new one — never a half-armed object.
+    /// Seed the canaries of the plan registered under `plan_id` in the
+    /// block of `cap` and record the object on its slot under heap
+    /// generation `generation`. The plan is the registered one, not a
+    /// caller's copy: the registry deduplicates plans by structure, and
+    /// two plans of one structure may carry different canary values.
+    /// Callers hold the slot's writer window open across this
+    /// ([`SimHeap::malloc_with`] does for a new block), so a lock-free
+    /// reader never sees a half-armed object.
     fn arm(
-        &mut self,
-        base: Addr,
-        slot: u32,
+        heap: &mut SimHeap,
+        plans: &mut PlanTable,
+        meta_count: &mut usize,
+        Capsule { base, slot }: Capsule,
         generation: u64,
         class: ClassHash,
-        plan: &LayoutPlan,
         plan_id: u32,
     ) -> Result<(), RuntimeError> {
-        let win = self.heap.pub_open(slot);
-        let seeded = Self::seed_canaries(&mut self.heap, base, plan);
-        if seeded.is_ok() {
-            self.record_at(slot, generation, class, plan.plan_hash(), plan_id);
+        plans.note(plan_id);
+        let plan = plans.get(plan_id).expect("an interned plan id resolves");
+        Self::seed_canaries(heap, base, plan)?;
+        // Installing a record stamps the block's current generation and
+        // clears the offset-cache flag, so anything cached for a
+        // previous occupant of the slot is dead on arrival.
+        if heap.records().record(slot, class.0, plan.plan_hash().0, plan_id, generation) == 1 {
+            *meta_count += 1;
         }
-        self.heap.pub_close(slot, win);
-        seeded
+        Ok(())
     }
 
     /// The SPAM-style allocation: malloc first (the size bound is
@@ -823,10 +806,13 @@ impl ObjectRuntime {
     /// truth.
     ///
     /// The hot path touches no key derivation (the round-key schedule is
-    /// interned per runtime), batches Feistel walks through the code
-    /// block on slot-reuse runs, and resolves repeated permutation codes
-    /// through the per-class plan cache — an array index plus a registry
-    /// lookup in steady state.
+    /// interned per runtime) and batches Feistel walks through the code
+    /// block on slot-reuse runs. In steady state a class of at most 4
+    /// fields resolves its code with one index into its ranked plan
+    /// cache; a wider class lays the code out on the stack, hashes it
+    /// and finds the interned plan by one hash probe. Either way the
+    /// plan is resolved in the registry by id, and a plan is built only
+    /// for a layout never interned.
     fn olr_malloc_stateless(
         &mut self,
         info: &Arc<ClassInfo>,
@@ -842,6 +828,8 @@ impl ObjectRuntime {
     /// counterpart of [`reserve_with_plan`](ObjectRuntime::reserve_with_plan)
     /// for small classes, with virtual traps when `traps`. The magazine
     /// front-end counts `allocations` and `stateless_allocs` at pop time.
+    /// A reused slot's generation bump, its canaries and its record
+    /// share one writer window.
     pub(crate) fn reserve_stateless(
         &mut self,
         info: &Arc<ClassInfo>,
@@ -852,31 +840,33 @@ impl ObjectRuntime {
             StatelessClassCache::new(stateless_bound(info, traps), info.field_count() as u8)
         });
         let (bound, n) = (cache.bound.max(1) as usize, usize::from(cache.fields));
-        let (base, slot, generation) = self.heap.malloc_slot(bound)?;
-        let st = &mut self.stateless;
-        let code = st.block.code_for(&st.keys, slot, generation, n);
-        let way = cache.way(code);
-        let cached = match cache.entries[way] {
-            Some(e) if e.code == code => {
-                self.interner.registry().get(e.plan_id).map(|p| (e.plan_id, Arc::clone(p)))
-            }
-            _ => None,
-        };
-        let (plan_id, plan) = match cached {
-            Some(hit) => {
-                st.hits += 1;
-                hit
-            }
-            None => {
-                let built = stateless_plan_from_code(info, self.epoch_key, code, traps);
-                let (plan_id, plan) = self.interner.intern_id(built);
-                cache.entries[way] = Some(StatelessEntry { code, plan_id });
-                (plan_id, plan)
-            }
-        };
-        // Virtual traps carry canaries like any stored dummy.
-        self.arm(base, slot, generation, info.hash(), &plan, plan_id)?;
-        Ok(Capsule { base, slot })
+        let (st, interner, key) = (&mut self.stateless, &mut self.interner, self.epoch_key);
+        let (plans, meta_count) = (&mut self.plans, &mut self.meta_count);
+        self.heap.malloc_with(bound, |heap, base, slot, generation| {
+            let code = st.block.code_for(&st.keys, slot, generation, n);
+            let way = (!cache.ranked.is_empty()).then(|| code_rank(code, n));
+            let plan_id = match way.and_then(|w| cache.ranked[w]) {
+                Some(plan_id) => {
+                    st.hits += 1;
+                    plan_id
+                }
+                None => {
+                    let shape = DerivedLayout::derive(info, key, code, traps);
+                    let plan_id = match interner.probe(shape.plan_hash()) {
+                        Some(plan_id) => plan_id,
+                        None => interner.intern_id(shape.into_plan(info)).0,
+                    };
+                    if let Some(w) = way {
+                        cache.ranked[w] = Some(plan_id);
+                    }
+                    plan_id
+                }
+            };
+            // Virtual traps carry canaries like any stored dummy.
+            let cap = Capsule { base, slot };
+            Self::arm(heap, plans, meta_count, cap, generation, info.hash(), plan_id)?;
+            Ok(cap)
+        })?
     }
 
     /// Index of `info` in the class table, adding it on first sight,
@@ -895,25 +885,6 @@ impl ObjectRuntime {
             }
         };
         self.last_class
-    }
-
-    /// Write the slot record for a new object on `slot` under heap
-    /// generation `block_gen`. Installing a record stamps the block's
-    /// current generation and clears the offset-cache flag, so anything
-    /// cached for a previous occupant of the slot is dead on arrival.
-    /// Callers hold the slot's writer window open across this.
-    fn record_at(
-        &mut self,
-        slot: u32,
-        block_gen: u64,
-        class: ClassHash,
-        plan_hash: PlanHash,
-        plan_id: u32,
-    ) {
-        self.plans.note(plan_id);
-        if self.heap.records().record(slot, class.0, plan_hash.0, plan_id, block_gen) == 1 {
-            self.meta_count += 1;
-        }
     }
 
     fn seed_canaries(
@@ -953,13 +924,10 @@ impl ObjectRuntime {
             // reuse): behave like plain free().
             return Ok(self.heap.free(base)?);
         };
-        // Retire the record (the offset-cache entry dies with it) before
-        // releasing the block, inside its own writer window: a lock-free
-        // reader sees LIVE or FREED, never the torn in-between.
-        let win = self.heap.pub_open(slot);
-        self.heap.records().retire(slot);
-        self.heap.pub_close(slot, win);
-        self.heap.free(base)?;
+        // Retire the record (the offset-cache entry dies with it) in the
+        // writer window that frees the block: a lock-free reader sees
+        // LIVE or FREED, never the torn in-between.
+        self.heap.free_object(slot)?;
         self.stats.frees += 1;
         Ok(())
     }
@@ -991,10 +959,7 @@ impl ObjectRuntime {
             self.heap.pub_close(slot, win);
             return false;
         }
-        let win = self.heap.pub_open(slot);
-        self.heap.records().retire(slot);
-        self.heap.pub_close(slot, win);
-        self.heap.free(block.base).is_ok()
+        self.heap.free_object(slot).is_ok()
     }
 
     /// Instrumented member access (the rewritten `getelementptr`): resolve
@@ -1191,9 +1156,9 @@ impl ObjectRuntime {
                 let to = dst.offset(dst_plan.offset(field) as u64);
                 self.heap.write(to, &staged.bytes[staged.starts[field]..][..size])?;
             }
-            Self::seed_canaries(&mut self.heap, dst, &dst_plan)?;
-            self.record_at(slot, generation, info.hash(), dst_plan.plan_hash(), plan_id);
-            Ok(())
+            let (plans, meta_count) = (&mut self.plans, &mut self.meta_count);
+            let cap = Capsule { base: dst, slot };
+            Self::arm(&mut self.heap, plans, meta_count, cap, generation, info.hash(), plan_id)
         })();
         self.heap.pub_close(slot, win);
         installed
@@ -2083,6 +2048,80 @@ mod tests {
             obj = next;
         }
         assert!(hashes.len() > 1, "generation bump must re-randomize");
+    }
+
+    /// A stateless reservation the way it was made before derived
+    /// layouts were looked up by hash: build the plan of the slot's
+    /// code, intern it (in steady state the interner already holds it)
+    /// and arm the object with the registered plan.
+    fn reserve_built(rt: &mut ObjectRuntime, info: &Arc<ClassInfo>, traps: bool) -> Addr {
+        rt.class_idx(info);
+        let (base, slot, generation) =
+            rt.heap.malloc_slot(stateless_bound(info, traps) as usize).unwrap();
+        let st = &mut rt.stateless;
+        let code = st.block.code_for(&st.keys, slot, generation, info.field_count());
+        let built = polar_layout::stateless_plan_from_code(info, rt.epoch_key, code, traps);
+        let (plan_id, _) = rt.interner.intern_id(built);
+        let (plans, meta_count) = (&mut rt.plans, &mut rt.meta_count);
+        let cap = Capsule { base, slot };
+        ObjectRuntime::arm(&mut rt.heap, plans, meta_count, cap, generation, info.hash(), plan_id)
+            .unwrap();
+        base
+    }
+
+    #[test]
+    fn hash_probe_reservations_match_build_then_intern() {
+        // 20,000 reservations of 5-, 7- and 8-field classes, with frees
+        // in between so slots come back under new generations: the
+        // probe path and the build-then-intern path hand out the same
+        // block, plan id, plan hash and canary bytes, and count the same
+        // plans and dedup saves.
+        let classes: Vec<Arc<ClassInfo>> = [5, 7, 8]
+            .iter()
+            .map(|&n| {
+                let mut b = ClassDecl::builder(format!("Probe{n}"));
+                let kinds = [FieldKind::Ptr, FieldKind::I32, FieldKind::I16, FieldKind::I64];
+                for i in 0..n {
+                    b = b.field(format!("f{i}"), kinds[i % 4]);
+                }
+                Arc::new(ClassInfo::from_decl(b.build()))
+            })
+            .collect();
+        for layout in [LayoutSource::Derived, LayoutSource::DerivedUntrapped] {
+            let traps = layout == LayoutSource::Derived;
+            let config = RuntimeConfig { layout, ..RuntimeConfig::default() };
+            let mut probe = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
+            let mut built = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
+            let mut rng = SplitMix64::new(0x9B0B_E5E5);
+            let mut live = Vec::new();
+            for i in 0..20_000 {
+                let info = &classes[i % classes.len()];
+                let base = probe.olr_malloc(info).unwrap();
+                assert_eq!(reserve_built(&mut built, info, traps), base, "allocation {i}");
+                let (_, got) = probe.heap().record_at(base).unwrap();
+                let (_, want) = built.heap().record_at(base).unwrap();
+                assert_eq!(got.plan_id(), want.plan_id(), "plan id of allocation {i}");
+                assert_eq!(got.plan_hash(), want.plan_hash(), "plan hash of allocation {i}");
+                let plan = built.object_meta(base).unwrap().plan;
+                assert_eq!(plan.dummies().is_empty(), !traps);
+                for d in plan.dummies() {
+                    let (at, width) = (base.offset(u64::from(d.offset)), canary_width(d.size));
+                    let seeded = probe.heap().read_uint(at, width).unwrap();
+                    assert_eq!(seeded, built.heap().read_uint(at, width).unwrap());
+                    assert_eq!(seeded, truncate(d.canary.unwrap(), width), "allocation {i}");
+                }
+                live.push(base);
+                if rng.next_u64() & 1 == 0 {
+                    let doomed = live.swap_remove((rng.next_u64() % live.len() as u64) as usize);
+                    probe.olr_free(doomed).unwrap();
+                    built.olr_free(doomed).unwrap();
+                }
+            }
+            let (got, want) = (probe.stats(), built.stats());
+            assert_eq!(got.unique_plans, want.unique_plans);
+            assert_eq!(got.dedup_saved, want.dedup_saved);
+            assert!(got.dedup_saved > 10_000, "steady state probes hit: {}", got.dedup_saved);
+        }
     }
 
     #[test]

@@ -56,9 +56,9 @@ const LAYOUTS: [LayoutSource; 4] = [
     LayoutSource::Fresh,
 ];
 
-/// One tape op. Object indices are reduced modulo the object list at
-/// execution time, so every generated tape stays executable while the
-/// shrinker deletes ops.
+/// One tape op. Object indices are reduced modulo the live objects (or,
+/// when none is live, every object) at execution time, so every
+/// generated tape stays executable while the shrinker deletes ops.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Malloc {
@@ -268,6 +268,13 @@ struct Obj {
     vals: Vec<u64>,
 }
 
+impl Obj {
+    /// Neither freed nor released raw.
+    fn is_live(&self) -> bool {
+        !self.freed && !self.raw_freed
+    }
+}
+
 /// The error a member access must raise, or `None` when it resolves.
 /// With detections off a dangling or confused access resolves through
 /// the object's own plan.
@@ -374,7 +381,12 @@ fn replay(
             out.push(Outcome::Skipped);
             continue;
         }
-        let i = obj % objs.len();
+        // An op lands on a live object whenever one exists: ops that
+        // need a dangling object make it themselves (a use after free
+        // frees first), so an object op on an already freed object
+        // would only repeat the double-free and dangling paths.
+        let live: Vec<usize> = (0..objs.len()).filter(|&i| objs[i].is_live()).collect();
+        let i = if live.is_empty() { obj % objs.len() } else { live[obj % live.len()] };
         let (base, info) = (objs[i].base, &classes[objs[i].class]);
         let (hash, nf) = (info.hash(), info.field_count());
         let read = |s: &mut dyn Surface, o: &Obj, class: ClassHash, field: usize| {
@@ -528,9 +540,15 @@ fn surfaces_agree((layout, detect, tape): &(usize, bool, Vec<Op>)) -> Result<(),
 fn every_surface_classifies_detections_identically() {
     let obj = 0usize..64;
     let field = 0usize..16;
+    let malloc = || any::<bool>().prop_map(|pooled| Op::Malloc { pooled });
+    // Allocations are listed four times among 15 options, so a tape
+    // keeps objects live for the object ops to land on.
     let op =
         one_of![
-            any::<bool>().prop_map(|pooled| Op::Malloc { pooled }),
+            malloc(),
+            malloc(),
+            malloc(),
+            malloc(),
             obj.clone().prop_map(|obj| Op::Free { obj }),
             obj.clone().prop_map(|obj| Op::DoubleFree { obj }),
             (obj.clone(), field.clone(), any::<bool>())

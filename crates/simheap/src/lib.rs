@@ -588,7 +588,28 @@ impl SimHeap {
     /// # Errors
     ///
     /// As for [`SimHeap::malloc`].
+    #[inline]
     pub fn malloc_slot(&mut self, size: usize) -> Result<(Addr, u32, u64), HeapError> {
+        self.malloc_with(size, |_, addr, slot, generation| (addr, slot, generation))
+    }
+
+    /// [`SimHeap::malloc_slot`] that runs `init(heap, base, slot,
+    /// generation)` on the new block before any lock-free reader can see
+    /// it: the caller's first writes to the block (its object record and
+    /// canaries) land in the same seqlock writer window as a reused
+    /// slot's generation bump, and ahead of the unit-index publication
+    /// of a fresh block. A reader sees the slot's previous occupant or
+    /// the block with `init`'s writes, never the bump alone. `init` must
+    /// not open a window on the slot itself.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SimHeap::malloc`]; `init` does not run on an error.
+    pub fn malloc_with<R>(
+        &mut self,
+        size: usize,
+        init: impl FnOnce(&mut SimHeap, Addr, u32, u64) -> R,
+    ) -> Result<R, HeapError> {
         if size == 0 {
             return Err(HeapError::ZeroSize);
         }
@@ -630,16 +651,16 @@ impl SimHeap {
                 (fit.map(|pos| self.large_free.swap_remove(pos).0), usable)
             }
         };
-        let (addr, slot, generation, span) = match reused {
+        match reused {
             Some(slot) => {
                 // Reused slot: same base, same span — bump the generation.
-                // The generation bump and the zero-fill race concurrent
-                // readers of a published heap, so both sit inside one
+                // The bump, the zero-fill and `init` race concurrent
+                // readers of a published heap, so all sit inside one
                 // seqlock window; the bump also orphans any object record
-                // on the slot (its meta_gen falls behind heap_gen). The
-                // recorded span is authoritative — it can exceed the
-                // class size when a best-fit or re-pooled span serves a
-                // smaller request.
+                // on the slot (its meta_gen falls behind heap_gen) until
+                // `init` records a new one. The recorded span is
+                // authoritative — it can exceed the class size when a
+                // best-fit or re-pooled span serves a smaller request.
                 let rec = self.records.get(slot).expect("a pooled slot has a record");
                 let old = rec.block_info();
                 let block =
@@ -647,29 +668,37 @@ impl SimHeap {
                 let win = self.pub_open(slot);
                 rec.set_block(block);
                 self.stats.reuses += 1;
+                self.note_alloc(block.size);
+                let out = init(self, block.base, slot, block.generation);
                 self.pub_close(slot, win);
-                (block.base, slot, block.generation, block.size)
+                Ok(out)
             }
             None => {
                 let addr = Addr(self.grow(usable)?);
                 let start = (addr.0 - self.config.arena_base) as usize;
                 let slot = self.slot_count;
                 self.slot_count += 1;
-                // Fresh block: initialize the record *before* the unit
-                // index points at it — no reader can observe the slot
-                // until the Release unit stores land, so no window is
-                // needed.
+                // Fresh block: initialize the record and run `init`
+                // *before* the unit index points at the slot — no reader
+                // can observe it until the Release unit stores land, so
+                // no window is needed.
                 let block =
                     BlockInfo { base: addr, size: usable, state: BlockState::Live, generation: 1 };
                 self.records.ensure(slot).set_block(block);
+                self.note_alloc(usable);
+                let out = init(self, addr, slot, 1);
                 self.units.publish(start / ALIGN, (start + usable) / ALIGN, slot);
-                (addr, slot, 1, usable)
+                Ok(out)
             }
-        };
+        }
+    }
+
+    /// Count an allocation of a `span`-byte block.
+    #[inline]
+    fn note_alloc(&mut self, span: usize) {
         self.stats.allocs += 1;
         self.stats.bytes_live += span;
         self.stats.bytes_peak = self.stats.bytes_peak.max(self.stats.bytes_live);
-        Ok((addr, slot, generation))
     }
 
     fn grow(&mut self, usable: usize) -> Result<u64, HeapError> {
@@ -707,22 +736,57 @@ impl SimHeap {
     /// to be recycled no longer has an owning slot (the block itself was
     /// freed successfully; the corrupt entry is dropped, not recycled).
     pub fn free(&mut self, addr: Addr) -> Result<(), HeapError> {
-        let Some((slot, rec)) = self.record_at(addr) else {
+        let Some((slot, _)) = self.record_at(addr) else {
             return Err(HeapError::InvalidFree(addr));
         };
+        self.free_slot(slot, false)
+    }
+
+    /// Free the block of `slot` and retire its object record
+    /// ([`SlotRecords::retire`]) in the same writer window as the
+    /// block's Freed flip: a lock-free reader sees the live object or
+    /// the freed one, never a retired record on a live block. Found by
+    /// slot id, so no unit-index lookup.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::InvalidFree`] for a slot id never handed out;
+    /// [`HeapError::DoubleFree`] when the block is already freed (the
+    /// record is retired all the same); [`HeapError::IndexCorrupt`] as
+    /// for [`SimHeap::free`].
+    pub fn free_object(&mut self, slot: u32) -> Result<(), HeapError> {
+        self.free_slot(slot, true)
+    }
+
+    /// The body of [`SimHeap::free`] and [`SimHeap::free_object`].
+    fn free_slot(&mut self, slot: u32, retire: bool) -> Result<(), HeapError> {
+        let Some(rec) = self.records.get(slot).filter(|_| slot < self.slot_count) else {
+            return Err(HeapError::InvalidFree(Addr::NULL));
+        };
         let block = rec.block_info();
-        if block.state == BlockState::Freed {
+        let addr = block.base;
+        // The record's retirement, the state flip and the poison fill
+        // are one atomic event to a racing lock-free reader: window
+        // them together.
+        let freed = block.state == BlockState::Freed;
+        if freed && !retire {
             return Err(HeapError::DoubleFree(addr));
         }
-        // The state flip and the poison fill are one atomic event to a
-        // racing lock-free reader: window them together.
         let win = self.pub_open(slot);
-        rec.set_block(BlockInfo { state: BlockState::Freed, ..block });
-        if let Some(poison) = self.config.poison {
-            let start = (addr.0 - self.config.arena_base) as usize;
-            self.store.fill(start, block.size, poison);
+        if retire {
+            self.records.retire(slot);
+        }
+        if !freed {
+            rec.set_block(BlockInfo { state: BlockState::Freed, ..block });
+            if let Some(poison) = self.config.poison {
+                let start = (addr.0 - self.config.arena_base) as usize;
+                self.store.fill(start, block.size, poison);
+            }
         }
         self.pub_close(slot, win);
+        if freed {
+            return Err(HeapError::DoubleFree(addr));
+        }
         self.stats.frees += 1;
         self.stats.bytes_live -= block.size;
         if self.config.quarantine == 0 {
@@ -1603,6 +1667,64 @@ mod tests {
             h.check_in_block(b, 33).unwrap_err(),
             HeapError::OutOfBlock { .. }
         ));
+    }
+
+    #[test]
+    fn malloc_with_runs_init_before_readers_can_see_the_block() {
+        let mut h = SimHeap::new_published(HeapConfig::default());
+        let p = Arc::clone(h.publisher().unwrap());
+        // A fresh block: `init` runs before the unit index leads to it.
+        let (a, slot) = h
+            .malloc_with(32, |heap, base, slot, generation| {
+                assert_eq!(generation, 1);
+                assert!(heap.record_at(base).is_none(), "published before init ran");
+                heap.records().record(slot, 7, 9, 0, generation);
+                (base, slot)
+            })
+            .unwrap();
+        let snap = p.try_snapshot(a.0);
+        let live = matches!(snap, SnapshotOutcome::Snap(s) if s.state == PUB_STATE_LIVE);
+        assert!(live, "init's record is visible once the block is published");
+        // A reused block: the generation bump and `init` share one window.
+        h.free(a).unwrap();
+        let seq = match p.records().try_snapshot_slot(slot) {
+            SnapshotOutcome::Snap(s) => s.seq,
+            other => panic!("expected snapshot, got {other:?}"),
+        };
+        h.malloc_with(32, |heap, base, slot, generation| {
+            assert_eq!((base, generation), (a, 2));
+            assert!(matches!(heap.records().try_snapshot_slot(slot), SnapshotOutcome::Unstable));
+            heap.records().record(slot, 7, 9, 0, generation);
+        })
+        .unwrap();
+        match p.records().try_snapshot_slot(slot) {
+            SnapshotOutcome::Snap(s) => {
+                assert_eq!(s.seq, seq + 2, "one window for the bump and the record");
+                assert_eq!((s.heap_gen, s.meta_gen, s.state), (2, 2, PUB_STATE_LIVE));
+            }
+            other => panic!("expected snapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn free_object_retires_the_record_in_the_free_window() {
+        let mut h = SimHeap::new_published(HeapConfig::default());
+        let p = Arc::clone(h.publisher().unwrap());
+        let (a, slot) = h
+            .malloc_with(32, |heap, base, slot, generation| {
+                heap.records().record(slot, 7, 9, 0, generation);
+                (base, slot)
+            })
+            .unwrap();
+        let seq = p.records().get(slot).unwrap().snapshot(slot).seq;
+        h.free_object(slot).unwrap();
+        let snap = p.records().get(slot).unwrap().snapshot(slot);
+        assert_eq!(snap.seq, seq + 2, "one window for the retirement and the free");
+        assert_eq!(snap.state, PUB_STATE_FREED);
+        assert_eq!(h.block_at(a).unwrap().state, BlockState::Freed);
+        assert!(matches!(h.free_object(slot), Err(HeapError::DoubleFree(b)) if b == a));
+        assert!(matches!(h.free_object(slot + 1), Err(HeapError::InvalidFree(_))));
+        assert_eq!(h.stats().frees, 1);
     }
 
     #[test]

@@ -111,6 +111,16 @@ echo "== differential detection property (release) =="
 POLAR_CHECK_CASES=4000 cargo test -q --offline --release -p polar-runtime --test classify_props
 echo "ok: differential property green"
 
+echo "== derived-layout hash identity (release, every code) =="
+# A stateless reservation finds its interned plan by hashing the layout
+# its permutation code derives on the stack; a plan is built only when
+# that hash is new. The stack layout must hash exactly as the plan built
+# from the code, which must equal an independent reference build. The
+# tier-1 run checks every code up to 6 fields and 2,000 sampled codes of
+# 7 and 8; POLAR_DERIVED_CODES at 8! checks every code of 7 and 8 too.
+POLAR_DERIVED_CODES=40320 cargo test -q --offline --release -p polar-layout derived_layout_hashes
+echo "ok: derived-layout hash identity green"
+
 echo "== heap footprint pin (release, session scale) =="
 # A heap's block metadata is its slot records plus one unit index: 128 B
 # per 256 B block. The pin builds a standalone and a published heap of
