@@ -76,6 +76,23 @@ fn bench_getptr(c: &mut Criterion) {
         let obj = rt.olr_malloc(&info).expect("alloc");
         b.iter(|| rt.olr_getptr(obj, info.hash(), 1).expect("access"));
     });
+    // A handle's field store and load on one cache-resident object of a
+    // one-shard runtime: the stage rows of the sharded access path, both
+    // served without the shard lock.
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 1);
+    let mut h = rt.handle(0);
+    let obj = h.olr_malloc(&info).expect("alloc");
+    h.write_field(obj, info.hash(), 1, 1).expect("warm");
+    group.bench_function("handle_write_field", |b| {
+        let mut v = 0u64;
+        b.iter(|| {
+            v += 1;
+            h.write_field(obj, info.hash(), 1, black_box(v)).expect("write");
+        });
+    });
+    group.bench_function("handle_read_field", |b| {
+        b.iter(|| h.read_field(obj, info.hash(), 1).expect("read"));
+    });
     group.finish();
 }
 

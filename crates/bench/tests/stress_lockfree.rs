@@ -9,9 +9,11 @@
 //!
 //! * no torn read (the workload panics on one — unequal 32-bit halves),
 //! * zero detections (the shared set is never misused),
-//! * exact counting partition: every handle read resolved as exactly
-//!   one lock-free hit or one mutex fallback,
-//! * a pure-reader pass stays entirely on the optimistic path.
+//! * exact counting partition: every handle read and write resolved
+//!   as exactly one lock-free read, one lock-free write or one mutex
+//!   fallback,
+//! * a pure-reader pass (its setup writes included) stays entirely on
+//!   the optimistic path.
 //!
 //! Debug builds skip it: run it with
 //! `cargo test --release -p polar-bench --test stress_lockfree`.
@@ -21,7 +23,7 @@ use polar_workloads::contend::{run_contend, ContendConfig};
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-mode stress; see the module docs")]
-fn lock_free_reads_partition_exactly_under_contention() {
+fn lock_free_accesses_partition_exactly_under_contention() {
     let detected = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Clamp to the hardware: more threads than cores only re-measures
     // the scheduler. Keep at least two so seqlock windows and snapshots
@@ -45,12 +47,16 @@ fn lock_free_reads_partition_exactly_under_contention() {
         report.stats
     );
     assert_eq!(
-        report.stats.lockfree_reads + report.stats.lockfree_fallbacks,
-        report.reads,
-        "counting partition broken: {} hits + {} fallbacks != {} reads",
+        report.stats.lockfree_reads
+            + report.stats.lockfree_writes
+            + report.stats.lockfree_fallbacks,
+        report.reads + report.writes,
+        "counting partition broken: {} reads + {} writes + {} fallbacks != {} reads + {} writes",
         report.stats.lockfree_reads,
+        report.stats.lockfree_writes,
         report.stats.lockfree_fallbacks,
         report.reads,
+        report.writes,
     );
 
     let pure = ContendConfig {
@@ -65,10 +71,15 @@ fn lock_free_reads_partition_exactly_under_contention() {
         report.reads, report.stats.lockfree_fallbacks
     );
     assert!(
-        report.stats.lockfree_fallbacks == 0 && report.stats.lockfree_reads == report.reads,
-        "pure readers left the fast path: {} hits, {} fallbacks, {} reads",
+        report.stats.lockfree_fallbacks == 0
+            && report.stats.lockfree_reads == report.reads
+            && report.stats.lockfree_writes == report.writes,
+        "pure readers left the fast path: {} reads, {} writes, {} fallbacks; \
+         issued {} reads, {} writes",
         report.stats.lockfree_reads,
+        report.stats.lockfree_writes,
         report.stats.lockfree_fallbacks,
         report.reads,
+        report.writes,
     );
 }

@@ -30,13 +30,26 @@ use crate::plan::{LayoutPlan, PlanHash};
 /// `get` lock-free.
 #[derive(Default)]
 pub struct PlanRegistry {
+    /// The segment directory every lock-free access walks: written only
+    /// when a segment commits.
     plans: Segments<OnceLock<Arc<LayoutPlan>>>,
+    /// What every intern writes, on cache lines of its own.
+    writer: WriterSide,
+}
+
+/// The written half of a [`PlanRegistry`], aligned to a cache line so
+/// an intern (which locks the mutex and bumps `len`) never invalidates
+/// the line holding the segment directory that lock-free readers and
+/// writers walk on every field access.
+#[repr(align(64))]
+#[derive(Default)]
+struct WriterSide {
     /// Number of ids handed out; `Release`-stored after the plan is set,
     /// so every id below it resolves.
     len: AtomicU32,
     /// Serializes writers; holds the dedup map (plan hash → id) of a
     /// shared registry.
-    writer: Mutex<Option<HashMap<PlanHash, u32>>>,
+    ids: Mutex<Option<HashMap<PlanHash, u32>>>,
 }
 
 impl std::fmt::Debug for PlanRegistry {
@@ -54,23 +67,24 @@ impl PlanRegistry {
     /// An empty registry shared by several interners, deduplicating by
     /// plan hash across them.
     pub fn shared() -> Self {
-        PlanRegistry { writer: Mutex::new(Some(HashMap::new())), ..Self::default() }
+        let writer = WriterSide { ids: Mutex::new(Some(HashMap::new())), ..WriterSide::default() };
+        PlanRegistry { writer, ..Self::default() }
     }
 
     /// Store `plan` under a fresh id and return both. A shared registry
     /// that already holds `plan`'s hash returns the stored id and plan
     /// instead, so every holder of an id uses the one plan it resolves to.
     pub(crate) fn intern(&self, plan: LayoutPlan) -> (u32, Arc<LayoutPlan>) {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let mut writer = self.writer.ids.lock().unwrap_or_else(|e| e.into_inner());
         let hash = plan.plan_hash();
         if let Some(&id) = writer.as_ref().and_then(|ids| ids.get(&hash)) {
             return (id, Arc::clone(self.get(id).expect("interned ids resolve")));
         }
-        let id = self.len.load(Ordering::Relaxed);
+        let id = self.writer.len.load(Ordering::Relaxed);
         assert!(id != u32::MAX, "plan registry exhausted its u32 id space");
         let plan = Arc::new(plan);
         self.plans.ensure(id).set(Arc::clone(&plan)).expect("fresh id slot is unset");
-        self.len.store(id + 1, Ordering::Release);
+        self.writer.len.store(id + 1, Ordering::Release);
         if let Some(ids) = writer.as_mut() {
             ids.insert(hash, id);
         }
@@ -86,7 +100,7 @@ impl PlanRegistry {
 
     /// Number of ids handed out.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire) as usize
+        self.writer.len.load(Ordering::Acquire) as usize
     }
 
     /// Whether the registry holds no plans.
@@ -97,7 +111,7 @@ impl PlanRegistry {
     /// Bytes of registry bookkeeping (committed plan segments + dedup
     /// map), excluding the plans themselves (counted by their interners).
     pub fn metadata_bytes(&self) -> usize {
-        let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let writer = self.writer.ids.lock().unwrap_or_else(|e| e.into_inner());
         let map = writer.as_ref().map_or(0, HashMap::capacity);
         self.plans.committed_bytes()
             + map * (std::mem::size_of::<PlanHash>() + std::mem::size_of::<u32>())
@@ -123,6 +137,21 @@ mod tests {
         let engine = LayoutEngine::new(RandomizationPolicy::default());
         let mut rng = StdRng::seed_from_u64(41);
         (0..n).map(|_| engine.generate(&info, &mut rng)).collect()
+    }
+
+    #[test]
+    fn the_written_half_shares_no_cache_line_with_the_directory() {
+        use std::mem::{align_of, offset_of, size_of};
+        let plans = offset_of!(PlanRegistry, plans);
+        let plans_end = plans + size_of::<Segments<OnceLock<Arc<LayoutPlan>>>>();
+        let writer = offset_of!(PlanRegistry, writer);
+        assert_eq!(align_of::<PlanRegistry>() % 64, 0, "the registry starts a line");
+        assert_eq!(writer % 64, 0, "the written half starts a line");
+        assert_eq!(size_of::<WriterSide>() % 64, 0, "and fills whole lines");
+        assert!(
+            plans_end <= writer || writer + size_of::<WriterSide>() <= plans,
+            "directory {plans}..{plans_end} overlaps the written half at {writer}"
+        );
     }
 
     #[test]

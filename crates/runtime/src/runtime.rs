@@ -1099,6 +1099,11 @@ impl ObjectRuntime {
     /// onto the source bytes of field k+1 can no longer clobber them
     /// mid-copy (the in-place `olr_memcpy(p, p, …)` rerandomization case,
     /// and partial overlaps through interior source pointers).
+    ///
+    /// On a published heap the source block's seqlock window is held
+    /// over the reads: the shard lock does not exclude a handle's
+    /// lock-free field store, and a field store straddling two words
+    /// must not be staged half done.
     pub(crate) fn stage_fields(
         &self,
         src: Addr,
@@ -1106,12 +1111,18 @@ impl ObjectRuntime {
     ) -> Result<StagedFields, RuntimeError> {
         let mut bytes = Vec::with_capacity(src_plan.size() as usize);
         let mut starts = Vec::with_capacity(src_plan.field_count());
-        for field in 0..src_plan.field_count() {
+        let slot = self.heap.record_at(src).map(|(slot, _)| slot);
+        let win = slot.and_then(|slot| self.heap.pub_open(slot));
+        let staged = (0..src_plan.field_count()).try_for_each(|field| {
             let size = src_plan.field_size(field) as usize;
             let from = src.offset(src_plan.offset(field) as u64);
             starts.push(bytes.len());
-            self.heap.read_into(from, size, &mut bytes)?;
+            self.heap.read_into(from, size, &mut bytes)
+        });
+        if let Some(slot) = slot {
+            self.heap.pub_close(slot, win);
         }
+        staged?;
         Ok(StagedFields { bytes, starts })
     }
 
@@ -1216,9 +1227,9 @@ impl ObjectRuntime {
         value: u64,
     ) -> Result<(), RuntimeError> {
         let Access { addr, width, slot } = self.access(base, expected, field, None)?;
-        // Bump the object's seqlock around the store so a concurrent
-        // lock-free `read_field` retries instead of returning a torn
-        // mix of old and new bytes.
+        // Store inside the object's seqlock window: a concurrent
+        // lock-free `read_field` retries instead of returning a torn mix
+        // of old and new bytes, and a handle's lock-free store waits.
         let win = self.heap.pub_open(slot);
         let wrote = self.heap.write_uint(addr, value, width);
         self.heap.pub_close(slot, win);

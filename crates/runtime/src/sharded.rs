@@ -41,15 +41,21 @@
 //!   are seqlocked and reachable by address through the heap's unit
 //!   index, which its [`HeapPublisher`] shares, and plans live in a shared
 //!   [`PlanRegistry`] resolvable by integer id. So
-//!   [`ShardHandle::olr_getptr`], [`ShardHandle::olr_getptr_ic`] and
-//!   [`ShardHandle::read_field`] run with **no lock at all**: snapshot
-//!   the slot and hand it to the same classifier the locked paths use
-//!   ([`RecordView::classify`]), which resolves the access or reports
-//!   the miss or detection, counting into the handle's pending sheet.
-//!   A result counts only if the slot's sequence is unchanged after it
-//!   was computed (after the value load, for `read_field`); otherwise
-//!   the attempt's counts are taken back and it retries. Only writer
-//!   contention past a few retries reaches the shard mutex.
+//!   [`ShardHandle::olr_getptr`], [`ShardHandle::olr_getptr_ic`],
+//!   [`ShardHandle::read_field`] and [`ShardHandle::write_field`] run
+//!   with **no lock at all**: snapshot the slot and hand it to the same
+//!   classifier the locked paths use ([`RecordView::classify`]), which
+//!   resolves the access or reports the miss or detection, counting
+//!   into the handle's pending sheet. A read's result counts only if
+//!   the slot's sequence is unchanged after it was computed (after the
+//!   value load, for `read_field`). A write stores only inside the
+//!   slot's seqlock window, opened by a CAS from exactly the snapshot's
+//!   sequence: the CAS excludes every other writer, the owner's locked
+//!   windows included, and proves the classification current. Otherwise
+//!   the attempt's counts are taken back and it retries. Only
+//!   contention past a few retries reaches the shard mutex, and a read
+//!   served there holds the slot's window over its load, since the
+//!   mutex no longer excludes writers.
 //! * **Magazine front-end + remote frees.** With
 //!   [`RuntimeConfig::magazine`] enabled (the default), each
 //!   [`ShardHandle`] keeps per-size-class **magazines** of pre-reserved
@@ -66,8 +72,8 @@
 //!   acquisition drains that shard's stack first, so the heap release
 //!   happens under the lock and mutex paths observe completed frees.
 //!   The mutex is left for state changes: frees it must finish
-//!   (untracked pointers, refused claims), refills, drains, field
-//!   writes, copies, trap sweeps and raw heap operations.
+//!   (untracked pointers, refused claims), refills, drains, copies,
+//!   trap sweeps and raw heap operations.
 //!
 //! Handles round-robin their **home shard** (`thread % shards`) for
 //! allocations; accesses to any address still work from any thread
@@ -568,6 +574,11 @@ impl Drop for ShardHandle<'_> {
     }
 }
 
+/// A resolved field's value, loaded from the shared arena.
+fn load_field(p: &HeapPublisher, Access { addr, width, .. }: Access) -> Result<u64, RuntimeError> {
+    p.read_uint(addr.0, width).ok_or(RuntimeError::Heap(HeapError::Fault { addr, len: width }))
+}
+
 /// Seed material for thread `t` comes from SplitMix64 stream `t` of the
 /// root seed: disjoint expansion windows give every thread an
 /// independent, reproducible generator no other stream index can reach.
@@ -892,11 +903,31 @@ impl ShardHandle<'_> {
             self.pending = counted;
             std::hint::spin_loop();
         }
+        self.read_locked(shard, base, expected, field, ic, load)
+    }
+
+    /// The mutex-served tail of [`ShardHandle::read_in`], counted as a
+    /// fallback. The mutex does not exclude lock-free field writers, so
+    /// `load` runs inside the slot's window: an 8-byte store straddling
+    /// two words is never seen half done.
+    #[cold]
+    fn read_locked<T>(
+        &mut self,
+        shard: usize,
+        base: Addr,
+        expected: ClassHash,
+        field: usize,
+        ic: Option<&mut SiteCache>,
+        load: impl Fn(&HeapPublisher, Access) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
         self.pending.lockfree_fallbacks += 1;
-        // The guard outlives the load: writers need this lock.
-        let mut guard = rt.shard(shard)?;
+        let p = &self.rt.pubs[shard];
+        let mut guard = self.rt.shard(shard)?;
         let access = guard.access(base, expected, field, ic)?;
-        load(p, access)
+        let win = guard.heap().pub_open(access.slot);
+        let loaded = load(p, access);
+        guard.heap().pub_close(access.slot, win);
+        loaded
     }
 
     /// [`ObjectRuntime::read_field`], routed by address and counted as in
@@ -915,17 +946,27 @@ impl ShardHandle<'_> {
         expected: ClassHash,
         field: usize,
     ) -> Result<u64, RuntimeError> {
-        self.read_in(base, expected, field, None, true, |p, Access { addr, width, .. }| {
-            let fault = RuntimeError::Heap(HeapError::Fault { addr, len: width });
-            p.read_uint(addr.0, width).ok_or(fault)
-        })
+        self.read_in(base, expected, field, None, true, load_field)
     }
 
-    /// [`ObjectRuntime::write_field`], routed by address.
+    /// [`ObjectRuntime::write_field`], routed by address and served
+    /// without the shard mutex. The access is classified on a snapshot,
+    /// as a read's is; the store then opens the slot's seqlock window at
+    /// exactly the snapshot's sequence ([`SlotRecords::try_open_at`]).
+    /// That one CAS excludes every other writer (the owner's windows,
+    /// other handles' stores) and proves the classification still
+    /// holds, so the value goes straight into the shared arena and the
+    /// window closes. A detection stands once the slot's sequence
+    /// rechecks unchanged; an untracked address needs no recheck. A lost
+    /// CAS or a failed recheck retries from a fresh snapshot, the
+    /// pending sheet restored; past the retry budget the owning shard's
+    /// mutex serves the write.
     ///
     /// # Errors
     ///
     /// As for [`ShardHandle::olr_getptr`] plus heap faults.
+    ///
+    /// [`SlotRecords::try_open_at`]: polar_simheap::SlotRecords::try_open_at
     pub fn write_field(
         &mut self,
         base: Addr,
@@ -933,9 +974,45 @@ impl ShardHandle<'_> {
         field: usize,
         value: u64,
     ) -> Result<(), RuntimeError> {
-        self.rt
-            .route(base, RuntimeError::UnknownObject(base))?
-            .write_field(base, expected, field, value)
+        let rt = self.rt;
+        let Some(shard) = rt.shard_of(base) else {
+            return Err(RuntimeError::UnknownObject(base));
+        };
+        let p = &rt.pubs[shard];
+        for _ in 0..FAST_RETRIES {
+            let snap = match rt.snapshot(shard, base, None) {
+                SnapshotOutcome::Snap(s) => Some(s),
+                SnapshotOutcome::Untracked => None,
+                SnapshotOutcome::Unstable => {
+                    std::hint::spin_loop();
+                    continue;
+                }
+            };
+            let counted = self.pending;
+            let view = rt.view(shard, base, snap);
+            let classified = view.classify(expected, field, None, &rt.config, &mut self.pending);
+            let settled = match (classified, snap) {
+                (Ok(Access { addr, width, .. }), Some(s))
+                    if p.records().try_open_at(s.slot, s.seq) =>
+                {
+                    let stored = p.write_uint(addr.0, value, width);
+                    p.records().close(s.slot, s.seq);
+                    Some(stored.ok_or(RuntimeError::Heap(HeapError::Fault { addr, len: width })))
+                }
+                (Err(err), snap) if snap.is_none_or(|s| p.records().recheck(s.slot, s.seq)) => {
+                    Some(Err(err))
+                }
+                _ => None,
+            };
+            if let Some(result) = settled {
+                self.pending.lockfree_writes += 1;
+                return result;
+            }
+            self.pending = counted;
+            std::hint::spin_loop();
+        }
+        self.pending.lockfree_fallbacks += 1;
+        rt.shard(shard)?.write_field(base, expected, field, value)
     }
 
     /// [`ObjectRuntime::olr_memcpy`] across shards: same-shard copies
@@ -1593,6 +1670,43 @@ mod tests {
         assert_eq!(after.lockfree_fallbacks, before.lockfree_fallbacks, "the freed read fell back");
     }
 
+    /// A handle's field writes, detections included, take no shard
+    /// lock single-threaded: each is one `lockfree_writes`, none falls
+    /// back, and the stored values read back through both paths.
+    #[test]
+    fn handle_writes_take_no_shard_lock() {
+        let rt = sharded(2);
+        let (info, other) = (people(), record());
+        let mut h = rt.handle(0);
+        let obj = h.olr_malloc(&info).unwrap();
+        let freed = h.olr_malloc(&info).unwrap();
+        h.olr_free(freed).unwrap();
+        let before = h.stats();
+        for v in 0..10 {
+            h.write_field(obj, info.hash(), 1 + v as usize % 2, v).unwrap();
+        }
+        let detected = [
+            h.write_field(freed, info.hash(), 1, 5),
+            h.write_field(obj, other.hash(), 1, 5),
+            h.write_field(obj, info.hash(), 9, 5),
+            h.write_field(obj.offset(8), info.hash(), 1, 5),
+        ];
+        assert!(matches!(detected[0], Err(RuntimeError::UseAfterFree { .. })));
+        assert!(matches!(detected[1], Err(RuntimeError::ClassMismatch { .. })));
+        assert!(matches!(detected[2], Err(RuntimeError::FieldOutOfBounds { .. })));
+        assert!(matches!(detected[3], Err(RuntimeError::UnknownObject(_))));
+        let after = h.stats();
+        assert_eq!(after.lockfree_writes - before.lockfree_writes, 14, "{after:?}");
+        assert_eq!(after.lockfree_fallbacks, 0, "{after:?}");
+        assert_eq!(after.member_accesses - before.member_accesses, 14);
+        assert_eq!(after.uaf_detected - before.uaf_detected, 1);
+        assert_eq!(after.mismatch_detected - before.mismatch_detected, 1);
+        assert_eq!(h.read_field(obj, info.hash(), 1).unwrap(), 8);
+        assert_eq!(h.read_field(obj, info.hash(), 2).unwrap(), 9);
+        let shard = rt.shard_of(obj).unwrap();
+        assert_eq!(h.read_locked(shard, obj, info.hash(), 2, None, load_field).unwrap(), 9);
+    }
+
     /// Torture phase 1: fixed live objects, writers churning field
     /// values whose two halves always match, readers asserting every
     /// lock-free load is untorn (halves equal) and correctly tagged.
@@ -1610,6 +1724,7 @@ mod tests {
                 h.write_field(obj, info.hash(), field, 0).unwrap();
             }
         }
+        drop(h); // flushes the setup writes' counts
         let stop = std::sync::atomic::AtomicBool::new(false);
         let attempts: u64 = std::thread::scope(|scope| {
             let (rt, info, objects, stop) = (&rt, &info, &objects, &stop);
@@ -1657,10 +1772,11 @@ mod tests {
             readers.into_iter().map(|r| r.join().unwrap()).sum()
         });
         let stats = rt.stats();
+        let writes = (OBJECTS * info.field_count() + WRITER_OPS) as u64;
         assert_eq!(
-            stats.lockfree_reads + stats.lockfree_fallbacks,
-            attempts,
-            "every read attempt must be counted exactly once"
+            stats.lockfree_reads + stats.lockfree_writes + stats.lockfree_fallbacks,
+            attempts + writes,
+            "every read and write must be counted exactly once"
         );
         assert!(
             stats.lockfree_reads > 0,
@@ -1835,8 +1951,10 @@ mod tests {
         assert!(rt.stats().fast_frees >= 1);
         assert!(rt.object_meta(keep).is_some());
         assert!(rt.estimated_metadata_bytes() > 0);
-        // ...and the lock-free read path never touches the mutex at all.
-        assert_eq!(h.read_field(keep, info.hash(), 1).unwrap(), 77);
+        // ...and the lock-free read and write paths never touch the
+        // mutex at all.
+        h.write_field(keep, info.hash(), 1, 78).unwrap();
+        assert_eq!(h.read_field(keep, info.hash(), 1).unwrap(), 78);
     }
 
     #[test]
@@ -2144,5 +2262,197 @@ mod tests {
             "every claimed slot must be drained at quiescence"
         );
         assert_eq!(stats.total_detections(), 0);
+    }
+
+    /// A live object of `class` whose fields `a` and `b` satisfy
+    /// `fits(plan offset of a, plan offset of b)`, drawn by allocating
+    /// until one does.
+    fn object_where(
+        h: &mut ShardHandle<'_>,
+        class: &Arc<ClassInfo>,
+        (a, b): (usize, usize),
+        fits: impl Fn(u32, u32) -> bool,
+    ) -> Addr {
+        for _ in 0..4096 {
+            let obj = h.olr_malloc(class).unwrap();
+            let plan = h.runtime().object_meta(obj).unwrap().plan;
+            if fits(plan.offset(a), plan.offset(b)) {
+                return obj;
+            }
+        }
+        panic!("no plan of {} fits", class.name());
+    }
+
+    /// Two handles hammer two `I32` fields laid out in one arena word,
+    /// each storing an increasing counter into its own field and reading
+    /// it back, and watching the other's: a lost update reads back an
+    /// older value of one's own field, a torn read sees the other's go
+    /// backwards or past its end.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode torture: cargo test --release")]
+    fn torture_two_fields_in_one_word_lose_no_update() {
+        const ROUNDS: u64 = 100_000;
+        let rt = sharded(1);
+        let pair = Arc::new(ClassInfo::from_decl(
+            ClassDecl::builder("Pair")
+                .field("a", FieldKind::I32)
+                .field("b", FieldKind::I32)
+                .field("c", FieldKind::I64)
+                .build(),
+        ));
+        let mut h = rt.handle(0);
+        let obj = object_where(&mut h, &pair, (0, 1), |a, b| a / 8 == b / 8);
+        drop(h);
+        std::thread::scope(|scope| {
+            for (t, mine) in [(1u64, 0usize), (2, 1)] {
+                let (rt, pair) = (&rt, &pair);
+                scope.spawn(move || {
+                    let mut h = rt.handle(t);
+                    let mut seen = 0;
+                    for v in 1..=ROUNDS {
+                        h.write_field(obj, pair.hash(), mine, v).unwrap();
+                        assert_eq!(h.read_field(obj, pair.hash(), mine).unwrap(), v, "lost");
+                        let theirs = h.read_field(obj, pair.hash(), 1 - mine).unwrap();
+                        assert!(theirs >= seen && theirs <= ROUNDS, "torn: {theirs} after {seen}");
+                        seen = theirs;
+                    }
+                });
+            }
+        });
+        let mut h = rt.handle(0);
+        assert_eq!(h.read_field(obj, pair.hash(), 0).unwrap(), ROUNDS);
+        assert_eq!(h.read_field(obj, pair.hash(), 1).unwrap(), ROUNDS);
+        h.flush_stats();
+        let stats = rt.stats();
+        let accesses = stats.lockfree_reads + stats.lockfree_writes + stats.lockfree_fallbacks;
+        assert_eq!(accesses, 6 * ROUNDS + 2, "{stats:?}");
+    }
+
+    /// One handle stores 8-byte values into a `Bytes(16)` field at an
+    /// unaligned offset, so every store straddles two arena words;
+    /// another reads the field through the mutex-served fallback and
+    /// copies the object with `olr_memcpy`. Every stored value has eight
+    /// equal bytes, so a half-done store shows as mixed bytes.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode torture: cargo test --release")]
+    fn torture_straddling_stores_are_never_seen_half_done() {
+        const ROUNDS: usize = 20_000;
+        let rt = sharded(1);
+        let blob = Arc::new(ClassInfo::from_decl(
+            ClassDecl::builder("Blob")
+                .field("tag", FieldKind::I8)
+                .field("bytes", FieldKind::Bytes(16))
+                .field("len", FieldKind::I32)
+                .build(),
+        ));
+        let hash = blob.hash();
+        let whole = |v: u64| v.to_le_bytes().iter().all(|&b| b == v as u8);
+        let mut h = rt.handle(0);
+        let obj = object_where(&mut h, &blob, (1, 1), |at, _| at % 8 != 0);
+        let copy = h.olr_malloc(&blob).unwrap();
+        drop(h);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let (rt, blob, stop) = (&rt, &blob, &stop);
+            scope.spawn(move || {
+                let mut h = rt.handle(1);
+                for round in 0..ROUNDS {
+                    let b = 1 + (round % 255) as u64;
+                    h.write_field(obj, hash, 1, b * 0x0101_0101_0101_0101).unwrap();
+                }
+                stop.store(true, std::sync::atomic::Ordering::Release);
+            });
+            scope.spawn(move || {
+                let mut h = rt.handle(2);
+                let shard = rt.shard_of(obj).unwrap();
+                let mut checks = 0u64;
+                while !stop.load(std::sync::atomic::Ordering::Acquire) || checks < 1_000 {
+                    let v = h.read_locked(shard, obj, hash, 1, None, load_field).unwrap();
+                    assert!(whole(v), "the locked read saw a half-done store: {v:#x}");
+                    h.olr_memcpy(copy, obj, blob).unwrap();
+                    let v = h.read_field(copy, hash, 1).unwrap();
+                    assert!(whole(v), "the copy staged a half-done store: {v:#x}");
+                    checks += 1;
+                }
+            });
+        });
+    }
+
+    /// Writes through stale pointers race frees and reuse of their
+    /// slots: an owner keeps a rolling window of live objects, checking
+    /// each one's canaries before its (trap-checked) free, while writers
+    /// store into addresses it handed out at any time. Each write must
+    /// land in the object live at its snapshot or report the free; a
+    /// write classified against a freed object must never reach the
+    /// successor's trap slots. Four threads on a two-core machine get
+    /// writers descheduled between classification and store, which is
+    /// when the owner recycles their slot.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode torture: cargo test --release")]
+    fn torture_writes_racing_frees_and_reuse_spare_successor_canaries() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        const OWNER_OPS: usize = 300_000;
+        const WRITERS: u64 = 3;
+        const WINDOW: usize = 48;
+        let rt = sharded(1);
+        let info = record();
+        let seen: Vec<AtomicU64> = (0..WINDOW).map(|_| AtomicU64::new(0)).collect();
+        /// Stops the writers when the owner ends, a failed check included.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, std::sync::atomic::Ordering::Release);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let landed: u64 = std::thread::scope(|scope| {
+            let (rt, info, seen, stop) = (&rt, &info, &seen, &stop);
+            scope.spawn(move || {
+                let _stop = StopOnDrop(stop);
+                let mut h = rt.handle(0);
+                let mut live = std::collections::VecDeque::new();
+                for op in 0..OWNER_OPS {
+                    let obj = h.olr_malloc(info).unwrap();
+                    seen[op % WINDOW].store(obj.0, Relaxed);
+                    live.push_back(obj);
+                    if live.len() > WINDOW / 2 {
+                        let old = live.pop_front().unwrap();
+                        assert!(h.check_traps(old).unwrap().is_empty(), "a canary was hit");
+                        h.olr_free(old).unwrap();
+                    }
+                }
+                for obj in live {
+                    assert!(h.check_traps(obj).unwrap().is_empty(), "a canary was hit");
+                    h.olr_free(obj).unwrap();
+                }
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    scope.spawn(move || {
+                        let mut h = rt.handle(1 + w);
+                        let mut driver = SplitMix64::new(0x57A1E + w);
+                        let mut landed = 0u64;
+                        while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                            let addr = Addr(seen[driver.random_range(0..WINDOW)].load(Relaxed));
+                            if addr.is_null() {
+                                continue;
+                            }
+                            let field = driver.random_range(0..info.field_count());
+                            match h.write_field(addr, info.hash(), field, driver.next_u64()) {
+                                Ok(()) => landed += 1,
+                                Err(RuntimeError::UseAfterFree { .. }) => {}
+                                Err(other) => panic!("a racing write reported {other}"),
+                            }
+                        }
+                        landed
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let stats = rt.stats();
+        assert_eq!(stats.traps_triggered + stats.double_free_detected, 0, "{stats:?}");
+        assert_eq!(stats.frees, OWNER_OPS as u64);
+        assert!(landed > 0 && stats.uaf_detected > 0, "{landed} writes landed: {stats:?}");
     }
 }

@@ -130,12 +130,18 @@ runtime_stats! {
     /// Pool refill events: warm-up batch fills plus steady-state churn
     /// regenerations.
     pool_refills,
-    /// Member accesses served entirely by the optimistic (seqlock) read
-    /// path: no shard mutex was taken.
+    /// Handle reads (`olr_getptr`, `olr_getptr_ic`, `read_field`)
+    /// classified and served without the shard mutex, detections
+    /// included.
     lockfree_reads,
-    /// Optimistic read attempts that fell back to the shard mutex
-    /// (contended seqlock window, or a condition the fast path cannot
-    /// classify, e.g. a detection).
+    /// Handle `write_field`s classified and stored without the shard
+    /// mutex (through the slot's seqlock window), detections included.
+    lockfree_writes,
+    /// Handle reads and writes that gave up on the seqlock after
+    /// `FAST_RETRIES` contended attempts and were served under the shard
+    /// mutex. With `lockfree_reads` and `lockfree_writes` this
+    /// partitions a handle's reads and writes: each is counted in
+    /// exactly one of the three.
     lockfree_fallbacks,
     /// Allocations served from a per-handle magazine of pre-reserved
     /// capsules: no shard mutex was taken.

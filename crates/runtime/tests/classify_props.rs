@@ -11,8 +11,14 @@
 //!   between them, so accesses and frees cross shards.
 //!
 //! Each case also draws the runtime configuration: the layout source
-//! (derived with and without traps, pooled, fresh) and whether
-//! detections are armed. Every surface runs the same configuration.
+//! (derived with and without traps, pooled, fresh), whether detections
+//! are armed, and whether placement randomization is on. Every surface
+//! runs the same configuration.
+//!
+//! Every detection op has a read and a write twin (use after free,
+//! class mismatch, out-of-range field), so a handle's lock-free write
+//! classification is compared with the plain runtime's on every tape,
+//! as its reads are.
 //!
 //! Each replay checks every op against a liveness-and-value model (use
 //! after free before class mismatch, out-of-range fields, interior
@@ -44,7 +50,7 @@ use polar_runtime::{
     RandomizeMode, RuntimeConfig, RuntimeError, RuntimeStats, ShardHandle, ShardedRuntime,
     SiteCache,
 };
-use polar_simheap::{SnapshotOutcome, PUB_STATE_STRANDED};
+use polar_simheap::{PlacementPolicy, SnapshotOutcome, PUB_STATE_STRANDED};
 
 const SITES: usize = 4;
 
@@ -100,10 +106,28 @@ enum Op {
         obj: usize,
         field: usize,
     },
+    /// Write through the other class's hash.
+    MismatchWrite {
+        obj: usize,
+        field: usize,
+        value: u64,
+    },
+    /// Free, then write.
+    UafWrite {
+        obj: usize,
+        field: usize,
+        value: u64,
+    },
     /// Read field `field_count + past`.
     OutOfRange {
         obj: usize,
         past: usize,
+    },
+    /// Write field `field_count + past`.
+    OutOfRangeWrite {
+        obj: usize,
+        past: usize,
+        value: u64,
     },
     /// `heap_free` of the object's block, then `olr_free`.
     RawFreeThenFree {
@@ -169,13 +193,16 @@ fn pooled() -> Arc<ClassInfo> {
 
 /// A quarantine longer than any tape: no freed block is re-armed, so a
 /// dangling access means the same thing on every surface.
-fn config(layout: LayoutSource, detect: bool) -> RuntimeConfig {
+fn config(layout: LayoutSource, detect: bool, placement: bool) -> RuntimeConfig {
     let mut config = RuntimeConfig::default();
     config.heap.capacity = 4 << 20;
     config.heap.quarantine = 1 << 20;
     config.seed = 0xC1A5_51F7;
     config.layout = layout;
     config.detect = detect;
+    if placement {
+        config.heap.placement = PlacementPolicy::on(0x91AC_E5EE);
+    }
     config
 }
 
@@ -372,8 +399,11 @@ fn replay(
             | Op::Read { obj, .. }
             | Op::Write { obj, .. }
             | Op::MismatchRead { obj, .. }
+            | Op::MismatchWrite { obj, .. }
             | Op::UafRead { obj, .. }
+            | Op::UafWrite { obj, .. }
             | Op::OutOfRange { obj, .. }
+            | Op::OutOfRangeWrite { obj, .. }
             | Op::RawFreeThenFree { obj }
             | Op::CorruptThenFree { obj } => obj,
         };
@@ -394,6 +424,16 @@ fn replay(
             let err = expected_access(o, class == hash, field < nf, false, detect);
             (got, err.map_or(Outcome::Value(o.vals.get(field).copied().unwrap_or(0)), Outcome::Err))
         };
+        // A write the model expects to land updates the object's value,
+        // freed or not (with detections off a dangling write lands).
+        let write = |s: &mut dyn Surface, o: &mut Obj, class: ClassHash, field, value| {
+            let got = outcome(s.ctx(0).write_field(base, class, field, value), |()| Outcome::Done);
+            let want = expected_access(o, class == hash, field < nf, false, detect);
+            if want.is_none() {
+                o.vals[field] = value;
+            }
+            (got, want.map_or(Outcome::Done, Outcome::Err))
+        };
         let free = |s: &mut dyn Surface, o: &mut Obj| {
             let got = outcome(s.ctx(0).olr_free(base), |()| Outcome::Done);
             let want = expected_free(o, detect);
@@ -404,10 +444,11 @@ fn replay(
         let steps: Vec<(Outcome, Outcome)> = match *op {
             Op::Malloc { .. } => unreachable!(),
             Op::Free { .. } => vec![free(s, o)],
-            Op::DoubleFree { .. } | Op::UafRead { .. } => {
+            Op::DoubleFree { .. } | Op::UafRead { .. } | Op::UafWrite { .. } => {
                 let first = free(s, o);
                 let second = match *op {
                     Op::UafRead { field, .. } => read(s, o, hash, field % nf),
+                    Op::UafWrite { field, value, .. } => write(s, o, hash, field % nf, value),
                     _ => free(s, o),
                 };
                 vec![first, second]
@@ -425,21 +466,17 @@ fn replay(
                 vec![(outcome(got, |_| Outcome::Done), want.map_or(Outcome::Done, Outcome::Err))]
             }
             Op::Read { field, .. } => vec![read(s, o, hash, field % nf)],
-            Op::Write { field, value, .. } => {
-                let got = outcome(s.ctx(0).write_field(base, hash, field % nf, value), |()| {
-                    Outcome::Done
-                });
-                let want = expected_access(o, true, true, false, detect);
-                if want.is_none() {
-                    o.vals[field % nf] = value;
-                }
-                vec![(got, want.map_or(Outcome::Done, Outcome::Err))]
-            }
+            Op::Write { field, value, .. } => vec![write(s, o, hash, field % nf, value)],
             Op::MismatchRead { field, .. } => {
                 let other = classes[1 - o.class].hash();
                 vec![read(s, o, other, field % nf)]
             }
+            Op::MismatchWrite { field, value, .. } => {
+                let other = classes[1 - o.class].hash();
+                vec![write(s, o, other, field % nf, value)]
+            }
             Op::OutOfRange { past, .. } => vec![read(s, o, hash, nf + past)],
+            Op::OutOfRangeWrite { past, value, .. } => vec![write(s, o, hash, nf + past, value)],
             Op::RawFreeThenFree { .. } => {
                 let raw = s.ctx(0).heap_free(base).is_ok();
                 let want_raw = !o.freed && !o.raw_freed;
@@ -509,8 +546,10 @@ fn replay_handles(
     replay(&mut handles, &config, tape)
 }
 
-fn surfaces_agree((layout, detect, tape): &(usize, bool, Vec<Op>)) -> Result<(), String> {
-    let config = config(LAYOUTS[*layout], *detect);
+fn surfaces_agree(
+    (layout, detect, placement, tape): &(usize, bool, bool, Vec<Op>),
+) -> Result<(), String> {
+    let config = config(LAYOUTS[*layout], *detect, *placement);
     let mut reference = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
     let (want, want_counts) = replay(&mut reference, &config, tape)?;
     for (name, magazines, shards) in
@@ -541,10 +580,12 @@ fn every_surface_classifies_detections_identically() {
     let obj = 0usize..64;
     let field = 0usize..16;
     let malloc = || any::<bool>().prop_map(|pooled| Op::Malloc { pooled });
-    // Allocations are listed four times among 15 options, so a tape
+    let value = || 0u64..0x7FFF_FFFF;
+    // Allocations are listed five times among 19 options, so a tape
     // keeps objects live for the object ops to land on.
     let op =
         one_of![
+            malloc(),
             malloc(),
             malloc(),
             malloc(),
@@ -559,15 +600,21 @@ fn every_surface_classifies_detections_identically() {
                 interior
             }),
             (obj.clone(), field.clone()).prop_map(|(obj, field)| Op::Read { obj, field }),
-            (obj.clone(), field.clone(), 0u64..0x7FFF_FFFF)
+            (obj.clone(), field.clone(), value())
                 .prop_map(|(obj, field, value)| Op::Write { obj, field, value }),
             (obj.clone(), field.clone()).prop_map(|(obj, field)| Op::MismatchRead { obj, field }),
-            (obj.clone(), field).prop_map(|(obj, field)| Op::UafRead { obj, field }),
+            (obj.clone(), field.clone(), value())
+                .prop_map(|(obj, field, value)| Op::MismatchWrite { obj, field, value }),
+            (obj.clone(), field.clone()).prop_map(|(obj, field)| Op::UafRead { obj, field }),
+            (obj.clone(), field, value())
+                .prop_map(|(obj, field, value)| Op::UafWrite { obj, field, value }),
             (obj.clone(), 0usize..4).prop_map(|(obj, past)| Op::OutOfRange { obj, past }),
+            (obj.clone(), 0usize..4, value())
+                .prop_map(|(obj, past, value)| Op::OutOfRangeWrite { obj, past, value }),
             obj.clone().prop_map(|obj| Op::RawFreeThenFree { obj }),
             obj.prop_map(|obj| Op::CorruptThenFree { obj }),
         ];
-    let case = (0..LAYOUTS.len(), any::<bool>(), vec_of(op, 0..64));
+    let case = (0..LAYOUTS.len(), any::<bool>(), any::<bool>(), vec_of(op, 0..64));
     // Cases from POLAR_CHECK_CASES, seed fixed so a failure replays.
     let config = Config::default().seed(0xD1FF_C1A5);
     polar_check::check_with(config, "surfaces_classify_identically", &case, surfaces_agree);

@@ -477,6 +477,7 @@ const GOLDEN_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
     pool_hits: 63,
     pool_refills: 7,
     lockfree_reads: 0,
+    lockfree_writes: 0,
     lockfree_fallbacks: 0,
     magazine_hits: 0,
     magazine_refills: 0,
@@ -508,6 +509,7 @@ const GOLDEN_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
     pool_hits: 76,
     pool_refills: 9,
     lockfree_reads: 298,
+    lockfree_writes: 126,
     lockfree_fallbacks: 0,
     magazine_hits: 100,
     magazine_refills: 4,
@@ -539,6 +541,7 @@ const GOLDEN_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     pool_hits: 61,
     pool_refills: 9,
     lockfree_reads: 298,
+    lockfree_writes: 126,
     lockfree_fallbacks: 0,
     magazine_hits: 0,
     magazine_refills: 0,
@@ -570,6 +573,7 @@ const GOLDEN_TWO_HANDLES: RuntimeStats = RuntimeStats {
     pool_hits: 71,
     pool_refills: 14,
     lockfree_reads: 298,
+    lockfree_writes: 126,
     lockfree_fallbacks: 0,
     magazine_hits: 99,
     magazine_refills: 5,
@@ -877,6 +881,7 @@ const GOLDEN_REUSE_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
     pool_hits: 52,
     pool_refills: 6,
     lockfree_reads: 0,
+    lockfree_writes: 0,
     lockfree_fallbacks: 0,
     magazine_hits: 0,
     magazine_refills: 0,
@@ -908,6 +913,7 @@ const GOLDEN_REUSE_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
     pool_hits: 71,
     pool_refills: 9,
     lockfree_reads: 213,
+    lockfree_writes: 107,
     lockfree_fallbacks: 0,
     magazine_hits: 101,
     magazine_refills: 5,
@@ -939,6 +945,7 @@ const GOLDEN_REUSE_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     pool_hits: 50,
     pool_refills: 8,
     lockfree_reads: 213,
+    lockfree_writes: 107,
     lockfree_fallbacks: 0,
     magazine_hits: 0,
     magazine_refills: 0,

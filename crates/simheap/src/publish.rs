@@ -119,6 +119,18 @@ impl HeapPublisher {
         self.arena.read_uint(local as usize, width)
     }
 
+    /// Lock-free little-endian store of the low `width` ∈ {1,2,4,8}
+    /// bytes of `value` into the shared arena; `None`, storing nothing,
+    /// when the range is uncommitted. The caller must hold the covering
+    /// slot's writer window ([`SlotRecords::try_open_at`]), so no reader
+    /// validates a load across the store and no other writer touches
+    /// the object meanwhile.
+    #[inline]
+    pub fn write_uint(&self, addr: u64, value: u64, width: usize) -> Option<()> {
+        let local = addr.checked_sub(self.units.arena_base)?;
+        self.arena.write_uint(local as usize, width, value)
+    }
+
     /// Bytes held by the heap's unit index (committed chunks plus the
     /// chunk directory). Records are counted with their table; arena
     /// bytes are program data, not metadata.

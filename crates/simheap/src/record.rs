@@ -13,13 +13,24 @@
 //!
 //! Each record carries its own **seqlock** word. On a published heap
 //! ([`SimHeap::new_published`](crate::SimHeap::new_published)) other
-//! threads read records while the owner writes them:
+//! threads read records, and store into the payloads of the objects
+//! they record, while the owner writes them:
 //!
-//! * The writer (the owner, serialized by its lock) brackets every
-//!   multi-word mutation in [`SlotRecords::open`] /
-//!   [`SlotRecords::close`]: `open` bumps the sequence to odd with a
-//!   `Release` fence after it, `close` stores back even with `Release`.
-//!   Data stores inside the window are plain relaxed stores.
+//! * A writer brackets every mutation of a record, or of the payload
+//!   behind it, in a window: it takes
+//!   the sequence from even to odd by CAS, with a `Release` fence
+//!   after it, and [`SlotRecords::close`] adds one back to even with
+//!   `Release`. Data stores inside the window are relaxed. There are two
+//!   kinds of writer, and the CAS makes them exclude each other:
+//!   - the owner, serialized by its lock, opens with
+//!     [`SlotRecords::open`], which waits for an even sequence (a
+//!     lock-free writer's window is a few stores; past a bounded spin
+//!     it yields, since that writer may be descheduled);
+//!   - a lock-free field writer opens with [`SlotRecords::try_open_at`]
+//!     only at the exact even sequence its snapshot was taken at, so a
+//!     won CAS also proves the classification it made on that snapshot
+//!     is still current. It stores payload bytes only, never record
+//!     words. A lost CAS opens nothing; the writer retries.
 //! * A reader ([`SlotRecords::try_snapshot_slot`]) loads the sequence
 //!   with `Acquire`, rejects odd values, copies the data words relaxed,
 //!   issues an `Acquire` fence and re-loads the sequence: an unchanged
@@ -31,14 +42,19 @@
 //! Object payload bytes are also read outside any window (a lock-free
 //! field load); those loads are validated by re-checking the record's
 //! sequence *after* the byte load ([`SlotRecords::recheck`]), so a torn
-//! value is never returned. An unpublished heap has no concurrent
-//! readers, and its owner skips the windows.
+//! value is never returned. The one mutation outside any window is the
+//! lock-free free claim ([`SlotRecords::claim_free`]), a single-word
+//! flip that advances the sequence by a whole window (+2), so it keeps
+//! the parity of an open window and never blocks on one. An
+//! unpublished heap has no concurrent readers, and its owner skips the
+//! windows.
 //!
 //! The table grows in [`Segments`], so a record's address is stable and
 //! every slot id the heap hands out has a record: none is ever dropped.
 
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64};
+use std::thread::yield_now;
 
 use polar_rng::Segments;
 
@@ -67,6 +83,9 @@ const WARM: u32 = 1 << 31;
 const BLOCK_FREED: u32 = 1;
 /// Largest block span, in `ALIGN` units, the `block` word can hold.
 pub(crate) const MAX_SPAN_UNITS: usize = (u32::MAX >> 1) as usize;
+/// Spins an owner's [`SlotRecords::open`] waits on a lock-free writer's
+/// window before it starts yielding the CPU.
+const OPEN_SPINS: u32 = 64;
 
 /// Pack a metadata generation and a `PUB_STATE_*` state into one `life`
 /// word. Keeping both in a single atomic is what makes the lock-free
@@ -234,7 +253,8 @@ pub struct PubSnapshot {
     /// Heap slot id.
     pub slot: u32,
     /// The (even) sequence the snapshot was taken at; feed it back to
-    /// [`SlotRecords::recheck`] to validate later arena loads.
+    /// [`SlotRecords::recheck`] to validate later arena loads, or to
+    /// [`SlotRecords::try_open_at`] to store on the snapshot's terms.
     pub seq: u64,
     /// Block base address (global).
     pub base: u64,
@@ -268,10 +288,11 @@ pub enum SnapshotOutcome {
     Unstable,
 }
 
-/// The record table of one heap. Writer methods (`open`/`close`/
-/// `record`/`retire`/`strand`, and the heap's own `init`/`set_heap_gen`)
-/// must only be called by the heap's owner, under whatever lock
-/// serializes heap mutation.
+/// The record table of one heap. Writer methods (`open`/`record`/
+/// `retire`/`strand`, and the heap's own `set_block`) must only be
+/// called by the heap's owner, under whatever lock serializes heap
+/// mutation; [`SlotRecords::try_open_at`] is the lock-free writers'
+/// way in, and either kind of window ends at [`SlotRecords::close`].
 #[derive(Debug, Default)]
 pub struct SlotRecords {
     records: Segments<SlotRecord>,
@@ -286,24 +307,53 @@ impl SlotRecords {
 
     // ----- writer half (call under the heap owner's lock) -----
 
-    /// Open a writer window on `slot`: sequence goes odd, and the
-    /// `Release` fence orders the bump before the window's data stores.
-    /// Returns the token for [`SlotRecords::close`].
+    /// Open the owner's writer window on `slot`: wait until no other
+    /// window is open, then take the sequence from even to odd by CAS;
+    /// the `Release` fence orders the bump before the window's data
+    /// stores. Returns the token for [`SlotRecords::close`]. Must not
+    /// be nested on one slot.
     #[must_use]
     pub fn open(&self, slot: u32) -> u64 {
-        // RMW, not load+store: a lock-free free claim may bump this
-        // slot's sequence concurrently (it does not hold the owner's
-        // lock), and a plain store would roll its advance back.
-        let s = self.records.ensure(slot).seq.fetch_add(1, Relaxed);
+        let seq = &self.records.ensure(slot).seq;
+        let mut spins = 0;
+        loop {
+            // A CAS, not an add: an odd sequence is a lock-free writer's
+            // window, which this must wait out rather than share.
+            let cur = seq.load(Relaxed);
+            if cur & 1 == 0 && seq.compare_exchange_weak(cur, cur + 1, Acquire, Relaxed).is_ok() {
+                fence(Release);
+                return cur;
+            }
+            if spins < OPEN_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                yield_now();
+            }
+        }
+    }
+
+    /// Open a lock-free writer's window on `slot` only if its sequence
+    /// is still `seq`, the even value a snapshot was taken at: one CAS
+    /// to `seq + 1`. `true` means the window is open (close it with
+    /// token `seq`), no other writer holds one, and nothing changed the
+    /// record since the snapshot, so a decision made on it still holds.
+    /// `false` opens nothing.
+    #[inline]
+    pub fn try_open_at(&self, slot: u32, seq: u64) -> bool {
+        debug_assert!(seq & 1 == 0, "snapshots are taken at even sequences");
+        let Some(r) = self.get(slot) else { return false };
+        if r.seq.compare_exchange(seq, seq + 1, Acquire, Relaxed).is_err() {
+            return false;
+        }
         fence(Release);
-        s
+        true
     }
 
     /// Close a writer window opened with the returned token.
     pub fn close(&self, slot: u32, token: u64) {
-        // RMW for the same reason as `open`: a concurrent claim's +2
-        // must survive the close (open +1, claims +2k, close +1 — even
-        // again).
+        // An add, not a store: a concurrent claim's +2 must survive the
+        // close (open +1, claims +2k, close +1 — even again).
         let prev = self.records.ensure(slot).seq.fetch_add(1, Release);
         debug_assert!(prev & 1 == 1 && prev > token, "close pairs with an open");
     }
@@ -497,6 +547,49 @@ mod tests {
         t.close(0, win);
         assert!(!t.recheck(0, s.seq), "closed window bumped the sequence");
         snap(&t, 0);
+    }
+
+    #[test]
+    fn try_open_at_needs_the_snapshot_sequence_and_excludes_other_writers() {
+        let t = SlotRecords::default();
+        t.ensure(0).set_block(fresh(16));
+        let s = snap(&t, 0);
+        assert!(t.try_open_at(0, s.seq), "an unchanged sequence opens");
+        assert!(!t.try_open_at(0, s.seq), "a second writer is refused");
+        assert!(matches!(t.try_snapshot_slot(0), SnapshotOutcome::Unstable));
+        t.close(0, s.seq);
+        assert!(!t.try_open_at(0, s.seq), "a stale snapshot is refused");
+        assert!(t.try_open_at(0, snap(&t, 0).seq));
+        // A claim inside a lock-free window keeps it open and odd.
+        t.record(0, 1, 2, 0, 1);
+        assert!(t.claim_free(0, 1));
+        assert!(matches!(t.try_snapshot_slot(0), SnapshotOutcome::Unstable));
+        t.close(0, s.seq + 2);
+        assert_eq!(snap(&t, 0).state, PUB_STATE_FREED);
+        assert!(!t.try_open_at(0, s.seq + 2), "the claim advanced the sequence");
+        assert!(!t.try_open_at(1 << 20, 0), "an uncommitted slot opens nothing");
+    }
+
+    #[test]
+    fn an_owner_window_waits_for_a_lock_free_writer() {
+        use std::sync::atomic::AtomicBool;
+        let t = SlotRecords::default();
+        t.ensure(0).set_block(fresh(16));
+        let s = snap(&t, 0);
+        assert!(t.try_open_at(0, s.seq));
+        let closed = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let win = t.open(0);
+                assert!(closed.load(Acquire), "the owner's window opened inside the writer's");
+                assert_eq!(win, s.seq + 2);
+                t.close(0, win);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            closed.store(true, Release);
+            t.close(0, s.seq);
+        });
+        assert_eq!(snap(&t, 0).seq, s.seq + 4);
     }
 
     #[test]

@@ -2,17 +2,21 @@
 //!
 //! The local arena (`Vec<u8>`) cannot be touched from two threads at
 //! once, so a published heap stores its bytes in a [`SharedArena`]
-//! instead: a chunked table of `AtomicU64` words the owning shard
-//! writes under its mutex (plain relaxed stores — the seqlock in
-//! [`publish`](crate::publish) provides the ordering) and lock-free
+//! instead: a chunked table of `AtomicU64` words. The owning shard
+//! writes them under its mutex, lock-free field writers store into the
+//! object whose seqlock window they hold (the seqlock in
+//! [`record`](crate::record) provides the ordering), and lock-free
 //! readers load without any lock at all.
 //!
 //! Chunks are committed on demand through `OnceLock`, so the arena
 //! never reallocates: a word's address is stable for the heap's whole
 //! lifetime, which is what makes unsynchronized reader loads sound
 //! (there is no `Vec` growth to race with). Byte-granular accesses are
-//! decomposed into word load/merge/store sequences; tearing between
-//! words is resolved by the seqlock retry protocol one layer up.
+//! decomposed into words. A store to part of a word is one atomic
+//! read-modify-write, so two stores to disjoint bytes of one word never
+//! lose each other's bytes (a raw write racing a lock-free field store,
+//! two fields sharing a word); a whole aligned word is a plain store.
+//! Tearing *between* words is resolved by the seqlock one layer up.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -21,9 +25,9 @@ use std::sync::OnceLock;
 const CHUNK_BYTES: usize = 1 << 20;
 const WORDS_PER_CHUNK: usize = CHUNK_BYTES / 8;
 
-/// A growable byte arena over atomic words, shared between one writer
-/// (the shard that owns the heap, serialized by the shard mutex) and
-/// any number of lock-free readers.
+/// A growable byte arena over atomic words, shared between the shard
+/// that owns the heap (serialized by the shard mutex), lock-free field
+/// writers and any number of lock-free readers.
 pub(crate) struct SharedArena {
     /// On-demand committed chunks; a chunk, once committed, never moves.
     chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
@@ -96,37 +100,58 @@ impl SharedArena {
         }
     }
 
-    /// Writer-side byte store (load-merge-store per word; the shard
-    /// mutex excludes other writers, the seqlock orders racing readers).
+    /// Replace bytes `[off, off + n)` of word `wi` with the same bytes
+    /// of `src`: a plain store for a whole word, otherwise one atomic
+    /// read-modify-write, so a concurrent store to the word's other
+    /// bytes is never lost.
+    #[inline]
+    fn store_bytes(&self, wi: usize, off: usize, n: usize, src: u64) {
+        let word = self.word_committed(wi);
+        if n == 8 {
+            word.store(src, Ordering::Relaxed);
+            return;
+        }
+        let mask = ((1u64 << (8 * n)) - 1) << (8 * off);
+        let merge = |cur: u64| Some((cur & !mask) | (src & mask));
+        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, merge);
+    }
+
+    /// Byte store: whole words plainly, partial words by one atomic
+    /// read-modify-write each (see [`SharedArena::store_bytes`]).
     pub(crate) fn write(&self, start: usize, bytes: &[u8]) {
         let mut i = 0;
         while i < bytes.len() {
             let pos = start + i;
             let (wi, off) = (pos / 8, pos % 8);
             let n = (8 - off).min(bytes.len() - i);
-            let word = self.word_committed(wi);
-            let mut cur = word.load(Ordering::Relaxed).to_le_bytes();
-            cur[off..off + n].copy_from_slice(&bytes[i..i + n]);
-            word.store(u64::from_le_bytes(cur), Ordering::Relaxed);
+            let mut src = [0u8; 8];
+            src[off..off + n].copy_from_slice(&bytes[i..i + n]);
+            self.store_bytes(wi, off, n, u64::from_le_bytes(src));
             i += n;
         }
     }
 
-    /// Writer-side fill.
+    /// Lock-free little-endian store of the low `width` ∈ {1,2,4,8}
+    /// bytes of `value` at byte offset `start`; `None`, storing
+    /// nothing, when the range touches an uncommitted chunk. The caller
+    /// holds the covering object's seqlock window.
+    #[inline]
+    pub(crate) fn write_uint(&self, start: usize, width: usize, value: u64) -> Option<()> {
+        debug_assert!(matches!(width, 1 | 2 | 4 | 8));
+        // Chunks commit in order, so the last word decides.
+        self.word((start + width - 1) / 8)?;
+        self.write(start, &value.to_le_bytes()[..width]);
+        Some(())
+    }
+
+    /// Writer-side fill, with [`SharedArena::write`]'s per-word stores.
     pub(crate) fn fill(&self, start: usize, len: usize, value: u8) {
         let mut i = 0;
         while i < len {
             let pos = start + i;
             let (wi, off) = (pos / 8, pos % 8);
             let n = (8 - off).min(len - i);
-            let word = self.word_committed(wi);
-            if n == 8 {
-                word.store(u64::from_le_bytes([value; 8]), Ordering::Relaxed);
-            } else {
-                let mut cur = word.load(Ordering::Relaxed).to_le_bytes();
-                cur[off..off + n].fill(value);
-                word.store(u64::from_le_bytes(cur), Ordering::Relaxed);
-            }
+            self.store_bytes(wi, off, n, u64::from_le_bytes([value; 8]));
             i += n;
         }
     }
@@ -188,6 +213,48 @@ mod tests {
         let mut moved = Vec::new();
         a.read_into(40, 12, &mut moved);
         assert_eq!(moved, b"abcdabcdefgh");
+    }
+
+    #[test]
+    fn sub_word_stores_from_two_threads_never_lose_bytes() {
+        // Two writers own disjoint halves of every word of a small
+        // range, one storing 4-byte values, the other single bytes
+        // through a fill; a load-merge-store would let one of them roll
+        // the other's bytes back.
+        let a = SharedArena::new(1 << 16);
+        a.grow_to(64);
+        const ROUNDS: u64 = 20_000;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for r in 0..ROUNDS {
+                    for w in 0..8 {
+                        a.write_uint(w * 8, 4, r).unwrap();
+                    }
+                }
+            });
+            scope.spawn(|| {
+                for r in 0..ROUNDS {
+                    for w in 0..8 {
+                        a.fill(w * 8 + 4, 4, r as u8);
+                    }
+                }
+            });
+        });
+        for w in 0..8 {
+            assert_eq!(a.read_uint(w * 8, 4), Some(ROUNDS - 1), "word {w}: low half lost");
+            let last = (ROUNDS - 1) as u8;
+            assert_eq!(a.read_uint(w * 8 + 4, 4), Some(u64::from_le_bytes([last; 8]) >> 32));
+        }
+    }
+
+    #[test]
+    fn write_uint_refuses_uncommitted_ranges() {
+        let a = SharedArena::new(4 << 20);
+        a.grow_to(CHUNK_BYTES);
+        assert_eq!(a.write_uint(CHUNK_BYTES - 8, 8, 7), Some(()));
+        assert_eq!(a.read_uint(CHUNK_BYTES - 8, 8), Some(7));
+        assert_eq!(a.write_uint(CHUNK_BYTES - 4, 8, 9), None, "straddles into the next chunk");
+        assert_eq!(a.read_uint(CHUNK_BYTES - 8, 8), Some(7), "a refused store stores nothing");
     }
 
     #[test]

@@ -60,21 +60,22 @@ pub struct ContendReport {
     pub stats: RuntimeStats,
     /// Field reads issued across all threads (each checked for tearing).
     pub reads: u64,
-    /// Field writes issued across all threads.
+    /// Field writes issued, the setup's initializing writes included.
     pub writes: u64,
     /// `estimated_metadata_bytes` of the runtime at the end of the run.
     pub metadata_bytes: usize,
 }
 
 impl ContendReport {
-    /// Fraction of reads served without taking a shard mutex, in
-    /// `[0, 1]`; `None` when no read was issued.
+    /// Fraction of field reads and writes served without taking a
+    /// shard mutex, in `[0, 1]`; `None` when none was issued.
     pub fn lockfree_share(&self) -> Option<f64> {
-        let attempts = self.stats.lockfree_reads + self.stats.lockfree_fallbacks;
+        let lockfree = self.stats.lockfree_reads + self.stats.lockfree_writes;
+        let attempts = lockfree + self.stats.lockfree_fallbacks;
         if attempts == 0 {
             None
         } else {
-            Some(self.stats.lockfree_reads as f64 / attempts as f64)
+            Some(lockfree as f64 / attempts as f64)
         }
     }
 }
@@ -108,6 +109,7 @@ pub fn run_contend(mode: RandomizeMode, config: ContendConfig) -> ContendReport 
     // Shared set, spread over shards so routing stays multi-shard.
     let mut seeder = SplitMix64::new(config.seed ^ 0xC0_47E4D);
     let mut objects = Vec::with_capacity(config.objects);
+    let setup_writes = (config.objects * info.field_count()) as u64;
     for i in 0..config.objects {
         let mut h = rt.handle(i as u64);
         let obj = h.olr_malloc(&info).expect("contend setup malloc");
@@ -120,7 +122,7 @@ pub fn run_contend(mode: RandomizeMode, config: ContendConfig) -> ContendReport 
     }
 
     let reads = AtomicU64::new(0);
-    let writes = AtomicU64::new(0);
+    let writes = AtomicU64::new(setup_writes);
     std::thread::scope(|scope| {
         let (rt, info, objects, reads, writes) = (&rt, &info, &objects, &reads, &writes);
         let workers: Vec<_> = (0..config.threads)
@@ -200,14 +202,18 @@ mod tests {
         );
         assert!(report.reads > 0);
         assert!(report.writes > 0);
-        assert_eq!(report.reads + report.writes, 8_000);
+        let setup = 64 * 4;
+        assert_eq!(report.reads + report.writes, 8_000 + setup);
         assert_eq!(report.stats.total_detections(), 0);
-        // Exactly one counter bump per handle read attempt: the
-        // optimistic hits and the mutex fallbacks partition the reads.
+        // Exactly one counter bump per handle access: the lock-free
+        // reads, the lock-free writes and the mutex fallbacks partition
+        // the reads and writes.
         assert_eq!(
-            report.stats.lockfree_reads + report.stats.lockfree_fallbacks,
-            report.reads,
-            "every read resolves as exactly one fast hit or fallback"
+            report.stats.lockfree_reads
+                + report.stats.lockfree_writes
+                + report.stats.lockfree_fallbacks,
+            report.reads + report.writes,
+            "every access resolves as exactly one lock-free read, write or fallback"
         );
         assert!(report.lockfree_share().is_some());
     }
@@ -223,12 +229,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(report.writes, 0);
+        assert_eq!(report.writes, 64 * 4, "only the setup writes");
         assert_eq!(report.reads, 4_000);
-        // With no writers there is no seqlock contention: after the
-        // setup writes publish the objects, every read should resolve
-        // optimistically.
+        // With no writers there is no seqlock contention: the setup
+        // writes and every read resolve without the lock.
         assert_eq!(report.stats.lockfree_fallbacks, 0);
         assert_eq!(report.stats.lockfree_reads, 4_000);
+        assert_eq!(report.stats.lockfree_writes, report.writes);
     }
 }
