@@ -111,6 +111,62 @@ fn bench_memcpy(c: &mut Criterion) {
         let dst = rt.malloc_raw(32).expect("alloc");
         b.iter(|| rt.heap_mut().memmove(dst, src, 24).expect("copy"));
     });
+    // A handle's copy of one live object onto another of its class, both
+    // cache-resident on a one-shard runtime: the consumer's copy in
+    // handoff-churn, served without the shard lock.
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 1);
+    for n in [4usize, 7, 12] {
+        let info = Arc::new(wide(n));
+        let mut h = rt.handle(0);
+        let (src, dst) = (h.olr_malloc(&info).expect("alloc"), h.olr_malloc(&info).expect("alloc"));
+        group.bench_function(format!("handle_memcpy_{n}f"), |b| {
+            b.iter(|| h.olr_memcpy(dst, src, &info).expect("copy"))
+        });
+    }
+    group.finish();
+}
+
+/// The remote-free stages on a one-shard runtime whose owner handle
+/// allocates and a second handle frees: `push` is the freeing side of
+/// one lock-free free (the free check, the claim and the push onto the
+/// owner's stack), `drain_32` one drain of a stack of 32 such frees
+/// (the shard lock, the walk in push order and the heap release of 32
+/// blocks). The allocations the stages consume are made untimed.
+fn bench_remote(c: &mut Criterion) {
+    const BATCH: usize = 32;
+    let info = probe();
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 1);
+    let (mut owner, mut freer) = (rt.handle(0), rt.handle(1));
+    let mut group = c.benchmark_group("remote");
+    group.bench_function("push", |b| {
+        b.iter_batched(
+            || owner.olr_malloc(&info).expect("alloc"),
+            |obj| freer.olr_free(obj).expect("free"),
+        )
+    });
+    // All 32 allocations come before the frees, so a refill they cause
+    // drains nothing of this batch.
+    let mut objs = Vec::with_capacity(BATCH);
+    group.bench_function("drain_32", |b| {
+        b.iter_batched(
+            || {
+                objs.extend((0..BATCH).map(|_| owner.olr_malloc(&info).expect("alloc")));
+                for obj in objs.drain(..) {
+                    freer.olr_free(obj).expect("free");
+                }
+            },
+            |()| rt.quiesce(),
+        )
+    });
+    group.finish();
+}
+
+/// One read of the runtime's counters on a 4-shard runtime, as a
+/// service's scraper takes it: no lock and no drain.
+fn bench_stats(c: &mut Criterion) {
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 4);
+    let mut group = c.benchmark_group("stats");
+    group.bench_function("fold", |b| b.iter(|| rt.stats()));
     group.finish();
 }
 
@@ -272,6 +328,8 @@ bench_group!(
     bench_alloc_free,
     bench_getptr,
     bench_memcpy,
+    bench_remote,
+    bench_stats,
     bench_heap_locate,
     bench_plan_resolve,
     bench_stateless_resolve,

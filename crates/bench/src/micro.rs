@@ -172,30 +172,58 @@ impl Bencher {
     /// test); otherwise: warm up ~25 ms, size samples to ~10 ms each,
     /// then record `sample_size` samples.
     pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
+        self.measure(|n| {
+            let t0 = Instant::now();
+            for _ in 0..n {
+                black_box(f());
+            }
+            t0.elapsed()
+        });
+    }
+
+    /// Time `routine` alone on inputs `setup` builds untimed, with one
+    /// clock read pair per call, so it suits routines well above the
+    /// clock's own cost (tens of nanoseconds). Otherwise as
+    /// [`Bencher::iter`], the sample sizing going by the routine's time.
+    pub fn iter_batched<I, T>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> T,
+    ) {
+        self.measure(|n| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..n {
+                let input = setup();
+                let t0 = Instant::now();
+                black_box(routine(input));
+                timed += t0.elapsed();
+            }
+            timed
+        });
+    }
+
+    /// The body of [`Bencher::iter`]: `run(n)` makes `n` calls and
+    /// returns the time they count for.
+    fn measure(&mut self, mut run: impl FnMut(u64) -> Duration) {
         if self.quick {
-            black_box(f());
+            run(1);
             self.report =
                 Some(Report { median_ns: 0.0, min_ns: 0.0, max_ns: 0.0, samples: 1, iters: 1 });
             return;
         }
         // Warmup + calibration.
         let warmup = Duration::from_millis(25);
-        let start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while start.elapsed() < warmup || warm_iters < 3 {
-            black_box(f());
+        let (mut spent, mut warm_iters) = (Duration::ZERO, 0u64);
+        while spent < warmup || warm_iters < 3 {
+            spent += run(1);
             warm_iters += 1;
         }
-        let per_iter = start.elapsed().as_nanos() as f64 / warm_iters as f64;
+        let per_iter = spent.as_nanos() as f64 / warm_iters as f64;
         let iters = ((10e6 / per_iter.max(0.1)) as u64).clamp(1, 1_000_000);
         // Measurement.
         let mut samples_ns: Vec<f64> = Vec::with_capacity(self.sample_size);
         for _ in 0..self.sample_size {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            samples_ns.push(t0.elapsed().as_nanos() as f64 / iters as f64);
+            samples_ns.push(run(iters).as_nanos() as f64 / iters as f64);
         }
         samples_ns.sort_by(|a, b| a.total_cmp(b));
         let report = Report {

@@ -9,9 +9,11 @@
 //!
 //! * no torn read (the workload panics on one — unequal 32-bit halves),
 //! * zero detections (the shared set is never misused),
-//! * exact counting partition: every handle read and write resolved
-//!   as exactly one lock-free read, one lock-free write or one mutex
-//!   fallback,
+//! * exact counting partition: every handle read, write and copy
+//!   resolved as exactly one lock-free read, one lock-free write, one
+//!   lock-free copy or one mutex fallback (the mix issues no copies;
+//!   contended copies are tortured in `polar-runtime`'s `sharded`
+//!   tests),
 //! * a pure-reader pass (its setup writes included) stays entirely on
 //!   the optimistic path.
 //!
@@ -49,14 +51,18 @@ fn lock_free_accesses_partition_exactly_under_contention() {
     assert_eq!(
         report.stats.lockfree_reads
             + report.stats.lockfree_writes
+            + report.stats.lockfree_copies
             + report.stats.lockfree_fallbacks,
-        report.reads + report.writes,
-        "counting partition broken: {} reads + {} writes + {} fallbacks != {} reads + {} writes",
+        report.reads + report.writes + report.stats.memcpys,
+        "counting partition broken: {} reads + {} writes + {} copies + {} fallbacks \
+         != {} reads + {} writes + {} copies",
         report.stats.lockfree_reads,
         report.stats.lockfree_writes,
+        report.stats.lockfree_copies,
         report.stats.lockfree_fallbacks,
         report.reads,
         report.writes,
+        report.stats.memcpys,
     );
 
     let pure = ContendConfig {

@@ -18,7 +18,7 @@ use polar_layout::{LayoutPlan, PlanHash};
 use polar_simheap::{Addr, PubSnapshot, SlotRecord, SlotRecords, PUB_STATE_FREED, PUB_STATE_NONE};
 
 use crate::error::{RuntimeError, TrapReport};
-use crate::runtime::{canary_width, truncate, RuntimeConfig, SiteCache};
+use crate::runtime::{canary_width, truncate, ObjectMeta, ObjectState, RuntimeConfig, SiteCache};
 use crate::stats::RuntimeStats;
 
 /// A resolved member access.
@@ -70,6 +70,21 @@ impl<'a, P: Fn(u32) -> Option<&'a Arc<LayoutPlan>>> RecordView<'a, P> {
     pub(crate) fn tracked_plan(&self) -> Option<(PubSnapshot, &'a Arc<LayoutPlan>)> {
         let snap = self.tracked()?;
         Some((*snap, self.plan(snap)?))
+    }
+
+    /// The object's metadata as
+    /// [`ObjectRuntime::object_meta`](crate::ObjectRuntime::object_meta) reports
+    /// it: the tracked record's class, plan, state and record
+    /// generation.
+    pub(crate) fn meta(&self) -> Option<ObjectMeta> {
+        let (snap, plan) = self.tracked_plan()?;
+        let freed = snap.state == PUB_STATE_FREED;
+        Some(ObjectMeta {
+            class: ClassHash(snap.class_hash),
+            plan: Arc::clone(plan),
+            state: if freed { ObjectState::Freed } else { ObjectState::Live },
+            generation: u64::from(self.records.get(snap.slot)?.record_gen()),
+        })
     }
 
     /// Classify a member access to field `field` of the object at the

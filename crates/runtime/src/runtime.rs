@@ -218,9 +218,12 @@ impl MagazinePolicy {
     }
 }
 
+/// Capsules per refill of the default [`MagazinePolicy`].
+pub(crate) const DEFAULT_BATCH: usize = 32;
+
 impl Default for MagazinePolicy {
     fn default() -> Self {
-        MagazinePolicy { batch: 32 }
+        MagazinePolicy { batch: DEFAULT_BATCH }
     }
 }
 
@@ -616,14 +619,7 @@ impl ObjectRuntime {
     /// record orphaned by recycling the block through the raw path is
     /// treated as absent).
     pub fn object_meta(&self, base: Addr) -> Option<ObjectMeta> {
-        let (snap, plan) = Self::view(&self.heap, &self.plans, base).tracked_plan()?;
-        let freed = snap.state == PUB_STATE_FREED;
-        Some(ObjectMeta {
-            class: ClassHash(snap.class_hash),
-            plan: Arc::clone(plan),
-            state: if freed { ObjectState::Freed } else { ObjectState::Live },
-            generation: u64::from(self.heap.records().get(snap.slot)?.record_gen()),
-        })
+        Self::view(&self.heap, &self.plans, base).meta()
     }
 
     /// Number of metadata records currently held (live + retained-freed).
@@ -1007,9 +1003,10 @@ impl ObjectRuntime {
     }
 
     /// The classifier's view of `base`: the owner's snapshot of the
-    /// record at that block base, resolved through `plans`. Every writer
-    /// window on the record is the owner's, and a concurrent lock-free
-    /// free claim flips one word, so the copy needs no validation.
+    /// record at that block base, resolved through `plans`. The lock-free
+    /// writers that run beside the owner change no record word but the
+    /// `life` word (read once) and the record count, so the copy needs
+    /// no validation.
     /// Associated, so callers can count into `self.stats` while the view
     /// borrows the heap.
     #[inline]

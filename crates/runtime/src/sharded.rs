@@ -26,14 +26,15 @@
 //!   program (the IR interpreter, the attack harness) is simply one
 //!   handle, so it allocates through magazines like every threaded
 //!   program.
-//! * **One counter model.** Every count is a [`RuntimeStats`] column.
-//!   Locked paths count into their shard's [`ObjectRuntime`]; a handle
-//!   counts everything else into its plain pending sheet, which reaches
-//!   the runtime's one [`AtomicRuntimeStats`] at
+//! * **One counter model.** Every count is a [`RuntimeStats`] column,
+//!   and every column reaches the runtime's one [`AtomicRuntimeStats`]:
+//!   locked paths count into their shard's [`ObjectRuntime`], folded
+//!   into the atomics as the shard's lock is released; a handle counts
+//!   everything else into its plain pending sheet, folded at
 //!   [`ShardHandle::flush_stats`] or when the handle drops.
-//!   [`ShardedRuntime::stats`] drains every shard's remote-free stack,
-//!   sums the shards' counters, and then snapshots the atomics;
-//!   [`ShardHandle::stats`] adds the handle's unflushed sheet.
+//!   [`ShardedRuntime::stats`] is one snapshot of the atomics, with no
+//!   lock and no drain; [`ShardHandle::stats`] adds the handle's
+//!   unflushed sheet.
 //! * **Lock-free classification.** Every shard's heap is *published*
 //!   ([`SimHeap::new_published`](polar_simheap::SimHeap::new_published)):
 //!   its per-slot object records — the one metadata record of each
@@ -42,7 +43,9 @@
 //!   index, which its [`HeapPublisher`] shares, and plans live in a shared
 //!   [`PlanRegistry`] resolvable by integer id. So
 //!   [`ShardHandle::olr_getptr`], [`ShardHandle::olr_getptr_ic`],
-//!   [`ShardHandle::read_field`] and [`ShardHandle::write_field`] run
+//!   [`ShardHandle::read_field`], [`ShardHandle::write_field`],
+//!   [`ShardHandle::olr_memcpy`], [`ShardHandle::check_traps`] and
+//!   [`ShardedRuntime::object_meta`] run
 //!   with **no lock at all**: snapshot the slot and hand it to the same
 //!   classifier the locked paths use ([`RecordView::classify`]), which
 //!   resolves the access or reports the miss or detection, counting
@@ -51,11 +54,15 @@
 //!   value load, for `read_field`). A write stores only inside the
 //!   slot's seqlock window, opened by a CAS from exactly the snapshot's
 //!   sequence: the CAS excludes every other writer, the owner's locked
-//!   windows included, and proves the classification current. Otherwise
-//!   the attempt's counts are taken back and it retries. Only
-//!   contention past a few retries reaches the shard mutex, and a read
-//!   served there holds the slot's window over its load, since the
-//!   mutex no longer excludes writers.
+//!   windows included, and proves the classification current. A copy
+//!   of a live object onto a live object of its class stages the
+//!   source's fields under a recheck of its sequence, then stores them,
+//!   re-seeds the canaries and re-records the destination inside the
+//!   destination's window, opened the same way. Otherwise the attempt's
+//!   counts are taken back and it retries. Only contention past a few
+//!   retries, and a copy the lock-free path does not serve, reaches the
+//!   shard mutex, and a read served there holds the slot's window over
+//!   its load, since the mutex no longer excludes writers.
 //! * **Magazine front-end + remote frees.** With
 //!   [`RuntimeConfig::magazine`] enabled (the default), each
 //!   [`ShardHandle`] keeps per-size-class **magazines** of pre-reserved
@@ -66,21 +73,28 @@
 //!   fast path runs the shared free check on a stable snapshot (its
 //!   canary sweep reads the shared arena), so a double free or a trap
 //!   hit is reported without the lock; a live object's slot is claimed
-//!   with a generation-exact CAS on the record's packed life word and
-//!   pushed onto the owning shard's **MPSC remote-free stack** (a
-//!   Treiber stack threaded through the slot records). Every shard-lock
-//!   acquisition drains that shard's stack first, so the heap release
-//!   happens under the lock and mutex paths observe completed frees.
-//!   The mutex is left for state changes: frees it must finish
-//!   (untracked pointers, refused claims), refills, drains, copies,
-//!   trap sweeps and raw heap operations.
+//!   by a generation-exact flip of the record's packed life word, in a
+//!   seqlock window of its own, which flags the claim pending until
+//!   its drain, and pushed onto the owning shard's **MPSC remote-free
+//!   stack** (a Treiber stack threaded through the slot records). The
+//!   stack is drained where its blocks are wanted: by the owner's
+//!   refill (and every other allocation), before raw heap operations
+//!   and the other locked paths that change blocks, at handle teardown,
+//!   and by a push that takes the stack past [`DRAIN_AT`] and finds the
+//!   mutex free.
+//!   A drain releases the blocks in push order, so the heap ends up as
+//!   immediate frees would have left it. The mutex is left for the
+//!   heap: refills and allocations, drains, frees it must finish
+//!   (untracked pointers, refused claims), raw heap operations, and
+//!   the copies, trap sweeps and contended accesses that fall back.
 //!
 //! Handles round-robin their **home shard** (`thread % shards`) for
 //! allocations; accesses to any address still work from any thread
 //! because routing is by address, not by handle.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use polar_classinfo::{ClassHash, ClassInfo};
@@ -93,11 +107,11 @@ use polar_simheap::{
 };
 
 use crate::api::PolarRuntime;
-use crate::classify::{Access, RecordView};
+use crate::classify::{scan_traps, Access, RecordView};
 use crate::error::{RuntimeError, TrapReport};
 use crate::runtime::{
-    plan_source, Capsule, ObjectMeta, ObjectRuntime, PlanSource, RandomizeMode, RuntimeConfig,
-    SiteCache,
+    canary_width, plan_source, Capsule, ObjectMeta, ObjectRuntime, PlanSource, RandomizeMode,
+    RuntimeConfig, SiteCache, DEFAULT_BATCH,
 };
 use crate::stats::{AtomicRuntimeStats, RuntimeStats};
 
@@ -117,16 +131,71 @@ const SHARD_SEED_SALT: u64 = 0x5348_4152; // "SHAR"
 /// bounds reader latency when a writer is descheduled mid-window.
 const FAST_RETRIES: usize = 8;
 
+/// Remote-free stack depth past which a push drains the stack itself:
+/// an owner that keeps allocating drains at its refills, so a stack
+/// this deep belongs to one that has stopped, and the pusher releases
+/// the blocks rather than leave them stranded. Measured on
+/// handoff-churn's cross-thread frees with push-side drains off, all
+/// but 0.004 % of the producer's refills found at most 256 claims
+/// (97.5 % at most 64; the deepest when a stalled producer let the
+/// consumer free a whole hand-off queue of 8 × 32 objects), so pushes
+/// past 256 drain a few times a run where pushes past 64 drained
+/// thousands of times, on the consumer.
+const DRAIN_AT: u64 = 8 * DEFAULT_BATCH as u64;
+
 /// Head of one shard's MPSC remote-free stack, on its own cache line so
-/// concurrent pushers to different shards do not false-share. The value
-/// is `slot id + 1` (`0` = empty); links are threaded through the
-/// slot records' `remote_next` words, so the stack costs no
-/// allocation and no extra table. Pushers are the lock-free free path
-/// (any thread); the single consumer is whoever next takes the shard's
-/// mutex ([`ShardedRuntime::drain_remote`] runs at every acquisition).
+/// concurrent pushers to different shards do not false-share. The low
+/// 32 bits are `slot id + 1` of the top entry (`0` = empty), the high
+/// 32 bits the stack's depth; links are threaded through the slot
+/// records' `remote_next` words, so the stack costs no allocation and
+/// no extra table. Pushers are the lock-free free path (any thread).
+/// The stack is drained under the shard's mutex by whoever wants or
+/// changes its blocks (refills and other allocations, raw heap
+/// operations, locked frees and copies, handle teardown,
+/// [`ShardedRuntime::quiesce`]) and by a push that takes it past
+/// [`DRAIN_AT`] and finds the mutex free.
 #[repr(align(64))]
 #[derive(Debug, Default)]
-struct RemoteHead(AtomicU32);
+struct RemoteHead(AtomicU64);
+
+/// Shard `i`'s runtime under its mutex. The locked paths count into the
+/// shard's own [`ObjectRuntime`]; dropping the guard folds what they
+/// counted while it was held into the runtime's shared counters, so
+/// [`ShardedRuntime::stats`] reads them without a lock.
+struct ShardGuard<'a> {
+    rt: MutexGuard<'a, ObjectRuntime>,
+    counters: &'a AtomicRuntimeStats,
+    /// The shard's counters when the lock was taken; every column is
+    /// monotone.
+    at_lock: RuntimeStats,
+}
+
+impl<'a> ShardGuard<'a> {
+    fn new(rt: MutexGuard<'a, ObjectRuntime>, counters: &'a AtomicRuntimeStats) -> Self {
+        let at_lock = rt.stats();
+        ShardGuard { rt, counters, at_lock }
+    }
+}
+
+impl Deref for ShardGuard<'_> {
+    type Target = ObjectRuntime;
+
+    fn deref(&self) -> &ObjectRuntime {
+        &self.rt
+    }
+}
+
+impl DerefMut for ShardGuard<'_> {
+    fn deref_mut(&mut self) -> &mut ObjectRuntime {
+        &mut self.rt
+    }
+}
+
+impl Drop for ShardGuard<'_> {
+    fn drop(&mut self) {
+        self.counters.add(&(self.rt.stats() - self.at_lock));
+    }
+}
 
 /// A thread-safe POLaR runtime: N address-partitioned [`ObjectRuntime`]
 /// shards behind striped locks, shared by reference across threads.
@@ -155,8 +224,9 @@ pub struct ShardedRuntime {
     span_shift: Option<u32>,
     mode: RandomizeMode,
     config: RuntimeConfig,
-    /// Every count the shard mutexes do not own: the handles' flushed
-    /// pending sheets and the remote-free drains.
+    /// Every count: the handles' flushed pending sheets, the shards'
+    /// locked counts (folded as each shard guard drops) and the
+    /// remote-free drains.
     counters: AtomicRuntimeStats,
 }
 
@@ -267,6 +337,8 @@ impl ShardedRuntime {
             rng: thread_rng(self.config.seed, thread),
             magazines: Vec::new(),
             pending: RuntimeStats::default(),
+            pushed: 0,
+            staged: Vec::new(),
         }
     }
 
@@ -287,87 +359,119 @@ impl ShardedRuntime {
     /// Lock shard `i`, converting a poisoned mutex into
     /// [`RuntimeError::ShardPoisoned`] instead of panicking: a thread
     /// that died inside one shard degrades that shard, not the process.
+    /// The shard's remote-free stack stays as it is: a locked read, write
+    /// or inspection needs no block a claim still holds.
+    fn lock(&self, i: usize) -> Result<ShardGuard<'_>, RuntimeError> {
+        let rt = self.shards[i].lock().map_err(|_| RuntimeError::ShardPoisoned { shard: i })?;
+        Ok(ShardGuard::new(rt, &self.counters))
+    }
+
+    /// [`ShardedRuntime::lock`] that first drains the shard's remote-free
+    /// stack: for the paths that want or change the shard's blocks
+    /// (allocations, refills, frees, copies, trap sweeps of freed
+    /// objects, raw heap operations). A claimed block is still live to
+    /// the heap until its drain, so these paths see every lock-free free
+    /// as *completed* and act exactly as their single-threaded
+    /// counterparts. A claim landing after the drain stays pending: the
+    /// locked path sees the object freed, or re-records it over the
+    /// claim (a racing copy), and the claim's slot stays flagged and
+    /// on the stack until the next drain (see
+    /// [`SlotRecords::mark_drained`]).
     ///
-    /// Every successful acquisition first drains the shard's remote-free
-    /// stack, so locked paths always observe lock-free frees as
-    /// *completed* — a double free or dangling access that raced a fast
-    /// free is still classified exactly like its single-threaded
-    /// counterpart.
-    fn shard(&self, i: usize) -> Result<MutexGuard<'_, ObjectRuntime>, RuntimeError> {
-        let mut guard =
-            self.shards[i].lock().map_err(|_| RuntimeError::ShardPoisoned { shard: i })?;
+    /// [`SlotRecords::mark_drained`]: polar_simheap::SlotRecords::mark_drained
+    fn lock_drained(&self, i: usize) -> Result<ShardGuard<'_>, RuntimeError> {
+        let mut guard = self.lock(i)?;
         self.drain_remote(i, &mut guard);
         Ok(guard)
     }
 
     /// Lock shard `i` even if poisoned — for observability paths
-    /// (statistics, metadata snapshots) that must stay readable while a
-    /// shard is degraded. Counters are plain integers, so the worst a
+    /// (metadata snapshots and footprints) that must stay readable while
+    /// a shard is degraded. Counters are plain integers, so the worst a
     /// mid-panic state costs is one partially counted operation.
-    fn shard_ignore_poison(&self, i: usize) -> MutexGuard<'_, ObjectRuntime> {
-        let mut guard = self.shards[i].lock().unwrap_or_else(|e| e.into_inner());
-        self.drain_remote(i, &mut guard);
-        guard
+    fn lock_ignore_poison(&self, i: usize) -> ShardGuard<'_> {
+        let rt = self.shards[i].lock().unwrap_or_else(|e| e.into_inner());
+        ShardGuard::new(rt, &self.counters)
     }
 
     /// Push `slot` onto shard `shard`'s remote-free stack (lock-free,
     /// multi-producer). The caller must have claimed the slot via
-    /// [`HeapPublisher::claim_free`] — each claimed slot is pushed
-    /// exactly once, so links cannot be clobbered concurrently. The
+    /// [`SlotRecords::claim_free`] — a slot is claimable again only once
+    /// the drain that pops it clears its pending flag, so it is never on
+    /// the stack twice and links cannot be clobbered concurrently. The
     /// release CAS publishes the link store; the consumer's acquire
-    /// swap pairs with it.
+    /// swap pairs with it. A push that leaves the stack deeper than
+    /// [`DRAIN_AT`] drains it if the shard's mutex is free, and never
+    /// waits for it.
+    ///
+    /// [`SlotRecords::claim_free`]: polar_simheap::SlotRecords::claim_free
     fn remote_push(&self, shard: usize, slot: u32) {
         let head = &self.remote[shard].0;
         let mut cur = head.load(Ordering::Acquire);
         loop {
-            self.pubs[shard].records().set_remote_next(slot, cur);
-            match head.compare_exchange_weak(cur, slot + 1, Ordering::Release, Ordering::Acquire)
-            {
-                Ok(_) => return,
+            self.pubs[shard].records().set_remote_next(slot, cur as u32);
+            let next = ((cur >> 32) + 1) << 32 | u64::from(slot + 1);
+            match head.compare_exchange_weak(cur, next, Ordering::Release, Ordering::Acquire) {
+                Ok(_) => break,
                 Err(actual) => cur = actual,
+            }
+        }
+        if cur >> 32 >= DRAIN_AT {
+            if let Ok(rt) = self.shards[shard].try_lock() {
+                self.drain_remote(shard, &mut ShardGuard::new(rt, &self.counters));
             }
         }
     }
 
     /// Drain shard `i`'s remote-free stack while holding its lock:
     /// release each claimed slot's heap block (the claim already marked
-    /// its record freed). The block's free was already *counted* by the
-    /// claiming thread (`fast_frees`); the drain only completes it and
-    /// counts `remote_drained`.
+    /// its record freed), in the order the slots were pushed, so the
+    /// heap's free lists end up exactly as immediate frees would have
+    /// left them, however late the drain. The block's free was already
+    /// *counted* by the claiming thread (`fast_frees`); the drain only
+    /// completes it and counts `remote_drained`.
     ///
     /// Retirement is gated on the slot record still reading `FREED`
     /// with matching generations: a slot whose block raced
     /// through another completion path (a concurrent double free the
-    /// program itself issued) or was recycled raw since the claim is
-    /// skipped rather than releasing an innocent successor's block.
+    /// program itself issued), was recycled raw since the claim, or was
+    /// re-recorded live by a racing locked copy is skipped rather than
+    /// releasing a live object's block. Every popped slot's pending flag
+    /// is cleared once its link has been read, so it may be claimed
+    /// again.
     fn drain_remote(&self, i: usize, rt: &mut ObjectRuntime) {
         let head = &self.remote[i].0;
         if head.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let mut cur = head.swap(0, Ordering::Acquire);
-        let mut drained = 0u64;
         let records = self.pubs[i].records();
+        // Detach the stack and reverse its links into push order.
+        let mut cur = head.swap(0, Ordering::Acquire) as u32;
+        let mut fifo = 0;
         while cur != 0 {
-            let slot = cur - 1;
-            cur = records.remote_next(slot);
-            // Writers are excluded by the lock we hold and claims are
-            // single-shot, so this view is stable.
+            let next = records.remote_next(cur - 1);
+            records.set_remote_next(cur - 1, fifo);
+            (fifo, cur) = (cur, next);
+        }
+        let mut drained = 0u64;
+        while fifo != 0 {
+            let slot = fifo - 1;
+            fifo = records.remote_next(slot);
+            // Only this lock's holder writes a pending slot's lifecycle
+            // word, so this view is stable.
             if records.get(slot).is_some_and(|r| r.current_state() == Some(PUB_STATE_FREED)) {
                 rt.retire_reserved(slot);
             }
+            records.mark_drained(slot);
             drained += 1;
         }
-        if drained != 0 {
-            self.counters
-                .add(&RuntimeStats { remote_drained: drained, ..RuntimeStats::default() });
-        }
+        self.counters.add(&RuntimeStats { remote_drained: drained, ..RuntimeStats::default() });
     }
 
-    /// Route `addr` to its shard's lock, or fail with `err`.
-    fn route(&self, addr: Addr, err: RuntimeError) -> Result<MutexGuard<'_, ObjectRuntime>, RuntimeError> {
+    /// Route `addr` to its shard's lock, drained, or fail with `err`.
+    fn route(&self, addr: Addr, err: RuntimeError) -> Result<ShardGuard<'_>, RuntimeError> {
         match self.shard_of(addr) {
-            Some(i) => self.shard(i),
+            Some(i) => self.lock_drained(i),
             None => Err(err),
         }
     }
@@ -404,16 +508,18 @@ impl ShardedRuntime {
     /// result, decided without the shard mutex: a double free or a trap
     /// hit read from a stable snapshot, or a live object whose canaries
     /// scanned intact through the shared arena and whose slot this call
-    /// claimed with the generation-exact [`claim_free`] CAS, flipping it
-    /// `LIVE → FREED` and pushing it onto the owning shard's remote-free
-    /// stack for the next lock holder to release. `None` routes to the
-    /// mutex: an untracked address (a plain `free()` needs the heap), a
-    /// lost or refused claim (a stranded record, a racing free), or
-    /// contention past the retry budget.
+    /// claimed with the generation-exact [`claim_free`], flipping it
+    /// `LIVE → FREED` in a window opened at the snapshot's sequence and
+    /// pushing it onto the owning shard's remote-free stack for a drain
+    /// to release. `None` routes to the mutex: an untracked address (a
+    /// plain `free()` needs the heap), a refused claim (a stranded
+    /// record, a claim still pending), or contention past the retry
+    /// budget.
     ///
     /// The sweep reads racily against writers, so every verdict waits
-    /// for a seqlock recheck: a torn attempt retries from a fresh
-    /// snapshot, the sheet restored to drop its counts.
+    /// for a seqlock recheck (the claim's window is one): a torn attempt
+    /// retries from a fresh snapshot, the sheet restored to drop its
+    /// counts.
     ///
     /// [`claim_free`]: polar_simheap::SlotRecords::claim_free
     fn fast_free(&self, addr: Addr, sink: &mut RuntimeStats) -> Option<Result<(), RuntimeError>> {
@@ -434,10 +540,11 @@ impl ShardedRuntime {
             let counted = *sink;
             let read = |a: Addr, w| p.read_uint(a.0, w);
             let check = self.view(shard, addr, Some(snap)).free_check(&self.config, read, sink);
-            let stable = p.records().recheck(snap.slot, snap.seq);
+            let records = p.records();
+            let stable = records.recheck(snap.slot, snap.seq);
             match check {
                 Err(err) if stable => return Some(Err(err)),
-                Ok(Some(slot)) if stable && p.records().claim_free(slot, snap.meta_gen) => {
+                Ok(Some(slot)) if stable && records.claim_free(slot, snap.seq, snap.meta_gen) => {
                     self.remote_push(shard, slot);
                     sink.frees += 1;
                     sink.fast_frees += 1;
@@ -445,7 +552,7 @@ impl ShardedRuntime {
                 }
                 _ => *sink = counted,
             }
-            if stable {
+            if stable && records.recheck(snap.slot, snap.seq) {
                 return None; // untracked, or a refused claim: the mutex decides
             }
             std::hint::spin_loop();
@@ -468,40 +575,64 @@ impl ShardedRuntime {
         self.registry.get(id).cloned()
     }
 
-    /// Metadata view of the object at `base` (read from the owning
-    /// shard's slot record), if tracked.
+    /// Metadata view of the object at `base`, if tracked: a snapshot of
+    /// the owning shard's slot record, its plan resolved through the
+    /// shared registry, with no lock. Only contention past the retry
+    /// budget reads it under the shard's mutex.
     pub fn object_meta(&self, base: Addr) -> Option<ObjectMeta> {
         let i = self.shard_of(base)?;
-        self.shard_ignore_poison(i).object_meta(base)
+        let p = &self.pubs[i];
+        for _ in 0..FAST_RETRIES {
+            let snap = match p.try_snapshot(base.0) {
+                SnapshotOutcome::Snap(s) => s,
+                SnapshotOutcome::Untracked => return None,
+                SnapshotOutcome::Unstable => {
+                    std::hint::spin_loop();
+                    continue;
+                }
+            };
+            let meta = self.view(i, base, Some(snap)).meta();
+            if p.records().recheck(snap.slot, snap.seq) {
+                return meta;
+            }
+            std::hint::spin_loop();
+        }
+        self.lock_ignore_poison(i).object_meta(base)
     }
 
-    /// Combined statistics: the sum of every shard's
-    /// [`ObjectRuntime::stats`] (each read under its lock, so per-shard
-    /// numbers are internally consistent) plus one snapshot of the
-    /// shared counters.
+    /// Combined statistics: one snapshot of the shared counters, taken
+    /// with no lock and changing nothing.
     ///
-    /// Coherence contract: a [`ShardHandle`]'s counts become visible
-    /// here at its [`ShardHandle::flush_stats`] or drop (and at once
-    /// through its own [`ShardHandle::stats`]); this call drains every
-    /// shard's remote-free stack *before* it snapshots the shared
-    /// counters. Exact at quiescence; while threads are mid-operation
-    /// each counter is individually exact but the cross-counter view is
-    /// approximate (see [`AtomicRuntimeStats`]).
+    /// Coherence contract: a shard-locked operation's counts are here
+    /// once its shard lock is released; a [`ShardHandle`]'s own counts
+    /// at its [`ShardHandle::flush_stats`] or drop (and at once through
+    /// its own [`ShardHandle::stats`]). A lock-free free counts
+    /// `fast_frees` when it claims the object and `remote_drained` when
+    /// the owning shard drains the claim, which may be later: once
+    /// every handle has dropped, or after [`ShardedRuntime::quiesce`],
+    /// the two agree. While threads are mid-operation each counter is
+    /// individually exact but the cross-counter view is approximate
+    /// (see [`AtomicRuntimeStats`]).
     ///
     /// `unique_plans`/`dedup_saved` sum over *all* interners (one per
     /// shard + one per handle), so they bound metadata held, not global
     /// plan distinctness.
     pub fn stats(&self) -> RuntimeStats {
-        let mut total = RuntimeStats::default();
+        self.counters.snapshot()
+    }
+
+    /// Drain every shard's remote-free stack, waiting for each shard's
+    /// lock (a poisoned shard is drained all the same): every claimed
+    /// block is released and counted in `remote_drained`. For callers
+    /// that read heap footprints or counters at a quiescent point while
+    /// handles are still alive; dropped handles have drained their own
+    /// frees already.
+    pub fn quiesce(&self) {
         for i in 0..self.shards.len() {
-            total += self.shard_ignore_poison(i).stats();
+            if self.remote[i].0.load(Ordering::Acquire) != 0 {
+                self.drain_remote(i, &mut self.lock_ignore_poison(i));
+            }
         }
-        // Snapshot the shared counters *after* visiting the shards: each
-        // visit drains that shard's remote-free stack and counts
-        // `remote_drained` into them — snapshotting first would report
-        // the claims (`fast_frees`) without their completions.
-        total += self.counters.snapshot();
-        total
     }
 
     /// Estimated POLaR bookkeeping bytes: each shard's own (slot
@@ -509,21 +640,22 @@ impl ShardedRuntime {
     /// index, and the shared plan registry once.
     pub fn estimated_metadata_bytes(&self) -> usize {
         let shards: usize = (0..self.shards.len())
-            .map(|i| self.shard_ignore_poison(i).shard_metadata_bytes())
+            .map(|i| self.lock_ignore_poison(i).shard_metadata_bytes())
             .sum();
         let published: usize = self.pubs.iter().map(|p| p.metadata_bytes()).sum();
         shards + published + self.registry.metadata_bytes()
     }
 
     /// Heap-allocator footprint summed over shards (each read under its
-    /// lock, which also completes any pending remote frees first): live
-    /// and peak bytes, arena capacity, and raw alloc/free counts. The
-    /// session-store workload derives its fragmentation and
-    /// bytes-per-live-object figures from this.
+    /// lock): live and peak bytes, arena capacity, and raw alloc/free
+    /// counts. A block a lock-free free has claimed stays live here
+    /// until its shard drains the claim (see
+    /// [`ShardedRuntime::quiesce`]). The session-store workload derives
+    /// its fragmentation and bytes-per-live-object figures from this.
     pub fn heap_footprint(&self) -> HeapFootprint {
         let mut f = HeapFootprint::default();
         for i in 0..self.shards.len() {
-            let rt = self.shard_ignore_poison(i);
+            let rt = self.lock_ignore_poison(i);
             let s = rt.heap().stats();
             f.bytes_live += s.bytes_live;
             f.bytes_peak += s.bytes_peak;
@@ -534,16 +666,93 @@ impl ShardedRuntime {
         f
     }
 
-    /// The shard owning `addr` for a raw heap access, or a wild-access
-    /// fault when no shard window contains it.
-    fn heap_shard(&self, addr: Addr, len: usize) -> Result<MutexGuard<'_, ObjectRuntime>, HeapError> {
+    /// The shard owning `addr` for a raw heap access, drained, or a
+    /// wild-access fault when no shard window contains it.
+    fn heap_shard(&self, addr: Addr, len: usize) -> Result<ShardGuard<'_>, HeapError> {
         match self.shard_of(addr) {
             // A poisoned shard faults its raw accesses (the heap API
             // speaks `HeapError`); instrumented paths report the richer
             // `ShardPoisoned` instead.
-            Some(i) => self.shard(i).map_err(|_| HeapError::Fault { addr, len }),
+            Some(i) => self.lock_drained(i).map_err(|_| HeapError::Fault { addr, len }),
             None => Err(HeapError::Fault { addr, len }),
         }
+    }
+
+    /// Lock-free [`ObjectRuntime::olr_memcpy`] of a live tracked `src`
+    /// onto a live `dst` of the same class, which keeps its plan,
+    /// counted into `sink`; `staged` is the caller's scratch buffer.
+    /// Both records are snapshotted and classified, the source's fields
+    /// are staged through the shared arena and validated by a recheck of
+    /// its sequence, and the destination's window is opened at exactly
+    /// its snapshot's sequence ([`SlotRecords::try_open_at`]), which
+    /// proves its classification current and excludes every other
+    /// writer. Inside the window the fields are stored, the plan's
+    /// canaries re-seeded and the slot re-recorded
+    /// ([`SlotRecords::rearm`]), as [`ObjectRuntime::olr_memcpy`] does
+    /// for such a pair. A torn staging or a lost CAS retries from fresh
+    /// snapshots. `None` routes to the mutex: an untracked or freed
+    /// endpoint (a freed source is UAF-classified there), a class
+    /// change, or contention past the retry budget.
+    ///
+    /// [`SlotRecords::try_open_at`]: polar_simheap::SlotRecords::try_open_at
+    /// [`SlotRecords::rearm`]: polar_simheap::SlotRecords::rearm
+    fn fast_copy(
+        &self,
+        dst: Addr,
+        src: Addr,
+        staged: &mut Vec<u8>,
+        sink: &mut RuntimeStats,
+    ) -> Option<Result<(), RuntimeError>> {
+        let (si, di) = (self.shard_of(src)?, self.shard_of(dst)?);
+        let (sp, dp) = (&self.pubs[si], &self.pubs[di]);
+        for _ in 0..FAST_RETRIES {
+            let (s, d) = match (sp.try_snapshot(src.0), dp.try_snapshot(dst.0)) {
+                (SnapshotOutcome::Snap(s), SnapshotOutcome::Snap(d)) => (s, d),
+                (SnapshotOutcome::Untracked, _) | (_, SnapshotOutcome::Untracked) => return None,
+                _ => {
+                    std::hint::spin_loop();
+                    continue;
+                }
+            };
+            let (s, src_plan) = self.view(si, src, Some(s)).tracked_plan()?;
+            let (d, dst_plan) = self.view(di, dst, Some(d)).tracked_plan()?;
+            if s.state == PUB_STATE_FREED || d.state == PUB_STATE_FREED || s.class_hash != d.class_hash
+            {
+                return None;
+            }
+            staged.clear();
+            let read = (0..src_plan.field_count()).try_for_each(|field| {
+                let from = src.0 + u64::from(src_plan.offset(field));
+                sp.read_bytes(from, src_plan.field_size(field) as usize, staged)
+            });
+            if !sp.records().recheck(s.slot, s.seq) || !dp.records().try_open_at(d.slot, d.seq) {
+                std::hint::spin_loop();
+                continue;
+            }
+            let stored = read.and_then(|()| {
+                let mut at = 0;
+                for field in 0..src_plan.field_count() {
+                    let size = src_plan.field_size(field) as usize;
+                    let to = dst.0 + u64::from(dst_plan.offset(field));
+                    dp.write_bytes(to, &staged[at..at + size])?;
+                    at += size;
+                }
+                for dummy in dst_plan.dummies() {
+                    if let Some(canary) = dummy.canary {
+                        let to = dst.0 + u64::from(dummy.offset);
+                        dp.write_uint(to, canary, canary_width(dummy.size))?;
+                    }
+                }
+                dp.records().rearm(d.slot);
+                Some(())
+            });
+            dp.records().close(d.slot, d.seq);
+            sink.memcpys += 1;
+            sink.lockfree_copies += 1;
+            let len = dst_plan.size() as usize;
+            return Some(stored.ok_or(RuntimeError::Heap(HeapError::Fault { addr: dst, len })));
+        }
+        None
     }
 }
 
@@ -614,6 +823,11 @@ pub struct ShardHandle<'rt> {
     /// before joining the thread (the natural scoped-thread shape) keeps
     /// the global counts exact.
     pending: RuntimeStats,
+    /// Shards (bit `i % 64` for shard `i`) this handle's lock-free
+    /// frees were pushed onto: teardown drains them.
+    pushed: u64,
+    /// Scratch buffer of the lock-free copy's staged source fields.
+    staged: Vec<u8>,
 }
 
 /// One class's magazine: reserved capsules awaiting their pop.
@@ -655,12 +869,12 @@ impl ShardHandle<'_> {
         let source = plan_source(&self.rt.mode, self.rt.config.layout, info.field_count());
         let batch = self.rt.config.magazine.batch;
         match source {
-            PlanSource::Mode => self.rt.shard(self.home)?.olr_malloc(info),
+            PlanSource::Mode => self.rt.lock_drained(self.home)?.olr_malloc(info),
             _ if batch > 0 => self.magazine_malloc(info, source, batch),
-            PlanSource::Derived { .. } => self.rt.shard(self.home)?.olr_malloc(info),
+            PlanSource::Derived { .. } => self.rt.lock_drained(self.home)?.olr_malloc(info),
             _ => {
                 let (plan_id, plan) = self.draw_plans(info, source, 1).pop().expect("one plan drawn");
-                self.rt.shard(self.home)?.olr_malloc_with_plan(info, plan, plan_id)
+                self.rt.lock_drained(self.home)?.olr_malloc_with_plan(info, plan, plan_id)
             }
         }
     }
@@ -715,7 +929,9 @@ impl ShardHandle<'_> {
     /// Reserve up to `batch` capsules for `info` under one home-shard
     /// lock acquisition. Pooled plans are drawn from this thread's own
     /// state *before* the lock (same stream as unbatched allocation);
-    /// the critical section is the reservation loop alone. A mid-batch
+    /// the critical section is the drain of the shard's remote frees,
+    /// whose blocks the reservations may reuse, and the reservation
+    /// loop. A mid-batch
     /// heap error keeps the partial magazine (the heap is near-full —
     /// hand out what was reserved); a first-reservation error
     /// propagates, leaving the magazine empty.
@@ -730,7 +946,7 @@ impl ShardHandle<'_> {
             PlanSource::Derived { .. } => Vec::new(),
             _ => self.draw_plans(info, source, batch),
         };
-        let mut shard = self.rt.shard(self.home)?;
+        let mut shard = self.rt.lock_drained(self.home)?;
         let caps = &mut self.magazines[idx].1.caps;
         if let PlanSource::Derived { traps } = source {
             for i in 0..batch {
@@ -786,7 +1002,7 @@ impl ShardHandle<'_> {
     ///
     /// Propagates heap errors.
     pub fn malloc_raw(&mut self, size: usize) -> Result<Addr, RuntimeError> {
-        self.rt.shard(self.home)?.malloc_raw(size)
+        self.rt.lock_drained(self.home)?.malloc_raw(size)
     }
 
     /// Raw free, routed by address.
@@ -816,6 +1032,9 @@ impl ShardHandle<'_> {
     /// window report [`HeapError::InvalidFree`].
     pub fn olr_free(&mut self, addr: Addr) -> Result<(), RuntimeError> {
         if let Some(freed) = self.rt.fast_free(addr, &mut self.pending) {
+            if let (Ok(()), Some(i)) = (&freed, self.rt.shard_of(addr)) {
+                self.pushed |= 1 << (i % 64);
+            }
             return freed;
         }
         self.rt.route(addr, RuntimeError::Heap(HeapError::InvalidFree(addr)))?.olr_free(addr)
@@ -922,7 +1141,7 @@ impl ShardHandle<'_> {
     ) -> Result<T, RuntimeError> {
         self.pending.lockfree_fallbacks += 1;
         let p = &self.rt.pubs[shard];
-        let mut guard = self.rt.shard(shard)?;
+        let mut guard = self.rt.lock(shard)?;
         let access = guard.access(base, expected, field, ic)?;
         let win = guard.heap().pub_open(access.slot);
         let loaded = load(p, access);
@@ -1012,14 +1231,20 @@ impl ShardHandle<'_> {
             std::hint::spin_loop();
         }
         self.pending.lockfree_fallbacks += 1;
-        rt.shard(shard)?.write_field(base, expected, field, value)
+        rt.lock(shard)?.write_field(base, expected, field, value)
     }
 
-    /// [`ObjectRuntime::olr_memcpy`] across shards: same-shard copies
-    /// delegate under one lock; cross-shard copies stage the source
-    /// fields on the source shard, then install the duplicate on the
-    /// destination shard. Both locks are taken in shard-index order so
-    /// concurrent copies in opposite directions cannot deadlock.
+    /// [`ObjectRuntime::olr_memcpy`], routed by address. A copy of a
+    /// live tracked source onto a live destination of the same class,
+    /// which keeps its plan, runs without the shard mutex (see
+    /// [`ShardedRuntime::fast_copy`]) and counts as `lockfree_copies`.
+    /// Every other copy, and one that gives up on contention, counts as
+    /// a `lockfree_fallbacks` and runs under the shard locks, drained:
+    /// same-shard copies delegate under one lock; cross-shard copies
+    /// stage the source fields on the source shard, then install the
+    /// duplicate on the destination shard. Both locks are taken in
+    /// shard-index order so concurrent copies in opposite directions
+    /// cannot deadlock.
     ///
     /// # Errors
     ///
@@ -1031,6 +1256,9 @@ impl ShardHandle<'_> {
         site_class: &Arc<ClassInfo>,
     ) -> Result<(), RuntimeError> {
         let rt = self.rt;
+        if let Some(copied) = rt.fast_copy(dst, src, &mut self.staged, &mut self.pending) {
+            return copied;
+        }
         let len = site_class.size() as usize;
         let src_i = rt
             .shard_of(src)
@@ -1038,14 +1266,15 @@ impl ShardHandle<'_> {
         let dst_i = rt
             .shard_of(dst)
             .ok_or(RuntimeError::Heap(HeapError::Fault { addr: dst, len }))?;
+        self.pending.lockfree_fallbacks += 1;
         if src_i == dst_i {
-            return rt.shard(src_i)?.olr_memcpy(dst, src, site_class);
+            return rt.lock_drained(src_i)?.olr_memcpy(dst, src, site_class);
         }
         // Index-ordered locking: every cross-shard copy acquires the
         // lower-numbered shard first.
         let (first, second) = (src_i.min(dst_i), src_i.max(dst_i));
-        let first_guard = rt.shard(first)?;
-        let second_guard = rt.shard(second)?;
+        let first_guard = rt.lock_drained(first)?;
+        let second_guard = rt.lock_drained(second)?;
         let (mut src_rt, mut dst_rt) = if src_i < dst_i {
             (first_guard, second_guard)
         } else {
@@ -1056,13 +1285,47 @@ impl ShardHandle<'_> {
         dst_rt.install_copy(dst, info, &src_plan, &staged)
     }
 
-    /// [`ObjectRuntime::check_traps`], routed by address.
+    /// [`ObjectRuntime::check_traps`], routed by address and run without
+    /// the shard mutex: the canaries of a live object's plan are swept
+    /// through the shared arena ([`scan_traps`]) and the report stands
+    /// once the slot's sequence rechecks unchanged; a torn sweep retries,
+    /// the pending sheet restored. A freed object's block may still
+    /// wait on its drain, so its sweep, like contention past the retry
+    /// budget, runs under the shard's mutex, drained.
     ///
     /// # Errors
     ///
     /// As for the single-thread call.
     pub fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
-        self.rt.route(base, RuntimeError::UnknownObject(base))?.check_traps(base)
+        let rt = self.rt;
+        let Some(i) = rt.shard_of(base) else {
+            return Err(RuntimeError::UnknownObject(base));
+        };
+        let p = &rt.pubs[i];
+        for _ in 0..FAST_RETRIES {
+            let snap = match p.try_snapshot(base.0) {
+                SnapshotOutcome::Snap(s) => s,
+                SnapshotOutcome::Untracked => return Err(RuntimeError::UnknownObject(base)),
+                SnapshotOutcome::Unstable => {
+                    std::hint::spin_loop();
+                    continue;
+                }
+            };
+            let Some((snap, plan)) = rt.view(i, base, Some(snap)).tracked_plan() else {
+                return Err(RuntimeError::UnknownObject(base));
+            };
+            if snap.state == PUB_STATE_FREED {
+                break;
+            }
+            let counted = self.pending;
+            let reports = scan_traps(plan, base, |a, w| p.read_uint(a.0, w), &mut self.pending);
+            if p.records().recheck(snap.slot, snap.seq) {
+                return Ok(reports);
+            }
+            self.pending = counted;
+            std::hint::spin_loop();
+        }
+        rt.lock_drained(i)?.check_traps(base)
     }
 
     /// The runtime's statistics plus this handle's unflushed pending
@@ -1092,18 +1355,20 @@ impl ShardHandle<'_> {
 
     /// Hand every unconsumed magazine capsule back to the home shard
     /// (counted as `magazine_returns`: reserved but never allocated, so
-    /// neither an allocation nor a free) and flush all pending stats.
-    /// This is the drop path, so it also runs during a panic unwind —
-    /// counters are never lost and capsules are never leaked by a dying
-    /// thread. The one exception is a *poisoned* home shard: its
-    /// capsules stay parked (returning them needs the degraded shard's
-    /// runtime), which costs the shard some blocks but keeps teardown
-    /// panic-free.
+    /// neither an allocation nor a free), drain every shard this
+    /// handle's lock-free frees were pushed onto, and flush all pending
+    /// stats. Once every handle has torn down, every claim has been
+    /// drained: `remote_drained == fast_frees`. This is the drop path,
+    /// so it also runs during a panic unwind — counters are never lost
+    /// and capsules are never leaked by a dying thread. The one
+    /// exception is a *poisoned* shard: its capsules stay parked and its
+    /// claims undrained (both need the degraded shard's runtime), which
+    /// costs the shard some blocks but keeps teardown panic-free.
     pub fn teardown(&mut self) {
         let magazines = std::mem::take(&mut self.magazines);
         let parked: usize = magazines.iter().map(|(_, m)| m.caps.len()).sum();
         if parked > 0 {
-            if let Ok(mut shard) = self.rt.shard(self.home) {
+            if let Ok(mut shard) = self.rt.lock_drained(self.home) {
                 for (_, mag) in magazines {
                     for cap in &mag.caps {
                         shard.retire_reserved(cap.slot);
@@ -1112,6 +1377,13 @@ impl ShardHandle<'_> {
                 self.pending.magazine_returns += parked as u64;
             }
         }
+        for i in 0..self.rt.shards.len() {
+            let pushed = self.pushed >> (i % 64) & 1 == 1;
+            if pushed && self.rt.remote[i].0.load(Ordering::Acquire) != 0 {
+                let _ = self.rt.lock_drained(i);
+            }
+        }
+        self.pushed = 0;
         self.flush_stats();
     }
 }
@@ -1134,7 +1406,7 @@ impl PolarRuntime for ShardHandle<'_> {
     /// Answered by the home shard: the static-OLR table derives from the
     /// mode's binary seed, which every shard shares.
     fn compile_time_plan(&mut self, info: &Arc<ClassInfo>) -> Arc<LayoutPlan> {
-        self.rt.shard_ignore_poison(self.home).compile_time_plan(info)
+        self.rt.lock_ignore_poison(self.home).compile_time_plan(info)
     }
 
     fn olr_malloc(&mut self, info: &Arc<ClassInfo>) -> Result<Addr, RuntimeError> {
@@ -1356,7 +1628,14 @@ mod tests {
         h1.write_field(dst, info.hash(), 1, 99).unwrap();
         h0.olr_memcpy(src, dst, &info).unwrap();
         assert_eq!(h0.read_field(src, info.hash(), 1).unwrap(), 99);
-        assert_eq!(rt.stats().memcpys, 2);
+        // The copy onto the raw buffer ran under the locks, the copy back
+        // onto the live source without them, counted on h0's sheet.
+        h0.flush_stats();
+        let stats = rt.stats();
+        assert_eq!(stats.memcpys, 2);
+        assert_eq!((stats.lockfree_copies, stats.lockfree_fallbacks), (1, 0));
+        h1.flush_stats();
+        assert_eq!(rt.stats().lockfree_fallbacks, 1);
         // A freed cross-shard source is still UAF-detected.
         h1.olr_free(dst).unwrap();
         assert!(matches!(
@@ -1707,6 +1986,191 @@ mod tests {
         assert_eq!(h.read_locked(shard, obj, info.hash(), 2, None, load_field).unwrap(), 9);
     }
 
+    /// A handle's copies of a live object onto a live object of its
+    /// class take no shard lock single-threaded, same-shard, cross-shard
+    /// and in place: each is one `lockfree_copies` and none falls back.
+    /// A copy from a freed source, onto a raw buffer or onto another
+    /// class goes to the mutex, counted as a fallback.
+    #[test]
+    fn handle_copies_take_no_shard_lock() {
+        let rt = sharded(2);
+        let (info, other) = (people(), record());
+        let (mut h0, mut h1) = (rt.handle(0), rt.handle(1));
+        let src = h0.olr_malloc(&info).unwrap();
+        let near = h0.olr_malloc(&info).unwrap();
+        let far = h1.olr_malloc(&info).unwrap();
+        assert_ne!(rt.shard_of(src), rt.shard_of(far));
+        h0.write_field(src, info.hash(), 1, 41).unwrap();
+        h0.write_field(src, info.hash(), 2, 182).unwrap();
+        let before = h0.stats();
+        for dst in [near, far, src, near] {
+            h0.olr_memcpy(dst, src, &info).unwrap();
+            assert_eq!(h0.read_field(dst, info.hash(), 1).unwrap(), 41);
+            assert_eq!(h0.read_field(dst, info.hash(), 2).unwrap(), 182);
+        }
+        let after = h0.stats();
+        assert_eq!(after.memcpys - before.memcpys, 4);
+        assert_eq!(after.lockfree_copies - before.lockfree_copies, 4, "{after:?}");
+        assert_eq!(after.lockfree_fallbacks, 0, "{after:?}");
+        // The copy re-armed the destination: one more record, and its
+        // canaries are intact.
+        assert_eq!(rt.object_meta(near).unwrap().generation, 3);
+        assert!(h0.check_traps(near).unwrap().is_empty());
+        assert!(h0.check_traps(far).unwrap().is_empty());
+
+        let raw = h0.malloc_raw(256).unwrap();
+        let wide = h0.olr_malloc(&other).unwrap();
+        let freed = h0.olr_malloc(&info).unwrap();
+        h0.olr_free(freed).unwrap();
+        h0.olr_memcpy(raw, src, &info).unwrap();
+        h0.olr_memcpy(wide, src, &info).unwrap();
+        assert!(matches!(
+            h0.olr_memcpy(near, freed, &info),
+            Err(RuntimeError::UseAfterFree { .. })
+        ));
+        let last = h0.stats();
+        assert_eq!(last.lockfree_copies, after.lockfree_copies);
+        assert_eq!(last.lockfree_fallbacks, 3, "{last:?}");
+        assert_eq!(rt.object_meta(wide).unwrap().class, info.hash());
+    }
+
+    /// A copy onto an object freed lock-free falls back to the mutex,
+    /// which drains the claim before the copy re-records the slot, as
+    /// `ObjectRuntime` re-records a freed block: the slot is never on the
+    /// remote-free stack twice, and the next free of the copy drains
+    /// like any other.
+    #[test]
+    fn a_copy_onto_a_freed_object_drains_its_claim_first() {
+        let rt = sharded(1);
+        let info = people();
+        let mut h = rt.handle(0);
+        let (src, dst) = (h.olr_malloc(&info).unwrap(), h.olr_malloc(&info).unwrap());
+        h.write_field(src, info.hash(), 1, 61).unwrap();
+        h.olr_free(dst).unwrap();
+        h.olr_memcpy(dst, src, &info).unwrap();
+        assert_eq!(h.read_field(dst, info.hash(), 1).unwrap(), 61);
+        h.olr_free(dst).unwrap();
+        h.flush_stats();
+        rt.quiesce();
+        let stats = rt.stats();
+        assert_eq!((stats.fast_frees, stats.remote_drained), (2, 2), "{stats:?}");
+        assert_eq!((stats.lockfree_copies, stats.lockfree_fallbacks), (0, 1));
+    }
+
+    /// A free claimed while a locked copy re-records its object (here
+    /// between the copy's drain and its install, which is where a racing
+    /// free lands) stays pending: the re-recorded object reads live, a
+    /// second free is refused a claim, so the slot is never on the
+    /// remote-free stack twice, and the mutex's drain takes the first
+    /// claim off the stack before the second free releases the block.
+    #[test]
+    fn a_claim_under_a_locked_copy_is_pushed_once() {
+        let rt = sharded(1);
+        let (people, record) = (people(), record());
+        let mut h = rt.handle(0);
+        let (src, dst) = (h.olr_malloc(&people).unwrap(), h.olr_malloc(&record).unwrap());
+        drop(h);
+        let before = rt.heap_footprint();
+        let mut sink = RuntimeStats::default();
+        {
+            let mut shard = rt.lock_drained(0).unwrap();
+            assert!(matches!(rt.fast_free(dst, &mut sink), Some(Ok(()))));
+            let (info, plan) = shard.copy_source(src, &people).unwrap();
+            let staged = shard.stage_fields(src, &plan).unwrap();
+            shard.install_copy(dst, info, &plan, &staged).unwrap();
+        }
+        assert_eq!(rt.object_meta(dst).unwrap().state, ObjectState::Live);
+        assert!(rt.fast_free(dst, &mut sink).is_none(), "a pending slot was claimed twice");
+        rt.counters.add(&sink);
+        rt.handle(1).olr_free(dst).unwrap();
+        assert_eq!(rt.remote[0].0.load(Ordering::Acquire), 0, "the mutex's drain left a claim");
+        assert_eq!(rt.object_meta(dst).unwrap().state, ObjectState::Freed);
+        let stats = rt.stats();
+        assert_eq!((stats.fast_frees, stats.remote_drained, stats.frees), (1, 1, 2), "{stats:?}");
+        assert_eq!(rt.heap_footprint().heap_frees - before.heap_frees, 1);
+    }
+
+    /// A drain releases claimed blocks in the order they were freed, so
+    /// the heap ends up as immediate frees would have left it: with no
+    /// quarantine, the next allocation of the size class takes the block
+    /// freed last, however many claims the drain found.
+    #[test]
+    fn drains_release_blocks_in_free_order() {
+        let mut config = RuntimeConfig::default();
+        config.heap.capacity = 64 << 20;
+        config.heap.quarantine = 0;
+        // Pooled plans size their blocks by the plan, so blocks of one
+        // plan size share a size class.
+        config.layout = crate::runtime::LayoutSource::Pooled;
+        let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), config, 1);
+        let info = record();
+        let mut h = rt.handle(0);
+        let objs: Vec<Addr> = (0..8).map(|_| h.olr_malloc(&info).unwrap()).collect();
+        let size = rt.object_meta(objs[0]).unwrap().plan.size() as usize;
+        let same: Vec<Addr> = objs
+            .into_iter()
+            .filter(|&o| rt.object_meta(o).unwrap().plan.size() as usize == size)
+            .collect();
+        assert!(same.len() >= 2, "one plan size in eight draws");
+        for &obj in &same {
+            h.olr_free(obj).unwrap();
+        }
+        // The raw allocation drains the claims first.
+        assert_eq!(h.malloc_raw(size).unwrap(), *same.last().unwrap());
+    }
+
+    /// `stats()`, `object_meta`, `plan_size`, `check_traps` and a copy
+    /// all return while another thread holds every shard mutex, and
+    /// reading stats drains nothing: claims stay pending until
+    /// `quiesce`.
+    #[test]
+    fn inspection_and_copies_take_no_shard_lock() {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        use std::sync::mpsc::channel;
+        let rt = Arc::new(sharded(2));
+        let info = people();
+        let mut h = rt.handle(0);
+        let objs: Vec<Addr> = (0..6).map(|_| h.olr_malloc(&info).unwrap()).collect();
+        for &obj in &objs[3..] {
+            h.olr_free(obj).unwrap();
+        }
+        h.flush_stats();
+        let released = Arc::new(AtomicBool::new(false));
+        let (locked_tx, locked_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let holder = {
+            let (rt, released) = (Arc::clone(&rt), Arc::clone(&released));
+            std::thread::spawn(move || {
+                let guards: Vec<_> = rt.shards.iter().map(|m| m.lock().unwrap()).collect();
+                locked_tx.send(()).unwrap();
+                // Bounded, so a call that waits for the mutex fails the
+                // test instead of hanging it.
+                let _ = release_rx.recv_timeout(std::time::Duration::from_secs(20));
+                released.store(true, SeqCst);
+                drop(guards);
+            })
+        };
+        locked_rx.recv().unwrap();
+        let stats = rt.stats();
+        assert_eq!((stats.fast_frees, stats.remote_drained), (3, 0), "{stats:?}");
+        assert_eq!(rt.stats().remote_drained, 0, "reading stats must not drain");
+        let meta = rt.object_meta(objs[0]).unwrap();
+        assert_eq!(h.plan_size(objs[0]), Some(meta.plan.size()));
+        assert_eq!(rt.object_meta(objs[3]).unwrap().state, ObjectState::Freed);
+        assert!(h.check_traps(objs[0]).unwrap().is_empty());
+        h.olr_memcpy(objs[1], objs[0], &info).unwrap();
+        assert!(!released.load(SeqCst), "an inspection or a copy waited for a shard mutex");
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        rt.quiesce();
+        assert_eq!(rt.stats().remote_drained, 3);
+        drop(h);
+        let stats = rt.stats();
+        assert_eq!(stats.remote_drained, stats.fast_frees);
+        // Three free-path sweeps and the explicit one.
+        assert_eq!((stats.memcpys, stats.lockfree_copies, stats.trap_scans), (1, 1, 4));
+    }
+
     /// Torture phase 1: fixed live objects, writers churning field
     /// values whose two halves always match, readers asserting every
     /// lock-free load is untorn (halves equal) and correctly tagged.
@@ -1970,7 +2434,7 @@ mod tests {
         // Each table once: every shard's own tables, every shard's unit
         // index, and the one registry the shards and handles share.
         let shards: usize =
-            (0..4).map(|i| rt.shard_ignore_poison(i).shard_metadata_bytes()).sum();
+            (0..4).map(|i| rt.lock_ignore_poison(i).shard_metadata_bytes()).sum();
         let units: usize = rt.pubs.iter().map(|p| p.metadata_bytes()).sum();
         assert!(rt.registry.metadata_bytes() > 0 && units > 0);
         assert_eq!(rt.estimated_metadata_bytes(), shards + units + rt.registry.metadata_bytes());
@@ -1993,6 +2457,7 @@ mod tests {
         let obj = h.olr_malloc(&info).unwrap();
         h.heap_free(obj).unwrap();
         h.olr_free(obj).unwrap();
+        rt.quiesce();
         let meta = rt.object_meta(obj).expect("still tracked");
         assert_eq!(meta.state, ObjectState::Live);
         match rt.publish_probe(obj) {
@@ -2030,6 +2495,7 @@ mod tests {
             h.olr_free(obj).unwrap();
         }
         h.flush_stats();
+        rt.quiesce();
         let stats = rt.stats();
         assert_eq!(stats.allocations, 2_048);
         assert_eq!(stats.frees, 2_048);
@@ -2166,8 +2632,8 @@ mod tests {
             }
             h.olr_free(obj).unwrap();
             // The freed record keeps its generation until the slot is
-            // re-armed (object_meta drains the remote stack first, so
-            // the fast-freed state is visible).
+            // re-armed (the claim itself marks the record freed, drained
+            // or not).
             let meta = rt.object_meta(obj).expect("freed record is retained");
             assert_eq!(meta.state, ObjectState::Freed);
             assert_eq!(meta.generation, last_gen[&obj.0]);
@@ -2454,5 +2920,278 @@ mod tests {
         assert_eq!(stats.traps_triggered + stats.double_free_detected, 0, "{stats:?}");
         assert_eq!(stats.frees, OWNER_OPS as u64);
         assert!(landed > 0 && stats.uaf_detected > 0, "{landed} writes landed: {stats:?}");
+    }
+
+    /// One handle stores 8-byte values into a `Bytes(16)` field of the
+    /// source at an unaligned offset, so every store straddles two arena
+    /// words; another copies the source onto a live object of its class
+    /// and reads the copy. Every stored value has eight equal bytes, so
+    /// a copy that staged a half-done store shows as mixed bytes.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode torture: cargo test --release")]
+    fn torture_copies_never_stage_a_half_done_store() {
+        const ROUNDS: usize = 50_000;
+        let rt = sharded(1);
+        let blob = Arc::new(ClassInfo::from_decl(
+            ClassDecl::builder("Blob")
+                .field("tag", FieldKind::I8)
+                .field("bytes", FieldKind::Bytes(16))
+                .field("len", FieldKind::I32)
+                .build(),
+        ));
+        let hash = blob.hash();
+        let whole = |v: u64| v.to_le_bytes().iter().all(|&b| b == v as u8);
+        let mut h = rt.handle(0);
+        let src = object_where(&mut h, &blob, (1, 1), |at, _| at % 8 != 0);
+        let copy = h.olr_malloc(&blob).unwrap();
+        drop(h);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let copies = std::thread::scope(|scope| {
+            let (rt, blob, stop) = (&rt, &blob, &stop);
+            scope.spawn(move || {
+                let mut h = rt.handle(1);
+                for round in 0..ROUNDS {
+                    let b = 1 + (round % 255) as u64;
+                    h.write_field(src, hash, 1, b * 0x0101_0101_0101_0101).unwrap();
+                }
+                stop.store(true, std::sync::atomic::Ordering::Release);
+            });
+            scope
+                .spawn(move || {
+                    let mut h = rt.handle(2);
+                    let mut copies = 0u64;
+                    while !stop.load(std::sync::atomic::Ordering::Acquire) || copies < 1_000 {
+                        h.olr_memcpy(copy, src, blob).unwrap();
+                        let v = h.read_field(copy, hash, 1).unwrap();
+                        assert!(whole(v), "the copy staged a half-done store: {v:#x}");
+                        copies += 1;
+                    }
+                    copies
+                })
+                .join()
+                .unwrap()
+        });
+        let stats = rt.stats();
+        assert_eq!(stats.memcpys, copies);
+        // Every write, copy and read of the copy is counted exactly once.
+        let accesses = stats.lockfree_reads
+            + stats.lockfree_writes
+            + stats.lockfree_copies
+            + stats.lockfree_fallbacks;
+        assert_eq!(accesses, ROUNDS as u64 + 2 * copies, "{stats:?}");
+        assert!(stats.lockfree_copies > 0, "{stats:?}");
+    }
+
+    /// Copies of a stable source race frees and reuse of their
+    /// destinations: an owner keeps a rolling window of live objects,
+    /// sweeping each one's canaries before its free, while copiers copy
+    /// onto addresses it handed out at any time. A copy lands in the
+    /// object live at its snapshot (its plan's canaries re-seeded) or
+    /// falls back to the mutex; it must never leave a successor's
+    /// canaries corrupted.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode torture: cargo test --release")]
+    fn torture_copies_racing_frees_and_reuse_spare_successor_canaries() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        const OWNER_OPS: usize = 200_000;
+        const COPIERS: u64 = 3;
+        const WINDOW: usize = 48;
+        let rt = sharded(1);
+        let info = record();
+        let src = {
+            let mut h = rt.handle(COPIERS + 1);
+            let src = h.olr_malloc(&info).unwrap();
+            for field in 0..info.field_count() {
+                h.write_field(src, info.hash(), field, 0x5A5A + field as u64).unwrap();
+            }
+            src
+        };
+        let seen: Vec<AtomicU64> = (0..WINDOW).map(|_| AtomicU64::new(0)).collect();
+        /// Stops the copiers when the owner ends, a failed check included.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, std::sync::atomic::Ordering::Release);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let copies: u64 = std::thread::scope(|scope| {
+            let (rt, info, seen, stop) = (&rt, &info, &seen, &stop);
+            scope.spawn(move || {
+                let _stop = StopOnDrop(stop);
+                let mut h = rt.handle(0);
+                let mut live = std::collections::VecDeque::new();
+                for op in 0..OWNER_OPS {
+                    let obj = h.olr_malloc(info).unwrap();
+                    seen[op % WINDOW].store(obj.0, Relaxed);
+                    live.push_back(obj);
+                    if live.len() > WINDOW / 2 {
+                        let old = live.pop_front().unwrap();
+                        assert!(h.check_traps(old).unwrap().is_empty(), "a canary was hit");
+                        h.olr_free(old).unwrap();
+                    }
+                }
+                for obj in live {
+                    assert!(h.check_traps(obj).unwrap().is_empty(), "a canary was hit");
+                    h.olr_free(obj).unwrap();
+                }
+            });
+            let copiers: Vec<_> = (0..COPIERS)
+                .map(|c| {
+                    scope.spawn(move || {
+                        let mut h = rt.handle(1 + c);
+                        let mut driver = SplitMix64::new(0xC0B1 + c);
+                        let mut copies = 0u64;
+                        while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                            let addr = Addr(seen[driver.random_range(0..WINDOW)].load(Relaxed));
+                            if addr.is_null() {
+                                continue;
+                            }
+                            if let Err(err) = h.olr_memcpy(addr, src, info) {
+                                panic!("a racing copy reported {err}");
+                            }
+                            copies += 1;
+                        }
+                        copies
+                    })
+                })
+                .collect();
+            copiers.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        let stats = rt.stats();
+        assert_eq!(stats.traps_triggered + stats.double_free_detected, 0, "{stats:?}");
+        assert_eq!(stats.memcpys, copies);
+        assert!(stats.lockfree_copies > 0 && copies > 0, "{stats:?}");
+        assert_eq!(stats.remote_drained, stats.fast_frees);
+    }
+
+    /// Three handles free one owner's objects concurrently while the
+    /// owner allocates nothing, so only the pushes past [`DRAIN_AT`]
+    /// drain the owner's stack. Every claimed slot is released exactly
+    /// once: the heap frees one block per object (and per returned
+    /// capsule), and `remote_drained` ends equal to the frees. Before
+    /// the freeing handles tear down, at most a few thresholds' worth of
+    /// claims is still pending.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode torture: cargo test --release")]
+    fn torture_pushes_past_the_threshold_drain_each_claim_once() {
+        const OBJECTS: usize = 16_384;
+        const FREERS: usize = 3;
+        let rt = sharded(1);
+        let info = people();
+        let mut h = rt.handle(0);
+        let objs: Vec<Addr> = (0..OBJECTS).map(|_| h.olr_malloc(&info).unwrap()).collect();
+        drop(h);
+        let before = rt.heap_footprint();
+        let barrier = std::sync::Barrier::new(FREERS + 1);
+        let pending = std::thread::scope(|scope| {
+            for f in 0..FREERS {
+                let (rt, objs, barrier) = (&rt, &objs, &barrier);
+                scope.spawn(move || {
+                    let mut h = rt.handle(1 + f as u64);
+                    for &obj in objs.iter().skip(f).step_by(FREERS) {
+                        h.olr_free(obj).unwrap();
+                    }
+                    barrier.wait(); // every push is done
+                    barrier.wait(); // the pending claims were counted
+                });
+            }
+            barrier.wait();
+            let pending = OBJECTS as u64 - rt.stats().remote_drained;
+            barrier.wait();
+            pending
+        });
+        assert!(pending <= 2 * DRAIN_AT, "{pending} claims left pending by the pushes");
+        let stats = rt.stats();
+        assert_eq!((stats.fast_frees, stats.remote_drained), (OBJECTS as u64, OBJECTS as u64));
+        let after = rt.heap_footprint();
+        assert_eq!(after.heap_frees - before.heap_frees, OBJECTS as u64);
+        assert_eq!(after.bytes_live, 0, "{after:?}");
+    }
+
+    /// Locked copies race lock-free frees of their destination: copiers
+    /// copy a `People` onto the `Record` objects and raw buffers an owner
+    /// keeps allocating (a class change or a raw destination, so the
+    /// copy takes the shard mutex) and then free them, while a freer
+    /// frees the same blocks. A claim that lands
+    /// while a locked copy re-records its object stays pending, so no
+    /// slot is pushed twice: a doubly pushed slot links the remote-free
+    /// stack into a cycle, and the next drain never returns. Every drain
+    /// ends, and once every handle has dropped each claim was drained
+    /// once.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-mode torture: cargo test --release")]
+    fn torture_locked_copies_racing_frees_push_each_claim_once() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        use std::sync::mpsc::RecvTimeoutError;
+        const OWNER_OPS: usize = 200_000;
+        const WINDOW: usize = 8;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let rt = sharded(1);
+            let (people, record) = (people(), record());
+            let src = rt.handle(9).olr_malloc(&people).unwrap();
+            let seen: Vec<AtomicU64> = (0..WINDOW).map(|_| AtomicU64::new(0)).collect();
+            let stop = AtomicBool::new(false);
+            let copies: u64 = std::thread::scope(|scope| {
+                let (rt, people, record, seen, stop) = (&rt, &people, &record, &seen, &stop);
+                scope.spawn(move || {
+                    let mut h = rt.handle(0);
+                    for op in 0..OWNER_OPS {
+                        let block = match op % 4 {
+                            0 => h.malloc_raw(record.size() as usize),
+                            _ => h.olr_malloc(record),
+                        };
+                        seen[op % WINDOW].store(block.unwrap().0, Relaxed);
+                    }
+                    stop.store(true, std::sync::atomic::Ordering::Release);
+                });
+                scope.spawn(move || {
+                    let mut h = rt.handle(1);
+                    let mut driver = SplitMix64::new(0xF4EE);
+                    while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                        let addr = Addr(seen[driver.random_range(0..WINDOW)].load(Relaxed));
+                        if !addr.is_null() {
+                            let _ = h.olr_free(addr);
+                        }
+                    }
+                });
+                let copiers: Vec<_> = (0..2)
+                    .map(|c| {
+                        scope.spawn(move || {
+                            let mut h = rt.handle(2 + c);
+                            let mut driver = SplitMix64::new(0xC09E + c);
+                            let mut copies = 0u64;
+                            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                                let addr = Addr(seen[driver.random_range(0..WINDOW)].load(Relaxed));
+                                if addr.is_null() {
+                                    continue;
+                                }
+                                h.olr_memcpy(addr, src, people).unwrap();
+                                copies += 1;
+                                let _ = h.olr_free(addr);
+                            }
+                            copies
+                        })
+                    })
+                    .collect();
+                copiers.into_iter().map(|c| c.join().unwrap()).sum()
+            });
+            rt.quiesce();
+            // The receiver is gone only if the watchdog already fired.
+            let _ = tx.send((copies, rt.stats()));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(120)) {
+            Ok((copies, stats)) => {
+                assert_eq!(stats.memcpys, copies);
+                assert!(stats.fast_frees > 0 && stats.lockfree_fallbacks > 0, "{stats:?}");
+                assert_eq!(stats.remote_drained, stats.fast_frees, "{stats:?}");
+                assert_eq!(stats.traps_triggered, 0, "{stats:?}");
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("a drain never returned"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().unwrap_err())
+            }
+        }
     }
 }

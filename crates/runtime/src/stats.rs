@@ -1,7 +1,7 @@
 //! Runtime statistics — the Table III counters.
 
 use std::fmt;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Defines [`RuntimeStats`], its [`AddAssign`] and [`AtomicRuntimeStats`]
@@ -23,11 +23,21 @@ macro_rules! runtime_stats {
             }
         }
 
+        impl Sub for RuntimeStats {
+            type Output = RuntimeStats;
+
+            /// The counts made between two readings of monotone counters.
+            fn sub(self, rhs: RuntimeStats) -> RuntimeStats {
+                RuntimeStats { $($field: self.$field - rhs.$field,)* }
+            }
+        }
+
         /// [`RuntimeStats`] with every counter behind a relaxed
         /// [`AtomicU64`]: the one shared sheet of a
         /// [`ShardedRuntime`](crate::ShardedRuntime), which its handles
-        /// fold their pending sheets into and its remote-free drains
-        /// count into.
+        /// fold their pending sheets into, its shards fold their locked
+        /// counts into when a shard lock is released, and its
+        /// remote-free drains count into.
         ///
         /// Counters are individually exact and monotone. A
         /// [`snapshot`](AtomicRuntimeStats::snapshot) taken while other
@@ -137,11 +147,18 @@ runtime_stats! {
     /// Handle `write_field`s classified and stored without the shard
     /// mutex (through the slot's seqlock window), detections included.
     lockfree_writes,
-    /// Handle reads and writes that gave up on the seqlock after
-    /// `FAST_RETRIES` contended attempts and were served under the shard
-    /// mutex. With `lockfree_reads` and `lockfree_writes` this
-    /// partitions a handle's reads and writes: each is counted in
-    /// exactly one of the three.
+    /// Handle `olr_memcpy`s of a live tracked source onto a live
+    /// destination of the same class, staged and stored without the
+    /// shard mutex (through the destination's seqlock window).
+    lockfree_copies,
+    /// Handle reads, writes and copies served under the shard mutex:
+    /// a read or write that gave up on the seqlock after `FAST_RETRIES`
+    /// contended attempts, and a copy that gave up or that the
+    /// lock-free path does not serve (an untracked or freed source, a
+    /// raw destination, a class change). With `lockfree_reads`,
+    /// `lockfree_writes` and `lockfree_copies` this partitions a
+    /// handle's reads, writes and copies: each is counted in exactly
+    /// one of the four.
     lockfree_fallbacks,
     /// Allocations served from a per-handle magazine of pre-reserved
     /// capsules: no shard mutex was taken.
@@ -157,7 +174,11 @@ runtime_stats! {
     /// claim + remote-free stack push, no shard mutex.
     fast_frees,
     /// Remote-freed slots drained and released by their owning shard
-    /// (each matches one earlier `fast_frees` event).
+    /// (each matches one earlier `fast_frees` event). Once every handle
+    /// has dropped, or after [`ShardedRuntime::quiesce`], it equals
+    /// `fast_frees`.
+    ///
+    /// [`ShardedRuntime::quiesce`]: crate::ShardedRuntime::quiesce
     remote_drained,
 }
 

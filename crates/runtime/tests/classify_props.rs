@@ -18,7 +18,11 @@
 //! Every detection op has a read and a write twin (use after free,
 //! class mismatch, out-of-range field), so a handle's lock-free write
 //! classification is compared with the plain runtime's on every tape,
-//! as its reads are.
+//! as its reads are. Copies (live onto live of the same class, in
+//! place, from a freed source, onto another class, onto a raw buffer)
+//! and trap sweeps (clean and after a corrupted canary) compare the
+//! handle's lock-free copy and sweep, and their mutex fallbacks, the
+//! same way.
 //!
 //! Each replay checks every op against a liveness-and-value model (use
 //! after free before class mismatch, out-of-range fields, interior
@@ -34,9 +38,10 @@
 //! claim cannot see it, succeeds, and the record is stranded when the
 //! owner drains the claim. The tape records both as "released" and
 //! drops the object. On a surface that stranded it, the property then
-//! checks that the stranded record still classifies as live, through
-//! the lock-free read and the locked metadata view alike, and takes
-//! that extra access out of the counter comparison.
+//! drains the claim (`quiesce`) and checks that the stranded record
+//! still classifies as live, through the lock-free read and the
+//! metadata view alike, and takes that extra access out of the counter
+//! comparison.
 //!
 //! The fresh-case budget comes from `POLAR_CHECK_CASES` (96 by default);
 //! `scripts/check.sh` runs it at a larger one in release mode.
@@ -135,6 +140,39 @@ enum Op {
     },
     /// Flip a canary byte with a raw write, then `olr_free`.
     CorruptThenFree {
+        obj: usize,
+    },
+    /// `olr_memcpy` of the object onto another live object of its class.
+    Memcpy {
+        obj: usize,
+        dst: usize,
+    },
+    /// `olr_memcpy` of the object onto itself.
+    InPlaceMemcpy {
+        obj: usize,
+    },
+    /// Free the object, then copy it onto another live object of its
+    /// class.
+    MemcpyFromFreed {
+        obj: usize,
+        dst: usize,
+    },
+    /// Copy a live small object onto a live wide one, which turns small.
+    MemcpyOntoOtherClass {
+        obj: usize,
+        dst: usize,
+    },
+    /// Copy the object onto a fresh raw buffer, which becomes a tape
+    /// object of its class.
+    MemcpyOntoRaw {
+        obj: usize,
+    },
+    /// Sweep the object's canaries.
+    CheckTraps {
+        obj: usize,
+    },
+    /// Flip a canary byte with a raw write, then sweep.
+    CorruptThenCheckTraps {
         obj: usize,
     },
 }
@@ -255,7 +293,8 @@ impl Surface for Handles<'_> {
         self.rt.object_meta(base)
     }
     fn check_stranded(&mut self, base: Addr, class: ClassHash) -> Result<u64, String> {
-        // The locked view drains the claim first, which strands it.
+        // Draining the claim strands it.
+        self.rt.quiesce();
         let meta = self.rt.object_meta(base).ok_or("a released object lost its record")?;
         match self.rt.publish_probe(base) {
             Some(SnapshotOutcome::Snap(s)) if s.state == PUB_STATE_STRANDED => {}
@@ -359,6 +398,92 @@ fn detections(s: &RuntimeStats, extra: u64) -> [u64; 8] {
     ]
 }
 
+/// Flip the low byte of the first canary of the object's plan with a
+/// raw write (the inverted byte: corrupt however often it is applied).
+/// Derived untrapped plans of the small class carry no canary, and the
+/// op changes nothing there; every other plan carries one.
+fn corrupt(s: &mut dyn Surface, config: &RuntimeConfig, o: &mut Obj) -> Result<(), String> {
+    let meta = s.meta(o.base).ok_or("a tape object lost its record")?;
+    let trap = meta.plan.dummies().iter().find_map(|d| Some((d.offset, d.canary?)));
+    let untrapped = config.layout == LayoutSource::DerivedUntrapped && o.class == 0;
+    match trap {
+        Some((offset, canary)) => {
+            let at = o.base.offset(u64::from(offset));
+            s.ctx(0).heap_write_uint(at, !canary & 0xFF, 1).map_err(|e| e.to_string())?;
+            o.corrupt = true;
+        }
+        None if untrapped => {}
+        None => return Err("a trapped plan lacks a canaried dummy".into()),
+    }
+    Ok(())
+}
+
+/// The steps of a copy op on source `i`, or `None` for any other op. A
+/// copy from a live source lands: the destination takes the source's
+/// class and values, and its canaries are re-seeded. A copy from a
+/// freed source is a use after free, or, with detections off, lands
+/// with the values the freed object kept. An op without a source or
+/// destination to land on is skipped.
+fn copy_op(
+    s: &mut dyn Surface,
+    op: &Op,
+    objs: &mut Vec<Obj>,
+    i: usize,
+    classes: &[Arc<ClassInfo>; 2],
+    detect: bool,
+) -> Result<Option<Vec<(Outcome, Outcome)>>, String> {
+    let live_of = |objs: &[Obj], class: usize, not: usize| -> Vec<usize> {
+        (0..objs.len()).filter(|&j| j != not && objs[j].is_live() && objs[j].class == class).collect()
+    };
+    let (src, dst) = match *op {
+        Op::Memcpy { dst, .. } | Op::MemcpyFromFreed { dst, .. } => {
+            let same = live_of(objs, objs[i].class, i);
+            match same.get(dst % same.len().max(1)) {
+                Some(&j) => (i, Some(j)),
+                None => return Ok(Some(vec![(Outcome::Skipped, Outcome::Skipped)])),
+            }
+        }
+        Op::InPlaceMemcpy { .. } => (i, Some(i)),
+        Op::MemcpyOntoOtherClass { obj, dst } => {
+            let (small, wide) = (live_of(objs, 0, usize::MAX), live_of(objs, 1, usize::MAX));
+            match (small.get(obj % small.len().max(1)), wide.get(dst % wide.len().max(1))) {
+                (Some(&a), Some(&b)) => (a, Some(b)),
+                _ => return Ok(Some(vec![(Outcome::Skipped, Outcome::Skipped)])),
+            }
+        }
+        Op::MemcpyOntoRaw { .. } => (i, None),
+        _ => return Ok(None),
+    };
+    if !objs[src].is_live() {
+        return Ok(Some(vec![(Outcome::Skipped, Outcome::Skipped)]));
+    }
+    let info = &classes[objs[src].class];
+    let mut steps = Vec::new();
+    if let Op::MemcpyFromFreed { .. } = op {
+        let o = &mut objs[src];
+        let got = outcome(s.ctx(0).olr_free(o.base), |()| Outcome::Done);
+        let want = expected_free(o, detect);
+        o.freed |= want == Outcome::Done;
+        steps.push((got, want));
+    }
+    let to = match dst {
+        Some(j) => objs[j].base,
+        None => s.ctx(0).heap_malloc(info.size() as usize + 64).map_err(|e| e.to_string())?,
+    };
+    let got = outcome(s.ctx(0).olr_memcpy(to, objs[src].base, info), |()| Outcome::Done);
+    let lands = !(objs[src].freed && detect);
+    steps.push((got, if lands { Outcome::Done } else { Outcome::Err("UseAfterFree") }));
+    if lands {
+        let (class, vals) = (objs[src].class, objs[src].vals.clone());
+        let copy = Obj { base: to, class, freed: false, raw_freed: false, corrupt: false, vals };
+        match dst {
+            Some(j) => objs[j] = copy,
+            None => objs.push(copy),
+        }
+    }
+    Ok(Some(steps))
+}
+
 /// Replay `tape` on `s`, built from `config`, checking each op against
 /// the model; returns the outcomes and the detection counters.
 fn replay(
@@ -405,7 +530,14 @@ fn replay(
             | Op::OutOfRange { obj, .. }
             | Op::OutOfRangeWrite { obj, .. }
             | Op::RawFreeThenFree { obj }
-            | Op::CorruptThenFree { obj } => obj,
+            | Op::CorruptThenFree { obj }
+            | Op::Memcpy { obj, .. }
+            | Op::InPlaceMemcpy { obj }
+            | Op::MemcpyFromFreed { obj, .. }
+            | Op::MemcpyOntoOtherClass { obj, .. }
+            | Op::MemcpyOntoRaw { obj }
+            | Op::CheckTraps { obj }
+            | Op::CorruptThenCheckTraps { obj } => obj,
         };
         if objs.is_empty() {
             out.push(Outcome::Skipped);
@@ -440,9 +572,27 @@ fn replay(
             o.freed |= want == Outcome::Done;
             (got, want)
         };
+        // A sweep reports the one canary a corruption flipped; it
+        // sweeps regardless of the detection switch.
+        let sweep = |s: &mut dyn Surface, o: &Obj| {
+            let got = outcome(s.ctx(0).check_traps(base), |r| Outcome::Value(r.len() as u64));
+            (got, Outcome::Value(u64::from(o.corrupt)))
+        };
+        if let Some(steps) = copy_op(s, op, &mut objs, i, &classes, detect)? {
+            for (got, want) in steps {
+                check(op, got, want)?;
+                out.push(got);
+            }
+            continue;
+        }
         let o = &mut objs[i];
         let steps: Vec<(Outcome, Outcome)> = match *op {
-            Op::Malloc { .. } => unreachable!(),
+            Op::Malloc { .. }
+            | Op::Memcpy { .. }
+            | Op::InPlaceMemcpy { .. }
+            | Op::MemcpyFromFreed { .. }
+            | Op::MemcpyOntoOtherClass { .. }
+            | Op::MemcpyOntoRaw { .. } => unreachable!(),
             Op::Free { .. } => vec![free(s, o)],
             Op::DoubleFree { .. } | Op::UafRead { .. } | Op::UafWrite { .. } => {
                 let first = free(s, o);
@@ -500,25 +650,13 @@ fn replay(
                 steps
             }
             Op::CorruptThenFree { .. } => {
-                let meta = s.meta(base).ok_or("a tape object lost its record")?;
-                let trap = meta.plan.dummies().iter().find_map(|d| Some((d.offset, d.canary?)));
-                // Derived untrapped plans carry no canary: the op is a
-                // plain free there. Every other plan carries one.
-                let untrapped = config.layout == LayoutSource::DerivedUntrapped && o.class == 0;
-                match trap {
-                    Some((offset, canary)) => {
-                        // The inverted low byte: corrupt however often it
-                        // is applied.
-                        let at = base.offset(u64::from(offset));
-                        s.ctx(0)
-                            .heap_write_uint(at, !canary & 0xFF, 1)
-                            .map_err(|e| e.to_string())?;
-                        o.corrupt = true;
-                    }
-                    None if untrapped => {}
-                    None => return Err("a trapped plan lacks a canaried dummy".into()),
-                }
+                corrupt(s, config, o)?;
                 vec![free(s, o)]
+            }
+            Op::CheckTraps { .. } => vec![sweep(s, o)],
+            Op::CorruptThenCheckTraps { .. } => {
+                corrupt(s, config, o)?;
+                vec![sweep(s, o)]
             }
         };
         for (got, want) in steps {
@@ -581,10 +719,12 @@ fn every_surface_classifies_detections_identically() {
     let field = 0usize..16;
     let malloc = || any::<bool>().prop_map(|pooled| Op::Malloc { pooled });
     let value = || 0u64..0x7FFF_FFFF;
-    // Allocations are listed five times among 19 options, so a tape
+    // Allocations are listed seven times among 28 options, so a tape
     // keeps objects live for the object ops to land on.
     let op =
         one_of![
+            malloc(),
+            malloc(),
             malloc(),
             malloc(),
             malloc(),
@@ -612,7 +752,15 @@ fn every_surface_classifies_detections_identically() {
             (obj.clone(), 0usize..4, value())
                 .prop_map(|(obj, past, value)| Op::OutOfRangeWrite { obj, past, value }),
             obj.clone().prop_map(|obj| Op::RawFreeThenFree { obj }),
-            obj.prop_map(|obj| Op::CorruptThenFree { obj }),
+            obj.clone().prop_map(|obj| Op::CorruptThenFree { obj }),
+            (obj.clone(), obj.clone()).prop_map(|(obj, dst)| Op::Memcpy { obj, dst }),
+            obj.clone().prop_map(|obj| Op::InPlaceMemcpy { obj }),
+            (obj.clone(), obj.clone()).prop_map(|(obj, dst)| Op::MemcpyFromFreed { obj, dst }),
+            (obj.clone(), obj.clone())
+                .prop_map(|(obj, dst)| Op::MemcpyOntoOtherClass { obj, dst }),
+            obj.clone().prop_map(|obj| Op::MemcpyOntoRaw { obj }),
+            obj.clone().prop_map(|obj| Op::CheckTraps { obj }),
+            obj.prop_map(|obj| Op::CorruptThenCheckTraps { obj }),
         ];
     let case = (0..LAYOUTS.len(), any::<bool>(), any::<bool>(), vec_of(op, 0..64));
     // Cases from POLAR_CHECK_CASES, seed fixed so a failure replays.

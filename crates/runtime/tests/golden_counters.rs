@@ -478,6 +478,7 @@ const GOLDEN_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
     pool_refills: 7,
     lockfree_reads: 0,
     lockfree_writes: 0,
+    lockfree_copies: 0,
     lockfree_fallbacks: 0,
     magazine_hits: 0,
     magazine_refills: 0,
@@ -510,7 +511,8 @@ const GOLDEN_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
     pool_refills: 9,
     lockfree_reads: 298,
     lockfree_writes: 126,
-    lockfree_fallbacks: 0,
+    lockfree_copies: 0,
+    lockfree_fallbacks: 29,
     magazine_hits: 100,
     magazine_refills: 4,
     magazine_returns: 24,
@@ -542,7 +544,8 @@ const GOLDEN_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     pool_refills: 9,
     lockfree_reads: 298,
     lockfree_writes: 126,
-    lockfree_fallbacks: 0,
+    lockfree_copies: 0,
+    lockfree_fallbacks: 29,
     magazine_hits: 0,
     magazine_refills: 0,
     magazine_returns: 0,
@@ -574,7 +577,8 @@ const GOLDEN_TWO_HANDLES: RuntimeStats = RuntimeStats {
     pool_refills: 14,
     lockfree_reads: 298,
     lockfree_writes: 126,
-    lockfree_fallbacks: 0,
+    lockfree_copies: 0,
+    lockfree_fallbacks: 29,
     magazine_hits: 99,
     magazine_refills: 5,
     magazine_returns: 56,
@@ -802,7 +806,11 @@ fn reuse_handle(magazines: bool) -> (ReuseReport, RuntimeStats) {
     let rt = ShardedRuntime::new(mode(), reuse_config(magazines), 1);
     let report = {
         let mut h = rt.handle(0);
+        // The view after the owner has drained every claim: a stranded
+        // record (a claimed object whose block was already released
+        // raw) reads live only once its claim is drained.
         replay_reuse(&mut h, |h, a| {
+            h.runtime().quiesce();
             h.runtime().object_meta(a).map(|m| (m.state, m.generation, m.plan.plan_hash().0))
         })
     };
@@ -882,6 +890,7 @@ const GOLDEN_REUSE_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
     pool_refills: 6,
     lockfree_reads: 0,
     lockfree_writes: 0,
+    lockfree_copies: 0,
     lockfree_fallbacks: 0,
     magazine_hits: 0,
     magazine_refills: 0,
@@ -914,7 +923,8 @@ const GOLDEN_REUSE_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
     pool_refills: 9,
     lockfree_reads: 213,
     lockfree_writes: 107,
-    lockfree_fallbacks: 0,
+    lockfree_copies: 18,
+    lockfree_fallbacks: 30,
     magazine_hits: 101,
     magazine_refills: 5,
     magazine_returns: 54,
@@ -946,7 +956,8 @@ const GOLDEN_REUSE_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     pool_refills: 8,
     lockfree_reads: 213,
     lockfree_writes: 107,
-    lockfree_fallbacks: 0,
+    lockfree_copies: 22,
+    lockfree_fallbacks: 26,
     magazine_hits: 0,
     magazine_refills: 0,
     magazine_returns: 0,

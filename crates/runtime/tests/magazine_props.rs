@@ -158,6 +158,7 @@ fn replay(ops: &[Op], batch: usize) -> Result<(), String> {
     }
 
     h.flush_stats();
+    rt.quiesce();
     let stats = rt.stats();
     if stats.allocations != mallocs || stats.frees != frees {
         return Err(format!(

@@ -131,6 +131,26 @@ impl HeapPublisher {
         self.arena.write_uint(local as usize, width, value)
     }
 
+    /// Lock-free load of bytes `[addr, addr + len)` from the shared
+    /// arena, appended to `out`; `None`, appending nothing, when the
+    /// range is uncommitted. Validate with [`SlotRecords::recheck`]
+    /// before trusting the bytes.
+    #[inline]
+    pub fn read_bytes(&self, addr: u64, len: usize, out: &mut Vec<u8>) -> Option<()> {
+        let local = addr.checked_sub(self.units.arena_base)?;
+        self.arena.read_checked(local as usize, len, out)
+    }
+
+    /// Lock-free store of `bytes` at `addr` in the shared arena; `None`,
+    /// storing nothing, when the range is uncommitted. The caller holds
+    /// the covering slot's writer window, as for
+    /// [`HeapPublisher::write_uint`].
+    #[inline]
+    pub fn write_bytes(&self, addr: u64, bytes: &[u8]) -> Option<()> {
+        let local = addr.checked_sub(self.units.arena_base)?;
+        self.arena.write_checked(local as usize, bytes)
+    }
+
     /// Bytes held by the heap's unit index (committed chunks plus the
     /// chunk directory). Records are counted with their table; arena
     /// bytes are program data, not metadata.

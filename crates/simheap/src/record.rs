@@ -26,11 +26,13 @@
 //!     [`SlotRecords::open`], which waits for an even sequence (a
 //!     lock-free writer's window is a few stores; past a bounded spin
 //!     it yields, since that writer may be descheduled);
-//!   - a lock-free field writer opens with [`SlotRecords::try_open_at`]
-//!     only at the exact even sequence its snapshot was taken at, so a
-//!     won CAS also proves the classification it made on that snapshot
-//!     is still current. It stores payload bytes only, never record
-//!     words. A lost CAS opens nothing; the writer retries.
+//!   - a lock-free writer opens with [`SlotRecords::try_open_at`] only
+//!     at the exact even sequence its snapshot was taken at, so a won
+//!     CAS also proves the classification it made on that snapshot is
+//!     still current. A field store or copy writes payload bytes (and a
+//!     copy re-records the object, [`SlotRecords::rearm`]); a free
+//!     claim ([`SlotRecords::claim_free`]) flips the lifecycle word. A
+//!     lost CAS opens nothing; the writer retries.
 //! * A reader ([`SlotRecords::try_snapshot_slot`]) loads the sequence
 //!   with `Acquire`, rejects odd values, copies the data words relaxed,
 //!   issues an `Acquire` fence and re-loads the sequence: an unchanged
@@ -42,17 +44,23 @@
 //! Object payload bytes are also read outside any window (a lock-free
 //! field load); those loads are validated by re-checking the record's
 //! sequence *after* the byte load ([`SlotRecords::recheck`]), so a torn
-//! value is never returned. The one mutation outside any window is the
-//! lock-free free claim ([`SlotRecords::claim_free`]), a single-word
-//! flip that advances the sequence by a whole window (+2), so it keeps
-//! the parity of an open window and never blocks on one. An
-//! unpublished heap has no concurrent readers, and its owner skips the
-//! windows.
+//! value is never returned. The one record mutation outside any window
+//! is the owner's drain clearing a claim's pending flag
+//! ([`SlotRecords::mark_drained`]), which only clears one bit no other
+//! writer sets while it is set. An unpublished heap has no concurrent
+//! readers, and its owner skips the windows.
+//!
+//! A claimed slot carries the pending flag from its claim until the
+//! drain that takes it off the owner's remote-free stack: a claim needs
+//! a live record *without* the flag, and every owner write of the
+//! lifecycle word keeps it. So a slot is on the stack at most once,
+//! even when the owner re-records a claimed object before its drain (a
+//! racing copy onto it).
 //!
 //! The table grows in [`Segments`], so a record's address is stable and
 //! every slot id the heap hands out has a record: none is ever dropped.
 
-use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64};
 use std::thread::yield_now;
 
@@ -74,9 +82,12 @@ pub const PUB_STATE_FREED: u32 = 2;
 pub const PUB_STATE_STRANDED: u32 = 3;
 
 /// Shift of the metadata generation inside a packed `life` word.
-const LIFE_GEN_SHIFT: u32 = 2;
+const LIFE_GEN_SHIFT: u32 = 3;
 /// Mask of the lifecycle state inside a packed `life` word.
 const LIFE_STATE_MASK: u64 = 0b11;
+/// Pending-drain flag of a packed `life` word: set by a free claim,
+/// cleared by the drain that takes the slot off the remote-free stack.
+const LIFE_PENDING: u64 = 0b100;
 /// Offset-cache warm flag: the top bit of the `record_gen` word.
 const WARM: u32 = 1 << 31;
 /// Heap-level Freed flag: bit 0 of the `block` word.
@@ -88,10 +99,10 @@ pub(crate) const MAX_SPAN_UNITS: usize = (u32::MAX >> 1) as usize;
 const OPEN_SPINS: u32 = 64;
 
 /// Pack a metadata generation and a `PUB_STATE_*` state into one `life`
-/// word. Keeping both in a single atomic is what makes the lock-free
-/// free claim ([`SlotRecords::claim_free`]) ABA-safe: the CAS can only
-/// succeed against the exact `(generation, Live)` pair the caller
-/// validated, and generations are strictly monotonic per slot, so a
+/// word, its pending flag clear. Keeping both in a single atomic is what
+/// makes the lock-free free claim ([`SlotRecords::claim_free`])
+/// ABA-safe: it can only succeed against the exact `(generation, Live)`
+/// pair the caller validated, and generations are strictly monotonic per slot, so a
 /// recycled slot can never satisfy a stale claim.
 #[inline]
 fn pack_life(meta_gen: u64, state: u32) -> u64 {
@@ -110,11 +121,12 @@ pub struct SlotRecord {
     /// Heap allocation generation: bumped each time the heap hands the
     /// block out again.
     heap_gen: AtomicU64,
-    /// Packed lifecycle word: `meta_gen << 2 | state` (see
-    /// [`pack_life`]). `meta_gen` is the heap generation the object was
-    /// recorded under: a current record requires `meta_gen == heap_gen`,
-    /// so recycling the block through the raw heap path (which bumps
-    /// `heap_gen` only) orphans the record without touching it.
+    /// Packed lifecycle word: `meta_gen << 3 | pending << 2 | state`
+    /// (see [`pack_life`] and [`LIFE_PENDING`]). `meta_gen` is the heap
+    /// generation the object was recorded under: a current record
+    /// requires `meta_gen == heap_gen`, so recycling the block through
+    /// the raw heap path (which bumps `heap_gen` only) orphans the record
+    /// without touching it.
     life: AtomicU64,
     /// Class hash of the recorded object.
     class_hash: AtomicU64,
@@ -143,10 +155,10 @@ pub struct SlotRecord {
 impl SlotRecord {
     /// The record's state (`PUB_STATE_*`) if an object is recorded
     /// under the block's current allocation generation; `None` when
-    /// nothing was ever recorded or the record is stale. The owner's
-    /// reads need no seqlock validation: every writer window on the
-    /// record is its own, and a concurrent lock-free claim only flips
-    /// the single `life` word.
+    /// nothing was ever recorded or the record is stale. The owner reads
+    /// it while holding its lock, which serializes every other writer
+    /// of the words it reads but a lock-free claim, and a claim changes
+    /// the one `life` word.
     #[inline]
     pub fn current_state(&self) -> Option<u32> {
         let life = self.life.load(Relaxed);
@@ -352,8 +364,6 @@ impl SlotRecords {
 
     /// Close a writer window opened with the returned token.
     pub fn close(&self, slot: u32, token: u64) {
-        // An add, not a store: a concurrent claim's +2 must survive the
-        // close (open +1, claims +2k, close +1 — even again).
         let prev = self.records.ensure(slot).seq.fetch_add(1, Release);
         debug_assert!(prev & 1 == 1 && prev > token, "close pairs with an open");
     }
@@ -365,8 +375,9 @@ impl SlotRecords {
     }
 
     /// Record a live object on `slot` under heap generation `meta_gen`,
-    /// clearing its warm flag. Returns the slot's new record generation.
-    /// Window-required.
+    /// clearing its warm flag and keeping a pending claim's flag (the
+    /// slot stays on the remote-free stack until drained). Returns the
+    /// slot's new record generation. Window-required.
     pub fn record(
         &self,
         slot: u32,
@@ -379,8 +390,34 @@ impl SlotRecords {
         r.class_hash.store(class_hash, Relaxed);
         r.plan_hash.store(plan_hash, Relaxed);
         r.plan_id.store(plan_id, Relaxed);
-        r.life.store(pack_life(meta_gen, PUB_STATE_LIVE), Relaxed);
+        let pending = r.life.load(Relaxed) & LIFE_PENDING;
+        r.life.store(pack_life(meta_gen, PUB_STATE_LIVE) | pending, Relaxed);
         // Count one more record and clear the warm flag in one store.
+        let record_gen = r.record_gen.load(Relaxed).wrapping_add(1) & !WARM;
+        r.record_gen.store(record_gen, Relaxed);
+        record_gen
+    }
+
+    /// Record once more the object already recorded on `slot`, keeping
+    /// its class and plan: what [`SlotRecords::record`] does when it
+    /// writes the words the record already holds. It counts one more
+    /// record, clears the warm flag, and turns a [`PUB_STATE_STRANDED`]
+    /// record live. Returns the slot's new record generation.
+    /// Window-required; a lock-free writer may call it in the window it
+    /// opened with [`SlotRecords::try_open_at`].
+    pub fn rearm(&self, slot: u32) -> u32 {
+        let r = self.records.ensure(slot);
+        let life = r.life.load(Relaxed);
+        if life & LIFE_STATE_MASK == u64::from(PUB_STATE_STRANDED) {
+            // A CAS, not a store: a lock-free writer's window does not
+            // exclude the owner's drain, which may clear the pending
+            // flag meanwhile (the record then stays stranded, which
+            // classifies as live all the same).
+            let live = (life & !LIFE_STATE_MASK) | u64::from(PUB_STATE_LIVE);
+            let _ = r.life.compare_exchange(life, live, Relaxed, Relaxed);
+        }
+        // A record generation is the owner's or the window holder's;
+        // the warm flag is the only bit a reader sets meanwhile.
         let record_gen = r.record_gen.load(Relaxed).wrapping_add(1) & !WARM;
         r.record_gen.store(record_gen, Relaxed);
         record_gen
@@ -406,38 +443,55 @@ impl SlotRecords {
         r.record_gen.fetch_and(!WARM, Relaxed);
     }
 
-    /// Lock-free free claim: atomically retire `(meta_gen, Live)` to
-    /// `(meta_gen, Freed)`. This is the one record mutation legal
-    /// *outside* a writer window and *without* the owner's lock: the
-    /// state flip touches only the packed `life` word (readers load that
-    /// word atomically, so no torn view is possible), the sequence then
-    /// advances by a full window so optimistic readers re-validate, and
-    /// the generation baked into the compare makes the claim ABA-safe —
-    /// a slot freed and re-recorded in between carries a higher
-    /// generation and the CAS fails. Returns `true` when this caller won
-    /// the claim; `false` means the object is already freed, was never
-    /// recorded at this generation, or a racing claim got there first —
-    /// the caller must fall back to the locked path, which diagnoses it.
+    /// Lock-free free claim, without the owner's lock: retire
+    /// `(meta_gen, Live)` to `(meta_gen, Freed)`, flagged pending, in a
+    /// window opened at `seq`, the even sequence of the snapshot the
+    /// free was checked on ([`SlotRecords::try_open_at`]). The window
+    /// excludes every other writer, so no owner write of the record can
+    /// overwrite the claim, and it makes optimistic readers retry and
+    /// re-classify the object. The generation in the compare makes the
+    /// claim ABA-safe: a slot freed and re-recorded since carries a
+    /// higher generation. Returns `true` when this caller won the claim
+    /// and must push the slot onto the owner's remote-free stack.
+    /// `false` with the sequence still at `seq` means the record is not
+    /// a live object at `meta_gen` or its previous claim is still
+    /// pending, which the owner's locked path diagnoses; otherwise the
+    /// record changed since the snapshot.
     ///
     /// A successful claim only marks the object logically dead. The
     /// heap-side release (poisoning, quarantine, free-list push) still
     /// happens under the owner's lock when the remote-free stack is
     /// drained, so the block's storage stays intact until then.
     #[inline]
-    pub fn claim_free(&self, slot: u32, meta_gen: u64) -> bool {
+    pub fn claim_free(&self, slot: u32, seq: u64, meta_gen: u64) -> bool {
         let Some(r) = self.get(slot) else { return false };
-        let live = pack_life(meta_gen, PUB_STATE_LIVE);
-        let freed = pack_life(meta_gen, PUB_STATE_FREED);
-        if r.life.compare_exchange(live, freed, AcqRel, Relaxed).is_err() {
+        if r.life.load(Relaxed) != pack_life(meta_gen, PUB_STATE_LIVE)
+            || !self.try_open_at(slot, seq)
+        {
             return false;
         }
+        // Unchanged since the snapshot: only windows write this word,
+        // and the drain only clears a pending flag this one lacked.
+        r.life.store(pack_life(meta_gen, PUB_STATE_FREED) | LIFE_PENDING, Relaxed);
         r.record_gen.fetch_and(!WARM, Relaxed);
-        // Advance the seqlock by a full window (+2, parity kept) so
-        // in-flight optimistic readers retry and re-classify the object;
-        // the state flip itself is a single word, so no odd intermediate
-        // is needed.
-        r.seq.fetch_add(2, Release);
+        self.close(slot, seq);
         true
+    }
+
+    /// Clear `slot`'s pending-claim flag: the owner's drain calls this
+    /// once it has taken the slot off the remote-free stack and read its
+    /// link, so a later claim may push it again. Owner-only, under its
+    /// lock; needs no window (see the module docs).
+    pub fn mark_drained(&self, slot: u32) {
+        if let Some(r) = self.get(slot) {
+            // A load and a store, not a read-modify-write: no claim
+            // writes the word while the flag is set, and the one other
+            // writer outside the lock, a lock-free copy's `rearm`, only
+            // turns a stranded record live, which this store may undo;
+            // a stranded record classifies as live all the same.
+            let life = r.life.load(Relaxed);
+            r.life.store(life & !LIFE_PENDING, Relaxed);
+        }
     }
 
     /// Set the remote-free stack link of `slot`: `next_plus1` is the
@@ -560,13 +614,15 @@ mod tests {
         t.close(0, s.seq);
         assert!(!t.try_open_at(0, s.seq), "a stale snapshot is refused");
         assert!(t.try_open_at(0, snap(&t, 0).seq));
-        // A claim inside a lock-free window keeps it open and odd.
+        // A claim is a window too: refused while another writer holds
+        // one, and a whole window (+2) once it lands.
         t.record(0, 1, 2, 0, 1);
-        assert!(t.claim_free(0, 1));
-        assert!(matches!(t.try_snapshot_slot(0), SnapshotOutcome::Unstable));
+        assert!(!t.claim_free(0, s.seq + 2, 1), "no claim inside an open window");
         t.close(0, s.seq + 2);
-        assert_eq!(snap(&t, 0).state, PUB_STATE_FREED);
-        assert!(!t.try_open_at(0, s.seq + 2), "the claim advanced the sequence");
+        let s = snap(&t, 0);
+        assert!(t.claim_free(0, s.seq, 1));
+        let after = snap(&t, 0);
+        assert_eq!((after.state, after.seq), (PUB_STATE_FREED, s.seq + 2));
         assert!(!t.try_open_at(1 << 20, 0), "an uncommitted slot opens nothing");
     }
 
@@ -612,17 +668,30 @@ mod tests {
         let t = SlotRecords::default();
         t.ensure(0).set_block(fresh(16));
         t.record(0, 1, 2, 0, 3);
-        assert!(!t.claim_free(0, 2), "stale generation must not claim");
-        assert!(!t.claim_free(0, 4), "future generation must not claim");
-        assert!(t.claim_free(0, 3), "exact live generation claims");
-        assert!(!t.claim_free(0, 3), "double claim must lose");
+        let seq = snap(&t, 0).seq;
+        assert!(!t.claim_free(0, seq, 2), "stale generation must not claim");
+        assert!(!t.claim_free(0, seq, 4), "future generation must not claim");
+        assert!(!t.claim_free(0, seq + 2, 3), "another snapshot's sequence must not claim");
+        assert!(t.claim_free(0, seq, 3), "exact live generation claims");
+        assert!(!t.claim_free(0, seq + 2, 3), "double claim must lose");
         let s = snap(&t, 0);
         assert_eq!((s.state, s.meta_gen), (PUB_STATE_FREED, 3), "claim keeps the generation");
+        // The owner's writes keep the claim pending until its drain, so
+        // a re-recorded claimed slot is not claimed (and pushed) twice.
+        t.record(0, 1, 2, 0, 3);
+        assert_eq!(snap(&t, 0).state, PUB_STATE_LIVE);
+        assert!(!t.claim_free(0, snap(&t, 0).seq, 3), "a pending slot must not claim");
+        t.retire(0);
+        t.record(0, 1, 2, 0, 3);
+        assert!(!t.claim_free(0, snap(&t, 0).seq, 3), "owner writes keep the flag");
+        t.mark_drained(0);
+        assert!(t.claim_free(0, snap(&t, 0).seq, 3), "a drained slot claims again");
+        t.mark_drained(0);
         // Re-recording under a new generation revives the slot and the
         // old claim key stays dead.
         t.record(0, 1, 2, 0, 4);
-        assert!(!t.claim_free(0, 3), "recycled slot must reject the stale claim");
-        assert!(t.claim_free(0, 4));
+        assert!(!t.claim_free(0, snap(&t, 0).seq, 3), "recycled slot must reject the stale claim");
+        assert!(t.claim_free(0, snap(&t, 0).seq, 4));
     }
 
     #[test]
@@ -652,17 +721,54 @@ mod tests {
     }
 
     #[test]
+    fn rearm_counts_a_record_and_never_revives_a_claimed_object() {
+        let t = SlotRecords::default();
+        t.ensure(0).set_block(fresh(64));
+        let win = t.open(0);
+        t.record(0, 0xC1A55, 0x91A4, 7, 1);
+        t.close(0, win);
+        t.get(0).unwrap().warm_probe();
+        let before = snap(&t, 0);
+        assert!(before.warmed);
+        let win = t.open(0);
+        assert_eq!(t.rearm(0), 2);
+        t.close(0, win);
+        let after = snap(&t, 0);
+        let kept = (after.state, after.class_hash, after.plan_id);
+        assert_eq!(kept, (PUB_STATE_LIVE, 0xC1A55, Some(7)));
+        assert!(!after.warmed, "a rearmed record is cold");
+        assert_eq!(after.seq, before.seq + 2);
+        // No claim lands inside the window; a claimed record stays freed.
+        let s = snap(&t, 0);
+        let win = t.open(0);
+        assert!(!t.claim_free(0, s.seq, 1), "no claim inside an open window");
+        t.close(0, win);
+        assert!(t.claim_free(0, snap(&t, 0).seq, 1));
+        let win = t.open(0);
+        assert_eq!(t.rearm(0), 3);
+        t.close(0, win);
+        assert_eq!(snap(&t, 0).state, PUB_STATE_FREED);
+        // A stranded record reads live again.
+        let win = t.open(0);
+        t.strand(0);
+        assert_eq!(t.rearm(0), 4);
+        t.close(0, win);
+        assert_eq!(snap(&t, 0).state, PUB_STATE_LIVE);
+    }
+
+    #[test]
     fn only_a_freed_record_strands() {
         let t = SlotRecords::default();
         t.ensure(0).set_block(fresh(16));
         t.record(0, 1, 2, 0, 1);
         t.strand(0);
         assert_eq!(snap(&t, 0).state, PUB_STATE_LIVE, "a live record is left alone");
-        assert!(t.claim_free(0, 1));
+        assert!(t.claim_free(0, snap(&t, 0).seq, 1));
         t.strand(0);
+        t.mark_drained(0);
         let s = snap(&t, 0);
         assert_eq!((s.state, s.meta_gen), (PUB_STATE_STRANDED, 1));
         assert_eq!(t.get(0).unwrap().current_state(), Some(PUB_STATE_STRANDED));
-        assert!(!t.claim_free(0, 1), "a stranded record is not claimable");
+        assert!(!t.claim_free(0, s.seq, 1), "a stranded record is not claimable");
     }
 }

@@ -138,10 +138,30 @@ impl SharedArena {
     #[inline]
     pub(crate) fn write_uint(&self, start: usize, width: usize, value: u64) -> Option<()> {
         debug_assert!(matches!(width, 1 | 2 | 4 | 8));
-        // Chunks commit in order, so the last word decides.
-        self.word((start + width - 1) / 8)?;
-        self.write(start, &value.to_le_bytes()[..width]);
-        Some(())
+        self.write_checked(start, &value.to_le_bytes()[..width])
+    }
+
+    /// Whether bytes `[start, start + len)` are committed. Chunks commit
+    /// in order, so the last word decides.
+    #[inline]
+    fn committed(&self, start: usize, len: usize) -> bool {
+        len == 0 || self.word((start + len - 1) / 8).is_some()
+    }
+
+    /// [`SharedArena::write`] for a caller that has not bounds-checked
+    /// the range (a lock-free writer): `None`, storing nothing, when
+    /// the range touches an uncommitted chunk.
+    #[inline]
+    pub(crate) fn write_checked(&self, start: usize, bytes: &[u8]) -> Option<()> {
+        self.committed(start, bytes.len()).then(|| self.write(start, bytes))
+    }
+
+    /// [`SharedArena::read_into`] for a caller that has not
+    /// bounds-checked the range (a lock-free reader): `None`, appending
+    /// nothing, when the range touches an uncommitted chunk.
+    #[inline]
+    pub(crate) fn read_checked(&self, start: usize, len: usize, out: &mut Vec<u8>) -> Option<()> {
+        self.committed(start, len).then(|| self.read_into(start, len, out))
     }
 
     /// Writer-side fill, with [`SharedArena::write`]'s per-word stores.
@@ -255,6 +275,21 @@ mod tests {
         assert_eq!(a.read_uint(CHUNK_BYTES - 8, 8), Some(7));
         assert_eq!(a.write_uint(CHUNK_BYTES - 4, 8, 9), None, "straddles into the next chunk");
         assert_eq!(a.read_uint(CHUNK_BYTES - 8, 8), Some(7), "a refused store stores nothing");
+    }
+
+    #[test]
+    fn checked_byte_access_refuses_uncommitted_ranges() {
+        let a = SharedArena::new(4 << 20);
+        a.grow_to(CHUNK_BYTES);
+        assert_eq!(a.write_checked(CHUNK_BYTES - 5, b"hello"), Some(()));
+        let mut out = Vec::new();
+        assert_eq!(a.read_checked(CHUNK_BYTES - 5, 5, &mut out), Some(()));
+        assert_eq!(out, b"hello");
+        assert_eq!(a.write_checked(CHUNK_BYTES - 2, b"xyz"), None, "straddles the next chunk");
+        assert_eq!(a.read_checked(CHUNK_BYTES - 2, 3, &mut out), None);
+        assert_eq!(out, b"hello", "a refused read appends nothing");
+        assert_eq!(a.read_checked(CHUNK_BYTES - 5, 5, &mut Vec::new()), Some(()));
+        assert_eq!(a.write_checked(2 * CHUNK_BYTES, b""), Some(()), "an empty range is in range");
     }
 
     #[test]

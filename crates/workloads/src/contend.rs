@@ -67,11 +67,12 @@ pub struct ContendReport {
 }
 
 impl ContendReport {
-    /// Fraction of field reads and writes served without taking a
-    /// shard mutex, in `[0, 1]`; `None` when none was issued.
+    /// Fraction of handle field reads, writes and copies served without
+    /// taking a shard mutex, in `[0, 1]`; `None` when none was issued.
     pub fn lockfree_share(&self) -> Option<f64> {
-        let lockfree = self.stats.lockfree_reads + self.stats.lockfree_writes;
-        let attempts = lockfree + self.stats.lockfree_fallbacks;
+        let s = &self.stats;
+        let lockfree = s.lockfree_reads + s.lockfree_writes + s.lockfree_copies;
+        let attempts = lockfree + s.lockfree_fallbacks;
         if attempts == 0 {
             None
         } else {
@@ -206,14 +207,15 @@ mod tests {
         assert_eq!(report.reads + report.writes, 8_000 + setup);
         assert_eq!(report.stats.total_detections(), 0);
         // Exactly one counter bump per handle access: the lock-free
-        // reads, the lock-free writes and the mutex fallbacks partition
-        // the reads and writes.
+        // reads, writes and copies and the mutex fallbacks partition
+        // the reads, writes and copies (this workload issues none).
         assert_eq!(
             report.stats.lockfree_reads
                 + report.stats.lockfree_writes
+                + report.stats.lockfree_copies
                 + report.stats.lockfree_fallbacks,
-            report.reads + report.writes,
-            "every access resolves as exactly one lock-free read, write or fallback"
+            report.reads + report.writes + report.stats.memcpys,
+            "every access resolves as exactly one lock-free read, write, copy or fallback"
         );
         assert!(report.lockfree_share().is_some());
     }
