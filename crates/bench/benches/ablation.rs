@@ -4,7 +4,7 @@
 use polar_bench::micro::{BenchmarkId, Criterion};
 use polar_bench::{bench_group, bench_main};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
-use polar_layout::{LayoutEngine, PlanInterner, RandomizationPolicy};
+use polar_layout::{CanaryKey, LayoutEngine, PlanInterner, RandomizationPolicy};
 use polar_rng::rngs::StdRng;
 use polar_rng::SeedableRng;
 
@@ -41,7 +41,7 @@ fn bench_interning(c: &mut Criterion) {
     let engine = LayoutEngine::new(RandomizationPolicy::permute_only());
     c.bench_function("plan_intern", |b| {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey::from_seed(2));
         b.iter(|| interner.intern(engine.generate(&info, &mut rng)));
     });
 }

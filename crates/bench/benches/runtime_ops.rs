@@ -4,13 +4,14 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use polar_bench::micro::Criterion;
 use polar_bench::{bench_group, bench_main};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
 use polar_layout::{
-    pack_perm, stateless_perm, stateless_plan_from_code, DerivedLayout, EpochKey, LayoutEngine,
-    PlanInterner, RandomizationPolicy, RoundKeys,
+    pack_perm, stateless_perm, stateless_plan_from_code, CanaryKey, DerivedLayout, EpochKey,
+    LayoutEngine, PlanInterner, RandomizationPolicy, RoundKeys,
 };
 use polar_rng::{rngs::StdRng, SeedableRng};
 use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime};
@@ -208,13 +209,14 @@ fn wide(n: usize) -> ClassInfo {
 fn bench_plan_resolve(c: &mut Criterion) {
     const LAYOUTS: usize = 64;
     let key = EpochKey(0x5EED);
+    let traps = Some(CanaryKey::from_seed(0x5EED));
     let (seven, twelve) = (wide(7), wide(12));
     let codes: Vec<u32> =
         (0..LAYOUTS as u64).map(|g| pack_perm(&stateless_perm(key, g, 3, 7))).collect();
-    let mut interner = PlanInterner::new();
+    let mut interner = PlanInterner::new(CanaryKey::from_seed(0x5EED));
     let ids7: Vec<u32> = codes
         .iter()
-        .map(|&code| interner.intern_id(stateless_plan_from_code(&seven, key, code, true)).0)
+        .map(|&code| interner.intern_id(stateless_plan_from_code(&seven, key, code, traps)).0)
         .collect();
     let engine = LayoutEngine::new(RandomizationPolicy::default());
     let mut rng = StdRng::seed_from_u64(12);
@@ -227,7 +229,7 @@ fn bench_plan_resolve(c: &mut Criterion) {
     group.bench_function("derive_from_code_7f", |b| {
         b.iter(|| {
             i = (i + 1) % LAYOUTS;
-            stateless_plan_from_code(&seven, key, black_box(codes[i]), true).access(3)
+            stateless_plan_from_code(&seven, key, black_box(codes[i]), traps).access(3)
         })
     });
     group.bench_function("resolve_interned_id_7f", |b| {
@@ -265,26 +267,28 @@ fn bench_plan_resolve(c: &mut Criterion) {
 fn bench_stateless_resolve(c: &mut Criterion) {
     const CODES: usize = 1024;
     let key = EpochKey(0x5EED);
+    let traps = Some(CanaryKey::from_seed(0x5EED));
     let seven = wide(7);
     let codes: Vec<u32> =
         (0..CODES as u64).map(|g| pack_perm(&stateless_perm(key, g, 3, 7))).collect();
-    let mut interner = PlanInterner::new();
+    let mut interner = PlanInterner::new(CanaryKey::from_seed(0x5EED));
     for &code in &codes {
-        interner.intern_id(stateless_plan_from_code(&seven, key, code, true));
+        interner.intern_id(stateless_plan_from_code(&seven, key, code, traps));
     }
     let mut group = c.benchmark_group("stateless_resolve_7f");
     let mut i = 0usize;
     group.bench_function("probe", |b| {
         b.iter(|| {
             i = (i + 1) % CODES;
-            let shape = DerivedLayout::derive(&seven, key, black_box(codes[i]), true);
+            let shape = DerivedLayout::derive(&seven, key, black_box(codes[i]), traps);
             interner.probe(shape.plan_hash())
         })
     });
     group.bench_function("build_and_intern", |b| {
         b.iter(|| {
             i = (i + 1) % CODES;
-            interner.intern_id(stateless_plan_from_code(&seven, key, black_box(codes[i]), true)).0
+            let plan = stateless_plan_from_code(&seven, key, black_box(codes[i]), traps);
+            interner.intern_id(plan).0
         })
     });
     group.finish();
@@ -319,6 +323,38 @@ fn bench_magazine_refill(c: &mut Criterion) {
             cycle();
         }
         group.bench_function(format!("magazine_refill_{n}f"), |b| b.iter(&mut cycle));
+    }
+    // The same refill split in two: `drain_{n}f` is `quiesce()` draining
+    // the 32 frees, `reserve_{n}f` the pop that then finds the magazine
+    // empty and refills with nothing left to drain (the shard lock and
+    // 32 reservations). The two stages alternate in every cycle, so a
+    // change to either reads against the other in the same host state.
+    for n in [4usize, 7, 12] {
+        let info = Arc::new(wide(n));
+        let rt = &rt;
+        let mut h = rt.handle(0);
+        let mut objs = Vec::with_capacity(BATCH);
+        let mut cycle = move |iters: u64| {
+            let mut took = [Duration::ZERO; 2];
+            for _ in 0..iters {
+                while h.parked_capsules() > 0 {
+                    objs.push(h.olr_malloc(&info).expect("alloc"));
+                }
+                for obj in objs.drain(..) {
+                    h.olr_free(obj).expect("free");
+                }
+                let t0 = Instant::now();
+                rt.quiesce();
+                let t1 = Instant::now();
+                objs.push(h.olr_malloc(&info).expect("alloc"));
+                let t2 = Instant::now();
+                took[0] += t1 - t0;
+                took[1] += t2 - t1;
+            }
+            took
+        };
+        cycle(2048);
+        group.bench_stages([format!("drain_{n}f"), format!("reserve_{n}f")], &mut cycle);
     }
     group.finish();
 }

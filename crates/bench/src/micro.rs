@@ -93,6 +93,25 @@ impl BenchGroup<'_> {
         self.criterion.run_one(&label, self.sample_size, quick, |b| f(b, input));
     }
 
+    /// Benchmark the two stages of one cycle as two rows, `ids[0]` and
+    /// `ids[1]`: `cycle(n)` runs `n` cycles and returns the time each
+    /// stage took over them. The stages alternate within every sample
+    /// (ABAB…), so both rows are measured in the same host state, and a
+    /// drift between samples moves both rather than their ratio.
+    pub fn bench_stages(
+        &mut self,
+        ids: [impl Into<BenchmarkId>; 2],
+        cycle: impl FnMut(u64) -> [Duration; 2],
+    ) {
+        let quick = self.criterion.quick;
+        let reports = measure(quick, self.sample_size, cycle);
+        for (id, report) in ids.into_iter().zip(reports) {
+            let label = format!("{}/{}", self.name, id.into().label);
+            self.criterion.benches_run += 1;
+            eprintln!("{label:<44} {report}");
+        }
+    }
+
     /// End the group (kept for API compatibility; prints nothing).
     pub fn finish(self) {}
 }
@@ -205,36 +224,55 @@ impl Bencher {
     /// The body of [`Bencher::iter`]: `run(n)` makes `n` calls and
     /// returns the time they count for.
     fn measure(&mut self, mut run: impl FnMut(u64) -> Duration) {
-        if self.quick {
-            run(1);
-            self.report =
-                Some(Report { median_ns: 0.0, min_ns: 0.0, max_ns: 0.0, samples: 1, iters: 1 });
-            return;
-        }
-        // Warmup + calibration.
-        let warmup = Duration::from_millis(25);
-        let (mut spent, mut warm_iters) = (Duration::ZERO, 0u64);
-        while spent < warmup || warm_iters < 3 {
-            spent += run(1);
-            warm_iters += 1;
-        }
-        let per_iter = spent.as_nanos() as f64 / warm_iters as f64;
-        let iters = ((10e6 / per_iter.max(0.1)) as u64).clamp(1, 1_000_000);
-        // Measurement.
-        let mut samples_ns: Vec<f64> = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            samples_ns.push(run(iters).as_nanos() as f64 / iters as f64);
-        }
-        samples_ns.sort_by(|a, b| a.total_cmp(b));
-        let report = Report {
-            median_ns: samples_ns[samples_ns.len() / 2],
-            min_ns: samples_ns[0],
-            max_ns: *samples_ns.last().expect("sample_size >= 2"),
-            samples: samples_ns.len(),
-            iters,
-        };
+        let [report] = measure(self.quick, self.sample_size, |n| [run(n)]);
         self.report = Some(report);
     }
+}
+
+/// Time the `K` stages `run(n)` reports for `n` calls. In quick mode it
+/// runs once; otherwise: warm up ~25 ms, size samples to ~10 ms of all
+/// stages together, then record `sample_size` samples of each stage.
+fn measure<const K: usize>(
+    quick: bool,
+    sample_size: usize,
+    mut run: impl FnMut(u64) -> [Duration; K],
+) -> [Report; K] {
+    if quick {
+        run(1);
+        return std::array::from_fn(|_| Report {
+            median_ns: 0.0,
+            min_ns: 0.0,
+            max_ns: 0.0,
+            samples: 1,
+            iters: 1,
+        });
+    }
+    // Warmup + calibration.
+    let warmup = Duration::from_millis(25);
+    let (mut spent, mut warm_iters) = (Duration::ZERO, 0u64);
+    while spent < warmup || warm_iters < 3 {
+        spent += run(1).iter().sum::<Duration>();
+        warm_iters += 1;
+    }
+    let per_iter = spent.as_nanos() as f64 / warm_iters as f64;
+    let iters = ((10e6 / per_iter.max(0.1)) as u64).clamp(1, 1_000_000);
+    // Measurement.
+    let mut samples_ns: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(sample_size));
+    for _ in 0..sample_size {
+        for (stage, took) in samples_ns.iter_mut().zip(run(iters)) {
+            stage.push(took.as_nanos() as f64 / iters as f64);
+        }
+    }
+    samples_ns.map(|mut samples| {
+        samples.sort_by(|a, b| a.total_cmp(b));
+        Report {
+            median_ns: samples[samples.len() / 2],
+            min_ns: samples[0],
+            max_ns: *samples.last().expect("sample_size >= 2"),
+            samples: samples.len(),
+            iters,
+        }
+    })
 }
 
 /// Bundle bench functions into one named group runner (the analogue of

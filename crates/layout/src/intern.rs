@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::plan::{LayoutPlan, PlanHash};
+use crate::plan::{CanaryKey, LayoutPlan, PlanHash};
 use crate::registry::PlanRegistry;
 
 /// Interns [`LayoutPlan`]s by content hash so that objects which happen to
@@ -24,25 +24,26 @@ use crate::registry::PlanRegistry;
 /// The interned plans live in a [`PlanRegistry`], so every plan also has
 /// a registry **id** ([`PlanInterner::intern_id`]) that object records
 /// carry instead of a pointer. [`PlanInterner::new`] owns a private
-/// registry; [`PlanInterner::with_registry`] shares one. The interner's
+/// registry, keyed by the [`CanaryKey`] it is given;
+/// [`PlanInterner::with_registry`] shares one. The interner's
 /// own `hash → id` index answers repeat plans without the registry's
 /// writer lock; a plan it has not seen goes through the registry, which
 /// hands back the stored plan if another interner already holds it.
 ///
 /// ```
 /// use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
-/// use polar_layout::{LayoutPlan, PlanInterner};
+/// use polar_layout::{CanaryKey, LayoutPlan, PlanInterner};
 ///
 /// let info = ClassInfo::from_decl(
 ///     ClassDecl::builder("T").field("x", FieldKind::I32).build(),
 /// );
-/// let mut interner = PlanInterner::new();
+/// let mut interner = PlanInterner::new(CanaryKey::from_seed(7));
 /// let a = interner.intern(LayoutPlan::natural_for(&info));
 /// let b = interner.intern(LayoutPlan::natural_for(&info));
 /// assert!(std::sync::Arc::ptr_eq(&a, &b));
 /// assert_eq!(interner.unique_plans(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PlanInterner {
     /// `plan hash → (registry id, plan)` of every plan interned here.
     plans: HashMap<PlanHash, (u32, Arc<LayoutPlan>)>,
@@ -52,9 +53,10 @@ pub struct PlanInterner {
 }
 
 impl PlanInterner {
-    /// Create an empty interner with a private registry.
-    pub fn new() -> Self {
-        Self::default()
+    /// Create an empty interner with a private registry whose plans'
+    /// canaries `key` keys.
+    pub fn new(key: CanaryKey) -> Self {
+        Self::with_registry(Arc::new(PlanRegistry::new(key)))
     }
 
     /// Create an empty interner that stores its plans in `registry`.
@@ -141,7 +143,7 @@ mod tests {
     #[test]
     fn identical_plans_dedup() {
         let info = tiny_class();
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         let a = interner.intern(LayoutPlan::natural_for(&info));
         let b = interner.intern(LayoutPlan::natural_for(&info));
         assert!(Arc::ptr_eq(&a, &b));
@@ -157,7 +159,7 @@ mod tests {
         let info = tiny_class();
         let engine = LayoutEngine::new(RandomizationPolicy::permute_only());
         let mut rng = StdRng::seed_from_u64(11);
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         for _ in 0..200 {
             interner.intern(engine.generate(&info, &mut rng));
         }
@@ -174,7 +176,7 @@ mod tests {
         let info = ClassInfo::from_decl(b.build());
         let engine = LayoutEngine::new(RandomizationPolicy::permute_only());
         let mut rng = StdRng::seed_from_u64(5);
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         let mut plans = Vec::new();
         while interner.unique_plans() < 300 {
             let (id, plan) = interner.intern_id(engine.generate(&info, &mut rng));
@@ -191,7 +193,7 @@ mod tests {
     #[test]
     fn probe_finds_interned_ids_and_counts_hits() {
         let info = tiny_class();
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         let plan = LayoutPlan::natural_for(&info);
         let hash = plan.plan_hash();
         assert_eq!(interner.probe(hash), None, "nothing interned yet");
@@ -205,7 +207,7 @@ mod tests {
     #[test]
     fn lookup_by_hash() {
         let info = tiny_class();
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         let plan = interner.intern(LayoutPlan::natural_for(&info));
         assert!(interner.get(plan.plan_hash()).is_some());
         assert!(interner.get(crate::plan::PlanHash(0)).is_none());

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use polar_classinfo::{ClassHash, ClassInfo};
+use polar_rng::{Rng, SplitMix64};
 
 /// A 64-bit content hash of a layout plan, used for interning/deduplication
 /// (the paper's "remove the duplicate metadata when two objects have the
@@ -30,6 +31,51 @@ pub struct DummySlot {
     /// Canary value for booby-trapped dummies (`None` = plain entropy
     /// filler).
     pub canary: Option<u64>,
+}
+
+/// The secret that keys the canaries of every plan in one deduplication
+/// domain (one [`PlanRegistry`](crate::PlanRegistry)).
+///
+/// A registry deduplicates plans by structure, so every object of one
+/// structure shares one registered plan and its trap values. Making the
+/// canaries a function of that structure under the registry's key
+/// ([`CanaryKey::canary`]) makes them independent of which interner
+/// registered the structure first: a layout derived on the stack knows
+/// its canaries without reading the registered plan, and two shards of
+/// one runtime arm the same structure identically whatever order they
+/// intern in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CanaryKey(pub u64);
+
+impl CanaryKey {
+    /// The key a runtime seeded with `seed` keys its registry with: a
+    /// stream of its own (`"TRAP"`), so neither the plan RNG nor the
+    /// stateless epoch key reveals it.
+    pub fn from_seed(seed: u64) -> Self {
+        CanaryKey(SplitMix64::new(seed ^ 0x5452_4150).next_u64())
+    }
+
+    /// The canary of dummy `j` (memory order) of a layout whose
+    /// structure hashes to `structure` ([`LayoutPlan::content_hash`],
+    /// which leaves canary values out). Never zero.
+    ///
+    /// `mix64` is a bijection, so the key is fed forward past the first
+    /// mix: undoing the mixes of one leaked canary of a known structure
+    /// leaves `mix64(k ^ a) + k` with `a` known, not the key `k`.
+    #[inline]
+    pub fn canary(self, structure: PlanHash, j: usize) -> u64 {
+        let salted = self.0 ^ structure.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x4361_4E79;
+        let h = mix64(salted).wrapping_add(self.0);
+        mix64(h ^ (j as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1
+    }
+}
+
+/// SplitMix64's finalizer: a cheap 64-bit avalanche mix.
+#[inline]
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 /// Precomputed per-field access parameters: everything the runtime's
@@ -160,12 +206,24 @@ impl LayoutPlan {
         for d in dummies {
             // Canary values are deliberately excluded: the hash covers the
             // *structure* of the layout, so structurally identical plans
-            // intern together (and then share trap values, as metadata
-            // dedup implies).
+            // intern together, and a registry keys their one set of trap
+            // values by this hash (`CanaryKey::canary`).
             mix(((d.offset as u64) << 32) | d.size as u64);
             mix(u64::from(d.canary.is_some()));
         }
         PlanHash(h)
+    }
+
+    /// This plan with every canary-carrying dummy re-armed by `key`'s
+    /// rule for its structure ([`CanaryKey::canary`]); plain dummies
+    /// stay plain. What a [`PlanRegistry`](crate::PlanRegistry) stores.
+    pub(crate) fn with_canaries(mut self, key: CanaryKey) -> Self {
+        for (j, d) in self.dummies.iter_mut().enumerate() {
+            if d.canary.is_some() {
+                d.canary = Some(key.canary(self.hash, j));
+            }
+        }
+        self
     }
 
     /// Class this plan lays out.

@@ -213,6 +213,7 @@ impl PlanPools {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::CanaryKey;
     use crate::policy::RandomizationPolicy;
     use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
     use polar_rng::{rngs::StdRng, SeedableRng};
@@ -232,7 +233,7 @@ mod tests {
     fn draw_hashes(seed: u64, n: usize) -> Vec<u64> {
         let info = probe();
         let engine = LayoutEngine::new(RandomizationPolicy::default());
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
@@ -246,7 +247,8 @@ mod tests {
         // regenerations; the batches split across both phases.
         let info = probe();
         let engine = LayoutEngine::new(RandomizationPolicy::default());
-        let (mut ia, mut ib) = (PlanInterner::new(), PlanInterner::new());
+        let key = CanaryKey(0x11);
+        let (mut ia, mut ib) = (PlanInterner::new(key), PlanInterner::new(key));
         let (mut pa, mut pb) = (PlanPools::new(), PlanPools::new());
         let (mut ra, mut rb) = (StdRng::seed_from_u64(42), StdRng::seed_from_u64(42));
         let sequential: Vec<u64> = (0..100)
@@ -274,7 +276,7 @@ mod tests {
     fn sampled_pool_amortizes_generation() {
         let info = probe();
         let engine = LayoutEngine::new(RandomizationPolicy::default());
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
@@ -302,7 +304,7 @@ mod tests {
         // contents: churn regenerated every slot at least once.
         let info = probe();
         let engine = LayoutEngine::new(RandomizationPolicy::default());
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..POOL_SIZE / POOL_CHURN {
@@ -327,7 +329,7 @@ mod tests {
                 .build(),
         );
         let engine = LayoutEngine::new(RandomizationPolicy::default());
-        let mut interner = PlanInterner::new();
+        let mut interner = PlanInterner::new(CanaryKey(0x11));
         let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..10 {

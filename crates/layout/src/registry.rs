@@ -17,6 +17,12 @@
 //! holds returns the stored id and plan, so the id space grows with the
 //! distinct layouts in use, not with the number of interners drawing
 //! them.
+//!
+//! Because it deduplicates, the registry also owns the canaries: it
+//! stores every plan with its canaries re-armed by the registry's
+//! [`CanaryKey`] for the plan's structure ([`CanaryKey::canary`]), so a
+//! registered plan's trap values follow from its structure alone,
+//! whichever interner — or plan source — registered it first.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -24,15 +30,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use polar_rng::Segments;
 
-use crate::plan::{LayoutPlan, PlanHash};
+use crate::plan::{CanaryKey, LayoutPlan, PlanHash};
 
 /// Append-only shared plan storage: `intern` under a writer mutex,
 /// `get` lock-free.
-#[derive(Default)]
 pub struct PlanRegistry {
     /// The segment directory every lock-free access walks: written only
     /// when a segment commits.
     plans: Segments<OnceLock<Arc<LayoutPlan>>>,
+    /// Keys the canaries of every plan stored here.
+    key: CanaryKey,
     /// What every intern writes, on cache lines of its own.
     writer: WriterSide,
 }
@@ -59,21 +66,30 @@ impl std::fmt::Debug for PlanRegistry {
 }
 
 impl PlanRegistry {
-    /// An empty private registry, for a single interner.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty private registry, for a single interner, whose plans'
+    /// canaries `key` keys.
+    pub fn new(key: CanaryKey) -> Self {
+        PlanRegistry { plans: Segments::default(), key, writer: WriterSide::default() }
     }
 
     /// An empty registry shared by several interners, deduplicating by
-    /// plan hash across them.
-    pub fn shared() -> Self {
+    /// plan hash across them, whose plans' canaries `key` keys.
+    pub fn shared(key: CanaryKey) -> Self {
         let writer = WriterSide { ids: Mutex::new(Some(HashMap::new())), ..WriterSide::default() };
-        PlanRegistry { writer, ..Self::default() }
+        PlanRegistry { writer, ..Self::new(key) }
     }
 
-    /// Store `plan` under a fresh id and return both. A shared registry
-    /// that already holds `plan`'s hash returns the stored id and plan
-    /// instead, so every holder of an id uses the one plan it resolves to.
+    /// The key of this registry's canaries: a plan of structure hash `h`
+    /// stored here carries `canary_key().canary(h, j)` in its `j`-th
+    /// canary-carrying dummy.
+    pub fn canary_key(&self) -> CanaryKey {
+        self.key
+    }
+
+    /// Store `plan`, its canaries re-armed by this registry's key, under
+    /// a fresh id and return both. A shared registry that already holds
+    /// `plan`'s hash returns the stored id and plan instead, so every
+    /// holder of an id uses the one plan it resolves to.
     pub(crate) fn intern(&self, plan: LayoutPlan) -> (u32, Arc<LayoutPlan>) {
         let mut writer = self.writer.ids.lock().unwrap_or_else(|e| e.into_inner());
         let hash = plan.plan_hash();
@@ -82,7 +98,7 @@ impl PlanRegistry {
         }
         let id = self.writer.len.load(Ordering::Relaxed);
         assert!(id != u32::MAX, "plan registry exhausted its u32 id space");
-        let plan = Arc::new(plan);
+        let plan = Arc::new(plan.with_canaries(self.key));
         self.plans.ensure(id).set(Arc::clone(&plan)).expect("fresh id slot is unset");
         self.writer.len.store(id + 1, Ordering::Release);
         if let Some(ids) = writer.as_mut() {
@@ -156,7 +172,7 @@ mod tests {
 
     #[test]
     fn ids_are_dense_deduplicated_and_stable() {
-        let reg = PlanRegistry::shared();
+        let reg = PlanRegistry::shared(CanaryKey(3));
         let ps = plans(5);
         let ids: Vec<(u32, Arc<LayoutPlan>)> = ps.iter().map(|p| reg.intern(p.clone())).collect();
         for (i, (p, (id, stored))) in ps.iter().zip(&ids).enumerate() {
@@ -171,8 +187,32 @@ mod tests {
     }
 
     #[test]
+    fn stored_canaries_follow_from_the_structure_and_the_key() {
+        // Engine plans draw their canaries from the RNG; a registry
+        // stores each with the canaries its key gives the structure, so
+        // two registries with one key hold equal plans.
+        let key = CanaryKey(0x5EED);
+        let (a, b) = (PlanRegistry::shared(key), PlanRegistry::new(key));
+        let mut trapped = 0;
+        for plan in plans(16) {
+            let (_, stored) = a.intern(plan.clone());
+            assert_eq!(stored.plan_hash(), plan.plan_hash());
+            for (j, (d, drawn)) in stored.dummies().iter().zip(plan.dummies()).enumerate() {
+                assert_eq!((d.offset, d.size), (drawn.offset, drawn.size));
+                let want = drawn.canary.map(|_| key.canary(plan.plan_hash(), j));
+                assert_eq!(d.canary, want, "dummy {j}");
+                trapped += usize::from(d.canary.is_some());
+            }
+            assert_eq!(*b.intern(plan).1, *stored, "same key, same plan");
+        }
+        assert!(trapped > 0, "the default policy arms dummies");
+        let other = PlanRegistry::new(CanaryKey(1)).intern(plans(1).remove(0)).1;
+        assert_ne!(*other, **a.get(0).unwrap(), "another key, other canaries");
+    }
+
+    #[test]
     fn a_private_registry_leaves_dedup_to_its_interner() {
-        let reg = PlanRegistry::new();
+        let reg = PlanRegistry::new(CanaryKey(3));
         let p = plans(1).remove(0);
         assert_eq!(reg.intern(p.clone()).0, 0);
         assert_eq!(reg.intern(p).0, 1, "no dedup map: every intern gets a fresh id");
@@ -191,7 +231,7 @@ mod tests {
         let info = ClassInfo::from_decl(b.build());
         let engine = LayoutEngine::new(RandomizationPolicy::permute_only());
         let mut rng = StdRng::seed_from_u64(5);
-        let reg = PlanRegistry::shared();
+        let reg = PlanRegistry::shared(CanaryKey(3));
         let n = 640;
         let mut stored = Vec::new();
         while reg.len() < n {
@@ -210,7 +250,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_every_published_id() {
-        let reg = Arc::new(PlanRegistry::new());
+        let reg = Arc::new(PlanRegistry::new(CanaryKey(3)));
         let ps = plans(64);
         std::thread::scope(|scope| {
             let reader_reg = Arc::clone(&reg);

@@ -43,10 +43,14 @@
 //! # Virtual booby traps
 //!
 //! Derived plans optionally interleave *virtual trap slots* between the
-//! permuted fields: 8-byte canary-carrying dummies whose count,
-//! interleave positions, and canary values are all pure functions of
-//! (epoch key, permutation code) — and therefore of the same
-//! (generation, slot, epoch) identity the permutation derives from. No
+//! permuted fields: 8-byte canary-carrying dummies whose count and
+//! interleave positions are pure functions of (epoch key, permutation
+//! code) — and therefore of the same (generation, slot, epoch) identity
+//! the permutation derives from. Their canary values are a pure function
+//! of the resulting layout's structure under the plan registry's
+//! [`CanaryKey`] ([`CanaryKey::canary`]), the rule the registry applies
+//! to every plan it stores, so a layout derived on the stack carries
+//! exactly the canaries of the plan registered for its structure. No
 //! per-object trap state is stored; a misaligned probe that overlaps a
 //! trap slot is detectable by rederiving the geometry from the identity
 //! alone. This closes the trade the original permute-only mode made
@@ -56,7 +60,7 @@
 
 use polar_classinfo::{ClassHash, ClassInfo};
 
-use crate::plan::{DummySlot, LayoutPlan, PlanHash};
+use crate::plan::{mix64, CanaryKey, DummySlot, LayoutPlan, PlanHash};
 
 /// Largest field count served by the stateless path.
 pub const STATELESS_MAX_FIELDS: usize = 8;
@@ -121,14 +125,6 @@ fn swar_round(rk_row: &[u64; (HALF_MASK + 1) as usize], rot: u64, state: u64) ->
     let fval = c0 ^ (m0 & c1) ^ (m1 & c2) ^ (m0 & m1 & c3);
     // (left', right') = (right, left ^ f[right]) in every lane.
     (right << HALF_BITS) | (left ^ fval)
-}
-
-/// SplitMix64's finalizer: a cheap 64-bit avalanche mix.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Collapse (generation, slot) into the Feistel tweak. Injective for
@@ -465,11 +461,12 @@ pub fn stateless_plan(
         n <= STATELESS_MAX_FIELDS,
         "stateless path is limited to {STATELESS_MAX_FIELDS} fields, got {n}"
     );
-    stateless_plan_from_code(info, key, pack_perm(&stateless_perm(key, generation, slot, n)), false)
+    stateless_plan_from_code(info, key, pack_perm(&stateless_perm(key, generation, slot, n)), None)
 }
 
 /// Derive the trapped layout plan for `info` at (generation, slot):
-/// the permuted fields with virtual trap slots interleaved.
+/// the permuted fields with virtual trap slots interleaved, their
+/// canaries keyed by `canaries`.
 ///
 /// # Panics
 ///
@@ -479,21 +476,26 @@ pub fn stateless_trapped_plan(
     key: EpochKey,
     generation: u64,
     slot: u32,
+    canaries: CanaryKey,
 ) -> LayoutPlan {
     let n = info.fields().len();
     assert!(
         n <= STATELESS_MAX_FIELDS,
         "stateless path is limited to {STATELESS_MAX_FIELDS} fields, got {n}"
     );
-    stateless_plan_from_code(info, key, pack_perm(&stateless_perm(key, generation, slot, n)), true)
+    let code = pack_perm(&stateless_perm(key, generation, slot, n));
+    stateless_plan_from_code(info, key, code, Some(canaries))
 }
 
 /// Virtual trap geometry for one (key, permutation) pair: the trap
-/// count, each trap's interleave position among the `n + t` layout
-/// slots, and its canary value — all from one keyed mix of the packed
-/// code, so the geometry is rederivable from the allocation identity
-/// with zero stored state.
-fn trap_spec(key: EpochKey, code: PermCode, n: usize) -> (usize, [usize; STATELESS_TRAP_MAX as usize], u64) {
+/// count and each trap's interleave position among the `n + t` layout
+/// slots, both from one keyed mix of the packed code, so the geometry is
+/// rederivable from the allocation identity with zero stored state.
+fn trap_spec(
+    key: EpochKey,
+    code: PermCode,
+    n: usize,
+) -> (usize, [usize; STATELESS_TRAP_MAX as usize]) {
     let h = mix64(
         key.0 ^ u64::from(code).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x7452_6150, // "PaRt"
     );
@@ -504,7 +506,7 @@ fn trap_spec(key: EpochKey, code: PermCode, n: usize) -> (usize, [usize; STATELE
         // n fields + j earlier traps.
         *slot = small_mod(h >> (8 + 6 * j), n + j + 1);
     }
-    (t, at, h)
+    (t, at)
 }
 
 /// `x % m` for the divisors trap positions use (`m ≤ 11`), each arm a
@@ -530,14 +532,17 @@ fn small_mod(x: u64, m: usize) -> usize {
 }
 
 /// The layout one permutation code derives, held on the stack: the
-/// field offsets, the virtual trap slots and the object size — every
-/// input of the plan's content hash, with no allocation.
+/// field offsets, the virtual trap slots with their canaries, the object
+/// size and the content hash of it all, with no allocation.
 ///
 /// [`stateless_plan_from_code`] builds its plan from this shape, and
-/// [`DerivedLayout::plan_hash`] hashes it through the one
+/// [`DerivedLayout::derive`] hashes it through the one
 /// [`LayoutPlan::content_hash`], so the hash of a derived layout is the
-/// hash of the plan it would build. The runtime looks that hash up
-/// among its interned plans and builds the plan only when none matches.
+/// hash of the plan it would build. The trap canaries follow the
+/// registry's rule for that hash, so they are the canaries of whatever
+/// plan is registered under it. The runtime looks the hash up among its
+/// interned plans, builds the plan only when none matches, and arms the
+/// object from this shape either way.
 #[derive(Debug, Clone, Copy)]
 pub struct DerivedLayout {
     class: ClassHash,
@@ -548,19 +553,27 @@ pub struct DerivedLayout {
     traps: [DummySlot; STATELESS_TRAP_MAX as usize],
     trap_count: u8,
     size: u32,
+    /// The content hash of the plan this layout builds.
+    hash: PlanHash,
 }
 
 impl DerivedLayout {
     /// Lay out `info`'s fields in `code`'s derived order with natural
-    /// alignment; with `traps` on, 1..=[`STATELESS_TRAP_MAX`] 8-byte
+    /// alignment; with `traps` given, 1..=[`STATELESS_TRAP_MAX`] 8-byte
     /// canary dummies (geometry from [`trap_spec`]) are inserted between
-    /// them. Sequential assignment makes trap slots and fields disjoint
-    /// by construction.
+    /// them, their canaries keyed by it for the layout's structure.
+    /// Sequential assignment makes trap slots and fields disjoint by
+    /// construction.
     ///
     /// # Panics
     ///
     /// Panics if `info` has more than [`STATELESS_MAX_FIELDS`] fields.
-    pub fn derive(info: &ClassInfo, key: EpochKey, code: PermCode, traps: bool) -> Self {
+    pub fn derive(
+        info: &ClassInfo,
+        key: EpochKey,
+        code: PermCode,
+        traps: Option<CanaryKey>,
+    ) -> Self {
         let fields = info.fields();
         let n = fields.len();
         assert!(
@@ -583,9 +596,9 @@ impl DerivedLayout {
         // position with the entries above it shifted up one lane.
         let mut order = u64::from(code);
         let mut len = n;
-        let (mut trap_count, mut canary_seed) = (0, 0);
-        if traps {
-            let (t, at, h) = trap_spec(key, code, n);
+        let mut trap_count = 0;
+        if traps.is_some() {
+            let (t, at) = trap_spec(key, code, n);
             for (j, &pos) in at.iter().enumerate().take(t) {
                 let below = (1u64 << (4 * pos)) - 1;
                 order = (order & below)
@@ -593,7 +606,7 @@ impl DerivedLayout {
                     | (order & !below) << 4;
                 len += 1;
             }
-            (trap_count, canary_seed) = (t, h);
+            trap_count = t;
         }
 
         let mut offsets = [0u32; 16];
@@ -619,11 +632,18 @@ impl DerivedLayout {
             traps: [DummySlot { offset: 0, size: 0, canary: None }; STATELESS_TRAP_MAX as usize],
             trap_count: trap_count as u8,
             size: round_up(cursor.max(1), max_align),
+            hash: PlanHash(0),
         };
+        // The hash covers which dummies carry a canary, not the values:
+        // hash the structure first, then key the values by it.
         for (trap, &e) in out.traps.iter_mut().zip(&trap_order).take(trap_count) {
-            let j = (e - STATELESS_MAX_FIELDS) as u64;
-            let canary = mix64(canary_seed ^ (j + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1;
-            *trap = DummySlot { offset: offsets[e], size: TRAP_SLOT_BYTES, canary: Some(canary) };
+            *trap = DummySlot { offset: offsets[e], size: TRAP_SLOT_BYTES, canary: Some(0) };
+        }
+        out.hash = LayoutPlan::content_hash(out.class, out.offsets(), out.traps(), out.size);
+        if let Some(canaries) = traps {
+            for (j, trap) in out.traps.iter_mut().enumerate().take(trap_count) {
+                trap.canary = Some(canaries.canary(out.hash, j));
+            }
         }
         out
     }
@@ -633,8 +653,10 @@ impl DerivedLayout {
         &self.offsets[..usize::from(self.fields)]
     }
 
-    /// The virtual trap slots, in memory order.
-    fn traps(&self) -> &[DummySlot] {
+    /// The virtual trap slots with their canaries, in memory order: the
+    /// dummies of the plan this layout builds.
+    #[inline]
+    pub fn traps(&self) -> &[DummySlot] {
         &self.traps[..usize::from(self.trap_count)]
     }
 
@@ -655,12 +677,12 @@ impl DerivedLayout {
     /// The content hash of the plan this layout builds.
     #[inline]
     pub fn plan_hash(&self) -> PlanHash {
-        LayoutPlan::content_hash(self.class, self.offsets(), self.traps(), self.size)
+        self.hash
     }
 }
 
 /// Build the [`LayoutPlan`] for a packed permutation code, optionally
-/// interleaving virtual trap slots: the plan of
+/// interleaving virtual trap slots keyed by `traps`: the plan of
 /// [`DerivedLayout::derive`]'s shape.
 ///
 /// # Panics
@@ -670,7 +692,7 @@ pub fn stateless_plan_from_code(
     info: &ClassInfo,
     key: EpochKey,
     code: PermCode,
-    traps: bool,
+    traps: Option<CanaryKey>,
 ) -> LayoutPlan {
     DerivedLayout::derive(info, key, code, traps).into_plan(info)
 }
@@ -759,13 +781,14 @@ mod tests {
     /// The derived plan built the way it was before layouts were
     /// derived on the stack: the memory order as an index array with
     /// each trap inserted by `copy_within`, one branch per entry, and
-    /// the plan's vectors filled in place. An independent construction
+    /// the plan's vectors filled in place, then its canaries set by the
+    /// rule a registry stores plans under. An independent construction
     /// to hold [`DerivedLayout`] to.
     fn reference_plan_from_code(
         info: &ClassInfo,
         key: EpochKey,
         code: PermCode,
-        traps: bool,
+        traps: Option<CanaryKey>,
     ) -> LayoutPlan {
         let fields = info.fields();
         let n = fields.len();
@@ -778,10 +801,8 @@ mod tests {
         }
         let mut len = n;
         let mut dummies = Vec::new();
-        let mut canary_seed = 0u64;
-        if traps {
-            let (t, at, h) = trap_spec(key, code, n);
-            canary_seed = h;
+        if traps.is_some() {
+            let (t, at) = trap_spec(key, code, n);
             for (j, &pos) in at.iter().enumerate().take(t) {
                 order.copy_within(pos..len, pos + 1);
                 order[pos] = usize::MAX - j;
@@ -791,11 +812,9 @@ mod tests {
         let (mut cursor, mut max_align) = (0u32, 1u32);
         for &entry in order.iter().take(len) {
             if entry >= usize::MAX - STATELESS_TRAP_MAX as usize {
-                let j = (usize::MAX - entry) as u64;
                 cursor = round_up(cursor, TRAP_SLOT_BYTES);
                 max_align = max_align.max(TRAP_SLOT_BYTES);
-                let canary = mix64(canary_seed ^ (j + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)) | 1;
-                let canary = Some(canary);
+                let canary = Some(u64::MAX);
                 dummies.push(DummySlot { offset: cursor, size: TRAP_SLOT_BYTES, canary });
                 cursor += TRAP_SLOT_BYTES;
             } else {
@@ -806,7 +825,12 @@ mod tests {
             }
         }
         let size = round_up(cursor.max(1), max_align);
-        LayoutPlan::with_aligns(info.hash(), offsets, sizes, aligns, dummies, size, false)
+        let plan =
+            LayoutPlan::with_aligns(info.hash(), offsets, sizes, aligns, dummies, size, false);
+        match traps {
+            Some(canaries) => plan.with_canaries(canaries),
+            None => plan,
+        }
     }
 
     /// The codes checked for an `n`-field class: every code when `n ≤ 6`
@@ -831,7 +855,9 @@ mod tests {
     /// and 8 (`POLAR_DERIVED_CODES` per field count, 2,000 by default;
     /// at or above `n!` every code), in both trap modes and under
     /// several keys: the stack layout hashes as the plan built from the
-    /// code, and that plan equals the independent reference build.
+    /// code and carries its canaries, and that plan equals the
+    /// independent reference build, canaries included — so arming an
+    /// object from the stack layout seeds what a registry holds for it.
     #[test]
     fn derived_layout_hashes_as_the_plan_built_from_it() {
         let budget = std::env::var("POLAR_DERIVED_CODES")
@@ -843,19 +869,25 @@ mod tests {
             let info = small_class(n);
             let codes = codes_to_check(n, budget, &mut rng);
             for key in [EpochKey(0), EpochKey(0x5EED), EpochKey(u64::MAX)] {
-                for traps in [false, true] {
+                let canaries = CanaryKey(key.0.rotate_left(17) ^ 0xCA4A);
+                for traps in [None, Some(canaries)] {
                     for &code in &codes {
                         let shape = DerivedLayout::derive(&info, key, code, traps);
                         let plan = stateless_plan_from_code(&info, key, code, traps);
                         assert_eq!(
                             shape.plan_hash(),
                             plan.plan_hash(),
-                            "n={n} code={code:#x} traps={traps} key={key:?}"
+                            "n={n} code={code:#x} traps={traps:?} key={key:?}"
+                        );
+                        assert_eq!(
+                            shape.traps(),
+                            plan.dummies(),
+                            "canaries: n={n} code={code:#x} traps={traps:?} key={key:?}"
                         );
                         assert_eq!(
                             plan,
                             reference_plan_from_code(&info, key, code, traps),
-                            "n={n} code={code:#x} traps={traps} key={key:?}"
+                            "n={n} code={code:#x} traps={traps:?} key={key:?}"
                         );
                     }
                 }
@@ -984,8 +1016,9 @@ mod tests {
             let info = small_class(n);
             let bound = stateless_bound(&info, true);
             for ident in 0..60u32 {
+                let (generation, slot) = ((ident / 12) as u64, ident % 12);
                 let plan =
-                    stateless_trapped_plan(&info, EpochKey(7), (ident / 12) as u64, ident % 12);
+                    stateless_trapped_plan(&info, EpochKey(7), generation, slot, CanaryKey(7));
                 plan.validate().expect("trapped plan must validate");
                 assert!(plan.size() <= bound, "n={n} size {} > bound {bound}", plan.size());
                 let t = plan.dummies().len();
@@ -1010,7 +1043,7 @@ mod tests {
         for ident in 0..40u32 {
             let (generation, slot) = ((ident / 8) as u64, ident % 8);
             let plain = stateless_plan(&info, key, generation, slot);
-            let trapped = stateless_trapped_plan(&info, key, generation, slot);
+            let trapped = stateless_trapped_plan(&info, key, generation, slot, CanaryKey(1));
             let rank = |plan: &LayoutPlan| {
                 let mut idx: Vec<usize> = (0..6).collect();
                 idx.sort_by_key(|&k| plan.offset(k));
@@ -1028,8 +1061,8 @@ mod tests {
         let b = stateless_plan(&info, key, 41, 12);
         assert_eq!(a, b);
         assert_eq!(a.plan_hash(), b.plan_hash());
-        let ta = stateless_trapped_plan(&info, key, 41, 12);
-        let tb = stateless_trapped_plan(&info, key, 41, 12);
+        let ta = stateless_trapped_plan(&info, key, 41, 12, CanaryKey(2));
+        let tb = stateless_trapped_plan(&info, key, 41, 12, CanaryKey(2));
         assert_eq!(ta, tb);
     }
 

@@ -16,7 +16,7 @@ use polar_rng::rngs::StdRng;
 use polar_rng::SeedableRng;
 
 use crate::engine::LayoutEngine;
-use crate::plan::LayoutPlan;
+use crate::plan::{CanaryKey, LayoutPlan};
 use crate::policy::RandomizationPolicy;
 use crate::registry::PlanRegistry;
 
@@ -54,9 +54,10 @@ pub struct StaticOlrTable {
 
 impl StaticOlrTable {
     /// Create the table for a "binary" identified by `binary_seed`, with
-    /// a private plan registry.
+    /// a private plan registry whose canaries the binary seed keys too.
     pub fn new(policy: RandomizationPolicy, binary_seed: u64) -> Self {
-        Self::with_registry(policy, binary_seed, Arc::default())
+        let registry = Arc::new(PlanRegistry::new(CanaryKey::from_seed(binary_seed)));
+        Self::with_registry(policy, binary_seed, registry)
     }
 
     /// [`StaticOlrTable::new`] storing its plans in `registry`.

@@ -19,9 +19,9 @@ use std::sync::Arc;
 
 use polar_classinfo::{ClassHash, ClassInfo};
 use polar_layout::{
-    code_rank, code_space, stateless_bound, DerivedLayout, EpochKey, FieldAccess, LayoutEngine,
-    LayoutPlan, PermBlock, PlanHash, PlanInterner, PlanPools, PlanRegistry, RandomizationPolicy,
-    RoundKeys, StaticOlrTable, STATELESS_MAX_FIELDS,
+    code_rank, code_space, stateless_bound, CanaryKey, DerivedLayout, DummySlot, EpochKey,
+    FieldAccess, LayoutEngine, LayoutPlan, PermBlock, PlanHash, PlanInterner, PlanPools,
+    PlanRegistry, RandomizationPolicy, RoundKeys, StaticOlrTable, STATELESS_MAX_FIELDS,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64};
 use polar_simheap::{Addr, BlockState, HeapConfig, SimHeap, PUB_STATE_FREED};
@@ -310,10 +310,15 @@ impl StatelessClassCache {
 
 /// Everything the stateless allocation fast path owns besides its
 /// per-class caches: the interned round-key schedule for the runtime's
-/// epoch key and the buffered permutation-code block.
+/// epoch key, its registry's canary key and the buffered
+/// permutation-code block.
 #[derive(Debug)]
 struct StatelessState {
     keys: RoundKeys,
+    /// The canary key of the registry the runtime's plans live in, so a
+    /// derived layout carries the canaries of the plan registered for
+    /// its structure.
+    canaries: CanaryKey,
     block: PermBlock,
     /// Allocations served from the ranked plan cache: each is a plan
     /// record the runtime did not have to build — the stateless path's
@@ -510,7 +515,8 @@ impl ObjectRuntime {
     /// pure function of `config.seed`, and knowing placed addresses
     /// reveals nothing about layout plans or the stateless key.
     pub fn new(mode: RandomizeMode, config: RuntimeConfig) -> Self {
-        Self::build(mode, config, false, Arc::default())
+        let registry = PlanRegistry::new(CanaryKey::from_seed(config.seed));
+        Self::build(mode, config, false, Arc::new(registry))
     }
 
     /// A runtime over a *published* heap (lock-free readers on other
@@ -546,6 +552,7 @@ impl ObjectRuntime {
             config.heap.placement.seed =
                 SplitMix64::new(config.seed ^ PLACEMENT_SALT).next_u64();
         }
+        let canaries = registry.canary_key();
         ObjectRuntime {
             heap: if published {
                 SimHeap::new_published(config.heap)
@@ -565,6 +572,7 @@ impl ObjectRuntime {
             epoch_key,
             stateless: StatelessState {
                 keys: RoundKeys::new(epoch_key),
+                canaries,
                 block: PermBlock::empty(),
                 hits: 0,
             },
@@ -767,27 +775,50 @@ impl ObjectRuntime {
     /// Seed the canaries of the plan registered under `plan_id` in the
     /// block of `cap` and record the object on its slot under heap
     /// generation `generation`. The plan is the registered one, not a
-    /// caller's copy: the registry deduplicates plans by structure, and
-    /// two plans of one structure may carry different canary values.
-    /// Callers hold the slot's writer window open across this
-    /// ([`SimHeap::malloc_with`] does for a new block), so a lock-free
-    /// reader never sees a half-armed object.
+    /// caller's copy: the registry stores every plan with the canaries
+    /// its key gives the plan's structure, which a copy drawn before
+    /// interning does not carry.
     fn arm(
         heap: &mut SimHeap,
         plans: &mut PlanTable,
         meta_count: &mut usize,
-        Capsule { base, slot }: Capsule,
+        cap: Capsule,
         generation: u64,
         class: ClassHash,
         plan_id: u32,
     ) -> Result<(), RuntimeError> {
         plans.note(plan_id);
         let plan = plans.get(plan_id).expect("an interned plan id resolves");
-        Self::seed_canaries(heap, base, plan)?;
+        let record = (class, plan.plan_hash(), plan_id);
+        Self::install(heap, meta_count, cap, generation, record, plan.dummies())
+    }
+
+    /// Seed the canaries of `dummies` in the block of `cap` and record
+    /// the object on its slot as `(class, plan hash, plan id)` under heap
+    /// generation `generation`: the arming of [`arm`](Self::arm), with
+    /// the plan's hash and dummies supplied by the caller (a derived
+    /// reservation takes them from its stack layout). Callers hold the
+    /// slot's writer window open across this ([`SimHeap::malloc_with`]
+    /// does for a new block), so a lock-free reader never sees a
+    /// half-armed object.
+    fn install(
+        heap: &mut SimHeap,
+        meta_count: &mut usize,
+        Capsule { base, slot }: Capsule,
+        generation: u64,
+        (class, hash, plan_id): (ClassHash, PlanHash, u32),
+        dummies: &[DummySlot],
+    ) -> Result<(), RuntimeError> {
+        for dummy in dummies {
+            if let Some(canary) = dummy.canary {
+                let width = canary_width(dummy.size);
+                heap.write_uint(base.offset(dummy.offset as u64), canary, width)?;
+            }
+        }
         // Installing a record stamps the block's current generation and
         // clears the offset-cache flag, so anything cached for a
         // previous occupant of the slot is dead on arrival.
-        if heap.records().record(slot, class.0, plan.plan_hash().0, plan_id, generation) == 1 {
+        if heap.records().record(slot, class.0, hash.0, plan_id, generation) == 1 {
             *meta_count += 1;
         }
         Ok(())
@@ -805,10 +836,12 @@ impl ObjectRuntime {
     /// interned per runtime) and batches Feistel walks through the code
     /// block on slot-reuse runs. In steady state a class of at most 4
     /// fields resolves its code with one index into its ranked plan
-    /// cache; a wider class lays the code out on the stack, hashes it
-    /// and finds the interned plan by one hash probe. Either way the
-    /// plan is resolved in the registry by id, and a plan is built only
-    /// for a layout never interned.
+    /// cache and is armed from the registered plan. A wider class lays
+    /// the code out on the stack, hashes it, finds the interned plan's
+    /// id by one hash probe and is armed from the stack layout: its
+    /// canaries are the registry's for that structure, so the interned
+    /// plan is never read. A plan is built only for a layout never
+    /// interned.
     fn olr_malloc_stateless(
         &mut self,
         info: &Arc<ClassInfo>,
@@ -838,29 +871,32 @@ impl ObjectRuntime {
         let (bound, n) = (cache.bound.max(1) as usize, usize::from(cache.fields));
         let (st, interner, key) = (&mut self.stateless, &mut self.interner, self.epoch_key);
         let (plans, meta_count) = (&mut self.plans, &mut self.meta_count);
+        let canaries = traps.then_some(st.canaries);
         self.heap.malloc_with(bound, |heap, base, slot, generation| {
             let code = st.block.code_for(&st.keys, slot, generation, n);
             let way = (!cache.ranked.is_empty()).then(|| code_rank(code, n));
-            let plan_id = match way.and_then(|w| cache.ranked[w]) {
-                Some(plan_id) => {
-                    st.hits += 1;
-                    plan_id
-                }
-                None => {
-                    let shape = DerivedLayout::derive(info, key, code, traps);
-                    let plan_id = match interner.probe(shape.plan_hash()) {
-                        Some(plan_id) => plan_id,
-                        None => interner.intern_id(shape.into_plan(info)).0,
-                    };
-                    if let Some(w) = way {
-                        cache.ranked[w] = Some(plan_id);
-                    }
-                    plan_id
-                }
-            };
-            // Virtual traps carry canaries like any stored dummy.
             let cap = Capsule { base, slot };
-            Self::arm(heap, plans, meta_count, cap, generation, info.hash(), plan_id)?;
+            if let Some(plan_id) = way.and_then(|w| cache.ranked[w]) {
+                st.hits += 1;
+                Self::arm(heap, plans, meta_count, cap, generation, info.hash(), plan_id)?;
+                return Ok(cap);
+            }
+            // One hash of the stack layout keys its canaries and finds
+            // the interned plan; the virtual traps are seeded from the
+            // layout, whose canaries equal the registered plan's.
+            let shape = DerivedLayout::derive(info, key, code, canaries);
+            let plan_id = match interner.probe(shape.plan_hash()) {
+                Some(plan_id) => plan_id,
+                None => interner.intern_id(shape.into_plan(info)).0,
+            };
+            if let Some(w) = way {
+                cache.ranked[w] = Some(plan_id);
+            }
+            // A standalone runtime's dense table learns the id; a
+            // shard's has none.
+            plans.note(plan_id);
+            let record = (info.hash(), shape.plan_hash(), plan_id);
+            Self::install(heap, meta_count, cap, generation, record, shape.traps())?;
             Ok(cap)
         })?
     }
@@ -881,20 +917,6 @@ impl ObjectRuntime {
             }
         };
         self.last_class
-    }
-
-    fn seed_canaries(
-        heap: &mut SimHeap,
-        base: Addr,
-        plan: &LayoutPlan,
-    ) -> Result<(), RuntimeError> {
-        for dummy in plan.dummies() {
-            if let Some(canary) = dummy.canary {
-                let width = canary_width(dummy.size);
-                heap.write_uint(base.offset(dummy.offset as u64), canary, width)?;
-            }
-        }
-        Ok(())
     }
 
     /// Instrumented deallocation: verify booby traps, retire metadata,
@@ -1999,8 +2021,10 @@ mod tests {
         let meta = rt.object_meta(obj).unwrap();
         let traps = meta.plan.dummies().len();
         assert!((1..=3).contains(&traps), "virtual traps derived: {traps}");
-        let rederived = polar_layout::stateless_trapped_plan(&info, rt.epoch_key, generation, slot);
-        assert_eq!(meta.plan.plan_hash(), rederived.plan_hash());
+        let canaries = rt.stateless.canaries;
+        let rederived =
+            polar_layout::stateless_trapped_plan(&info, rt.epoch_key, generation, slot, canaries);
+        assert_eq!(*meta.plan, rederived, "canaries included");
         // And with traps off, the permute-only reference matches.
         let mut config = RuntimeConfig::default();
         config.layout = LayoutSource::DerivedUntrapped;
@@ -2058,17 +2082,46 @@ mod tests {
         assert!(hashes.len() > 1, "generation bump must re-randomize");
     }
 
+    #[test]
+    fn a_derived_layout_on_a_pooled_structure_is_armed_with_its_canaries() {
+        // A derived runtime draws copy destinations from the pooled ring,
+        // into the interner its derived layouts probe. A pooled plan of
+        // a small class can have a derived layout's structure; interned
+        // first, it is the plan the probe finds. The registry keys the
+        // canaries of every plan it stores by structure, so the canaries
+        // armed from the stack layout are that plan's, and no free or
+        // sweep reports a trap.
+        let mut rt = polar_rt();
+        let decl = ClassDecl::builder("Pair").field("a", FieldKind::I64).field("b", FieldKind::I64);
+        let info = Arc::new(ClassInfo::from_decl(decl.build()));
+        let mut pooled = HashSet::new();
+        for _ in 0..64 {
+            pooled.insert(rt.draw_plan(&info, PlanSource::Derived { traps: true }).1.plan_hash());
+        }
+        let mut on_pooled = 0;
+        for i in 0..64 {
+            let obj = rt.olr_malloc(&info).unwrap();
+            let hash = rt.object_meta(obj).unwrap().plan.plan_hash();
+            on_pooled += usize::from(pooled.contains(&hash));
+            assert_eq!(rt.check_traps(obj).unwrap(), Vec::new(), "allocation {i}");
+            rt.olr_free(obj).unwrap();
+        }
+        assert_eq!(rt.stats().stateless_allocs, 64);
+        assert!(on_pooled > 0, "no derived layout had a pooled structure");
+    }
+
     /// A stateless reservation the way it was made before derived
     /// layouts were looked up by hash: build the plan of the slot's
     /// code, intern it (in steady state the interner already holds it)
-    /// and arm the object with the registered plan.
+    /// and arm the object from the registered plan.
     fn reserve_built(rt: &mut ObjectRuntime, info: &Arc<ClassInfo>, traps: bool) -> Addr {
         rt.class_idx(info);
         let (base, slot, generation) =
             rt.heap.malloc_slot(stateless_bound(info, traps) as usize).unwrap();
         let st = &mut rt.stateless;
         let code = st.block.code_for(&st.keys, slot, generation, info.field_count());
-        let built = polar_layout::stateless_plan_from_code(info, rt.epoch_key, code, traps);
+        let canaries = traps.then_some(st.canaries);
+        let built = polar_layout::stateless_plan_from_code(info, rt.epoch_key, code, canaries);
         let (plan_id, _) = rt.interner.intern_id(built);
         let (plans, meta_count) = (&mut rt.plans, &mut rt.meta_count);
         let cap = Capsule { base, slot };

@@ -99,7 +99,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use polar_classinfo::{ClassHash, ClassInfo};
 use polar_layout::{
-    LayoutEngine, LayoutPlan, PlanInterner, PlanPools, PlanRegistry, RandomizationPolicy,
+    CanaryKey, LayoutEngine, LayoutPlan, PlanInterner, PlanPools, PlanRegistry,
+    RandomizationPolicy,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64, Xoshiro256StarStar};
 use polar_simheap::{
@@ -255,7 +256,9 @@ impl ShardedRuntime {
             config.heap.capacity,
             shards
         );
-        let registry = Arc::new(PlanRegistry::shared());
+        // One canary key, from the root seed, for the one registry: a
+        // structure's canaries do not depend on which shard interned it.
+        let registry = Arc::new(PlanRegistry::shared(CanaryKey::from_seed(config.seed)));
         let mut pubs = Vec::with_capacity(shards);
         let shards: Vec<Mutex<ObjectRuntime>> = (0..shards)
             .map(|i| {
@@ -1770,6 +1773,62 @@ mod tests {
         // Streams are disjoint, so threads must not mirror each other.
         assert_ne!(first[0], first[1]);
         assert_ne!(first[1], first[2]);
+    }
+
+    /// A shard arms a derived object with canaries that follow from the
+    /// object's layout and the runtime's root seed alone. The shared
+    /// registry stores one plan per structure, so if each shard keyed
+    /// canaries by its own epoch key, a structure's canaries would be
+    /// those of whichever shard interned it first, and a seed would not
+    /// replay exactly with two threads.
+    #[test]
+    fn derived_canaries_do_not_depend_on_intern_order() {
+        const OBJECTS: usize = 3000;
+        let mut decl = ClassDecl::builder("Seven");
+        for i in 0..7 {
+            let kind = if i % 3 == 0 { FieldKind::I32 } else { FieldKind::I64 };
+            decl = decl.field(format!("f{i}"), kind);
+        }
+        let seven = Arc::new(ClassInfo::from_decl(decl.build()));
+        // Shard 0's objects with, per trap, the canary its registered
+        // plan names and the one seeded in the block.
+        let run = |shard_one_first: bool| -> Vec<(Addr, Vec<(u64, u64)>)> {
+            let rt = sharded(2);
+            let (mut h0, mut h1) = (rt.handle(0), rt.handle(1));
+            assert_eq!((h0.home_shard(), h1.home_shard()), (0, 1));
+            if shard_one_first {
+                for _ in 0..OBJECTS {
+                    h1.olr_malloc(&seven).unwrap();
+                }
+            }
+            (0..OBJECTS)
+                .map(|_| {
+                    let obj = h0.olr_malloc(&seven).unwrap();
+                    let plan = rt.object_meta(obj).unwrap().plan;
+                    let traps = plan
+                        .dummies()
+                        .iter()
+                        .map(|d| {
+                            let at = obj.offset(u64::from(d.offset));
+                            let seeded = h0.heap_read_uint(at, canary_width(d.size)).unwrap();
+                            (d.canary.expect("derived traps carry canaries"), seeded)
+                        })
+                        .collect();
+                    (obj, traps)
+                })
+                .collect()
+        };
+        let (alone, after_shard_one) = (run(false), run(true));
+        let mut differ = 0;
+        for (i, (a, b)) in alone.iter().zip(&after_shard_one).enumerate() {
+            assert_eq!(a.0, b.0, "shard 0's object {i} lands on the same block");
+            assert!(!a.1.is_empty(), "object {i} is trapped");
+            for &(canary, seeded) in a.1.iter().chain(&b.1) {
+                assert_eq!(seeded, canary, "object {i} is seeded with its plan's canary");
+            }
+            differ += usize::from(a.1 != b.1);
+        }
+        assert_eq!(differ, 0, "{differ} of {OBJECTS} shard-0 objects changed canaries");
     }
 
     #[test]

@@ -39,6 +39,11 @@
 //! reuse makes outcomes path-dependent, each path pins its own digest
 //! of outcomes and `object_meta` views (state, generation, plan hash)
 //! next to its [`RuntimeStats`] literal.
+//!
+//! A third, short tape frees nothing and copies only live objects onto
+//! live objects of the same class, through all four paths: every handle
+//! copy runs without the shard lock, so its literals pin
+//! `lockfree_copies == memcpys` with no fallback.
 
 use std::sync::Arc;
 
@@ -862,9 +867,9 @@ fn print_golden_reuse() {
     }
 }
 
-const REUSE_DIGEST_OBJECT_RUNTIME: u64 = 0x525337c50c3ef56b;
-const REUSE_DIGEST_HANDLE_MAGAZINES: u64 = 0xe946de90354deb98;
-const REUSE_DIGEST_HANDLE_MUTEX: u64 = 0xbef5c78c005b8b58;
+const REUSE_DIGEST_OBJECT_RUNTIME: u64 = 0x4158bfbd9affcb64;
+const REUSE_DIGEST_HANDLE_MAGAZINES: u64 = 0xfd5c1ecaf6d13d03;
+const REUSE_DIGEST_HANDLE_MUTEX: u64 = 0x31c325f895deb8b7;
 
 const GOLDEN_REUSE_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
     allocations: 106,
@@ -961,6 +966,302 @@ const GOLDEN_REUSE_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     magazine_hits: 0,
     magazine_refills: 0,
     magazine_returns: 0,
+    fast_frees: 0,
+    remote_drained: 0,
+};
+
+// ----- the copy tape -----
+
+const COPY_SEED: u64 = 0x00C0_9E5E;
+const COPY_LEN: usize = 240;
+
+/// One copy-tape op; indices are reduced at execution time as above.
+#[derive(Debug, Clone, Copy)]
+enum CopyOp {
+    Malloc { pooled: bool },
+    Write { obj: usize, field: usize, value: u64 },
+    Read { obj: usize, field: usize },
+    /// `olr_memcpy` from `src` onto another live object of its class.
+    CopyLive { src: usize, dst: usize },
+}
+
+/// A tape with no frees, whose copies all go from a live object onto a
+/// live object of the same class: the copy a handle makes without the
+/// shard lock. The mixed tape copies onto raw buffers and the reuse
+/// tape onto objects that may be freed, so neither pins that path
+/// alone.
+fn copy_tape() -> Vec<CopyOp> {
+    let mut rng = SplitMix64::new(COPY_SEED);
+    let mut tape = Vec::with_capacity(COPY_LEN);
+    for i in 0..8 {
+        tape.push(CopyOp::Malloc { pooled: i % 2 == 1 });
+    }
+    while tape.len() < COPY_LEN {
+        let obj = rng.next_u64() as usize;
+        let field = rng.random_range(0..16usize);
+        let op = match rng.random_range(0..100u32) {
+            0..=9 => CopyOp::Malloc { pooled: rng.random_range(0..2u32) == 0 },
+            10..=39 => CopyOp::Write { obj, field, value: rng.next_u64() & 0x7FFF_FFFF },
+            40..=69 => CopyOp::Read { obj, field },
+            _ => CopyOp::CopyLive { src: obj, dst: rng.next_u64() as usize },
+        };
+        tape.push(op);
+    }
+    tape
+}
+
+/// Replay the copy tape on `s`, returning one outcome per op.
+fn replay_copies<S: Surface>(s: &mut S) -> Vec<Outcome> {
+    let classes = [small(), pooled()];
+    let mut objects: Vec<(Addr, usize)> = Vec::new();
+    let mut nth = 0usize;
+    let mut out = Vec::with_capacity(COPY_LEN);
+    for op in copy_tape() {
+        let n = objects.len().max(1);
+        let result = match op {
+            CopyOp::Malloc { pooled } => {
+                let class = usize::from(pooled);
+                nth += 1;
+                outcome(s.malloc(&classes[class], nth), |addr| {
+                    objects.push((addr, class));
+                    Outcome::Done
+                })
+            }
+            CopyOp::Write { obj, field, value } => {
+                let (base, class) = objects[obj % n];
+                let info = &classes[class];
+                outcome(s.write(base, info.hash(), field % info.field_count(), value), |()| {
+                    Outcome::Done
+                })
+            }
+            CopyOp::Read { obj, field } => {
+                let (base, class) = objects[obj % n];
+                let info = &classes[class];
+                outcome(s.read(base, info.hash(), field % info.field_count()), Outcome::Value)
+            }
+            CopyOp::CopyLive { src, dst } => {
+                let (src, class) = objects[src % n];
+                let same: Vec<Addr> = objects
+                    .iter()
+                    .filter(|&&(a, c)| c == class && a != src)
+                    .map(|&(a, _)| a)
+                    .collect();
+                match same.get(dst % same.len().max(1)) {
+                    Some(&dst) => outcome(s.memcpy(dst, src, &classes[class]), |()| Outcome::Done),
+                    None => Outcome::Skipped,
+                }
+            }
+        };
+        out.push(result);
+    }
+    out
+}
+
+fn copy_reference() -> (Vec<Outcome>, RuntimeStats) {
+    let mut rt = ObjectRuntime::new(mode(), config(true));
+    let out = replay_copies(&mut rt);
+    (out, rt.stats())
+}
+
+fn copy_handle(magazines: bool) -> (Vec<Outcome>, RuntimeStats) {
+    let rt = ShardedRuntime::new(mode(), config(magazines), 1);
+    let out = replay_copies(&mut rt.handle(0));
+    (out, rt.stats())
+}
+
+fn copy_two_handles() -> (Vec<Outcome>, RuntimeStats) {
+    let rt = ShardedRuntime::new(mode(), config(true), 2);
+    let out = replay_copies(&mut Pair([rt.handle(0), rt.handle(1)]));
+    (out, rt.stats())
+}
+
+/// Every op's outcome on a handle path agrees with the plain runtime's,
+/// and every copy on it ran without the shard lock.
+fn assert_copies_agree(path: &str, (got, stats): &(Vec<Outcome>, RuntimeStats)) {
+    let (want, _) = copy_reference();
+    let tape = copy_tape();
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "{path}: op {i} ({:?}) disagrees with the plain runtime", tape[i]);
+    }
+    assert_eq!(stats.lockfree_copies, stats.memcpys, "{path}: {stats:?}");
+    assert_eq!(stats.lockfree_fallbacks, 0, "{path}: {stats:?}");
+}
+
+#[test]
+fn copy_tape_copies_live_objects_onto_live_objects() {
+    let (out, stats) = copy_reference();
+    let copies = copy_tape().iter().filter(|op| matches!(op, CopyOp::CopyLive { .. })).count();
+    assert!(copies > 50, "{copies} copies");
+    assert_eq!(stats.memcpys as usize, copies, "every copy finds a live destination");
+    assert_eq!(stats.frees, 0);
+    assert!(out.iter().all(|o| !matches!(o, Outcome::Err(_) | Outcome::Skipped)), "{out:?}");
+    assert!(out.iter().any(|o| matches!(o, Outcome::Value(v) if *v != 0)));
+}
+
+#[test]
+fn golden_copies_object_runtime() {
+    assert_eq!(copy_reference().1, GOLDEN_COPY_OBJECT_RUNTIME);
+}
+
+#[test]
+fn golden_copies_handle_with_magazines() {
+    let run = copy_handle(true);
+    assert_copies_agree("handle/magazines", &run);
+    assert_eq!(run.1, GOLDEN_COPY_HANDLE_MAGAZINES);
+}
+
+#[test]
+fn golden_copies_handle_without_magazines() {
+    let run = copy_handle(false);
+    assert_copies_agree("handle/mutex", &run);
+    assert_eq!(run.1, GOLDEN_COPY_HANDLE_MUTEX);
+}
+
+#[test]
+fn golden_copies_two_handles_two_shards() {
+    let run = copy_two_handles();
+    assert_copies_agree("two-handles/2", &run);
+    assert_eq!(run.1, GOLDEN_COPY_TWO_HANDLES);
+}
+
+#[test]
+#[ignore = "prints the copy-tape literals for re-recording"]
+fn print_golden_copies() {
+    println!("COPY_OBJECT_RUNTIME {:?}", copy_reference().1);
+    println!("COPY_HANDLE_MAGAZINES {:?}", copy_handle(true).1);
+    println!("COPY_HANDLE_MUTEX {:?}", copy_handle(false).1);
+    println!("COPY_TWO_HANDLES {:?}", copy_two_handles().1);
+}
+
+
+const GOLDEN_COPY_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
+    allocations: 33,
+    frees: 0,
+    memcpys: 75,
+    member_accesses: 132,
+    cache_hits: 75,
+    uaf_detected: 0,
+    mismatch_detected: 0,
+    traps_triggered: 0,
+    trap_scans: 0,
+    dummy_touches: 0,
+    double_free_detected: 0,
+    unique_plans: 50,
+    dedup_saved: 1,
+    shadow_hits: 132,
+    shadow_misses: 0,
+    site_ic_hits: 0,
+    site_ic_misses: 0,
+    stateless_allocs: 19,
+    probe_traps: 0,
+    pool_hits: 12,
+    pool_refills: 2,
+    lockfree_reads: 0,
+    lockfree_writes: 0,
+    lockfree_copies: 0,
+    lockfree_fallbacks: 0,
+    magazine_hits: 0,
+    magazine_refills: 0,
+    magazine_returns: 0,
+    fast_frees: 0,
+    remote_drained: 0,
+};
+
+const GOLDEN_COPY_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
+    allocations: 33,
+    frees: 0,
+    memcpys: 75,
+    member_accesses: 132,
+    cache_hits: 75,
+    uaf_detected: 0,
+    mismatch_detected: 0,
+    traps_triggered: 0,
+    trap_scans: 0,
+    dummy_touches: 0,
+    double_free_detected: 0,
+    unique_plans: 62,
+    dedup_saved: 3,
+    shadow_hits: 132,
+    shadow_misses: 0,
+    site_ic_hits: 0,
+    site_ic_misses: 0,
+    stateless_allocs: 19,
+    probe_traps: 0,
+    pool_hits: 29,
+    pool_refills: 3,
+    lockfree_reads: 64,
+    lockfree_writes: 68,
+    lockfree_copies: 75,
+    lockfree_fallbacks: 0,
+    magazine_hits: 31,
+    magazine_refills: 2,
+    magazine_returns: 31,
+    fast_frees: 0,
+    remote_drained: 0,
+};
+
+const GOLDEN_COPY_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
+    allocations: 33,
+    frees: 0,
+    memcpys: 75,
+    member_accesses: 132,
+    cache_hits: 75,
+    uaf_detected: 0,
+    mismatch_detected: 0,
+    traps_triggered: 0,
+    trap_scans: 0,
+    dummy_touches: 0,
+    double_free_detected: 0,
+    unique_plans: 51,
+    dedup_saved: 0,
+    shadow_hits: 132,
+    shadow_misses: 0,
+    site_ic_hits: 0,
+    site_ic_misses: 0,
+    stateless_allocs: 19,
+    probe_traps: 0,
+    pool_hits: 12,
+    pool_refills: 2,
+    lockfree_reads: 64,
+    lockfree_writes: 68,
+    lockfree_copies: 75,
+    lockfree_fallbacks: 0,
+    magazine_hits: 0,
+    magazine_refills: 0,
+    magazine_returns: 0,
+    fast_frees: 0,
+    remote_drained: 0,
+};
+
+const GOLDEN_COPY_TWO_HANDLES: RuntimeStats = RuntimeStats {
+    allocations: 33,
+    frees: 0,
+    memcpys: 75,
+    member_accesses: 132,
+    cache_hits: 75,
+    uaf_detected: 0,
+    mismatch_detected: 0,
+    traps_triggered: 0,
+    trap_scans: 0,
+    dummy_touches: 0,
+    double_free_detected: 0,
+    unique_plans: 122,
+    dedup_saved: 8,
+    shadow_hits: 132,
+    shadow_misses: 0,
+    site_ic_hits: 0,
+    site_ic_misses: 0,
+    stateless_allocs: 19,
+    probe_traps: 0,
+    pool_hits: 58,
+    pool_refills: 6,
+    lockfree_reads: 64,
+    lockfree_writes: 68,
+    lockfree_copies: 75,
+    lockfree_fallbacks: 0,
+    magazine_hits: 29,
+    magazine_refills: 4,
+    magazine_returns: 95,
     fast_frees: 0,
     remote_drained: 0,
 };

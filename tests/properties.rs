@@ -7,8 +7,8 @@ use polar::instrument::{instrument, InstrumentOptions};
 use polar::ir::interp::{run_native, run_with_mode, ExecLimits};
 use polar::layout::{
     code_position, stateless_perm, stateless_plan, stateless_size_bound,
-    stateless_trapped_plan, stateless_bound, DummyPolicy, EpochKey, LayoutEngine, PermBlock,
-    PermuteMode, RandomizationPolicy, RoundKeys,
+    stateless_trapped_plan, stateless_bound, CanaryKey, DummyPolicy, EpochKey, LayoutEngine,
+    PermBlock, PermuteMode, RandomizationPolicy, RoundKeys,
 };
 use polar::fuzz::{Campaign, CampaignOptions, CampaignTarget, Feedback, Mutator};
 use polar::prelude::*;
@@ -589,7 +589,8 @@ fn stateless_virtual_traps_never_collide_with_fields() {
                 let epoch = EpochKey(key.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
                 let generation = salt.wrapping_add(i * 31) % 97;
                 let slot = ((salt >> 32).wrapping_add(i * 7) % 1024) as u32;
-                let plan = stateless_trapped_plan(&info, epoch, generation, slot);
+                let plan =
+                    stateless_trapped_plan(&info, epoch, generation, slot, CanaryKey(*salt));
                 ensure!(plan.validate().is_ok(), "{plan}");
                 ensure!(
                     plan.size() <= stateless_bound(&info, true),
