@@ -2,6 +2,7 @@
 //! their unhardened equivalents — where the Figure 6 overhead actually
 //! comes from.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,7 +14,7 @@ use polar_layout::{
     pack_perm, stateless_perm, stateless_plan_from_code, CanaryKey, DerivedLayout, EpochKey,
     LayoutEngine, PlanInterner, RandomizationPolicy, RoundKeys,
 };
-use polar_rng::{rngs::StdRng, SeedableRng};
+use polar_rng::{rngs::StdRng, RngExt, SeedableRng};
 use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime};
 use polar_simheap::{Addr, HeapConfig, SimHeap};
 
@@ -259,6 +260,77 @@ fn bench_plan_resolve(c: &mut Criterion) {
     group.finish();
 }
 
+/// The plan-source layer as a busy service meets it: a field access
+/// resolves its object's plan id through the registry to a field's
+/// `(offset, width)` when neither the plan nor its cells are cached.
+///
+/// `cold_7f` resolves `(id, field)` pairs in a random order over 10,080
+/// interned 7-field plans with traps — the `layout.unique_plans` of a
+/// traced session-zipf run — so the registry entries, the plans and
+/// their cells are spread over a few megabytes and the order defeats
+/// the prefetcher. `plan_build_12f` builds and interns a pooled plan of
+/// handoff-churn's 12-field `Envelope` class (default policy), the
+/// plan source of that workload's refills; its interner is replaced,
+/// untimed, every 4,096 builds, so memory stays bounded.
+fn bench_plan_layer(c: &mut Criterion) {
+    const PLANS: usize = 10_080;
+    const PAIRS: usize = 1 << 16;
+    let seven = wide(7);
+    let canaries = CanaryKey::from_seed(0x5EED);
+    let mut interner = PlanInterner::new(canaries);
+    let mut g = 0u64;
+    while interner.unique_plans() < PLANS {
+        let key = EpochKey(g / 64);
+        let code = pack_perm(&stateless_perm(key, g, 3, 7));
+        interner.intern_id(stateless_plan_from_code(&seven, key, code, Some(canaries)));
+        g += 1;
+    }
+    let mut rng = StdRng::seed_from_u64(0xC01D);
+    let pairs: Vec<(u32, usize)> = (0..PAIRS)
+        .map(|_| (rng.random_range(0..PLANS as u32), rng.random_range(0..7usize)))
+        .collect();
+    let registry = interner.registry();
+    let mut i = 0usize;
+    let mut group = c.benchmark_group("plan_resolve");
+    // Each lookup's index waits on the offset the previous one resolved
+    // (offsets are below 2^31, so the step is always 1): the row prices
+    // the latency of the chain, which the access that follows a lookup
+    // waits on, not lookups overlapped by out-of-order execution.
+    let mut offset = 0u32;
+    group.bench_function("cold_7f", |b| {
+        b.iter(|| {
+            i = (i + 1 + (offset >> 31) as usize) % PAIRS;
+            let (id, field) = pairs[i];
+            let access = registry.get(id).and_then(|p| p.access(field));
+            offset = access.map_or(0, |a| a.offset);
+            access
+        })
+    });
+    group.finish();
+
+    use FieldKind::{Ptr, VtablePtr, I32, I64};
+    let kinds = [VtablePtr, I64, I64, I64, I64, I32, I32, I32, I32, Ptr, Ptr, I64];
+    let mut decl = ClassDecl::builder("Envelope");
+    for (i, kind) in kinds.into_iter().enumerate() {
+        decl = decl.field(format!("f{i}"), kind);
+    }
+    let envelope = ClassInfo::from_decl(decl.build());
+    let engine = LayoutEngine::new(RandomizationPolicy::default());
+    let interner = RefCell::new(PlanInterner::new(canaries));
+    let mut built = 0usize;
+    c.bench_function("plan_build_12f", |b| {
+        b.iter_batched(
+            || {
+                built += 1;
+                if built % 4096 == 0 {
+                    *interner.borrow_mut() = PlanInterner::new(canaries);
+                }
+            },
+            |()| interner.borrow_mut().intern_id(engine.generate(&envelope, &mut rng)).0,
+        )
+    });
+}
+
 /// How a stateless reservation of a 7-field class finds the interned
 /// plan of a derived code, over 1,024 codes that are all interned
 /// already (the steady state): lay the code out on the stack, hash it
@@ -368,6 +440,7 @@ bench_group!(
     bench_stats,
     bench_heap_locate,
     bench_plan_resolve,
+    bench_plan_layer,
     bench_stateless_resolve,
     bench_magazine_refill
 );

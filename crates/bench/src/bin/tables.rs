@@ -349,7 +349,7 @@ fn sharded_detect() {
                     let canaried = rt
                         .object_meta(d)
                         .and_then(|m| {
-                            m.plan.dummies().iter().find(|x| x.canary.is_some()).cloned()
+                            m.plan.dummies().find(|x| x.canary.is_some())
                         });
                     match canaried {
                         Some(dummy) => {

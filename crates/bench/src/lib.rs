@@ -425,7 +425,7 @@ pub fn ablation_rows(_reps: u32) -> Vec<AblationRow> {
             .iter()
             .map(|&o| {
                 rt.object_meta(o).map_or(0, |m| {
-                    m.plan.dummies().iter().filter(|d| d.canary.is_some()).count()
+                    m.plan.dummies().filter(|d| d.canary.is_some()).count()
                 })
             })
             .sum();

@@ -93,7 +93,7 @@ fn default_config_selects_the_path_per_class_size() {
         let s = rt.olr_malloc(&small).expect("alloc small");
         let meta = rt.object_meta(s).expect("meta");
         assert!(
-            meta.plan.dummies().iter().any(|d| d.canary.is_some()),
+            meta.plan.dummies().any(|d| d.canary.is_some()),
             "stateless default must arm virtual traps on small classes"
         );
         let l = rt.olr_malloc(&large).expect("alloc large");

@@ -40,11 +40,24 @@ impl LayoutEngine {
     /// With [`RandomizationPolicy::off`] this returns the natural layout
     /// (marked as such, so the runtime can skip the metadata fast-path).
     pub fn generate<R: Rng + ?Sized>(&self, info: &ClassInfo, rng: &mut R) -> LayoutPlan {
-        let fields = info.fields();
         let policy = &self.policy;
         if matches!(policy.permute, PermuteMode::Off) && policy.dummies.max == 0 {
             return LayoutPlan::natural_for(info);
         }
+        let (field_offsets, dummies, size) = self.draw(info, rng);
+        LayoutPlan::of_class(info, &field_offsets, &dummies, size, false)
+    }
+
+    /// The randomized layout [`generate`](Self::generate) packs into a
+    /// plan: each field's offset in declaration order, the dummies in
+    /// memory order and the object size.
+    pub(crate) fn draw<R: Rng + ?Sized>(
+        &self,
+        info: &ClassInfo,
+        rng: &mut R,
+    ) -> (Vec<u32>, Vec<DummySlot>, u32) {
+        let fields = info.fields();
+        let policy = &self.policy;
 
         // 1. Decide the relative order of the real fields.
         let order: Vec<usize> = match policy.permute {
@@ -101,8 +114,7 @@ impl LayoutEngine {
 
         // 3. Lay the items out sequentially with natural alignment.
         let mut field_offsets = vec![0u32; fields.len()];
-        let field_sizes: Vec<u32> = fields.iter().map(|f| f.kind().size()).collect();
-        let mut dummies = Vec::new();
+        let mut dummies = Vec::with_capacity(items.len() - fields.len());
         let mut cursor: u32 = 0;
         let mut max_align: u32 = 1;
         let dummy_size = policy.dummies.size.max(1);
@@ -130,17 +142,7 @@ impl LayoutEngine {
                 }
             }
         }
-        let size = round_up(cursor.max(1), max_align);
-        let field_aligns = fields.iter().map(|f| f.kind().align()).collect();
-        LayoutPlan::with_aligns(
-            info.hash(),
-            field_offsets,
-            field_sizes,
-            field_aligns,
-            dummies,
-            size,
-            false,
-        )
+        (field_offsets, dummies, round_up(cursor.max(1), max_align))
     }
 
     /// The deterministic (non-randomized) plan for `info`.
@@ -185,7 +187,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let plan = engine.generate(&people(), &mut rng);
         assert!(plan.is_natural());
-        assert_eq!(plan.field_offsets(), &[0, 8, 12]);
+        assert!(plan.offsets().eq([0, 8, 12]));
     }
 
     #[test]
@@ -243,7 +245,7 @@ mod tests {
             for (idx, field) in class.fields().iter().enumerate() {
                 if field.kind().is_pointer() {
                     let off = plan.offset(idx);
-                    let guarded = plan.dummies().iter().any(|d| {
+                    let guarded = plan.dummies().any(|d| {
                         d.canary.is_some() && d.offset + d.size <= off && off - (d.offset + d.size) < 8
                     });
                     assert!(guarded || off == 0 || has_adjacent_dummy(&plan, off),
@@ -254,7 +256,7 @@ mod tests {
     }
 
     fn has_adjacent_dummy(plan: &LayoutPlan, off: u32) -> bool {
-        plan.dummies().iter().any(|d| d.offset + d.size == off)
+        plan.dummies().any(|d| d.offset + d.size == off)
     }
 
     #[test]
@@ -270,7 +272,7 @@ mod tests {
             let plan = engine.generate(&class, &mut rng);
             let n = plan.dummies().len();
             assert!((2..=4).contains(&n), "dummy count {n} out of bounds");
-            assert!(plan.dummies().iter().all(|d| d.canary.is_none()));
+            assert!(plan.dummies().all(|d| d.canary.is_none()));
         }
     }
 
@@ -308,8 +310,8 @@ mod tests {
         let engine = LayoutEngine::new(RandomizationPolicy::default());
         let mut rng = StdRng::seed_from_u64(7);
         let plan = engine.generate(&people(), &mut rng);
-        assert!(!plan.dummies().is_empty());
-        assert!(plan.dummies().iter().all(|d| d.canary.is_some()));
+        assert!(plan.dummies().len() > 0);
+        assert!(plan.dummies().all(|d| d.canary.is_some()));
     }
 
     #[test]

@@ -14,12 +14,11 @@ use crate::registry::PlanRegistry;
 /// of distinct layouts is tiny (a 3-field class has only a handful), so
 /// interning collapses most per-object metadata.
 ///
-/// Each interned plan carries its precomputed dense access table
-/// ([`LayoutPlan::access_table`](crate::LayoutPlan::access_table)), so
-/// deduplication shares those tables too: one `(offset, width)` table
-/// per *distinct layout*, not per object — the memory the hot-path
-/// overhaul added is covered by the same dedup argument as the plans
-/// themselves.
+/// Each interned plan carries every field's precomputed access
+/// parameters ([`LayoutPlan::access`](crate::LayoutPlan::access)) in
+/// cells of its own allocation, so deduplication shares those too: one
+/// set of `(offset, width)` cells per *distinct layout*, not per object
+/// — covered by the same dedup argument as the plans themselves.
 ///
 /// The interned plans live in a [`PlanRegistry`], so every plan also has
 /// a registry **id** ([`PlanInterner::intern_id`]) that object records

@@ -58,7 +58,7 @@ mod stateless;
 
 pub use engine::LayoutEngine;
 pub use intern::PlanInterner;
-pub use plan::{CanaryKey, DummySlot, FieldAccess, LayoutPlan, PlanHash};
+pub use plan::{CanaryKey, DummySlot, FieldAccess, LayoutPlan, PlanHash, INLINE_CELLS};
 pub use registry::PlanRegistry;
 pub use policy::{DummyPolicy, PermuteMode, RandomizationPolicy};
 pub use pool::{PlanPools, PoolStats, POOL_CHURN, POOL_SIZE};

@@ -19,7 +19,7 @@
 //!
 //! Pools interact with the [`PlanInterner`] exactly like the unpooled
 //! path: every generated plan is interned, so pooled and unpooled plans
-//! have identical metadata semantics (shared access tables, dedup
+//! have identical metadata semantics (shared field cells, dedup
 //! accounting, canary sharing across structurally equal plans).
 
 use std::collections::HashMap;

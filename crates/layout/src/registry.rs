@@ -6,7 +6,11 @@
 //! are handed out once and plans are never removed or replaced; storage
 //! grows in [`Segments`], so a plan's slot keeps its address for the
 //! registry's whole lifetime. A reader holding an id observed from a
-//! published record dereferences it with two array indexations.
+//! published record finds its entry with two array indexations into
+//! the segment directory, which stays cached, so reaching a field's
+//! offset is two dependent loads: the 16 B entry (an `Arc` to the
+//! plan), then the plan, which holds the fields of a class of up to
+//! 16 in its own allocation ([`LayoutPlan`]).
 //!
 //! Writers intern under a small mutex; that lock is on the allocation
 //! path (an interner's miss), never on a read. A standalone runtime owns
@@ -90,7 +94,7 @@ impl PlanRegistry {
     /// a fresh id and return both. A shared registry that already holds
     /// `plan`'s hash returns the stored id and plan instead, so every
     /// holder of an id uses the one plan it resolves to.
-    pub(crate) fn intern(&self, plan: LayoutPlan) -> (u32, Arc<LayoutPlan>) {
+    pub(crate) fn intern(&self, mut plan: LayoutPlan) -> (u32, Arc<LayoutPlan>) {
         let mut writer = self.writer.ids.lock().unwrap_or_else(|e| e.into_inner());
         let hash = plan.plan_hash();
         if let Some(&id) = writer.as_ref().and_then(|ids| ids.get(&hash)) {
@@ -98,7 +102,8 @@ impl PlanRegistry {
         }
         let id = self.writer.len.load(Ordering::Relaxed);
         assert!(id != u32::MAX, "plan registry exhausted its u32 id space");
-        let plan = Arc::new(plan.with_canaries(self.key));
+        plan.arm_canaries(self.key);
+        let plan = Arc::new(plan);
         self.plans.ensure(id).set(Arc::clone(&plan)).expect("fresh id slot is unset");
         self.writer.len.store(id + 1, Ordering::Release);
         if let Some(ids) = writer.as_mut() {
@@ -171,6 +176,14 @@ mod tests {
     }
 
     #[test]
+    fn a_registry_entry_stays_sixteen_bytes() {
+        // Registry bytes are metadata per live object: an entry is the
+        // `OnceLock` flag and one thin `Arc` to the plan, whose cells are
+        // in the plan's own allocation.
+        assert_eq!(std::mem::size_of::<OnceLock<Arc<LayoutPlan>>>(), 16);
+    }
+
+    #[test]
     fn ids_are_dense_deduplicated_and_stable() {
         let reg = PlanRegistry::shared(CanaryKey(3));
         let ps = plans(5);
@@ -197,7 +210,7 @@ mod tests {
         for plan in plans(16) {
             let (_, stored) = a.intern(plan.clone());
             assert_eq!(stored.plan_hash(), plan.plan_hash());
-            for (j, (d, drawn)) in stored.dummies().iter().zip(plan.dummies()).enumerate() {
+            for (j, (d, drawn)) in stored.dummies().zip(plan.dummies()).enumerate() {
                 assert_eq!((d.offset, d.size), (drawn.offset, drawn.size));
                 let want = drawn.canary.map(|_| key.canary(plan.plan_hash(), j));
                 assert_eq!(d.canary, want, "dummy {j}");

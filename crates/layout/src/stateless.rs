@@ -440,7 +440,7 @@ impl PermBlock {
 ///
 /// Permute-only (no dummies, no traps): fields are laid out sequentially
 /// in derived order with natural alignment. The result is a plain
-/// [`LayoutPlan`], so every downstream consumer — access tables, the
+/// [`LayoutPlan`], so every downstream consumer — field accesses, the
 /// slot records, `olr_memcpy` translation — works unchanged.
 ///
 /// This is the reference derivation kept for the ablation and the
@@ -649,8 +649,13 @@ impl DerivedLayout {
     }
 
     /// Field offsets, indexed by declaration order.
-    fn offsets(&self) -> &[u32] {
+    pub(crate) fn offsets(&self) -> &[u32] {
         &self.offsets[..usize::from(self.fields)]
+    }
+
+    /// The object size of this layout.
+    pub(crate) fn size(&self) -> u32 {
+        self.size
     }
 
     /// The virtual trap slots with their canaries, in memory order: the
@@ -662,16 +667,8 @@ impl DerivedLayout {
 
     /// The plan of this layout; `info` is the class it was derived for.
     pub fn into_plan(self, info: &ClassInfo) -> LayoutPlan {
-        let fields = info.fields();
-        LayoutPlan::with_aligns(
-            self.class,
-            self.offsets().to_vec(),
-            fields.iter().map(|f| f.kind().size()).collect(),
-            fields.iter().map(|f| f.kind().align()).collect(),
-            self.traps().to_vec(),
-            self.size,
-            false,
-        )
+        debug_assert_eq!(self.class, info.hash());
+        LayoutPlan::of_class(info, self.offsets(), self.traps(), self.size(), false)
     }
 
     /// The content hash of the plan this layout builds.
@@ -825,12 +822,12 @@ mod tests {
             }
         }
         let size = round_up(cursor.max(1), max_align);
-        let plan =
-            LayoutPlan::with_aligns(info.hash(), offsets, sizes, aligns, dummies, size, false);
-        match traps {
-            Some(canaries) => plan.with_canaries(canaries),
-            None => plan,
+        let mut plan =
+            LayoutPlan::with_aligns(info.hash(), &offsets, &sizes, &aligns, &dummies, size, false);
+        if let Some(canaries) = traps {
+            plan.arm_canaries(canaries);
         }
+        plan
     }
 
     /// The codes checked for an `n`-field class: every code when `n ≤ 6`
@@ -881,7 +878,7 @@ mod tests {
                         );
                         assert_eq!(
                             shape.traps(),
-                            plan.dummies(),
+                            plan.dummies().collect::<Vec<_>>(),
                             "canaries: n={n} code={code:#x} traps={traps:?} key={key:?}"
                         );
                         assert_eq!(

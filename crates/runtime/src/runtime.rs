@@ -807,7 +807,7 @@ impl ObjectRuntime {
         Capsule { base, slot }: Capsule,
         generation: u64,
         (class, hash, plan_id): (ClassHash, PlanHash, u32),
-        dummies: &[DummySlot],
+        dummies: impl IntoIterator<Item = DummySlot>,
     ) -> Result<(), RuntimeError> {
         for dummy in dummies {
             if let Some(canary) = dummy.canary {
@@ -896,7 +896,7 @@ impl ObjectRuntime {
             // shard's has none.
             plans.note(plan_id);
             let record = (info.hash(), shape.plan_hash(), plan_id);
-            Self::install(heap, meta_count, cap, generation, record, shape.traps())?;
+            Self::install(heap, meta_count, cap, generation, record, shape.traps().iter().copied())?;
             Ok(cap)
         })?
     }
@@ -1538,7 +1538,7 @@ mod tests {
         let info = people();
         let obj = rt.olr_malloc(&info).unwrap();
         assert!(rt.check_traps(obj).unwrap().is_empty());
-        let dummy = rt.object_meta(obj).unwrap().plan.dummies()[0];
+        let dummy = rt.object_meta(obj).unwrap().plan.dummies().next().unwrap();
         rt.heap_mut()
             .write_u64(obj.offset(dummy.offset as u64), 0x4242_4242)
             .unwrap();
@@ -2044,7 +2044,7 @@ mod tests {
         let obj = rt.olr_malloc(&info).unwrap();
         let plan = Arc::clone(&rt.object_meta(obj).unwrap().plan);
         // A probe overlapping a virtual trap slot trips detection...
-        let dummy = plan.dummies()[0];
+        let dummy = plan.dummies().next().unwrap();
         let err = rt.probe_read_uint(obj.offset(u64::from(dummy.offset)), 8).unwrap_err();
         assert!(matches!(err, RuntimeError::TrapTriggered(_)), "got {err:?}");
         assert_eq!(rt.stats().probe_traps, 1);
@@ -2059,7 +2059,7 @@ mod tests {
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).unwrap();
         let plan = Arc::clone(&rt.object_meta(obj).unwrap().plan);
-        let dummy = plan.dummies()[0];
+        let dummy = plan.dummies().next().unwrap();
         assert!(rt.probe_read_uint(obj.offset(u64::from(dummy.offset)), 8).is_ok());
         assert_eq!(rt.stats().probe_traps, 0);
     }
@@ -2164,7 +2164,7 @@ mod tests {
                 assert_eq!(got.plan_id(), want.plan_id(), "plan id of allocation {i}");
                 assert_eq!(got.plan_hash(), want.plan_hash(), "plan hash of allocation {i}");
                 let plan = built.object_meta(base).unwrap().plan;
-                assert_eq!(plan.dummies().is_empty(), !traps);
+                assert_eq!(plan.dummies().len() == 0, !traps);
                 for d in plan.dummies() {
                     let (at, width) = (base.offset(u64::from(d.offset)), canary_width(d.size));
                     let seeded = probe.heap().read_uint(at, width).unwrap();
@@ -2196,7 +2196,7 @@ mod tests {
         let obj = rt.olr_malloc(&big).unwrap();
         // Large classes keep the engine path: dummies (and their traps)
         // are still woven in under the default policy.
-        assert!(!rt.object_meta(obj).unwrap().plan.dummies().is_empty());
+        assert!(rt.object_meta(obj).unwrap().plan.dummies().len() > 0);
     }
 
     #[test]

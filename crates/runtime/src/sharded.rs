@@ -1807,7 +1807,6 @@ mod tests {
                     let plan = rt.object_meta(obj).unwrap().plan;
                     let traps = plan
                         .dummies()
-                        .iter()
                         .map(|d| {
                             let at = obj.offset(u64::from(d.offset));
                             let seeded = h0.heap_read_uint(at, canary_width(d.size)).unwrap();
@@ -1886,7 +1885,7 @@ mod tests {
             let Some(meta) = h.runtime().object_meta(dst) else {
                 panic!("copy destination must be tracked after olr_memcpy");
             };
-            let Some(dummy) = meta.plan.dummies().iter().find(|d| d.canary.is_some()) else {
+            let Some(dummy) = meta.plan.dummies().find(|d| d.canary.is_some()) else {
                 // This draw carried no canaried dummy; clean free, retry.
                 h.olr_free(dst).unwrap();
                 return false;

@@ -10,6 +10,14 @@
 //! * two handles on a two-shard runtime, allocations alternating
 //!   between them, so accesses and frees cross shards.
 //!
+//! Tape objects are of three classes: a 5-field and a 2-field class,
+//! which take the derived path under a derived layout source, and a
+//! 12-field class, whose plans come from the pools. A copy of a small
+//! object onto a raw buffer or onto a wide object draws the small
+//! class's pooled plans into the interner its derived layouts probe;
+//! the 2-field class has so few derived structures that one of those
+//! plans often has the structure of a derived layout reserved later.
+//!
 //! Each case also draws the runtime configuration: the layout source
 //! (derived with and without traps, pooled, fresh), whether detections
 //! are armed, and whether placement randomization is on. Every surface
@@ -72,8 +80,9 @@ const LAYOUTS: [LayoutSource; 4] = [
 /// generated tape stays executable while the shrinker deletes ops.
 #[derive(Debug, Clone, Copy)]
 enum Op {
+    /// Allocate an object of `classes()[class]`.
     Malloc {
-        pooled: bool,
+        class: usize,
     },
     Free {
         obj: usize,
@@ -86,7 +95,8 @@ enum Op {
         field: usize,
         interior: bool,
     },
-    /// Like a real call site, site `s` always names field `s + 1`.
+    /// Like a real call site, site `s` always names one field of a
+    /// class: `s + 1`, modulo the class's field count.
     GetptrIc {
         obj: usize,
         site: usize,
@@ -220,6 +230,7 @@ fn small() -> Arc<ClassInfo> {
 }
 
 /// A 12-field class: its plans come from the plan pools, or fresh.
+/// Index [`WIDE`] of [`classes`]; every other class is small.
 fn pooled() -> Arc<ClassInfo> {
     let mut decl = ClassDecl::builder("Wide").field("vtable", FieldKind::VtablePtr);
     for i in 0..11 {
@@ -227,6 +238,26 @@ fn pooled() -> Arc<ClassInfo> {
         decl = decl.field(format!("f{i}"), kind);
     }
     Arc::new(ClassInfo::from_decl(decl.build()))
+}
+
+/// A 2-field class: derived like [`small`], but with two permutation
+/// codes, so it has few derived structures and the pooled plans a copy
+/// draws for it often share one. A pooled plan interned before the
+/// first reservation of its structure is the plan that reservation's
+/// probe finds, and the canaries the reservation arms from its stack
+/// layout must be that plan's.
+fn pair() -> Arc<ClassInfo> {
+    Arc::new(ClassInfo::from_decl(
+        ClassDecl::builder("Pair").field("lo", FieldKind::I64).field("hi", FieldKind::I64).build(),
+    ))
+}
+
+/// Index of the wide class in [`classes`].
+const WIDE: usize = 1;
+
+/// The tape's classes: [`small`], [`pooled`] and [`pair`].
+fn classes() -> [Arc<ClassInfo>; 3] {
+    [small(), pooled(), pair()]
 }
 
 /// A quarantine longer than any tape: no freed block is re-armed, so a
@@ -400,12 +431,12 @@ fn detections(s: &RuntimeStats, extra: u64) -> [u64; 8] {
 
 /// Flip the low byte of the first canary of the object's plan with a
 /// raw write (the inverted byte: corrupt however often it is applied).
-/// Derived untrapped plans of the small class carry no canary, and the
-/// op changes nothing there; every other plan carries one.
+/// Derived untrapped plans of the small classes carry no canary, and
+/// the op changes nothing there; every other plan carries one.
 fn corrupt(s: &mut dyn Surface, config: &RuntimeConfig, o: &mut Obj) -> Result<(), String> {
     let meta = s.meta(o.base).ok_or("a tape object lost its record")?;
-    let trap = meta.plan.dummies().iter().find_map(|d| Some((d.offset, d.canary?)));
-    let untrapped = config.layout == LayoutSource::DerivedUntrapped && o.class == 0;
+    let trap = meta.plan.dummies().find_map(|d| Some((d.offset, d.canary?)));
+    let untrapped = config.layout == LayoutSource::DerivedUntrapped && o.class != WIDE;
     match trap {
         Some((offset, canary)) => {
             let at = o.base.offset(u64::from(offset));
@@ -429,15 +460,16 @@ fn copy_op(
     op: &Op,
     objs: &mut Vec<Obj>,
     i: usize,
-    classes: &[Arc<ClassInfo>; 2],
+    classes: &[Arc<ClassInfo>; 3],
     detect: bool,
 ) -> Result<Option<Vec<(Outcome, Outcome)>>, String> {
-    let live_of = |objs: &[Obj], class: usize, not: usize| -> Vec<usize> {
-        (0..objs.len()).filter(|&j| j != not && objs[j].is_live() && objs[j].class == class).collect()
+    let live_of = |objs: &[Obj], class: &dyn Fn(usize) -> bool, not: usize| -> Vec<usize> {
+        (0..objs.len()).filter(|&j| j != not && objs[j].is_live() && class(objs[j].class)).collect()
     };
     let (src, dst) = match *op {
         Op::Memcpy { dst, .. } | Op::MemcpyFromFreed { dst, .. } => {
-            let same = live_of(objs, objs[i].class, i);
+            let class = objs[i].class;
+            let same = live_of(objs, &|c| c == class, i);
             match same.get(dst % same.len().max(1)) {
                 Some(&j) => (i, Some(j)),
                 None => return Ok(Some(vec![(Outcome::Skipped, Outcome::Skipped)])),
@@ -445,7 +477,8 @@ fn copy_op(
         }
         Op::InPlaceMemcpy { .. } => (i, Some(i)),
         Op::MemcpyOntoOtherClass { obj, dst } => {
-            let (small, wide) = (live_of(objs, 0, usize::MAX), live_of(objs, 1, usize::MAX));
+            let small = live_of(objs, &|c| c != WIDE, usize::MAX);
+            let wide = live_of(objs, &|c| c == WIDE, usize::MAX);
             match (small.get(obj % small.len().max(1)), wide.get(dst % wide.len().max(1))) {
                 (Some(&a), Some(&b)) => (a, Some(b)),
                 _ => return Ok(Some(vec![(Outcome::Skipped, Outcome::Skipped)])),
@@ -492,14 +525,13 @@ fn replay(
     tape: &[Op],
 ) -> Result<(Vec<Outcome>, [u64; 8]), String> {
     let detect = config.detect;
-    let classes = [small(), pooled()];
+    let classes = classes();
     let mut objs: Vec<Obj> = Vec::new();
     let mut sites = [SiteCache::empty(); SITES];
     let mut out = Vec::with_capacity(tape.len());
     let mut extra = 0;
     for (nth, op) in tape.iter().enumerate() {
-        if let Op::Malloc { pooled } = *op {
-            let class = usize::from(pooled);
+        if let Op::Malloc { class } = *op {
             let got = s.ctx(nth).olr_malloc(&classes[class]);
             if let Ok(base) = got {
                 let vals = vec![0; classes[class].field_count()];
@@ -611,18 +643,18 @@ fn replay(
             }
             Op::GetptrIc { site, interior, .. } => {
                 let at = if interior { base.offset(8) } else { base };
-                let got = s.ctx(0).olr_getptr_ic(at, hash, site + 1, &mut sites[site]);
+                let got = s.ctx(0).olr_getptr_ic(at, hash, (site + 1) % nf, &mut sites[site]);
                 let want = expected_access(o, true, true, interior, detect);
                 vec![(outcome(got, |_| Outcome::Done), want.map_or(Outcome::Done, Outcome::Err))]
             }
             Op::Read { field, .. } => vec![read(s, o, hash, field % nf)],
             Op::Write { field, value, .. } => vec![write(s, o, hash, field % nf, value)],
             Op::MismatchRead { field, .. } => {
-                let other = classes[1 - o.class].hash();
+                let other = classes[(o.class + 1) % classes.len()].hash();
                 vec![read(s, o, other, field % nf)]
             }
             Op::MismatchWrite { field, value, .. } => {
-                let other = classes[1 - o.class].hash();
+                let other = classes[(o.class + 1) % classes.len()].hash();
                 vec![write(s, o, other, field % nf, value)]
             }
             Op::OutOfRange { past, .. } => vec![read(s, o, hash, nf + past)],
@@ -717,7 +749,7 @@ fn surfaces_agree(
 fn every_surface_classifies_detections_identically() {
     let obj = 0usize..64;
     let field = 0usize..16;
-    let malloc = || any::<bool>().prop_map(|pooled| Op::Malloc { pooled });
+    let malloc = || (0..classes().len()).prop_map(|class| Op::Malloc { class });
     let value = || 0u64..0x7FFF_FFFF;
     // Allocations are listed seven times among 28 options, so a tape
     // keeps objects live for the object ops to land on.

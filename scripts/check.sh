@@ -123,6 +123,19 @@ echo "== derived-layout hash and canary identity (release, every code) =="
 POLAR_DERIVED_CODES=40320 cargo test -q --offline --release -p polar-layout derived_layout_hashes
 echo "ok: derived-layout hash and canary identity green"
 
+echo "== plan cell representation (release, larger budget) =="
+# A plan keeps its fields and dummies as cells of one allocation, the
+# fields of a class of up to 16 inline. Every accessor, the plan hash
+# and the registry's canaries are held to a reference plan of one
+# vector per field attribute, over engine plans (default, permute-only
+# and randstruct policies, 1-16 fields and a 20-field class that
+# spills), stateless plans of 1-8 fields with and without traps,
+# static-OLR and natural plans, and raw parts through both public
+# constructors. The workspace stage checks 150 cases per source;
+# POLAR_PLAN_CASES raises that here.
+POLAR_PLAN_CASES=20000 cargo test -q --offline --release -p polar-layout plan_cells
+echo "ok: plan cell representation green"
+
 echo "== heap footprint pin (release, session scale) =="
 # A heap's block metadata is its slot records plus one unit index: 128 B
 # per 256 B block. The pin builds a standalone and a published heap of

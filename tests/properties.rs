@@ -558,7 +558,7 @@ fn stateless_permutations_are_bijective_and_match_plans() {
                     plan.size() <= stateless_size_bound(&info),
                     "plan exceeds the allocation bound: {plan}"
                 );
-                ensure!(plan.dummies().is_empty(), "stateless plans must carry no dummies");
+                ensure!(plan.dummies().len() == 0, "stateless plans must carry no dummies");
             }
             Ok(())
         },
@@ -596,7 +596,7 @@ fn stateless_virtual_traps_never_collide_with_fields() {
                     plan.size() <= stateless_bound(&info, true),
                     "plan exceeds the trapped allocation bound: {plan}"
                 );
-                ensure!(!plan.dummies().is_empty(), "trapped plan derived zero traps: {plan}");
+                ensure!(plan.dummies().len() > 0, "trapped plan derived zero traps: {plan}");
                 for d in plan.dummies() {
                     ensure!(d.canary.is_some(), "stateless trap slots are always armed");
                     let (lo, hi) = (d.offset, d.offset + d.size);
