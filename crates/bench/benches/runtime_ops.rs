@@ -11,8 +11,8 @@ use polar_bench::micro::Criterion;
 use polar_bench::{bench_group, bench_main};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
 use polar_layout::{
-    pack_perm, stateless_perm, stateless_plan_from_code, CanaryKey, DerivedLayout, EpochKey,
-    LayoutEngine, PlanInterner, RandomizationPolicy, RoundKeys,
+    pack_perm, stateless_bound, stateless_perm, stateless_plan_from_code, CanaryKey,
+    DerivedLayout, EpochKey, LayoutEngine, PlanInterner, RandomizationPolicy, RoundKeys,
 };
 use polar_rng::{rngs::StdRng, RngExt, SeedableRng};
 use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime};
@@ -366,6 +366,22 @@ fn bench_stateless_resolve(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a fresh runtime pays once per stateless class, before the
+/// class's first reservation: the exact size of its widest derived
+/// layout with traps, which sizes every block of the class.
+/// spec-interp builds a runtime per program run, so this is paid per
+/// class per run.
+fn bench_stateless_bound(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stateless_bound");
+    for n in [4usize, 7, 8] {
+        let info = wide(n);
+        group.bench_function(format!("{n}f"), |b| {
+            b.iter(|| stateless_bound(black_box(&info), true))
+        });
+    }
+    group.finish();
+}
+
 /// One magazine refill of 32 capsules plus the drain of the 32 frees
 /// before it, per iteration, on a one-shard runtime: the handle pops and
 /// frees 32 objects (lock-free claims onto the shard's remote-free
@@ -442,6 +458,7 @@ bench_group!(
     bench_plan_resolve,
     bench_plan_layer,
     bench_stateless_resolve,
+    bench_stateless_bound,
     bench_magazine_refill
 );
 bench_main!(benches);

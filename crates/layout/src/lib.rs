@@ -65,7 +65,7 @@ pub use pool::{PlanPools, PoolStats, POOL_CHURN, POOL_SIZE};
 pub use static_olr::StaticOlrTable;
 pub use stateless::{
     code_position, code_rank, code_space, pack_perm, permute_index, stateless_bound,
-    stateless_perm, stateless_plan, stateless_plan_from_code, stateless_size_bound,
-    stateless_trapped_plan, DerivedLayout, EpochKey, PermBlock, PermCode, RoundKeys,
-    PERM_BLOCK_RUN, STATELESS_MAX_FIELDS, STATELESS_TRAP_MAX, TRAP_SLOT_BYTES,
+    stateless_perm, stateless_plan, stateless_plan_from_code, stateless_trapped_plan,
+    DerivedLayout, EpochKey, PermBlock, PermCode, RoundKeys, PERM_BLOCK_RUN, STATELESS_MAX_FIELDS,
+    STATELESS_TRAP_MAX, TRAP_SLOT_BYTES,
 };

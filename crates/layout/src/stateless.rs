@@ -694,35 +694,133 @@ pub fn stateless_plan_from_code(
     DerivedLayout::derive(info, key, code, traps).into_plan(info)
 }
 
-/// An upper bound on the size of *any* stateless plan for `info`,
-/// independent of (generation, slot).
+/// The size of the widest layout [`DerivedLayout::derive`] can give
+/// `info`: the exact maximum over every field order and, with `traps`,
+/// every trap count and insertion position, independent of
+/// (generation, slot).
 ///
 /// The allocation path needs a block size *before* the heap assigns the
-/// (slot, generation) identity the plan is derived from; this bound
-/// breaks the cycle. Sequential natural-alignment layout wastes at most
-/// `align - 1` padding bytes ahead of each field, so
-/// `Σ (size_i + align_i − 1)`, rounded up to the max alignment, dominates
-/// every permutation's footprint. With `traps` on, each of the up-to-
-/// [`STATELESS_TRAP_MAX`] trap slots adds at most `8 + 7` bytes.
+/// (slot, generation) identity the layout is derived from; this bound
+/// breaks the cycle, and because it is exact the block is no larger
+/// than the widest object that identity could derive.
+///
+/// A derived layout places its entries (the fields and the 8-byte trap
+/// slots) one after another, each at the next multiple of its alignment,
+/// and rounds the end up to the largest alignment. More traps never
+/// narrow a layout (a trap appended at the end only adds bytes and
+/// raises the alignment to 8), so the widest trapped layout has
+/// [`STATELESS_TRAP_MAX`] traps.
+///
+/// The entry sizes and the final alignment are fixed by the class, so
+/// only the padding varies, and the padding ahead of an entry depends
+/// only on the cursor modulo its alignment, hence (alignments being at
+/// most 8) on the cursor modulo 8. A dynamic program over the entries
+/// still to place — counted per `(size mod 8, alignment)` kind, since
+/// entries of one kind pad alike — and the cursor modulo 8 finds the
+/// most padding; rounding up is monotone, so the widest end rounds up
+/// to the widest size. Each path through the table is an order, so the
+/// maximum is attained, not just bounded. The table has
+/// `∏ (count + 1) × 8` cells: a few dozen rows for a class of repeated
+/// kinds, at most 1,024 for 8 fields of distinct narrow kinds and 3
+/// traps.
+///
+/// # Panics
+///
+/// Panics if `info` has more than [`STATELESS_MAX_FIELDS`] fields.
 pub fn stateless_bound(info: &ClassInfo, traps: bool) -> u32 {
-    let mut bound = 0u32;
-    let mut max_align = 1u32;
-    for f in info.fields() {
+    let fields = info.fields();
+    assert!(
+        fields.len() <= STATELESS_MAX_FIELDS,
+        "stateless path is limited to {STATELESS_MAX_FIELDS} fields, got {}",
+        fields.len()
+    );
+    let mut kinds = EntryKinds::default();
+    let (mut bytes, mut max_align) = (0u32, 1u32);
+    for f in fields {
         let kind = f.kind();
+        bytes += kind.size();
         max_align = max_align.max(kind.align());
-        bound += kind.size() + (kind.align() - 1);
+        kinds.add(kind.size(), kind.align(), 1);
     }
     if traps {
+        bytes += STATELESS_TRAP_MAX * TRAP_SLOT_BYTES;
         max_align = max_align.max(TRAP_SLOT_BYTES);
-        bound += STATELESS_TRAP_MAX * (TRAP_SLOT_BYTES + TRAP_SLOT_BYTES - 1);
+        kinds.add(TRAP_SLOT_BYTES, TRAP_SLOT_BYTES, STATELESS_TRAP_MAX as u8);
     }
-    round_up(bound.max(1), max_align)
+    round_up((bytes + kinds.widest_padding()).max(1), max_align)
 }
 
-/// [`stateless_bound`] without traps (the original bound, kept for the
-/// permute-only ablation and callers predating trap support).
-pub fn stateless_size_bound(info: &ClassInfo) -> u32 {
-    stateless_bound(info, false)
+/// The entries of a derived layout grouped by how they pad: one kind
+/// per distinct `(size mod 8, alignment)`, with its count.
+#[derive(Default)]
+struct EntryKinds {
+    /// `(size mod 8, alignment, count)` of each kind.
+    kinds: [(u32, u32, u8); STATELESS_MAX_FIELDS + 1],
+    len: usize,
+}
+
+impl EntryKinds {
+    fn add(&mut self, size: u32, align: u32, count: u8) {
+        let step = size % 8;
+        if align == 1 && step == 0 {
+            // Neither pads nor moves the cursor modulo 8.
+            return;
+        }
+        match self.kinds[..self.len].iter_mut().find(|k| (k.0, k.1) == (step, align)) {
+            Some(kind) => kind.2 += count,
+            None => {
+                self.kinds[self.len] = (step, align, count);
+                self.len += 1;
+            }
+        }
+    }
+
+    /// The most padding any order of the entries inserts, starting at
+    /// offset 0. `best[s][r]` is the most padding the multiset of
+    /// entries `s` (an index whose mixed-radix digits are the count left
+    /// of each kind) can add from a cursor `≡ r (mod 8)`; a state is
+    /// computed from the states with one entry fewer, which all have
+    /// smaller indices.
+    fn widest_padding(&self) -> u32 {
+        let kinds = &self.kinds[..self.len];
+        // Per kind: its index stride, and per cursor residue the padding
+        // it inserts and the residue after it.
+        let mut stride = [0usize; STATELESS_MAX_FIELDS + 1];
+        let mut pad = [[0u8; 8]; STATELESS_MAX_FIELDS + 1];
+        let mut next = [[0u8; 8]; STATELESS_MAX_FIELDS + 1];
+        let mut states = 1usize;
+        for (k, &(step, align, count)) in kinds.iter().enumerate() {
+            stride[k] = states;
+            states *= usize::from(count) + 1;
+            for r in 0..8u32 {
+                let p = (align - r % align) % align;
+                pad[k][r as usize] = p as u8;
+                next[k][r as usize] = ((r + p + step) % 8) as u8;
+            }
+        }
+        let mut best: Vec<[u8; 8]> = Vec::with_capacity(states);
+        best.push([0; 8]);
+        let mut left = [0u8; STATELESS_MAX_FIELDS + 1];
+        for s in 1..states {
+            // Advance the digits to state `s`.
+            for (k, digit) in left.iter_mut().enumerate().take(kinds.len()) {
+                if *digit < kinds[k].2 {
+                    *digit += 1;
+                    break;
+                }
+                *digit = 0;
+            }
+            let mut row = [0u8; 8];
+            for k in (0..kinds.len()).filter(|&k| left[k] > 0) {
+                let rest = &best[s - stride[k]];
+                for (r, cell) in row.iter_mut().enumerate() {
+                    *cell = (*cell).max(pad[k][r] + rest[usize::from(next[k][r])]);
+                }
+            }
+            best.push(row);
+        }
+        u32::from(best[states - 1][0])
+    }
 }
 
 fn round_up(value: u32, to: u32) -> u32 {
@@ -1005,6 +1103,203 @@ mod tests {
                 assert_eq!(plan.dummies().len(), 0);
             }
         }
+    }
+
+    /// The field kinds the exactness property builds classes from: every
+    /// alignment, and through the odd byte arrays, odd cursor steps
+    /// other than 1.
+    const BOUND_KINDS: [FieldKind; 7] = [
+        FieldKind::I8,
+        FieldKind::I16,
+        FieldKind::I32,
+        FieldKind::I64,
+        FieldKind::Ptr,
+        FieldKind::Bytes(3),
+        FieldKind::Bytes(5),
+    ];
+
+    fn class_of(kinds: &[FieldKind]) -> ClassInfo {
+        let mut b = ClassDecl::builder("Bound");
+        for (i, kind) in kinds.iter().enumerate() {
+            b = b.field(format!("f{i}"), *kind);
+        }
+        ClassInfo::from_decl(b.build())
+    }
+
+    /// The `(size, alignment)` of each layout entry: the fields in
+    /// declaration order, then `traps` trap slots.
+    fn entries(info: &ClassInfo, traps: usize) -> Vec<(u32, u32)> {
+        let fields = info.fields().iter().map(|f| (f.kind().size(), f.kind().align()));
+        fields.chain(std::iter::repeat_n((TRAP_SLOT_BYTES, TRAP_SLOT_BYTES), traps)).collect()
+    }
+
+    /// The size of one memory order laid out as [`DerivedLayout::derive`]
+    /// lays out its entries: each at the next multiple of its alignment,
+    /// the end rounded up to the largest alignment.
+    fn sequential_size(order: impl IntoIterator<Item = (u32, u32)>) -> u32 {
+        let (mut cursor, mut max_align) = (0u32, 1u32);
+        for (size, align) in order {
+            cursor = round_up(cursor, align) + size;
+            max_align = max_align.max(align);
+        }
+        round_up(cursor.max(1), max_align)
+    }
+
+    /// The widest sequential layout of `entries` over every distinct
+    /// memory order, by enumeration (entries of one shape are
+    /// interchangeable, so each shape is tried once per position).
+    fn widest_by_enumeration(entries: &[(u32, u32)]) -> u32 {
+        fn go(shapes: &mut [((u32, u32), usize)], placed: &mut Vec<(u32, u32)>) -> u32 {
+            if placed.len() == placed.capacity() {
+                return sequential_size(placed.iter().copied());
+            }
+            let mut widest = 0;
+            for k in 0..shapes.len() {
+                if shapes[k].1 == 0 {
+                    continue;
+                }
+                shapes[k].1 -= 1;
+                placed.push(shapes[k].0);
+                widest = widest.max(go(shapes, placed));
+                placed.pop();
+                shapes[k].1 += 1;
+            }
+            widest
+        }
+        let mut shapes: Vec<((u32, u32), usize)> = Vec::new();
+        for &e in entries {
+            match shapes.iter_mut().find(|s| s.0 == e) {
+                Some(s) => s.1 += 1,
+                None => shapes.push((e, 1)),
+            }
+        }
+        go(&mut shapes, &mut Vec::with_capacity(entries.len()))
+    }
+
+    /// A memory order (indices into `entries`) whose end cursor is the
+    /// largest of any order: a search over the set of entries still to
+    /// place and the cursor modulo 8, memoized per entry subset.
+    fn widest_order(entries: &[(u32, u32)]) -> Vec<usize> {
+        let n = entries.len();
+        let mut memo = vec![[u32::MAX; 8]; 1 << n];
+        fn pad(r: u32, align: u32) -> u32 {
+            (align - r % align) % align
+        }
+        fn most(e: &[(u32, u32)], memo: &mut [[u32; 8]], left: usize, r: u32) -> u32 {
+            if memo[left][r as usize] == u32::MAX {
+                memo[left][r as usize] = (0..e.len())
+                    .filter(|&i| left & (1 << i) != 0)
+                    .map(|i| {
+                        let p = pad(r, e[i].1);
+                        p + most(e, memo, left & !(1 << i), (r + p + e[i].0) % 8)
+                    })
+                    .max()
+                    .unwrap_or(0);
+            }
+            memo[left][r as usize]
+        }
+        let (mut left, mut r, mut order) = ((1usize << n) - 1, 0u32, Vec::new());
+        while left != 0 {
+            let goal = most(entries, &mut memo, left, r);
+            let i = (0..n)
+                .filter(|&i| left & (1 << i) != 0)
+                .find(|&i| {
+                    let p = pad(r, entries[i].1);
+                    p + most(entries, &mut memo, left & !(1 << i), (r + p + entries[i].0) % 8)
+                        == goal
+                })
+                .expect("some entry attains the subset's best");
+            r = (r + pad(r, entries[i].1) + entries[i].0) % 8;
+            left &= !(1 << i);
+            order.push(i);
+        }
+        order
+    }
+
+    /// Every class of at most 6 fields over [`BOUND_KINDS`]: the bound
+    /// equals the widest layout over every field order, without traps
+    /// and over every trap count and placement with them.
+    #[test]
+    fn stateless_bound_is_the_widest_layout_of_every_small_class() {
+        fn classes(n: usize, from: usize, kinds: &mut Vec<FieldKind>, out: &mut Vec<ClassInfo>) {
+            out.push(class_of(kinds));
+            if kinds.len() == n {
+                return;
+            }
+            for (k, &kind) in BOUND_KINDS.iter().enumerate().skip(from) {
+                kinds.push(kind);
+                classes(n, k, kinds, out);
+                kinds.pop();
+            }
+        }
+        let mut all = Vec::new();
+        classes(6, 0, &mut Vec::new(), &mut all);
+        assert_eq!(all.len(), 1716, "every multiset of at most 6 kinds");
+        for info in &all {
+            let plain = widest_by_enumeration(&entries(info, 0));
+            assert_eq!(stateless_bound(info, false), plain, "{info:?} without traps");
+            let trapped = (1..=STATELESS_TRAP_MAX as usize)
+                .map(|t| widest_by_enumeration(&entries(info, t)))
+                .max()
+                .unwrap();
+            assert_eq!(stateless_bound(info, true), trapped, "{info:?} with traps");
+        }
+    }
+
+    /// Sampled classes of 7 and 8 fields (`POLAR_BOUND_CLASSES` of each,
+    /// 24 by default): no derived layout is wider than the bound, and a
+    /// constructed widest order, laid out sequentially and as a derived
+    /// layout (the code of its field order under a key whose trap
+    /// geometry places the traps as it does), is exactly as wide.
+    #[test]
+    fn stateless_bound_holds_and_is_attained_for_wide_classes() {
+        let budget = std::env::var("POLAR_BOUND_CLASSES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(24);
+        let mut rng = SplitMix64::new(0xB0_0D);
+        for n in [7usize, 8] {
+            for _ in 0..budget {
+                let kinds: Vec<FieldKind> = (0..n)
+                    .map(|_| BOUND_KINDS[(rng.next_u64() % BOUND_KINDS.len() as u64) as usize])
+                    .collect();
+                let info = class_of(&kinds);
+                for traps in [false, true] {
+                    let bound = stateless_bound(&info, traps);
+                    let canaries = traps.then_some(CanaryKey(0xCA4A));
+                    for code in codes_to_check(n, 64, &mut rng) {
+                        let key = EpochKey(rng.next_u64());
+                        let size = DerivedLayout::derive(&info, key, code, canaries).size();
+                        assert!(size <= bound, "{kinds:?} traps={traps}: {size} > {bound}");
+                    }
+                    let t = if traps { STATELESS_TRAP_MAX as usize } else { 0 };
+                    let all = entries(&info, t);
+                    let order = widest_order(&all);
+                    let widest = sequential_size(order.iter().map(|&i| all[i]));
+                    assert_eq!(widest, bound, "{kinds:?} traps={traps}: order {order:?}");
+                    let fields: Vec<usize> = order.iter().copied().filter(|&i| i < n).collect();
+                    let code = pack_perm(&fields);
+                    let attained = (0..1u64 << 16).find(|&k| {
+                        DerivedLayout::derive(&info, EpochKey(k), code, canaries).size() == bound
+                    });
+                    assert!(attained.is_some(), "{kinds:?} traps={traps}: no key attains {bound}");
+                }
+            }
+        }
+    }
+
+    /// The exact bounds of the classes the benchmarks and the session
+    /// store allocate, and the loose per-entry sum they replaced.
+    #[test]
+    fn stateless_bound_of_the_benchmark_classes() {
+        use FieldKind::{Ptr, VtablePtr, I32, I64};
+        let session = class_of(&[VtablePtr, I64, I64, I64, I32, I32, Ptr]);
+        assert_eq!(stateless_bound(&session, true), 80, "was 136: a 256 B block");
+        assert_eq!(stateless_bound(&session, false), 56);
+        let wide8 = class_of(&[VtablePtr, I32, I64, I32, I64, I32, I64, I32]);
+        assert_eq!(stateless_bound(&wide8, true), 88);
+        assert_eq!(stateless_bound(&class_of(&[]), false), 1);
+        assert_eq!(stateless_bound(&class_of(&[]), true), 24);
     }
 
     #[test]

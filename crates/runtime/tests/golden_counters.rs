@@ -35,8 +35,11 @@
 //! A second tape covers exactly that reuse, at quarantine 0: objects
 //! freed and reallocated at the same address, blocks recycled raw
 //! through `heap_free`/`heap_malloc` (whose stale record must read as
-//! untracked), and copies onto live same-class destinations. Since
-//! reuse makes outcomes path-dependent, each path pins its own digest
+//! untracked), copies onto live same-class destinations, and blocks one
+//! class frees reallocated to the other (its derived class is sized to
+//! share the pooled class's block size, so stale accesses meet class
+//! mismatches). Since reuse makes outcomes path-dependent, each path
+//! pins its own digest
 //! of outcomes and `object_meta` views (state, generation, plan hash)
 //! next to its [`RuntimeStats`] literal.
 //!
@@ -114,6 +117,24 @@ fn small() -> Arc<ClassInfo> {
             .field("count", FieldKind::I32)
             .field("flags", FieldKind::I32)
             .field("next", FieldKind::Ptr)
+            .build(),
+    ))
+}
+
+/// A 7-field class on the stateless path whose widest derived layout
+/// (80 B with traps) shares the 128 B size class of [`pooled`]'s plans,
+/// so a block one of them frees can be reallocated to the other: the
+/// reuse tape's derived class, for cross-class reuse.
+fn session() -> Arc<ClassInfo> {
+    Arc::new(ClassInfo::from_decl(
+        ClassDecl::builder("Session")
+            .field("vtable", FieldKind::VtablePtr)
+            .field("id", FieldKind::I64)
+            .field("token", FieldKind::I64)
+            .field("last_seen", FieldKind::I64)
+            .field("hits", FieldKind::I32)
+            .field("flags", FieldKind::I32)
+            .field("payload", FieldKind::Ptr)
             .build(),
     ))
 }
@@ -707,7 +728,7 @@ struct ReuseReport {
 /// Replay the reuse tape through the trait surface; `meta` reads the
 /// path's `object_meta` view.
 fn replay_reuse<R: PolarRuntime>(rt: &mut R, meta: impl Fn(&R, Addr) -> MetaView) -> ReuseReport {
-    let classes = [small(), pooled()];
+    let classes = [session(), pooled()];
     let mut objects: Vec<(Addr, usize)> = Vec::new();
     let mut sites: Vec<SiteCache> = (0..SITES).map(|_| SiteCache::empty()).collect();
     let mut report = ReuseReport { digest: 0xcbf2_9ce4_8422_2325, ..ReuseReport::default() };
@@ -824,13 +845,17 @@ fn reuse_handle(magazines: bool) -> (ReuseReport, RuntimeStats) {
 
 #[test]
 fn reuse_tape_covers_every_reuse_kind() {
-    let (report, _) = reuse_object_runtime();
+    let (report, stats) = reuse_object_runtime();
     assert!(report.realloc_hits > 0, "{report:?}");
     assert!(report.raw_hits > 0, "{report:?}");
     assert!(report.copies_onto_live > 0, "{report:?}");
+    // A block freed by one class and reallocated to the other: stale
+    // accesses through the old class meet the new one.
+    assert!(stats.mismatch_detected > 0, "{stats:?}");
     for magazines in [true, false] {
-        let (report, _) = reuse_handle(magazines);
+        let (report, stats) = reuse_handle(magazines);
         assert!(report.raw_hits > 0 && report.copies_onto_live > 0, "{report:?}");
+        assert!(stats.mismatch_detected > 0, "{stats:?}");
     }
 }
 
@@ -867,9 +892,9 @@ fn print_golden_reuse() {
     }
 }
 
-const REUSE_DIGEST_OBJECT_RUNTIME: u64 = 0x4158bfbd9affcb64;
-const REUSE_DIGEST_HANDLE_MAGAZINES: u64 = 0xfd5c1ecaf6d13d03;
-const REUSE_DIGEST_HANDLE_MUTEX: u64 = 0x31c325f895deb8b7;
+const REUSE_DIGEST_OBJECT_RUNTIME: u64 = 0x3613d9fe20e92a56;
+const REUSE_DIGEST_HANDLE_MAGAZINES: u64 = 0xc0433c0d1bbf71c6;
+const REUSE_DIGEST_HANDLE_MUTEX: u64 = 0xfc25b6eee0ac2820;
 
 const GOLDEN_REUSE_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
     allocations: 106,
@@ -883,8 +908,8 @@ const GOLDEN_REUSE_OBJECT_RUNTIME: RuntimeStats = RuntimeStats {
     trap_scans: 54,
     dummy_touches: 0,
     double_free_detected: 4,
-    unique_plans: 119,
-    dedup_saved: 21,
+    unique_plans: 136,
+    dedup_saved: 4,
     shadow_hits: 230,
     shadow_misses: 90,
     site_ic_hits: 3,
@@ -916,8 +941,8 @@ const GOLDEN_REUSE_HANDLE_MAGAZINES: RuntimeStats = RuntimeStats {
     trap_scans: 46,
     dummy_touches: 0,
     double_free_detected: 16,
-    unique_plans: 163,
-    dedup_saved: 39,
+    unique_plans: 195,
+    dedup_saved: 7,
     shadow_hits: 260,
     shadow_misses: 60,
     site_ic_hits: 1,
@@ -949,8 +974,8 @@ const GOLDEN_REUSE_HANDLE_MUTEX: RuntimeStats = RuntimeStats {
     trap_scans: 54,
     dummy_touches: 0,
     double_free_detected: 4,
-    unique_plans: 152,
-    dedup_saved: 20,
+    unique_plans: 167,
+    dedup_saved: 5,
     shadow_hits: 230,
     shadow_misses: 90,
     site_ic_hits: 3,

@@ -123,6 +123,20 @@ echo "== derived-layout hash and canary identity (release, every code) =="
 POLAR_DERIVED_CODES=40320 cargo test -q --offline --release -p polar-layout derived_layout_hashes
 echo "ok: derived-layout hash and canary identity green"
 
+echo "== exact stateless bound (release, larger budget) =="
+# A derived object's block is sized by stateless_bound before the heap
+# hands out the identity its layout derives from, so the bound must
+# hold every layout the class can derive, and it is exact: some derived
+# layout attains it. The workspace stage holds it equal to an
+# enumeration of every memory order for every class of up to 6 fields,
+# and checks 24 sampled classes each of 7 and 8 fields (64 sampled
+# derived layouts inside it, and a constructed widest order attaining
+# it, laid out sequentially and derived under a key that places the
+# traps as the order does); POLAR_BOUND_CLASSES raises the sampled
+# classes here.
+POLAR_BOUND_CLASSES=2000 cargo test -q --offline --release -p polar-layout stateless_bound
+echo "ok: exact stateless bound green"
+
 echo "== plan cell representation (release, larger budget) =="
 # A plan keeps its fields and dummies as cells of one allocation, the
 # fields of a class of up to 16 inline. Every accessor, the plan hash

@@ -6,9 +6,9 @@
 use polar::instrument::{instrument, InstrumentOptions};
 use polar::ir::interp::{run_native, run_with_mode, ExecLimits};
 use polar::layout::{
-    code_position, stateless_perm, stateless_plan, stateless_size_bound,
-    stateless_trapped_plan, stateless_bound, CanaryKey, DummyPolicy, EpochKey, LayoutEngine,
-    PermBlock, PermuteMode, RandomizationPolicy, RoundKeys,
+    code_position, stateless_perm, stateless_plan, stateless_trapped_plan, stateless_bound,
+    CanaryKey, DummyPolicy, EpochKey, LayoutEngine, PermBlock, PermuteMode, RandomizationPolicy,
+    RoundKeys,
 };
 use polar::fuzz::{Campaign, CampaignOptions, CampaignTarget, Feedback, Mutator};
 use polar::prelude::*;
@@ -555,7 +555,7 @@ fn stateless_permutations_are_bijective_and_match_plans() {
                 ensure!(plan.validate().is_ok(), "{plan}");
                 ensure_eq!(plan.permutation(), perm, "plan disagrees with raw permutation");
                 ensure!(
-                    plan.size() <= stateless_size_bound(&info),
+                    plan.size() <= stateless_bound(&info, false),
                     "plan exceeds the allocation bound: {plan}"
                 );
                 ensure!(plan.dummies().len() == 0, "stateless plans must carry no dummies");
