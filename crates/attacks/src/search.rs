@@ -3,19 +3,19 @@
 //! The canned scenarios in [`crate::scenarios`] model an attacker who
 //! already knows the winning input. This module models the stronger
 //! adversary the paper's probabilistic argument is actually about: one
-//! who *searches*. A [`Campaign`](polar_fuzz::Campaign) evolves byte
+//! who *searches*. A [`Campaign`] evolves byte
 //! tapes — little allocation/free/spray/probe programs run against a
 //! live runtime — guided by novelty tokens and an adjacency/score
 //! gradient, in three scenario families:
 //!
-//! * [`heap-groom`] — Heelan-style automatic heap-layout manipulation:
+//! * `heap-groom` — Heelan-style automatic heap-layout manipulation:
 //!   grooming raw buffers and sprayed objects until a victim lands
 //!   adjacent to an attacker buffer, then overflowing a fake function
 //!   pointer into the victim's believed field offset;
-//! * [`misaligned-probe`] — RUMA-style misaligned overlapping reads:
+//! * `misaligned-probe` — RUMA-style misaligned overlapping reads:
 //!   byte-granularity 8-byte loads walked across a vault object until
 //!   one overlaps the secret field;
-//! * [`type-confuse`] — TypePulse-style type confusion through the IR
+//! * `type-confuse` — TypePulse-style type confusion through the IR
 //!   interpreter: the tape *is* the program input of
 //!   [`crate::scenarios::type_confusion`], and the search discovers
 //!   which store aliases the confused call site.

@@ -42,7 +42,7 @@ fn bench_interning(c: &mut Criterion) {
     c.bench_function("plan_intern", |b| {
         let mut rng = StdRng::seed_from_u64(2);
         let mut interner = PlanInterner::new(CanaryKey::from_seed(2));
-        b.iter(|| interner.intern(engine.generate(&info, &mut rng)));
+        b.iter(|| interner.intern_id(engine.generate(&info, &mut rng)));
     });
 }
 

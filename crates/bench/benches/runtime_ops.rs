@@ -78,6 +78,21 @@ fn bench_getptr(c: &mut Criterion) {
         let obj = rt.olr_malloc(&info).expect("alloc");
         b.iter(|| rt.olr_getptr(obj, info.hash(), 1).expect("access"));
     });
+    // The owner's field store and load on one cache-resident object:
+    // the rows the handle's below compare to.
+    let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), big_config());
+    let obj = rt.olr_malloc(&info).expect("alloc");
+    rt.write_field(obj, info.hash(), 1, 1).expect("warm");
+    group.bench_function("olr_write_field", |b| {
+        let mut v = 0u64;
+        b.iter(|| {
+            v += 1;
+            rt.write_field(obj, info.hash(), 1, black_box(v)).expect("write");
+        });
+    });
+    group.bench_function("olr_read_field", |b| {
+        b.iter(|| rt.read_field(obj, info.hash(), 1).expect("read"));
+    });
     // A handle's field store and load on one cache-resident object of a
     // one-shard runtime: the stage rows of the sharded access path, both
     // served without the shard lock.
@@ -217,12 +232,12 @@ fn bench_plan_resolve(c: &mut Criterion) {
     let mut interner = PlanInterner::new(CanaryKey::from_seed(0x5EED));
     let ids7: Vec<u32> = codes
         .iter()
-        .map(|&code| interner.intern_id(stateless_plan_from_code(&seven, key, code, traps)).0)
+        .map(|&code| interner.intern_id(stateless_plan_from_code(&seven, key, code, traps)))
         .collect();
     let engine = LayoutEngine::new(RandomizationPolicy::default());
     let mut rng = StdRng::seed_from_u64(12);
     let ids12: Vec<u32> = (0..LAYOUTS)
-        .map(|_| interner.intern_id(engine.generate(&twelve, &mut rng)).0)
+        .map(|_| interner.intern_id(engine.generate(&twelve, &mut rng)))
         .collect();
     let registry = interner.registry();
     let mut group = c.benchmark_group("plan_resolve");
@@ -326,7 +341,7 @@ fn bench_plan_layer(c: &mut Criterion) {
                     *interner.borrow_mut() = PlanInterner::new(canaries);
                 }
             },
-            |()| interner.borrow_mut().intern_id(engine.generate(&envelope, &mut rng)).0,
+            |()| interner.borrow_mut().intern_id(engine.generate(&envelope, &mut rng)),
         )
     });
 }
@@ -360,7 +375,7 @@ fn bench_stateless_resolve(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % CODES;
             let plan = stateless_plan_from_code(&seven, key, black_box(codes[i]), traps);
-            interner.intern_id(plan).0
+            interner.intern_id(plan)
         })
     });
     group.finish();

@@ -173,7 +173,7 @@ macro_rules! one_of {
     };
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 pub struct VecStrategy<S> {
     elem: S,
     len: Range<usize>,

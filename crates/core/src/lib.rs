@@ -17,7 +17,7 @@
 //! | [`simheap`] | simulated process heap with exploit-faithful address reuse |
 //! | [`runtime`] | the POLaR runtime: `olr_malloc`/`olr_getptr`/`olr_memcpy`/`olr_free` |
 //! | [`ir`] | the mini compiler IR (LLVM stand-in) with builder + interpreter |
-//! | [`instrument`] | the instrumentation pass rewriting object sites |
+//! | [`instrument`](mod@instrument) | the instrumentation pass rewriting object sites |
 //! | [`taint`] | DFSan-style taint tracking + the TaintClass framework |
 //! | [`fuzz`] | coverage-guided input generation (libFuzzer stand-in) |
 //! | [`workloads`] | mini-SPEC2006, minipng/minijpeg, JS benchmark kernels |

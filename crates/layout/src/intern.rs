@@ -1,4 +1,8 @@
 //! Plan interning: the paper's metadata deduplication optimization.
+//!
+//! An interner is a `hash → id` index in front of a [`PlanRegistry`],
+//! which is the one owner of every plan: the interner holds ids, never
+//! plans.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -9,7 +13,7 @@ use crate::registry::PlanRegistry;
 /// Interns [`LayoutPlan`]s by content hash so that objects which happen to
 /// draw structurally identical layouts share one metadata record.
 ///
-/// Section V-B: "Polar remove[s] the duplicate metadata when two objects
+/// Section V-B: "Polar remove\[s\] the duplicate metadata when two objects
 /// have the same randomized memory layout." For small classes the number
 /// of distinct layouts is tiny (a 3-field class has only a handful), so
 /// interning collapses most per-object metadata.
@@ -20,14 +24,15 @@ use crate::registry::PlanRegistry;
 /// set of `(offset, width)` cells per *distinct layout*, not per object
 /// — covered by the same dedup argument as the plans themselves.
 ///
-/// The interned plans live in a [`PlanRegistry`], so every plan also has
-/// a registry **id** ([`PlanInterner::intern_id`]) that object records
-/// carry instead of a pointer. [`PlanInterner::new`] owns a private
-/// registry, keyed by the [`CanaryKey`] it is given;
-/// [`PlanInterner::with_registry`] shares one. The interner's
-/// own `hash → id` index answers repeat plans without the registry's
-/// writer lock; a plan it has not seen goes through the registry, which
-/// hands back the stored plan if another interner already holds it.
+/// The interned plans live in a [`PlanRegistry`], and the interner names
+/// each by its registry **id** ([`PlanInterner::intern_id`]), the integer
+/// object records carry instead of a pointer; [`PlanRegistry::get`]
+/// resolves it. [`PlanInterner::new`] owns a private registry, keyed by
+/// the [`CanaryKey`] it is given; [`PlanInterner::with_registry`] shares
+/// one. The interner's own `hash → id` index answers repeat plans
+/// without the registry's writer lock; a plan it has not seen goes
+/// through the registry, which hands back the stored id if another
+/// interner already holds the plan.
 ///
 /// ```
 /// use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
@@ -37,15 +42,16 @@ use crate::registry::PlanRegistry;
 ///     ClassDecl::builder("T").field("x", FieldKind::I32).build(),
 /// );
 /// let mut interner = PlanInterner::new(CanaryKey::from_seed(7));
-/// let a = interner.intern(LayoutPlan::natural_for(&info));
-/// let b = interner.intern(LayoutPlan::natural_for(&info));
-/// assert!(std::sync::Arc::ptr_eq(&a, &b));
+/// let a = interner.intern_id(LayoutPlan::natural_for(&info));
+/// let b = interner.intern_id(LayoutPlan::natural_for(&info));
+/// assert_eq!(a, b);
 /// assert_eq!(interner.unique_plans(), 1);
+/// assert!(interner.registry().get(a).unwrap().is_natural());
 /// ```
 #[derive(Debug, Clone)]
 pub struct PlanInterner {
-    /// `plan hash → (registry id, plan)` of every plan interned here.
-    plans: HashMap<PlanHash, (u32, Arc<LayoutPlan>)>,
+    /// `plan hash → registry id` of every plan interned here.
+    ids: HashMap<PlanHash, u32>,
     registry: Arc<PlanRegistry>,
     hits: u64,
     misses: u64,
@@ -60,7 +66,7 @@ impl PlanInterner {
 
     /// Create an empty interner that stores its plans in `registry`.
     pub fn with_registry(registry: Arc<PlanRegistry>) -> Self {
-        PlanInterner { plans: HashMap::new(), registry, hits: 0, misses: 0 }
+        PlanInterner { ids: HashMap::new(), registry, hits: 0, misses: 0 }
     }
 
     /// The registry holding this interner's plans.
@@ -68,21 +74,17 @@ impl PlanInterner {
         &self.registry
     }
 
-    /// Intern a plan, returning the shared record.
-    pub fn intern(&mut self, plan: LayoutPlan) -> Arc<LayoutPlan> {
-        self.intern_id(plan).1
-    }
-
-    /// Intern a plan, returning its registry id and the shared record.
-    pub fn intern_id(&mut self, plan: LayoutPlan) -> (u32, Arc<LayoutPlan>) {
-        if let Some((id, existing)) = self.plans.get(&plan.plan_hash()) {
+    /// Intern a plan, returning its registry id.
+    pub fn intern_id(&mut self, plan: LayoutPlan) -> u32 {
+        let hash = plan.plan_hash();
+        if let Some(&id) = self.ids.get(&hash) {
             self.hits += 1;
-            return (*id, Arc::clone(existing));
+            return id;
         }
         self.misses += 1;
-        let (id, arc) = self.registry.intern(plan);
-        self.plans.insert(arc.plan_hash(), (id, Arc::clone(&arc)));
-        (id, arc)
+        let id = self.registry.intern(plan);
+        self.ids.insert(hash, id);
+        id
     }
 
     /// The registry id of the plan interned under `hash`, if any,
@@ -90,19 +92,14 @@ impl PlanInterner {
     /// did not have to build (a derived layout hashed on the stack).
     #[inline]
     pub fn probe(&mut self, hash: PlanHash) -> Option<u32> {
-        let id = self.plans.get(&hash)?.0;
+        let id = *self.ids.get(&hash)?;
         self.hits += 1;
         Some(id)
     }
 
-    /// Look up an already-interned plan by hash.
-    pub fn get(&self, hash: PlanHash) -> Option<&Arc<LayoutPlan>> {
-        self.plans.get(&hash).map(|(_, plan)| plan)
-    }
-
     /// Number of distinct plans stored.
     pub fn unique_plans(&self) -> usize {
-        self.plans.len()
+        self.ids.len()
     }
 
     /// How many intern calls were satisfied by an existing record.
@@ -115,9 +112,9 @@ impl PlanInterner {
         self.misses
     }
 
-    /// Iterate over the distinct interned plans.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<LayoutPlan>> {
-        self.plans.values().map(|(_, plan)| plan)
+    /// The registry ids of the distinct interned plans.
+    pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ids.values().copied()
     }
 }
 
@@ -143,12 +140,13 @@ mod tests {
     fn identical_plans_dedup() {
         let info = tiny_class();
         let mut interner = PlanInterner::new(CanaryKey(0x11));
-        let a = interner.intern(LayoutPlan::natural_for(&info));
-        let b = interner.intern(LayoutPlan::natural_for(&info));
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = interner.intern_id(LayoutPlan::natural_for(&info));
+        let b = interner.intern_id(LayoutPlan::natural_for(&info));
+        assert_eq!(a, b);
         assert_eq!(interner.unique_plans(), 1);
         assert_eq!(interner.dedup_hits(), 1);
         assert_eq!(interner.dedup_misses(), 1);
+        assert_eq!(interner.ids().collect::<Vec<_>>(), [a]);
     }
 
     #[test]
@@ -160,7 +158,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut interner = PlanInterner::new(CanaryKey(0x11));
         for _ in 0..200 {
-            interner.intern(engine.generate(&info, &mut rng));
+            interner.intern_id(engine.generate(&info, &mut rng));
         }
         assert!(interner.unique_plans() <= 2);
         assert!(interner.dedup_hits() >= 198);
@@ -178,13 +176,14 @@ mod tests {
         let mut interner = PlanInterner::new(CanaryKey(0x11));
         let mut plans = Vec::new();
         while interner.unique_plans() < 300 {
-            let (id, plan) = interner.intern_id(engine.generate(&info, &mut rng));
-            plans.push((id, plan));
+            let plan = engine.generate(&info, &mut rng);
+            let hash = plan.plan_hash();
+            plans.push((interner.intern_id(plan), hash));
         }
         // 300 distinct plans span several geometric segments; every id
-        // names exactly the plan it was handed out with.
-        for (id, plan) in &plans {
-            assert!(Arc::ptr_eq(interner.registry().get(*id).unwrap(), plan));
+        // names exactly the plan it was handed out for.
+        for (id, hash) in &plans {
+            assert_eq!(interner.registry().get(*id).unwrap().plan_hash(), *hash);
         }
         assert_eq!(interner.registry().len(), 300, "one id per distinct plan");
     }
@@ -197,21 +196,20 @@ mod tests {
         let hash = plan.plan_hash();
         assert_eq!(interner.probe(hash), None, "nothing interned yet");
         assert_eq!(interner.dedup_hits(), 0, "a missed probe is no dedup hit");
-        let (id, _) = interner.intern_id(plan);
+        let id = interner.intern_id(plan);
         assert_eq!(interner.probe(hash), Some(id));
         assert_eq!((interner.dedup_hits(), interner.dedup_misses()), (1, 1));
         assert_eq!(interner.unique_plans(), 1, "a probe interns nothing");
     }
 
     #[test]
-    fn lookup_by_hash() {
+    fn the_registry_is_the_only_owner_of_an_interned_plan() {
         let info = tiny_class();
         let mut interner = PlanInterner::new(CanaryKey(0x11));
-        let plan = interner.intern(LayoutPlan::natural_for(&info));
-        assert!(interner.get(plan.plan_hash()).is_some());
-        assert!(interner.get(crate::plan::PlanHash(0)).is_none());
-        let (id, again) = interner.intern_id(LayoutPlan::natural_for(&info));
-        assert!(Arc::ptr_eq(&again, &plan), "re-interning finds the same plan");
-        assert!(Arc::ptr_eq(interner.registry().get(id).unwrap(), &plan), "the id names the plan");
+        let id = interner.intern_id(LayoutPlan::natural_for(&info));
+        assert_eq!(interner.intern_id(LayoutPlan::natural_for(&info)), id);
+        let plan = interner.registry().get(id).unwrap();
+        assert!(plan.is_natural(), "the id names the plan");
+        assert_eq!(Arc::strong_count(plan), 1, "the interner holds the id, not the plan");
     }
 }

@@ -762,8 +762,9 @@ mod tests {
     /// `key` stores it, with the canaries the key gives its structure.
     fn check_built_and_registered(plan: LayoutPlan, r: &RefPlan, key: CanaryKey, what: &str) {
         check_against(&plan, r, what);
-        let (_, stored) = crate::PlanRegistry::new(key).intern(plan);
-        check_against(&stored, &r.clone().registered(key), &format!("{what}, registered"));
+        let registry = crate::PlanRegistry::new(key);
+        let stored = registry.get(registry.intern(plan)).unwrap();
+        check_against(stored, &r.clone().registered(key), &format!("{what}, registered"));
     }
 
     fn random_class(rng: &mut SplitMix64, fields: usize) -> ClassInfo {

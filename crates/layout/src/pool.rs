@@ -9,7 +9,7 @@
 //! batch / in the background of the draw cadence.
 //!
 //! Each class keeps a ring of [`POOL_SIZE`] plans. A draw picks one
-//! with one buffered-RNG index (with replacement) and clones its `Arc`;
+//! with one buffered-RNG index (with replacement) and returns its id;
 //! every [`POOL_CHURN`] draws one ring entry is regenerated (round-robin
 //! churn), so the pool contents keep rotating. Two consecutive
 //! same-class allocations share a layout with probability ≈
@@ -20,18 +20,17 @@
 //! Pools interact with the [`PlanInterner`] exactly like the unpooled
 //! path: every generated plan is interned, so pooled and unpooled plans
 //! have identical metadata semantics (shared field cells, dedup
-//! accounting, canary sharing across structurally equal plans).
+//! accounting, canary sharing across structurally equal plans). A ring
+//! holds registry ids, not plans: the registry owns them.
 
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::Arc;
 
 use polar_classinfo::{ClassHash, ClassInfo};
 use polar_rng::{Rng, RngExt};
 
 use crate::engine::LayoutEngine;
 use crate::intern::PlanInterner;
-use crate::plan::LayoutPlan;
 
 /// Plans kept live per class ring. Consecutive-share probability ≈
 /// 1/32 ≈ 3%.
@@ -56,8 +55,8 @@ pub struct PoolStats {
 /// One class's ring of pregenerated plans.
 #[derive(Debug, Clone, Default)]
 struct ClassPool {
-    /// Each ring plan with its registry id.
-    plans: Vec<(u32, Arc<LayoutPlan>)>,
+    /// The registry id of each ring plan.
+    ids: Vec<u32>,
     /// Total draws (drives the churn cadence).
     draws: u64,
     /// Next ring entry to regenerate (round-robin).
@@ -96,24 +95,22 @@ impl PlanPools {
     pub fn pool_len(&self, class: ClassHash) -> usize {
         self.index
             .get(&class)
-            .map_or(0, |&id| self.pools[id as usize].plans.len())
+            .map_or(0, |&id| self.pools[id as usize].ids.len())
     }
 
-    /// Bytes of pool bookkeeping (ring slots holding `Arc` handles plus
-    /// the class index). The plans themselves are interner-owned and
-    /// accounted for there.
+    /// Bytes of pool bookkeeping (ring slots holding plan ids plus the
+    /// class index). The plans themselves are registry-owned and
+    /// accounted for through the interner that named them.
     pub fn metadata_bytes(&self) -> usize {
         let rings: usize = self
             .pools
             .iter()
-            .map(|p| {
-                p.plans.capacity() * size_of::<(u32, Arc<LayoutPlan>)>() + size_of::<ClassPool>()
-            })
+            .map(|p| p.ids.capacity() * size_of::<u32>() + size_of::<ClassPool>())
             .sum();
         rings + self.index.len() * (size_of::<ClassHash>() + size_of::<u32>())
     }
 
-    /// Draw a plan for `info` with its registry id: the pooled
+    /// Draw a plan for `info`, returning its registry id: the pooled
     /// replacement for `interner.intern_id(engine.generate(info, rng))`.
     ///
     /// All randomness flows through `rng`, so for a fixed seed the draw
@@ -124,12 +121,12 @@ impl PlanPools {
         engine: &LayoutEngine,
         interner: &mut PlanInterner,
         rng: &mut R,
-    ) -> (u32, Arc<LayoutPlan>) {
+    ) -> u32 {
         let id = self.class_pool_id(info.hash());
         self.draw_at(id, info, engine, interner, rng)
     }
 
-    /// Draw `k` plans for `info` into `out`: stream-equivalent to `k`
+    /// Draw `k` plan ids for `info` into `out`: stream-equivalent to `k`
     /// sequential [`draw`](PlanPools::draw) calls — identical RNG
     /// consumption, identical returned sequence — with the class lookup
     /// hoisted out of the loop. The sharded runtime's magazine
@@ -142,7 +139,7 @@ impl PlanPools {
         interner: &mut PlanInterner,
         rng: &mut R,
         k: usize,
-        out: &mut Vec<(u32, Arc<LayoutPlan>)>,
+        out: &mut Vec<u32>,
     ) {
         let id = self.class_pool_id(info.hash());
         out.reserve(k);
@@ -183,13 +180,13 @@ impl PlanPools {
         engine: &LayoutEngine,
         interner: &mut PlanInterner,
         rng: &mut R,
-    ) -> (u32, Arc<LayoutPlan>) {
+    ) -> u32 {
         let pool = &mut self.pools[id as usize];
-        if pool.plans.len() < POOL_SIZE {
+        if pool.ids.len() < POOL_SIZE {
             // Warm-up: batch-fill toward capacity.
-            let batch = POOL_CHURN.min(POOL_SIZE - pool.plans.len());
+            let batch = POOL_CHURN.min(POOL_SIZE - pool.ids.len());
             for _ in 0..batch {
-                pool.plans.push(interner.intern_id(engine.generate(info, rng)));
+                pool.ids.push(interner.intern_id(engine.generate(info, rng)));
             }
             self.stats.refills += 1;
             self.stats.generated += batch as u64;
@@ -197,16 +194,15 @@ impl PlanPools {
             // Steady state: churn one ring entry every `POOL_CHURN`
             // draws so pool contents keep moving.
             let victim = pool.victim;
-            pool.plans[victim] = interner.intern_id(engine.generate(info, rng));
-            pool.victim = (victim + 1) % pool.plans.len();
+            pool.ids[victim] = interner.intern_id(engine.generate(info, rng));
+            pool.victim = (victim + 1) % pool.ids.len();
             self.stats.refills += 1;
             self.stats.generated += 1;
         } else {
             self.stats.hits += 1;
         }
         pool.draws += 1;
-        let (id, plan) = &pool.plans[rng.random_range(0..pool.plans.len())];
-        (*id, Arc::clone(plan))
+        pool.ids[rng.random_range(0..pool.ids.len())]
     }
 }
 
@@ -237,7 +233,10 @@ mod tests {
         let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| pools.draw(&info, &engine, &mut interner, &mut rng).1.plan_hash().0)
+            .map(|_| {
+                let id = pools.draw(&info, &engine, &mut interner, &mut rng);
+                interner.registry().get(id).unwrap().plan_hash().0
+            })
             .collect()
     }
 
@@ -251,15 +250,16 @@ mod tests {
         let (mut ia, mut ib) = (PlanInterner::new(key), PlanInterner::new(key));
         let (mut pa, mut pb) = (PlanPools::new(), PlanPools::new());
         let (mut ra, mut rb) = (StdRng::seed_from_u64(42), StdRng::seed_from_u64(42));
-        let sequential: Vec<u64> = (0..100)
-            .map(|_| pa.draw(&info, &engine, &mut ia, &mut ra).1.plan_hash().0)
-            .collect();
+        let sequential: Vec<u32> =
+            (0..100).map(|_| pa.draw(&info, &engine, &mut ia, &mut ra)).collect();
         let mut batched = Vec::new();
         for k in [7, 25, 50, 18] {
             pb.draw_batch(&info, &engine, &mut ib, &mut rb, k, &mut batched);
         }
-        let batched: Vec<u64> = batched.iter().map(|(_, p)| p.plan_hash().0).collect();
+        // Two private registries filled in one order: equal ids name
+        // equal plans.
         assert_eq!(sequential, batched);
+        assert!(sequential.iter().all(|&id| ia.registry().get(id) == ib.registry().get(id)));
         assert_eq!(pa.stats(), pb.stats());
     }
 
@@ -310,13 +310,13 @@ mod tests {
         for _ in 0..POOL_SIZE / POOL_CHURN {
             pools.draw(&info, &engine, &mut interner, &mut rng);
         }
-        let warm: Vec<u64> = pools.pools[0].plans.iter().map(|(_, p)| p.plan_hash().0).collect();
+        // The interner gives each distinct plan one id.
+        let warm = pools.pools[0].ids.clone();
         assert_eq!(warm.len(), POOL_SIZE);
         for _ in 0..POOL_SIZE * POOL_CHURN {
             pools.draw(&info, &engine, &mut interner, &mut rng);
         }
-        let now: Vec<u64> = pools.pools[0].plans.iter().map(|(_, p)| p.plan_hash().0).collect();
-        assert_ne!(warm, now);
+        assert_ne!(warm, pools.pools[0].ids);
     }
 
     #[test]
@@ -333,10 +333,10 @@ mod tests {
         let mut pools = PlanPools::new();
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..10 {
-            let (_, pa) = pools.draw(&a, &engine, &mut interner, &mut rng);
-            let (_, pb) = pools.draw(&b, &engine, &mut interner, &mut rng);
-            assert_eq!(pa.field_count(), 5);
-            assert_eq!(pb.field_count(), 2);
+            let pa = pools.draw(&a, &engine, &mut interner, &mut rng);
+            let pb = pools.draw(&b, &engine, &mut interner, &mut rng);
+            assert_eq!(interner.registry().get(pa).unwrap().field_count(), 5);
+            assert_eq!(interner.registry().get(pb).unwrap().field_count(), 2);
         }
         assert_eq!(pools.class_count(), 2);
         assert!(pools.metadata_bytes() > 0);

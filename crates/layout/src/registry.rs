@@ -1,16 +1,19 @@
 //! An append-only registry of layout plans, readable without any lock.
 //!
-//! The one per-object record (a heap slot record) refers to its layout
-//! plan by a small integer **plan id**, and lock-free readers on other
-//! threads resolve that id here without the owning shard's mutex. Ids
-//! are handed out once and plans are never removed or replaced; storage
-//! grows in [`Segments`], so a plan's slot keeps its address for the
-//! registry's whole lifetime. A reader holding an id observed from a
-//! published record finds its entry with two array indexations into
-//! the segment directory, which stays cached, so reaching a field's
-//! offset is two dependent loads: the 16 B entry (an `Arc` to the
-//! plan), then the plan, which holds the fields of a class of up to
-//! 16 in its own allocation ([`LayoutPlan`]).
+//! The registry is the one owner of every plan. The one per-object
+//! record (a heap slot record) refers to its layout plan by a small
+//! integer **plan id**, and so does everything else that names a plan:
+//! an interner's `hash → id` index, a class's pooled ring, the static
+//! OLR table. A runtime's locked paths and lock-free readers on other
+//! threads alike resolve an id here, the readers without the owning
+//! shard's mutex. Ids are handed out once and plans are never removed or
+//! replaced; storage grows in [`Segments`], so a plan's slot keeps its
+//! address for the registry's whole lifetime. A reader holding an id
+//! observed from a published record finds its entry with two array
+//! indexations into the segment directory, which stays cached, so
+//! reaching a field's offset is two dependent loads: the 16 B entry (an
+//! `Arc` to the plan), then the plan, which holds the fields of a class
+//! of up to 16 in its own allocation ([`LayoutPlan`]).
 //!
 //! Writers intern under a small mutex; that lock is on the allocation
 //! path (an interner's miss), never on a read. A standalone runtime owns
@@ -18,9 +21,8 @@
 //! interner, which already deduplicates. The shards and handles of one
 //! sharded runtime share one registry ([`PlanRegistry::shared`]), which
 //! deduplicates by plan hash across them: interning a plan it already
-//! holds returns the stored id and plan, so the id space grows with the
-//! distinct layouts in use, not with the number of interners drawing
-//! them.
+//! holds returns the stored id, so the id space grows with the distinct
+//! layouts in use, not with the number of interners drawing them.
 //!
 //! Because it deduplicates, the registry also owns the canaries: it
 //! stores every plan with its canaries re-armed by the registry's
@@ -91,25 +93,24 @@ impl PlanRegistry {
     }
 
     /// Store `plan`, its canaries re-armed by this registry's key, under
-    /// a fresh id and return both. A shared registry that already holds
-    /// `plan`'s hash returns the stored id and plan instead, so every
-    /// holder of an id uses the one plan it resolves to.
-    pub(crate) fn intern(&self, mut plan: LayoutPlan) -> (u32, Arc<LayoutPlan>) {
+    /// a fresh id and return the id. A shared registry that already holds
+    /// `plan`'s hash returns the stored id instead, so every holder of an
+    /// id uses the one plan it resolves to.
+    pub(crate) fn intern(&self, mut plan: LayoutPlan) -> u32 {
         let mut writer = self.writer.ids.lock().unwrap_or_else(|e| e.into_inner());
         let hash = plan.plan_hash();
         if let Some(&id) = writer.as_ref().and_then(|ids| ids.get(&hash)) {
-            return (id, Arc::clone(self.get(id).expect("interned ids resolve")));
+            return id;
         }
         let id = self.writer.len.load(Ordering::Relaxed);
         assert!(id != u32::MAX, "plan registry exhausted its u32 id space");
         plan.arm_canaries(self.key);
-        let plan = Arc::new(plan);
-        self.plans.ensure(id).set(Arc::clone(&plan)).expect("fresh id slot is unset");
+        self.plans.ensure(id).set(Arc::new(plan)).expect("fresh id slot is unset");
         self.writer.len.store(id + 1, Ordering::Release);
         if let Some(ids) = writer.as_mut() {
             ids.insert(hash, id);
         }
-        (id, plan)
+        id
     }
 
     /// Resolve an id to its plan. Lock-free; `None` for ids never
@@ -130,7 +131,8 @@ impl PlanRegistry {
     }
 
     /// Bytes of registry bookkeeping (committed plan segments + dedup
-    /// map), excluding the plans themselves (counted by their interners).
+    /// map), excluding the plans themselves (a runtime counts the plans
+    /// its interner and static table name).
     pub fn metadata_bytes(&self) -> usize {
         let writer = self.writer.ids.lock().unwrap_or_else(|e| e.into_inner());
         let map = writer.as_ref().map_or(0, HashMap::capacity);
@@ -187,12 +189,12 @@ mod tests {
     fn ids_are_dense_deduplicated_and_stable() {
         let reg = PlanRegistry::shared(CanaryKey(3));
         let ps = plans(5);
-        let ids: Vec<(u32, Arc<LayoutPlan>)> = ps.iter().map(|p| reg.intern(p.clone())).collect();
-        for (i, (p, (id, stored))) in ps.iter().zip(&ids).enumerate() {
-            let (again, canonical) = reg.intern(p.clone());
-            assert_eq!(again, *id, "re-intern must dedup");
-            assert!(Arc::ptr_eq(&canonical, stored), "re-intern returns the stored plan");
-            assert!(Arc::ptr_eq(reg.get(*id).unwrap(), stored), "id {i} must resolve to its plan");
+        let ids: Vec<u32> = ps.iter().map(|p| reg.intern(p.clone())).collect();
+        for (i, (p, &id)) in ps.iter().zip(&ids).enumerate() {
+            assert_eq!(reg.intern(p.clone()), id, "re-intern must dedup");
+            let stored = reg.get(id).unwrap();
+            assert_eq!(stored.plan_hash(), p.plan_hash(), "id {i} must resolve to its plan");
+            assert_eq!(Arc::strong_count(stored), 1, "the registry is the plan's one owner");
         }
         assert_eq!(reg.len(), ps.len());
         assert!(reg.get(ids.len() as u32).is_none());
@@ -208,7 +210,7 @@ mod tests {
         let (a, b) = (PlanRegistry::shared(key), PlanRegistry::new(key));
         let mut trapped = 0;
         for plan in plans(16) {
-            let (_, stored) = a.intern(plan.clone());
+            let stored = a.get(a.intern(plan.clone())).unwrap();
             assert_eq!(stored.plan_hash(), plan.plan_hash());
             for (j, (d, drawn)) in stored.dummies().zip(plan.dummies()).enumerate() {
                 assert_eq!((d.offset, d.size), (drawn.offset, drawn.size));
@@ -216,19 +218,20 @@ mod tests {
                 assert_eq!(d.canary, want, "dummy {j}");
                 trapped += usize::from(d.canary.is_some());
             }
-            assert_eq!(*b.intern(plan).1, *stored, "same key, same plan");
+            assert_eq!(**b.get(b.intern(plan)).unwrap(), **stored, "same key, same plan");
         }
         assert!(trapped > 0, "the default policy arms dummies");
-        let other = PlanRegistry::new(CanaryKey(1)).intern(plans(1).remove(0)).1;
-        assert_ne!(*other, **a.get(0).unwrap(), "another key, other canaries");
+        let other = PlanRegistry::new(CanaryKey(1));
+        let id = other.intern(plans(1).remove(0));
+        assert_ne!(**other.get(id).unwrap(), **a.get(0).unwrap(), "another key, other canaries");
     }
 
     #[test]
     fn a_private_registry_leaves_dedup_to_its_interner() {
         let reg = PlanRegistry::new(CanaryKey(3));
         let p = plans(1).remove(0);
-        assert_eq!(reg.intern(p.clone()).0, 0);
-        assert_eq!(reg.intern(p).0, 1, "no dedup map: every intern gets a fresh id");
+        assert_eq!(reg.intern(p.clone()), 0);
+        assert_eq!(reg.intern(p), 1, "no dedup map: every intern gets a fresh id");
         assert_eq!(reg.metadata_bytes(), reg.plans.committed_bytes());
     }
 
@@ -248,13 +251,14 @@ mod tests {
         let n = 640;
         let mut stored = Vec::new();
         while reg.len() < n {
-            let (id, plan) = reg.intern(engine.generate(&info, &mut rng));
-            if id as usize == stored.len() {
-                stored.push(plan);
+            let plan = engine.generate(&info, &mut rng);
+            let hash = plan.plan_hash();
+            if reg.intern(plan) as usize == stored.len() {
+                stored.push(hash);
             }
         }
-        for (id, plan) in stored.iter().enumerate() {
-            assert!(Arc::ptr_eq(reg.get(id as u32).unwrap(), plan), "id {id}");
+        for (id, hash) in stored.iter().enumerate() {
+            assert_eq!(reg.get(id as u32).unwrap().plan_hash(), *hash, "id {id}");
         }
         // 640 ids end exactly on a segment boundary: nothing is wasted.
         let slot = std::mem::size_of::<OnceLock<Arc<LayoutPlan>>>();

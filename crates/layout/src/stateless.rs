@@ -560,7 +560,7 @@ pub struct DerivedLayout {
 impl DerivedLayout {
     /// Lay out `info`'s fields in `code`'s derived order with natural
     /// alignment; with `traps` given, 1..=[`STATELESS_TRAP_MAX`] 8-byte
-    /// canary dummies (geometry from [`trap_spec`]) are inserted between
+    /// canary dummies (geometry from `trap_spec`) are inserted between
     /// them, their canaries keyed by it for the layout's structure.
     /// Sequential assignment makes trap slots and fields disjoint by
     /// construction.

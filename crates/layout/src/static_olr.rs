@@ -47,8 +47,8 @@ use crate::registry::PlanRegistry;
 pub struct StaticOlrTable {
     engine: LayoutEngine,
     binary_seed: u64,
-    /// Each class's plan and its id in `registry`.
-    plans: HashMap<ClassHash, (u32, Arc<LayoutPlan>)>,
+    /// Each class's plan id in `registry`, which owns the plan.
+    ids: HashMap<ClassHash, u32>,
     registry: Arc<PlanRegistry>,
 }
 
@@ -69,7 +69,7 @@ impl StaticOlrTable {
         StaticOlrTable {
             engine: LayoutEngine::new(policy),
             binary_seed,
-            plans: HashMap::new(),
+            ids: HashMap::new(),
             registry,
         }
     }
@@ -83,34 +83,36 @@ impl StaticOlrTable {
     /// The single layout this binary uses for `info`, generated lazily and
     /// deterministically from the binary seed and the class hash.
     pub fn plan_for(&mut self, info: &ClassInfo) -> Arc<LayoutPlan> {
-        self.plan_id_for(info).1
+        let id = self.plan_id_for(info);
+        Arc::clone(self.registry.get(id).expect("an interned plan id resolves"))
     }
 
-    /// [`StaticOlrTable::plan_for`] plus the plan's registry id.
-    pub fn plan_id_for(&mut self, info: &ClassInfo) -> (u32, Arc<LayoutPlan>) {
-        if let Some((id, plan)) = self.plans.get(&info.hash()) {
-            return (*id, Arc::clone(plan));
+    /// The registry id of [`StaticOlrTable::plan_for`]'s plan.
+    pub fn plan_id_for(&mut self, info: &ClassInfo) -> u32 {
+        if let Some(&id) = self.ids.get(&info.hash()) {
+            return id;
         }
         let mut rng = StdRng::seed_from_u64(self.binary_seed ^ info.hash().0);
-        let (id, plan) = self.registry.intern(self.engine.generate(info, &mut rng));
-        self.plans.insert(info.hash(), (id, Arc::clone(&plan)));
-        (id, plan)
+        let id = self.registry.intern(self.engine.generate(info, &mut rng));
+        self.ids.insert(info.hash(), id);
+        id
     }
 
     /// Number of classes randomized so far.
     pub fn len(&self) -> usize {
-        self.plans.len()
+        self.ids.len()
     }
 
     /// Whether any class has been randomized yet.
     pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.ids.is_empty()
     }
 
-    /// Iterate over the per-class plans generated so far (metadata
-    /// accounting walks this; the table is memory like any other).
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<LayoutPlan>> {
-        self.plans.values().map(|(_, plan)| plan)
+    /// The registry ids of the per-class plans generated so far
+    /// (metadata accounting walks this; the table is memory like any
+    /// other).
+    pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ids.values().copied()
     }
 }
 

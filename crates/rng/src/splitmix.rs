@@ -40,7 +40,7 @@ impl SplitMix64 {
     }
 
     /// Stream `index` of the root sequence seeded by `root`: the
-    /// generator positioned [`STREAM_DRAWS`] `* index` draws in.
+    /// generator positioned `STREAM_DRAWS * index` draws in.
     ///
     /// Streams with distinct indices are guaranteed non-overlapping
     /// windows of the same full-period sequence as long as each consumes

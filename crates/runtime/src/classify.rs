@@ -3,18 +3,19 @@
 //! Every instrumented member access (the paper's rewritten
 //! `getelementptr`, §IV-A) and every instrumented free is decided here,
 //! over a [`RecordView`]: a stable snapshot of the object's slot record
-//! plus a resolver for the plan id it carries. [`ObjectRuntime`] builds
-//! the view from its own record table and plan table; a
-//! [`ShardHandle`](crate::ShardHandle) builds it without the shard lock,
-//! from the published record and the shared plan registry. Both count
-//! into their own sink and get the same decision, counter for counter.
+//! plus the plan registry that resolves the plan id it carries.
+//! [`ObjectRuntime`] builds the view from its own record table and
+//! registry; a [`ShardHandle`](crate::ShardHandle) builds it without the
+//! shard lock, from the published record and the shared registry. Both
+//! count into their own sink and get the same decision, counter for
+//! counter.
 //!
 //! [`ObjectRuntime`]: crate::ObjectRuntime
 
 use std::sync::Arc;
 
 use polar_classinfo::ClassHash;
-use polar_layout::{LayoutPlan, PlanHash};
+use polar_layout::{LayoutPlan, PlanHash, PlanRegistry};
 use polar_simheap::{Addr, PubSnapshot, SlotRecord, SlotRecords, PUB_STATE_FREED, PUB_STATE_NONE};
 
 use crate::error::{RuntimeError, TrapReport};
@@ -33,7 +34,7 @@ pub(crate) struct Access {
 }
 
 /// One object's slot record as an access or a free of `base` sees it.
-pub(crate) struct RecordView<'a, P> {
+pub(crate) struct RecordView<'a> {
     /// The address the program named.
     pub base: Addr,
     /// A stable snapshot of the record covering `base`; `None` when no
@@ -42,10 +43,10 @@ pub(crate) struct RecordView<'a, P> {
     /// The table the snapshot was read from (for the warm-flag probe).
     pub records: &'a SlotRecords,
     /// Resolves the plan id a record carries.
-    pub plans: P,
+    pub registry: &'a PlanRegistry,
 }
 
-impl<'a, P: Fn(u32) -> Option<&'a Arc<LayoutPlan>>> RecordView<'a, P> {
+impl<'a> RecordView<'a> {
     /// The snapshot, if it records an object based exactly at the
     /// view's address under the block's current generation. A record
     /// orphaned by raw reuse of its block, an interior pointer and a slot
@@ -61,7 +62,7 @@ impl<'a, P: Fn(u32) -> Option<&'a Arc<LayoutPlan>>> RecordView<'a, P> {
     /// The plan a tracked snapshot names.
     #[inline]
     fn plan(&self, snap: &PubSnapshot) -> Option<&'a Arc<LayoutPlan>> {
-        (self.plans)(snap.plan_id?)
+        self.registry.get(snap.plan_id?)
     }
 
     /// The tracked snapshot with its plan: the one record reading of the

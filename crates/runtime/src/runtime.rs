@@ -8,12 +8,12 @@
 //! here write that record directly and, like a sharded runtime's
 //! lock-free readers, read it as a seqlock snapshot that the one access
 //! classifier ([`crate::classify`]) decides every access on. Plans are
-//! named by their id in the runtime's [`PlanRegistry`]: a standalone
-//! runtime's interner owns a private one, the shards of a sharded
-//! runtime share one. A standalone runtime's locked paths resolve an id
-//! through a dense id-indexed copy of the plans its records name, one
-//! index deep; a shard's resolve it in the shared registry, like the
-//! lock-free readers.
+//! named by their id in the runtime's [`PlanRegistry`], the one owner of
+//! every plan: a standalone runtime's interner owns a private registry,
+//! the shards of a sharded runtime share one. Every path resolves a
+//! record's id in that registry — a standalone runtime's locked paths, a
+//! shard's, and a sharded runtime's lock-free readers alike; the plan
+//! sources (interner, pooled rings, static table) hand out ids too.
 
 use std::sync::Arc;
 
@@ -419,54 +419,6 @@ impl Default for SiteCache {
     }
 }
 
-/// Resolves the plan ids that a runtime's slot records carry.
-#[derive(Debug)]
-struct PlanTable {
-    /// Where every id resolves: the runtime's private registry, or the
-    /// registry the shards of a sharded runtime share.
-    registry: Arc<PlanRegistry>,
-    /// A standalone runtime's dense, id-indexed copy of the plans its
-    /// records name, filled when a record first names one: its locked
-    /// paths resolve an id with one index instead of the registry's
-    /// segment walk. `None` on a shard, whose locked paths run under the
-    /// shard mutex: a per-shard copy of the shared id space would only
-    /// cost memory.
-    dense: Option<Vec<Option<Arc<LayoutPlan>>>>,
-}
-
-impl PlanTable {
-    /// The plan registered under `id`.
-    #[inline]
-    fn get(&self, id: u32) -> Option<&Arc<LayoutPlan>> {
-        match &self.dense {
-            Some(dense) => dense.get(id as usize)?.as_ref(),
-            None => self.registry.get(id),
-        }
-    }
-
-    /// A record now names `id`: make it resolvable through the dense
-    /// copy.
-    fn note(&mut self, id: u32) {
-        let Some(dense) = &mut self.dense else { return };
-        let i = id as usize;
-        if dense.len() <= i {
-            // Grow by a quarter, not a doubling: the table is metadata.
-            let len = dense.len();
-            dense.reserve_exact((i + 1 - len).max(len / 4));
-            dense.resize(i + 1, None);
-        }
-        if dense[i].is_none() {
-            dense[i] = self.registry.get(id).cloned();
-        }
-    }
-
-    /// Bytes of the dense copy (the registry is counted on its own).
-    fn metadata_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<Option<Arc<LayoutPlan>>>();
-        self.dense.as_ref().map_or(0, |dense| dense.capacity() * entry)
-    }
-}
-
 /// The POLaR runtime: simulated heap (whose slot records carry the
 /// object metadata) + plan sources + offset cache.
 #[derive(Debug)]
@@ -475,12 +427,10 @@ pub struct ObjectRuntime {
     mode: RandomizeMode,
     engine: LayoutEngine,
     static_table: Option<StaticOlrTable>,
-    /// Interned plans; they live in the plan registry whose ids the slot
-    /// records carry (private to this runtime, or shared by the shards
-    /// of a sharded runtime).
+    /// Interned plan ids; the plans live in the plan registry whose ids
+    /// the slot records carry (private to this runtime, or shared by the
+    /// shards of a sharded runtime), where every path resolves them.
     interner: PlanInterner,
-    /// Resolves the plan ids in this runtime's records.
-    plans: PlanTable,
     /// Slots that ever received a record (live + retained-freed); the
     /// successor of the old hashtable's `len()`.
     meta_count: usize,
@@ -562,10 +512,6 @@ impl ObjectRuntime {
             mode,
             engine,
             static_table,
-            plans: PlanTable {
-                dense: (!published).then(Vec::new),
-                registry: Arc::clone(&registry),
-            },
             interner: PlanInterner::with_registry(registry),
             meta_count: 0,
             pools: PlanPools::new(),
@@ -618,16 +564,11 @@ impl ObjectRuntime {
         s
     }
 
-    /// Reset the event counters (interner contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = RuntimeStats::default();
-    }
-
     /// Metadata for the object at `base`, if tracked (and not stale: a
     /// record orphaned by recycling the block through the raw path is
     /// treated as absent).
     pub fn object_meta(&self, base: Addr) -> Option<ObjectMeta> {
-        Self::view(&self.heap, &self.plans, base).meta()
+        Self::view(&self.heap, self.interner.registry(), base).meta()
     }
 
     /// Number of metadata records currently held (live + retained-freed).
@@ -636,9 +577,8 @@ impl ObjectRuntime {
     }
 
     /// Estimated bytes of POLaR bookkeeping: the slot records, the plan
-    /// registry, the dense plan table and the interned
-    /// (deduplicated) plans, including each plan's dense
-    /// `(offset, width)` access table. This is the memory cost Table
+    /// registry and the interned (deduplicated) plans, including each
+    /// plan's dense `(offset, width)` access table. This is the memory cost Table
     /// III's dedup optimization attacks.
     pub fn estimated_metadata_bytes(&self) -> usize {
         self.shard_metadata_bytes() + self.interner.registry().metadata_bytes()
@@ -652,20 +592,18 @@ impl ObjectRuntime {
         // object metadata and the (collapsed) offset-cache entry.
         let record_bytes = self.heap.records().metadata_bytes();
         // Interned plan payload: offsets/sizes/aligns (3×u32/field), the
-        // packed access table, and dummy slots.
-        let plan_bytes: usize = self.interner.iter().map(|p| plan_payload_bytes(p)).sum();
+        // packed access table, and dummy slots; the registry owns the
+        // plans, the interner names them.
+        let registry = self.interner.registry();
+        let payload = |id| plan_payload_bytes(resolve(registry, id));
+        let plan_bytes: usize = self.interner.ids().map(payload).sum();
         // Static-OLR's per-class table was previously uncounted (the
         // "256 B" undercount): its plans are metadata like any other.
-        let static_bytes: usize = self
-            .static_table
-            .as_ref()
-            .map_or(0, |t| t.iter().map(|p| plan_payload_bytes(p)).sum());
+        let static_bytes: usize =
+            self.static_table.as_ref().map_or(0, |t| t.ids().map(payload).sum());
         // Pool bookkeeping (ring slots + class index; pooled plans are
-        // interner-owned and already counted above).
+        // interned and already counted above).
         let pool_bytes = self.pools.metadata_bytes();
-        // The dense plan table (the plans themselves are counted above
-        // or by the interner that drew them).
-        let plan_table_bytes = self.plans.metadata_bytes();
         // The class table with its derived-plan caches, plus the
         // stateless path's round-key schedule and code block.
         let class_bytes = self.classes.capacity() * std::mem::size_of::<ClassEntry>()
@@ -677,7 +615,7 @@ impl ObjectRuntime {
                 .sum::<usize>()
             + std::mem::size_of::<RoundKeys>()
             + std::mem::size_of::<PermBlock>();
-        record_bytes + plan_bytes + static_bytes + pool_bytes + plan_table_bytes + class_bytes
+        record_bytes + plan_bytes + static_bytes + pool_bytes + class_bytes
     }
 
     /// The layout a *compile-time* site bakes in for `info`: the natural
@@ -688,15 +626,21 @@ impl ObjectRuntime {
     pub fn compile_time_plan(&mut self, info: &Arc<ClassInfo>) -> Arc<LayoutPlan> {
         match self.static_table.as_mut() {
             Some(table) => table.plan_for(info),
-            None => self.interner.intern(LayoutPlan::natural_for(info)),
+            None => self.natural_plan(info),
         }
     }
 
-    /// A stored plan for a new object of class `info` from `source`, with
-    /// its registry id. A derived source stores nothing of its own: its
+    /// The natural layout of `info`, interned.
+    fn natural_plan(&mut self, info: &ClassInfo) -> Arc<LayoutPlan> {
+        let id = self.interner.intern_id(LayoutPlan::natural_for(info));
+        self.interner.registry().get(id).cloned().expect("an interned plan id resolves")
+    }
+
+    /// The registry id of a stored plan for a new object of class `info`
+    /// from `source`. A derived source stores nothing of its own: its
     /// stored plans (a copy's destination plan) come from the pooled
     /// ring, like its wide classes'.
-    fn draw_plan(&mut self, info: &Arc<ClassInfo>, source: PlanSource) -> (u32, Arc<LayoutPlan>) {
+    fn draw_plan(&mut self, info: &Arc<ClassInfo>, source: PlanSource) -> u32 {
         match (source, self.static_table.as_mut()) {
             (PlanSource::Mode, Some(table)) => table.plan_id_for(info),
             (PlanSource::Mode, None) => self.interner.intern_id(LayoutPlan::natural_for(info)),
@@ -720,19 +664,19 @@ impl ObjectRuntime {
         match plan_source(&self.mode, self.config.layout, info.field_count()) {
             PlanSource::Derived { traps } => self.olr_malloc_stateless(info, traps),
             source => {
-                let (plan_id, plan) = self.draw_plan(info, source);
-                self.olr_malloc_with_plan(info, plan, plan_id)
+                let plan_id = self.draw_plan(info, source);
+                self.olr_malloc_with_plan(info, plan_id)
             }
         }
     }
 
-    /// Instrumented allocation with a caller-supplied layout plan and
-    /// its registry id.
+    /// Instrumented allocation with a caller-supplied layout plan, named
+    /// by its registry id.
     ///
     /// This is how a sharded runtime's handles allocate: each thread draws the
-    /// plan from its *own* pool and RNG outside the shard lock, then the
+    /// plan id from its *own* pool and RNG outside the shard lock, then the
     /// shard only has to malloc, seed traps and record metadata. Callers
-    /// must pass a plan generated (or interned) for `info`.
+    /// must pass the id of a plan generated (or interned) for `info`.
     ///
     /// # Errors
     ///
@@ -740,16 +684,17 @@ impl ObjectRuntime {
     pub(crate) fn olr_malloc_with_plan(
         &mut self,
         info: &Arc<ClassInfo>,
-        plan: Arc<LayoutPlan>,
         plan_id: u32,
     ) -> Result<Addr, RuntimeError> {
-        let capsule = self.reserve_with_plan(info, &plan, plan_id)?;
+        let capsule = self.reserve_with_plan(info, plan_id)?;
         self.stats.allocations += 1;
         Ok(capsule.base)
     }
 
-    /// Reserve one fully-armed allocation for `info` with a
-    /// caller-supplied plan, *without counting it as an allocation*.
+    /// Reserve one fully-armed allocation for `info` with the
+    /// caller-supplied plan id, *without counting it as an allocation*.
+    /// The plan is resolved once, in the registry: it sizes the block
+    /// and arms the object.
     /// This is the body of [`olr_malloc_with_plan`] minus the stat: the
     /// magazine front-end reserves capsules in batches under the shard
     /// lock and counts `allocations` only when a thread actually pops
@@ -760,19 +705,19 @@ impl ObjectRuntime {
     pub(crate) fn reserve_with_plan(
         &mut self,
         info: &Arc<ClassInfo>,
-        plan: &LayoutPlan,
         plan_id: u32,
     ) -> Result<Capsule, RuntimeError> {
         self.class_idx(info);
-        let (plans, meta_count) = (&mut self.plans, &mut self.meta_count);
+        let plan = resolve(self.interner.registry(), plan_id);
+        let meta_count = &mut self.meta_count;
         self.heap.malloc_with(plan.size().max(1) as usize, |heap, base, slot, generation| {
             let cap = Capsule { base, slot };
-            Self::arm(heap, plans, meta_count, cap, generation, info.hash(), plan_id)?;
+            Self::arm(heap, meta_count, cap, generation, info.hash(), (plan_id, plan))?;
             Ok(cap)
         })?
     }
 
-    /// Seed the canaries of the plan registered under `plan_id` in the
+    /// Seed the canaries of `plan`, registered under `plan_id`, in the
     /// block of `cap` and record the object on its slot under heap
     /// generation `generation`. The plan is the registered one, not a
     /// caller's copy: the registry stores every plan with the canaries
@@ -780,15 +725,12 @@ impl ObjectRuntime {
     /// interning does not carry.
     fn arm(
         heap: &mut SimHeap,
-        plans: &mut PlanTable,
         meta_count: &mut usize,
         cap: Capsule,
         generation: u64,
         class: ClassHash,
-        plan_id: u32,
+        (plan_id, plan): (u32, &LayoutPlan),
     ) -> Result<(), RuntimeError> {
-        plans.note(plan_id);
-        let plan = plans.get(plan_id).expect("an interned plan id resolves");
         let record = (class, plan.plan_hash(), plan_id);
         Self::install(heap, meta_count, cap, generation, record, plan.dummies())
     }
@@ -870,7 +812,7 @@ impl ObjectRuntime {
         });
         let (bound, n) = (cache.bound.max(1) as usize, usize::from(cache.fields));
         let (st, interner, key) = (&mut self.stateless, &mut self.interner, self.epoch_key);
-        let (plans, meta_count) = (&mut self.plans, &mut self.meta_count);
+        let meta_count = &mut self.meta_count;
         let canaries = traps.then_some(st.canaries);
         self.heap.malloc_with(bound, |heap, base, slot, generation| {
             let code = st.block.code_for(&st.keys, slot, generation, n);
@@ -878,7 +820,8 @@ impl ObjectRuntime {
             let cap = Capsule { base, slot };
             if let Some(plan_id) = way.and_then(|w| cache.ranked[w]) {
                 st.hits += 1;
-                Self::arm(heap, plans, meta_count, cap, generation, info.hash(), plan_id)?;
+                let plan = (plan_id, resolve(interner.registry(), plan_id));
+                Self::arm(heap, meta_count, cap, generation, info.hash(), plan)?;
                 return Ok(cap);
             }
             // One hash of the stack layout keys its canaries and finds
@@ -887,14 +830,11 @@ impl ObjectRuntime {
             let shape = DerivedLayout::derive(info, key, code, canaries);
             let plan_id = match interner.probe(shape.plan_hash()) {
                 Some(plan_id) => plan_id,
-                None => interner.intern_id(shape.into_plan(info)).0,
+                None => interner.intern_id(shape.into_plan(info)),
             };
             if let Some(w) = way {
                 cache.ranked[w] = Some(plan_id);
             }
-            // A standalone runtime's dense table learns the id; a
-            // shard's has none.
-            plans.note(plan_id);
             let record = (info.hash(), shape.plan_hash(), plan_id);
             Self::install(heap, meta_count, cap, generation, record, shape.traps().iter().copied())?;
             Ok(cap)
@@ -935,8 +875,8 @@ impl ObjectRuntime {
     pub fn olr_free(&mut self, base: Addr) -> Result<(), RuntimeError> {
         let heap = &self.heap;
         let read = |a, w| heap.read_uint(a, w).ok();
-        let checked =
-            Self::view(heap, &self.plans, base).free_check(&self.config, read, &mut self.stats);
+        let view = Self::view(heap, self.interner.registry(), base);
+        let checked = view.free_check(&self.config, read, &mut self.stats);
         let Some(slot) = checked? else {
             // Untracked pointer (or a record self-invalidated by raw
             // reuse): behave like plain free().
@@ -1025,20 +965,16 @@ impl ObjectRuntime {
     }
 
     /// The classifier's view of `base`: the owner's snapshot of the
-    /// record at that block base, resolved through `plans`. The lock-free
+    /// record at that block base, resolved in `registry`. The lock-free
     /// writers that run beside the owner change no record word but the
     /// `life` word (read once) and the record count, so the copy needs
     /// no validation.
     /// Associated, so callers can count into `self.stats` while the view
     /// borrows the heap.
     #[inline]
-    fn view<'a>(
-        heap: &'a SimHeap,
-        plans: &'a PlanTable,
-        base: Addr,
-    ) -> RecordView<'a, impl Fn(u32) -> Option<&'a Arc<LayoutPlan>>> {
+    fn view<'a>(heap: &'a SimHeap, registry: &'a PlanRegistry, base: Addr) -> RecordView<'a> {
         let snap = heap.record_at(base).map(|(slot, rec)| rec.snapshot(slot));
-        RecordView { base, snap, records: heap.records(), plans: move |id| plans.get(id) }
+        RecordView { base, snap, records: heap.records(), registry }
     }
 
     /// Shared body of the getptr family and the field accessors: the
@@ -1052,7 +988,7 @@ impl ObjectRuntime {
         field: usize,
         ic: Option<&mut SiteCache>,
     ) -> Result<Access, RuntimeError> {
-        let view = Self::view(&self.heap, &self.plans, base);
+        let view = Self::view(&self.heap, self.interner.registry(), base);
         view.classify(expected, field, ic, &self.config, &mut self.stats)
     }
 
@@ -1096,9 +1032,9 @@ impl ObjectRuntime {
         site_class: &Arc<ClassInfo>,
     ) -> Result<(Arc<ClassInfo>, Arc<LayoutPlan>), RuntimeError> {
         self.stats.memcpys += 1;
-        let Some((snap, plan)) = Self::view(&self.heap, &self.plans, src).tracked_plan() else {
-            let natural = self.interner.intern(LayoutPlan::natural_for(site_class));
-            return Ok((Arc::clone(site_class), natural));
+        let view = Self::view(&self.heap, self.interner.registry(), src);
+        let Some((snap, plan)) = view.tracked_plan() else {
+            return Ok((Arc::clone(site_class), self.natural_plan(site_class)));
         };
         if snap.state == PUB_STATE_FREED && self.config.detect {
             self.stats.uaf_detected += 1;
@@ -1165,15 +1101,16 @@ impl ObjectRuntime {
         // Reuse live same-class metadata at dst when present (and
         // generation-current — a stale record never donates a plan);
         // otherwise mint a fresh randomized plan for the duplicate.
-        let reusable = Self::view(&self.heap, &self.plans, dst)
+        let reusable = Self::view(&self.heap, self.interner.registry(), dst)
             .tracked_plan()
             .filter(|(snap, _)| snap.state != PUB_STATE_FREED && snap.class_hash == info.hash().0)
-            .and_then(|(snap, plan)| Some((snap.plan_id?, Arc::clone(plan))));
-        let (plan_id, dst_plan) = match reusable {
+            .and_then(|(snap, _)| snap.plan_id);
+        let plan_id = match reusable {
             Some(reused) => reused,
             None => self.plan_fitting(&info, dst_limit)?,
         };
         self.class_idx(&info);
+        let dst_plan = resolve(self.interner.registry(), plan_id);
 
         // Field-by-field translation between the two plans, all reads
         // already behind us in the scratch buffer. One writer window
@@ -1186,24 +1123,23 @@ impl ObjectRuntime {
                 let to = dst.offset(dst_plan.offset(field) as u64);
                 self.heap.write(to, &staged.bytes[staged.starts[field]..][..size])?;
             }
-            let (plans, meta_count) = (&mut self.plans, &mut self.meta_count);
             let cap = Capsule { base: dst, slot };
-            Self::arm(&mut self.heap, plans, meta_count, cap, generation, info.hash(), plan_id)
+            let plan = (plan_id, dst_plan);
+            Self::arm(&mut self.heap, &mut self.meta_count, cap, generation, info.hash(), plan)
         })();
         self.heap.pub_close(slot, win);
         installed
     }
 
-    fn plan_fitting(
-        &mut self,
-        info: &Arc<ClassInfo>,
-        limit: usize,
-    ) -> Result<(u32, Arc<LayoutPlan>), RuntimeError> {
+    /// The registry id of a plan for a copy of class `info` into a
+    /// block of `limit` bytes: up to eight draws from the class's
+    /// source, then a dummy-free permutation.
+    fn plan_fitting(&mut self, info: &Arc<ClassInfo>, limit: usize) -> Result<u32, RuntimeError> {
         let source = plan_source(&self.mode, self.config.layout, info.field_count());
         for _ in 0..8 {
-            let (plan_id, plan) = self.draw_plan(info, source);
-            if plan.size() as usize <= limit {
-                return Ok((plan_id, plan));
+            let plan_id = self.draw_plan(info, source);
+            if resolve(self.interner.registry(), plan_id).size() as usize <= limit {
+                return Ok(plan_id);
             }
         }
         let fallback = LayoutEngine::new(RandomizationPolicy::permute_only())
@@ -1262,7 +1198,8 @@ impl ObjectRuntime {
     ///
     /// [`RuntimeError::UnknownObject`] for untracked addresses.
     pub fn check_traps(&mut self, base: Addr) -> Result<Vec<TrapReport>, RuntimeError> {
-        let Some((_, plan)) = Self::view(&self.heap, &self.plans, base).tracked_plan() else {
+        let view = Self::view(&self.heap, self.interner.registry(), base);
+        let Some((_, plan)) = view.tracked_plan() else {
             return Err(RuntimeError::UnknownObject(base));
         };
         let heap = &self.heap;
@@ -1302,7 +1239,8 @@ impl ObjectRuntime {
     /// live tracked object's canary-carrying dummy, if any.
     fn probe_trap_overlap(&self, addr: Addr, width: usize) -> Option<TrapReport> {
         let block = self.heap.block_containing(addr)?;
-        let (snap, plan) = Self::view(&self.heap, &self.plans, block.base).tracked_plan()?;
+        let view = Self::view(&self.heap, self.interner.registry(), block.base);
+        let (snap, plan) = view.tracked_plan()?;
         if snap.state == PUB_STATE_FREED {
             return None;
         }
@@ -1343,6 +1281,13 @@ impl ObjectRuntime {
     }
 }
 
+/// The plan registered under `plan_id`: ids come from an interner or
+/// the static table over `registry`, so every id a caller holds resolves.
+#[inline]
+fn resolve(registry: &PlanRegistry, plan_id: u32) -> &LayoutPlan {
+    registry.get(plan_id).expect("an interned plan id resolves")
+}
+
 /// Bytes one interned plan costs: offsets/sizes/aligns (3×u32/field),
 /// the packed access table, dummy slots, and fixed header overhead.
 fn plan_payload_bytes(p: &LayoutPlan) -> usize {
@@ -1374,6 +1319,7 @@ pub(crate) fn truncate(value: u64, width: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolarRuntime;
     use polar_classinfo::{ClassDecl, FieldKind};
     use std::collections::HashSet;
 
@@ -2096,7 +2042,8 @@ mod tests {
         let info = Arc::new(ClassInfo::from_decl(decl.build()));
         let mut pooled = HashSet::new();
         for _ in 0..64 {
-            pooled.insert(rt.draw_plan(&info, PlanSource::Derived { traps: true }).1.plan_hash());
+            let id = rt.draw_plan(&info, PlanSource::Derived { traps: true });
+            pooled.insert(resolve(rt.interner.registry(), id).plan_hash());
         }
         let mut on_pooled = 0;
         for i in 0..64 {
@@ -2122,10 +2069,10 @@ mod tests {
         let code = st.block.code_for(&st.keys, slot, generation, info.field_count());
         let canaries = traps.then_some(st.canaries);
         let built = polar_layout::stateless_plan_from_code(info, rt.epoch_key, code, canaries);
-        let (plan_id, _) = rt.interner.intern_id(built);
-        let (plans, meta_count) = (&mut rt.plans, &mut rt.meta_count);
+        let plan_id = rt.interner.intern_id(built);
+        let plan = (plan_id, resolve(rt.interner.registry(), plan_id));
         let cap = Capsule { base, slot };
-        ObjectRuntime::arm(&mut rt.heap, plans, meta_count, cap, generation, info.hash(), plan_id)
+        ObjectRuntime::arm(&mut rt.heap, &mut rt.meta_count, cap, generation, info.hash(), plan)
             .unwrap();
         base
     }
@@ -2238,9 +2185,6 @@ mod tests {
         assert!(registry > 0);
         assert_eq!(rt.estimated_metadata_bytes(), rt.shard_metadata_bytes() + registry);
         assert!(rt.heap().records().metadata_bytes() >= 64 * objs.len());
-        // Its dense plan table covers every id its records name.
-        let ids = rt.interner.registry().len();
-        assert!(ids > 0 && rt.plans.metadata_bytes() >= ids * std::mem::size_of::<usize>());
         assert!(rt.estimated_metadata_bytes() > empty);
         // The class table lets a copy recover the source's class by hash.
         let dst = rt.malloc_raw(256).unwrap();
@@ -2249,6 +2193,56 @@ mod tests {
         ));
         rt.olr_memcpy(dst, objs[0], &other).unwrap();
         assert_eq!(rt.object_meta(dst).unwrap().class, info.hash());
+    }
+
+    #[test]
+    fn the_registry_is_the_only_owner_of_every_plan() {
+        // Interners, pooled rings and the static table name plans by
+        // registry id: once the plans handed to callers (metadata views,
+        // compile-time plans) are dropped, the registry holds the only
+        // reference to each.
+        let churn = |rt: &mut dyn PolarRuntime, classes: &[Arc<ClassInfo>]| {
+            let mut live = Vec::new();
+            for i in 0..96 {
+                let (c, info) = (i % classes.len(), &classes[i % classes.len()]);
+                let obj = rt.olr_malloc(info).unwrap();
+                drop(rt.compile_time_plan(info));
+                assert!(rt.plan_size(obj).is_some() && rt.check_traps(obj).unwrap().is_empty());
+                let raw = rt.heap_malloc(256).unwrap();
+                rt.olr_memcpy(raw, obj, info).unwrap();
+                if let Some(&(peer, _)) = live.iter().rev().find(|l: &&(Addr, usize)| l.1 == c) {
+                    rt.olr_memcpy(peer, obj, info).unwrap();
+                }
+                live.extend([(obj, c), (raw, c)]);
+                if i % 3 == 0 {
+                    rt.olr_free(live.swap_remove(i % live.len()).0).unwrap();
+                }
+            }
+        };
+        let owners = |plans: &mut dyn Iterator<Item = &Arc<LayoutPlan>>| -> Vec<usize> {
+            plans.map(Arc::strong_count).collect()
+        };
+        let mut b = ClassDecl::builder("Envelope");
+        for i in 0..12 {
+            b = b.field(format!("f{i}"), [FieldKind::I64, FieldKind::I32, FieldKind::Ptr][i % 3]);
+        }
+        let twelve = Arc::new(ClassInfo::from_decl(b.build()));
+        let polar = RandomizeMode::per_allocation();
+        let modes = [polar, polar, RandomizeMode::static_olr(5)];
+        let sources = [LayoutSource::Derived, LayoutSource::Pooled, LayoutSource::Derived];
+        for (mode, layout) in modes.into_iter().zip(sources) {
+            let mut rt = ObjectRuntime::new(mode, RuntimeConfig { layout, ..Default::default() });
+            churn(&mut rt, &[people(), Arc::clone(&twelve)]);
+            let registry = rt.interner.registry();
+            let n = owners(&mut (0..registry.len() as u32).map(|id| registry.get(id).unwrap()));
+            assert!(n.len() > 1 && n.iter().all(|&n| n == 1), "{} {layout:?}: {n:?}", mode.label());
+        }
+        let config = RuntimeConfig { layout: LayoutSource::Pooled, ..Default::default() };
+        let rt = crate::ShardedRuntime::new(polar, config, 2);
+        churn(&mut rt.handle(0), &[Arc::clone(&twelve)]);
+        churn(&mut rt.handle(1), &[twelve]);
+        let n = owners(&mut (0..).map_while(|id| rt.registry_plan(id)));
+        assert!(n.len() > 1 && n.iter().all(|&n| n == 1), "sharded: {n:?}");
     }
 
     #[test]

@@ -502,9 +502,9 @@ impl ShardedRuntime {
         shard: usize,
         base: Addr,
         snap: Option<PubSnapshot>,
-    ) -> RecordView<'a, impl Fn(u32) -> Option<&'a Arc<LayoutPlan>>> {
+    ) -> RecordView<'a> {
         let records = self.pubs[shard].records();
-        RecordView { base, snap, records, plans: |id| self.registry.get(id) }
+        RecordView { base, snap, records, registry: &self.registry }
     }
 
     /// Lock-free `olr_free`, counted into `sink`. `Some` is the free's
@@ -574,8 +574,8 @@ impl ShardedRuntime {
     /// Resolve a recorded plan id against the shared registry (test
     /// hook, paired with [`ShardedRuntime::publish_probe`]).
     #[doc(hidden)]
-    pub fn registry_plan(&self, id: u32) -> Option<Arc<polar_layout::LayoutPlan>> {
-        self.registry.get(id).cloned()
+    pub fn registry_plan(&self, id: u32) -> Option<&Arc<LayoutPlan>> {
+        self.registry.get(id)
     }
 
     /// Metadata view of the object at `base`, if tracked: a snapshot of
@@ -876,8 +876,8 @@ impl ShardHandle<'_> {
             _ if batch > 0 => self.magazine_malloc(info, source, batch),
             PlanSource::Derived { .. } => self.rt.lock_drained(self.home)?.olr_malloc(info),
             _ => {
-                let (plan_id, plan) = self.draw_plans(info, source, 1).pop().expect("one plan drawn");
-                self.rt.lock_drained(self.home)?.olr_malloc_with_plan(info, plan, plan_id)
+                let plan_id = self.draw_plans(info, source, 1).pop().expect("one plan drawn");
+                self.rt.lock_drained(self.home)?.olr_malloc_with_plan(info, plan_id)
             }
         }
     }
@@ -960,8 +960,8 @@ impl ShardHandle<'_> {
                 }
             }
         } else {
-            for (i, (plan_id, plan)) in plans.into_iter().enumerate() {
-                match shard.reserve_with_plan(info, &plan, plan_id) {
+            for (i, plan_id) in plans.into_iter().enumerate() {
+                match shard.reserve_with_plan(info, plan_id) {
                     Ok(cap) => caps.push_back(cap),
                     Err(err) if i == 0 => return Err(err),
                     Err(_) => break,
@@ -972,15 +972,10 @@ impl ShardHandle<'_> {
     }
 
     /// Draw `n` plans for `info` from this thread's pools (or straight
-    /// from the engine for a [`PlanSource::Fresh`] source), with their
-    /// ids in the runtime's shared registry, counting the pool and
+    /// from the engine for a [`PlanSource::Fresh`] source), returning
+    /// their ids in the runtime's shared registry, counting the pool and
     /// interner growth into the pending sheet.
-    fn draw_plans(
-        &mut self,
-        info: &Arc<ClassInfo>,
-        source: PlanSource,
-        n: usize,
-    ) -> Vec<(u32, Arc<LayoutPlan>)> {
+    fn draw_plans(&mut self, info: &Arc<ClassInfo>, source: PlanSource, n: usize) -> Vec<u32> {
         let pool = self.pools.stats();
         let (unique, dedup) = (self.interner.unique_plans(), self.interner.dedup_hits());
         let mut plans = Vec::with_capacity(n);
@@ -1240,7 +1235,7 @@ impl ShardHandle<'_> {
     /// [`ObjectRuntime::olr_memcpy`], routed by address. A copy of a
     /// live tracked source onto a live destination of the same class,
     /// which keeps its plan, runs without the shard mutex (see
-    /// [`ShardedRuntime::fast_copy`]) and counts as `lockfree_copies`.
+    /// `ShardedRuntime::fast_copy`) and counts as `lockfree_copies`.
     /// Every other copy, and one that gives up on contention, counts as
     /// a `lockfree_fallbacks` and runs under the shard locks, drained:
     /// same-shard copies delegate under one lock; cross-shard copies
@@ -1290,7 +1285,7 @@ impl ShardHandle<'_> {
 
     /// [`ObjectRuntime::check_traps`], routed by address and run without
     /// the shard mutex: the canaries of a live object's plan are swept
-    /// through the shared arena ([`scan_traps`]) and the report stands
+    /// through the shared arena (`scan_traps`) and the report stands
     /// once the slot's sequence rechecks unchanged; a torn sweep retries,
     /// the pending sheet restored. A freed object's block may still
     /// wait on its drain, so its sweep, like contention past the retry

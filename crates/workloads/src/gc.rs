@@ -11,7 +11,7 @@
 //! * [`mark_sweep`] accesses every object field through `getelementptr` —
 //!   instrumenting it preserves behaviour exactly;
 //! * [`orinoco_like`] computes field addresses by adding compile-time
-//!   constants to object base pointers. [`polar_instrument::check_compatibility`]
+//!   constants to object base pointers. `polar_instrument::check_compatibility`
 //!   flags it, and running the instrumented build produces different
 //!   results than the native build (the V8 breakage, mechanically).
 

@@ -5,7 +5,8 @@
 #    policy, so any dependency that is not an in-tree path dependency
 #    (i.e. anything that would hit a registry) fails the check.
 # 2. Run the tier-1 gate: cargo build --release && cargo test -q, then
-#    every workspace crate's tests (cargo test --workspace).
+#    every workspace crate's tests (cargo test --workspace), then check
+#    that every intra-doc link resolves.
 # 3. Build and unit-test the benchmark package, then run the release-mode
 #    stress and smoke tests and the bench and security gates.
 #
@@ -73,6 +74,14 @@ echo "== workspace tests =="
 # layout, simheap, attacks and ir unit tests), in debug, ~2 minutes.
 cargo test -q --offline --workspace
 echo "ok: workspace tests green"
+
+echo "== intra-doc links =="
+# Every intra-doc link in the workspace's docs must resolve, and public
+# docs must not link to private items: a renamed or deleted item (a
+# type, a function signature) cannot stay named in the docs.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc -q --no-deps --workspace --offline
+echo "ok: intra-doc links resolve"
 
 echo "== benchmark package (build + unit tests) =="
 # perfbench is a package of its own outside the workspace, so the
