@@ -1,6 +1,12 @@
 //! Micro-benchmarks of the POLaR runtime's four entry points against
 //! their unhardened equivalents — where the Figure 6 overhead actually
-//! comes from.
+//! comes from — and of their stages.
+//!
+//! Each row is defined once, here. `bench_json --gate <rev>` times the
+//! rows `polar_bench::gate::GATED` names against the same rows built on
+//! `<rev>`'s libraries; `bench_json` alone writes every row's median to
+//! `BENCH_runtime.json`. Run one group or row with
+//! `cargo bench --bench runtime_ops -- <group>[/<row>]`.
 
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -8,52 +14,77 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use polar_bench::micro::Criterion;
-use polar_bench::{bench_group, bench_main};
+use polar_bench::{bench_config, bench_group, bench_main, probe_class, session_bench_config};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
 use polar_layout::{
     pack_perm, stateless_bound, stateless_perm, stateless_plan_from_code, CanaryKey,
     DerivedLayout, EpochKey, LayoutEngine, PlanInterner, RandomizationPolicy, RoundKeys,
 };
 use polar_rng::{rngs::StdRng, RngExt, SeedableRng};
-use polar_runtime::{ObjectRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime};
-use polar_simheap::{Addr, HeapConfig, SimHeap};
+use polar_runtime::{
+    LayoutSource, ObjectRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime, SiteCache,
+};
+use polar_simheap::{Addr, HeapConfig, PlacementPolicy, SimHeap};
+use polar_workloads::session_store::run_session_store;
 
-fn probe() -> Arc<ClassInfo> {
-    Arc::new(ClassInfo::from_decl(
-        ClassDecl::builder("Probe")
-            .field("vtable", FieldKind::VtablePtr)
-            .field("a", FieldKind::I64)
-            .field("b", FieldKind::I32)
-            .field("c", FieldKind::I32)
-            .build(),
-    ))
+/// The default config with stateful pooled plans.
+fn pooled_config() -> RuntimeConfig {
+    let mut c = bench_config();
+    c.layout = LayoutSource::Pooled;
+    c
 }
 
-fn big_config() -> RuntimeConfig {
-    let mut c = RuntimeConfig::default();
-    c.heap.capacity = 1 << 30;
+/// The default config with a fresh plan built for every allocation.
+fn fresh_config() -> RuntimeConfig {
+    let mut c = bench_config();
+    c.layout = LayoutSource::Fresh;
+    c
+}
+
+/// The default config with placement randomization on, as the
+/// `polar+placement` security column runs it.
+fn placement_config() -> RuntimeConfig {
+    let mut c = bench_config();
+    c.heap.placement = PlacementPolicy::on(0);
     c
 }
 
 fn bench_alloc_free(c: &mut Criterion) {
-    let info = probe();
+    let info = probe_class();
     let mut group = c.benchmark_group("alloc_free");
     group.bench_function("raw_malloc_free", |b| {
-        let mut rt = ObjectRuntime::new(RandomizeMode::Native, big_config());
+        let mut rt = ObjectRuntime::new(RandomizeMode::Native, bench_config());
         b.iter(|| {
             let a = rt.malloc_raw(32).expect("alloc");
             rt.free_raw(a).expect("free");
         });
     });
-    group.bench_function("olr_malloc_free", |b| {
-        let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), big_config());
+    for (row, config) in [
+        ("olr_malloc_free", bench_config()),
+        ("olr_malloc_free_pooled", pooled_config()),
+        ("olr_malloc_free_placement", placement_config()),
+        ("olr_malloc_free_fresh", fresh_config()),
+    ] {
+        group.bench_function(row, |b| {
+            let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
+            b.iter(|| {
+                let a = rt.olr_malloc(&info).expect("alloc");
+                rt.olr_free(a).expect("free");
+            });
+        });
+    }
+    // The same pair through a handle of a one-shard runtime: magazine
+    // pops and lock-free free claims, the shard lock once per refill.
+    group.bench_function("handle_malloc_free", |b| {
+        let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), bench_config(), 1);
+        let mut h = rt.handle(0);
         b.iter(|| {
-            let a = rt.olr_malloc(&info).expect("alloc");
-            rt.olr_free(a).expect("free");
+            let a = h.olr_malloc(&info).expect("alloc");
+            h.olr_free(a).expect("free");
         });
     });
     group.bench_function("olr_malloc_free_static", |b| {
-        let mut rt = ObjectRuntime::new(RandomizeMode::static_olr(7), big_config());
+        let mut rt = ObjectRuntime::new(RandomizeMode::static_olr(7), bench_config());
         b.iter(|| {
             let a = rt.olr_malloc(&info).expect("alloc");
             rt.olr_free(a).expect("free");
@@ -63,16 +94,27 @@ fn bench_alloc_free(c: &mut Criterion) {
 }
 
 fn bench_getptr(c: &mut Criterion) {
-    let info = probe();
+    let info = probe_class();
     let mut group = c.benchmark_group("member_access");
-    group.bench_function("olr_getptr_cached", |b| {
-        let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), big_config());
-        let obj = rt.olr_malloc(&info).expect("alloc");
-        rt.olr_getptr(obj, info.hash(), 1).expect("warm");
-        b.iter(|| rt.olr_getptr(obj, info.hash(), 1).expect("access"));
+    for (row, config) in
+        [("olr_getptr_cached", bench_config()), ("olr_getptr_cached_pooled", pooled_config())]
+    {
+        group.bench_function(row, |b| {
+            let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
+            let obj = rt.olr_malloc(&info).expect("alloc");
+            rt.olr_getptr(obj, info.hash(), 1).expect("warm");
+            b.iter(|| rt.olr_getptr(obj, info.hash(), 1).expect("access"));
+        });
+    }
+    group.bench_function("handle_getptr_cached", |b| {
+        let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), bench_config(), 1);
+        let mut h = rt.handle(0);
+        let obj = h.olr_malloc(&info).expect("alloc");
+        h.olr_getptr(obj, info.hash(), 1).expect("warm");
+        b.iter(|| h.olr_getptr(obj, info.hash(), 1).expect("access"));
     });
     group.bench_function("olr_getptr_cold", |b| {
-        let mut config = big_config();
+        let mut config = bench_config();
         config.offset_cache = false;
         let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
         let obj = rt.olr_malloc(&info).expect("alloc");
@@ -80,7 +122,7 @@ fn bench_getptr(c: &mut Criterion) {
     });
     // The owner's field store and load on one cache-resident object:
     // the rows the handle's below compare to.
-    let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), big_config());
+    let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), bench_config());
     let obj = rt.olr_malloc(&info).expect("alloc");
     rt.write_field(obj, info.hash(), 1, 1).expect("warm");
     group.bench_function("olr_write_field", |b| {
@@ -96,7 +138,7 @@ fn bench_getptr(c: &mut Criterion) {
     // A handle's field store and load on one cache-resident object of a
     // one-shard runtime: the stage rows of the sharded access path, both
     // served without the shard lock.
-    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 1);
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), bench_config(), 1);
     let mut h = rt.handle(0);
     let obj = h.olr_malloc(&info).expect("alloc");
     h.write_field(obj, info.hash(), 1, 1).expect("warm");
@@ -114,16 +156,16 @@ fn bench_getptr(c: &mut Criterion) {
 }
 
 fn bench_memcpy(c: &mut Criterion) {
-    let info = probe();
+    let info = probe_class();
     let mut group = c.benchmark_group("object_copy");
     group.bench_function("olr_memcpy", |b| {
-        let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), big_config());
+        let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), bench_config());
         let src = rt.olr_malloc(&info).expect("alloc");
         let dst = rt.malloc_raw(128).expect("alloc");
         b.iter(|| rt.olr_memcpy(dst, src, &info).expect("copy"));
     });
     group.bench_function("raw_memmove", |b| {
-        let mut rt = ObjectRuntime::new(RandomizeMode::Native, big_config());
+        let mut rt = ObjectRuntime::new(RandomizeMode::Native, bench_config());
         let src = rt.malloc_raw(32).expect("alloc");
         let dst = rt.malloc_raw(32).expect("alloc");
         b.iter(|| rt.heap_mut().memmove(dst, src, 24).expect("copy"));
@@ -131,7 +173,7 @@ fn bench_memcpy(c: &mut Criterion) {
     // A handle's copy of one live object onto another of its class, both
     // cache-resident on a one-shard runtime: the consumer's copy in
     // handoff-churn, served without the shard lock.
-    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 1);
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), bench_config(), 1);
     for n in [4usize, 7, 12] {
         let info = Arc::new(wide(n));
         let mut h = rt.handle(0);
@@ -151,8 +193,8 @@ fn bench_memcpy(c: &mut Criterion) {
 /// blocks). The allocations the stages consume are made untimed.
 fn bench_remote(c: &mut Criterion) {
     const BATCH: usize = 32;
-    let info = probe();
-    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 1);
+    let info = probe_class();
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), bench_config(), 1);
     let (mut owner, mut freer) = (rt.handle(0), rt.handle(1));
     let mut group = c.benchmark_group("remote");
     group.bench_function("push", |b| {
@@ -181,7 +223,7 @@ fn bench_remote(c: &mut Criterion) {
 /// One read of the runtime's counters on a 4-shard runtime, as a
 /// service's scraper takes it: no lock and no drain.
 fn bench_stats(c: &mut Criterion) {
-    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 4);
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), bench_config(), 4);
     let mut group = c.benchmark_group("stats");
     group.bench_function("fold", |b| b.iter(|| rt.stats()));
     group.finish();
@@ -191,6 +233,9 @@ fn bench_stats(c: &mut Criterion) {
 /// record. Slot ids below 64 sit in the record table's first segments,
 /// ids from 2^17 in a later, larger one.
 fn bench_heap_locate(c: &mut Criterion) {
+    if !c.selects("heap_locate") {
+        return;
+    }
     let mut heap = SimHeap::new(HeapConfig { capacity: 1 << 30, ..HeapConfig::default() });
     let blocks: Vec<Addr> = (0..=1usize << 17).map(|_| heap.malloc(256).expect("alloc")).collect();
     let (low, high) = (blocks[7], blocks[1 << 17]);
@@ -223,6 +268,9 @@ fn wide(n: usize) -> ClassInfo {
 /// (`RoundKeys::mapping`) and a cycle walk into `[0, 12)` — a lower
 /// bound on any derivation over the full 16-point domain.
 fn bench_plan_resolve(c: &mut Criterion) {
+    if !c.selects("plan_resolve") {
+        return;
+    }
     const LAYOUTS: usize = 64;
     let key = EpochKey(0x5EED);
     let traps = Some(CanaryKey::from_seed(0x5EED));
@@ -288,6 +336,9 @@ fn bench_plan_resolve(c: &mut Criterion) {
 /// plan source of that workload's refills; its interner is replaced,
 /// untimed, every 4,096 builds, so memory stays bounded.
 fn bench_plan_layer(c: &mut Criterion) {
+    if !c.selects("plan_resolve") && !c.selects("plan_build_12f") {
+        return;
+    }
     const PLANS: usize = 10_080;
     const PAIRS: usize = 1 << 16;
     let seven = wide(7);
@@ -352,6 +403,9 @@ fn bench_plan_layer(c: &mut Criterion) {
 /// and probe the interner, against building the plan from the code and
 /// interning it, which finds the plan present and drops the one built.
 fn bench_stateless_resolve(c: &mut Criterion) {
+    if !c.selects("stateless_resolve_7f") {
+        return;
+    }
     const CODES: usize = 1024;
     let key = EpochKey(0x5EED);
     let traps = Some(CanaryKey::from_seed(0x5EED));
@@ -407,8 +461,11 @@ fn bench_stateless_bound(c: &mut Criterion) {
 /// ring. Each row is warmed until a 7-field class has met all of its
 /// 5,040 codes, as a long-running service has.
 fn bench_magazine_refill(c: &mut Criterion) {
+    if !c.selects("magazine_refill") {
+        return;
+    }
     const BATCH: usize = 32;
-    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), big_config(), 1);
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), bench_config(), 1);
     let mut group = c.benchmark_group("magazine_refill");
     for n in [4usize, 7, 12] {
         let info = Arc::new(wide(n));
@@ -462,6 +519,100 @@ fn bench_magazine_refill(c: &mut Criterion) {
     group.finish();
 }
 
+/// Wall time of `threads` threads each running `body(thread)`, divided
+/// by the thread count: with `n` ops per thread, the aggregate time per
+/// op across threads. On a host with fewer cores than threads it is the
+/// serialized cost, not a speedup.
+fn on_threads(threads: u64, body: impl Fn(u64) + Sync) -> Duration {
+    let t0 = Instant::now();
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let body = &body;
+            scope.spawn(move || body(t));
+        }
+    });
+    t0.elapsed() / threads as u32
+}
+
+/// The sharded runtime under N threads, each on its own handle, with
+/// stateful pooled plans. `olr_getptr_mt4`: cached member access on each
+/// thread's own hot object through a per-site inline cache, the shape an
+/// instrumented GEP site executes; the reads resolve on the optimistic
+/// seqlock path. `olr_malloc_free_mt{1,4}`: malloc + free pairs, the
+/// magazine front-end's pops and lock-free claims, the shard mutex once
+/// per refill; each handle's home shard is its own. A handle is made and
+/// dropped (flushing its counts) inside every sample.
+fn bench_threads(c: &mut Criterion) {
+    if !c.selects("threads") {
+        return;
+    }
+    let info = probe_class();
+    let hash = info.hash();
+    let mut group = c.benchmark_group("threads");
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), pooled_config(), 4);
+    let objs: Vec<_> = (0..4)
+        .map(|t| {
+            let mut h = rt.handle(t);
+            let obj = h.olr_malloc(&info).expect("alloc");
+            h.olr_getptr(obj, hash, 1).expect("warm");
+            obj
+        })
+        .collect();
+    group.bench_function("olr_getptr_mt4", |b| {
+        b.iter_custom(|n| {
+            on_threads(4, |t| {
+                let mut h = rt.handle(t);
+                let mut ic = SiteCache::empty();
+                for _ in 0..n {
+                    h.olr_getptr_ic(objs[t as usize], hash, 1, &mut ic).expect("access");
+                }
+            })
+        })
+    });
+    for threads in [1u64, 4] {
+        group.bench_function(format!("olr_malloc_free_mt{threads}"), |b| {
+            let rt = ShardedRuntime::new(
+                RandomizeMode::per_allocation(),
+                pooled_config(),
+                threads as usize,
+            );
+            b.iter_custom(|n| {
+                on_threads(threads, |t| {
+                    let mut h = rt.handle(t);
+                    for _ in 0..n {
+                        let a = h.olr_malloc(&info).expect("alloc");
+                        h.olr_free(a).expect("free");
+                    }
+                })
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The session store's traffic-op p99 latency, one full run per call
+/// (≥1M live sessions, Zipf-keyed reads, writes and refreshes on 8
+/// threads, reads verified against an oracle): the row's "time per
+/// call" is that run's p99, so its median is the median p99 of the
+/// samples' runs.
+fn bench_session_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("session_store");
+    group.sample_size(2);
+    group.bench_function("p99", |b| {
+        let config = session_bench_config(b.quick());
+        b.iter_custom(|n| {
+            (0..n)
+                .map(|_| {
+                    let r = run_session_store(RandomizeMode::per_allocation(), config);
+                    assert_eq!(r.live_objects, config.sessions, "session store lost sessions");
+                    Duration::from_nanos(r.p99_ns)
+                })
+                .sum()
+        })
+    });
+    group.finish();
+}
+
 bench_group!(
     benches,
     bench_alloc_free,
@@ -474,6 +625,8 @@ bench_group!(
     bench_plan_layer,
     bench_stateless_resolve,
     bench_stateless_bound,
-    bench_magazine_refill
+    bench_magazine_refill,
+    bench_threads,
+    bench_session_store
 );
 bench_main!(benches);

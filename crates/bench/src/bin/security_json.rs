@@ -10,10 +10,9 @@
 //! ```
 //!
 //! Everything is seed-deterministic: the same binary with the same
-//! `--seed` writes byte-identical entries, so the snapshot diffs cleanly
-//! across commits. `--baseline FILE` merges prior rows in under the same
-//! like-for-like rule as `bench_json` (a `--quick` run can never evict a
-//! full-budget row).
+//! `--seed` writes byte-identical entries, so the file (the current
+//! snapshot only; git keeps the earlier ones) diffs cleanly across
+//! commits.
 //!
 //! `--gate FILE` reruns the reduced (`--quick`) budget at the pinned
 //! gate seed and compares each campaign against the pinned row for its
@@ -26,9 +25,7 @@
 use std::fmt::Write as _;
 
 use polar_attacks::search::{scorecard, CampaignBudget, CampaignReport};
-use polar_bench::security::{
-    parse_sec_entries, retain_prior_sec, write_sec_entries, SecEntry,
-};
+use polar_bench::security::{parse_sec_entries, write_sec_entries, SecEntry};
 
 /// The seed the CI gate (and its pin file) always runs with — the gate
 /// compares like against like.
@@ -141,9 +138,7 @@ fn render(entries: &[SecEntry], quick: bool) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut quick = false;
-    let mut baseline: Option<String> = None;
     let mut out_path: Option<String> = None;
-    let mut snapshot = "current".to_owned();
     let mut gate: Option<String> = None;
     let mut write_pin: Option<String> = None;
     let mut seed = GATE_SEED;
@@ -151,10 +146,6 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            "--baseline" => {
-                i += 1;
-                baseline = Some(args[i].clone());
-            }
             "--gate" => {
                 i += 1;
                 gate = Some(args[i].clone());
@@ -167,10 +158,6 @@ fn main() {
                 i += 1;
                 out_path = Some(args[i].clone());
             }
-            "--snapshot" => {
-                i += 1;
-                snapshot = args[i].clone();
-            }
             "--seed" => {
                 i += 1;
                 seed = args[i].parse().expect("numeric --seed");
@@ -178,9 +165,8 @@ fn main() {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: security_json [--quick] [--seed N] [--snapshot LABEL] \
-                     [--baseline FILE] [--out FILE] [--gate PINFILE] \
-                     [--write-pin FILE]"
+                    "usage: security_json [--quick] [--seed N] [--out FILE] \
+                     [--gate PINFILE] [--write-pin FILE]"
                 );
                 std::process::exit(2);
             }
@@ -201,23 +187,7 @@ fn main() {
         return;
     }
 
-    let current = run_scorecard(quick, seed, &snapshot);
-
-    let mut all: Vec<SecEntry> = match &baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => {
-                retain_prior_sec(parse_sec_entries(&text, "seed"), &snapshot, quick)
-            }
-            Err(e) => {
-                eprintln!("warning: cannot read baseline {path}: {e}");
-                Vec::new()
-            }
-        },
-        None => Vec::new(),
-    };
-    all.extend(current);
-
-    let buf = render(&all, quick);
+    let buf = render(&run_scorecard(quick, seed, "current"), quick);
     match out_path {
         Some(path) => {
             std::fs::write(&path, &buf).expect("write output");

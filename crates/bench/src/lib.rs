@@ -1,5 +1,6 @@
-//! Measurement helpers shared by the `tables` binary and the micro
-//! benches (see [`micro`] for the in-tree Criterion replacement).
+//! Measurement helpers shared by the `tables` binary, the micro benches
+//! (see [`micro`] for the in-tree Criterion replacement) and `bench_json`
+//! (see [`gate`] for its verdicts).
 //!
 //! Every table and figure of the paper has a `rows`-style function here
 //! that produces its data; the binary in `src/bin/tables.rs` formats
@@ -8,6 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod json;
 pub mod micro;
 pub mod security;
@@ -21,7 +23,56 @@ use polar_ir::trace::NopTracer;
 use polar_ir::Module;
 use polar_runtime::{LayoutSource, ObjectRuntime, RandomizeMode, RuntimeConfig, RuntimeStats};
 use polar_taint::{analyze, TaintConfig};
+use polar_workloads::session_store::SessionConfig;
 use polar_workloads::{js, Workload};
+
+/// The 4-field vtable'd class of the `runtime_ops` allocation and access
+/// rows and of `bench_json`'s metadata pin.
+pub fn probe_class() -> Arc<polar_classinfo::ClassInfo> {
+    use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
+    Arc::new(ClassInfo::from_decl(
+        ClassDecl::builder("Probe")
+            .field("vtable", FieldKind::VtablePtr)
+            .field("a", FieldKind::I64)
+            .field("b", FieldKind::I32)
+            .field("c", FieldKind::I32)
+            .build(),
+    ))
+}
+
+/// The default runtime config on a 1 GiB heap: what the `runtime_ops`
+/// rows and `bench_json`'s metadata pin start from.
+pub fn bench_config() -> RuntimeConfig {
+    let mut c = RuntimeConfig::default();
+    c.heap.capacity = 1 << 30;
+    c
+}
+
+/// The session-store row's scale: ≥1M live vtable'd sessions under
+/// Zipf-skewed traffic on 8 threads and 8 shards (the 512 MiB heap holds
+/// the 256 MiB live set with magazine slack). Quick mode shrinks it to a
+/// smoke run.
+pub fn session_bench_config(quick: bool) -> SessionConfig {
+    if quick {
+        SessionConfig {
+            threads: 2,
+            sessions: 2_000,
+            ops_per_thread: 500,
+            shards: 2,
+            heap_capacity: 32 << 20,
+            ..Default::default()
+        }
+    } else {
+        SessionConfig {
+            threads: 8,
+            sessions: 1 << 20,
+            ops_per_thread: 50_000,
+            shards: 8,
+            heap_capacity: 512 << 20,
+            ..Default::default()
+        }
+    }
+}
 
 /// Wall-clock one execution in the given mode; also returns the final
 /// runtime stats.

@@ -10,9 +10,18 @@
 //!
 //! Behavior matches Criterion's harness contract too: a bench binary
 //! run by `cargo bench` receives `--bench` and measures for real; run
-//! by `cargo test` (no `--bench` flag) it executes every body once in
-//! *quick mode*, so benches can't bit-rot without failing the tier-1
-//! gate — and the gate stays fast.
+//! by `cargo test` (the bench targets set `test = true`, no `--bench`
+//! flag) it executes every body once in *quick mode*, so a bench that
+//! no longer runs fails the workspace tests.
+//!
+//! Every other argument that does not start with `-` is a row filter:
+//! it names a group (`alloc_free`) or a row (`alloc_free/olr_malloc_free`),
+//! and only the rows under a filter run. `--max-samples=N` caps every
+//! row's sample count (the bench gate's short runs). Flags the harness
+//! does not know (`--quiet`, …) are ignored. A measured row prints its
+//! human line on stderr and one tab-separated line on stdout,
+//! `row <label> <median_ns> <min_ns> <max_ns> <samples> <iters>`, which
+//! `bench_json` reads.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -20,19 +29,41 @@ use std::time::{Duration, Instant};
 /// Top-level bench context (Criterion-shaped).
 pub struct Criterion {
     quick: bool,
+    filters: Vec<String>,
+    max_samples: usize,
     benches_run: usize,
 }
 
 impl Criterion {
     /// Build from the process arguments: full measurement when invoked
     /// with `--bench` (what `cargo bench` passes), quick smoke mode
-    /// otherwise (what `cargo test` does).
+    /// otherwise (what `cargo test` does); arguments not starting with
+    /// `-` are row filters.
     pub fn from_args() -> Self {
-        let quick = !std::env::args().any(|a| a == "--bench");
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let quick = !args.iter().any(|a| a == "--bench");
+        let max_samples = args
+            .iter()
+            .find_map(|a| a.strip_prefix("--max-samples=")?.parse().ok())
+            .unwrap_or(usize::MAX);
+        let filters = args.into_iter().filter(|a| !a.starts_with('-')).collect();
         if quick {
             eprintln!("(quick mode: running each bench body once; use `cargo bench` to measure)");
         }
-        Criterion { quick, benches_run: 0 }
+        Criterion { quick, filters, max_samples, benches_run: 0 }
+    }
+
+    /// Whether a filter selects `group` or a row in it: a bench function
+    /// with costly setup outside its rows' bodies returns early otherwise.
+    pub fn selects(&self, group: &str) -> bool {
+        self.filters.is_empty()
+            || self.filters.iter().any(|f| under(f, group) || under(group, f))
+    }
+
+    /// Whether the row `label` runs: no filter, or one naming it or its
+    /// group.
+    fn runs(&self, label: &str) -> bool {
+        self.filters.is_empty() || self.filters.iter().any(|f| under(label, f))
     }
 
     /// A named group of related benchmarks.
@@ -42,8 +73,7 @@ impl Criterion {
 
     /// A standalone benchmark.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) {
-        let quick = self.quick;
-        self.run_one(name, 20, quick, f);
+        self.run_one(name, 20, f);
     }
 
     /// Print the closing line (called by [`bench_main!`](crate::bench_main)).
@@ -51,15 +81,36 @@ impl Criterion {
         eprintln!("ran {} benchmarks", self.benches_run);
     }
 
-    fn run_one(&mut self, label: &str, sample_size: usize, quick: bool, mut f: impl FnMut(&mut Bencher)) {
-        let mut bencher = Bencher { quick, sample_size, report: None };
+    fn run_one(&mut self, label: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher)) {
+        if !self.runs(label) {
+            return;
+        }
+        let sample_size = self.capped(sample_size);
+        let mut bencher = Bencher { quick: self.quick, sample_size, report: None };
         f(&mut bencher);
-        self.benches_run += 1;
         match bencher.report {
-            Some(report) => eprintln!("{label:<44} {report}"),
+            Some(report) => self.print(label, &report),
             None => eprintln!("{label:<44} (no iter call)"),
         }
     }
+
+    /// A row's sample count under `--max-samples`.
+    fn capped(&self, sample_size: usize) -> usize {
+        sample_size.min(self.max_samples).max(2)
+    }
+
+    fn print(&mut self, label: &str, report: &Report) {
+        self.benches_run += 1;
+        eprintln!("{label:<44} {report}");
+        if !self.quick {
+            println!("{}", report.line(label));
+        }
+    }
+}
+
+/// `label` is `prefix` or lies under it (`prefix/...`).
+fn under(label: &str, prefix: &str) -> bool {
+    label.strip_prefix(prefix).is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
 /// A group of benchmarks sharing a name prefix and sample settings.
@@ -89,8 +140,7 @@ impl BenchGroup<'_> {
         mut f: impl FnMut(&mut Bencher, &I),
     ) {
         let label = format!("{}/{}", self.name, id.into().label);
-        let quick = self.criterion.quick;
-        self.criterion.run_one(&label, self.sample_size, quick, |b| f(b, input));
+        self.criterion.run_one(&label, self.sample_size, |b| f(b, input));
     }
 
     /// Benchmark the two stages of one cycle as two rows, `ids[0]` and
@@ -103,12 +153,14 @@ impl BenchGroup<'_> {
         ids: [impl Into<BenchmarkId>; 2],
         cycle: impl FnMut(u64) -> [Duration; 2],
     ) {
-        let quick = self.criterion.quick;
-        let reports = measure(quick, self.sample_size, cycle);
-        for (id, report) in ids.into_iter().zip(reports) {
-            let label = format!("{}/{}", self.name, id.into().label);
-            self.criterion.benches_run += 1;
-            eprintln!("{label:<44} {report}");
+        let labels = ids.map(|id| format!("{}/{}", self.name, id.into().label));
+        if !labels.iter().any(|label| self.criterion.runs(label)) {
+            return;
+        }
+        let reports =
+            measure(self.criterion.quick, self.criterion.capped(self.sample_size), cycle);
+        for (label, report) in labels.iter().zip(&reports) {
+            self.criterion.print(label, report);
         }
     }
 
@@ -152,12 +204,41 @@ pub struct Bencher {
     report: Option<Report>,
 }
 
-struct Report {
-    median_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-    samples: usize,
-    iters: u64,
+/// What one row measured, in nanoseconds per call.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// Median over the samples.
+    pub median_ns: f64,
+    /// Fastest sample.
+    pub min_ns: f64,
+    /// Slowest sample.
+    pub max_ns: f64,
+    /// Samples taken.
+    pub samples: usize,
+    /// Calls per sample.
+    pub iters: u64,
+}
+
+impl Report {
+    /// The row's machine-readable line.
+    fn line(&self, label: &str) -> String {
+        let Report { median_ns, min_ns, max_ns, samples, iters } = self;
+        format!("row\t{label}\t{median_ns:.3}\t{min_ns:.3}\t{max_ns:.3}\t{samples}\t{iters}")
+    }
+
+    /// Read a row's label and report back from its machine-readable line;
+    /// `None` for any other line.
+    pub fn parse(line: &str) -> Option<(String, Report)> {
+        let mut fields = line.split('\t');
+        if fields.next()? != "row" {
+            return None;
+        }
+        let label = fields.next()?.to_owned();
+        let mut number = || fields.next()?.parse::<f64>().ok();
+        let (median_ns, min_ns, max_ns) = (number()?, number()?, number()?);
+        let (samples, iters) = (number()? as usize, number()? as u64);
+        Some((label, Report { median_ns, min_ns, max_ns, samples, iters }))
+    }
 }
 
 impl std::fmt::Display for Report {
@@ -191,7 +272,7 @@ impl Bencher {
     /// test); otherwise: warm up ~25 ms, size samples to ~10 ms each,
     /// then record `sample_size` samples.
     pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
-        self.measure(|n| {
+        self.iter_custom(|n| {
             let t0 = Instant::now();
             for _ in 0..n {
                 black_box(f());
@@ -203,13 +284,13 @@ impl Bencher {
     /// Time `routine` alone on inputs `setup` builds untimed, with one
     /// clock read pair per call, so it suits routines well above the
     /// clock's own cost (tens of nanoseconds). Otherwise as
-    /// [`Bencher::iter`], the sample sizing going by the routine's time.
+    /// [`Bencher::iter`].
     pub fn iter_batched<I, T>(
         &mut self,
         mut setup: impl FnMut() -> I,
         mut routine: impl FnMut(I) -> T,
     ) {
-        self.measure(|n| {
+        self.iter_custom(|n| {
             let mut timed = Duration::ZERO;
             for _ in 0..n {
                 let input = setup();
@@ -221,17 +302,28 @@ impl Bencher {
         });
     }
 
-    /// The body of [`Bencher::iter`]: `run(n)` makes `n` calls and
-    /// returns the time they count for.
-    fn measure(&mut self, mut run: impl FnMut(u64) -> Duration) {
+    /// Time `run(n)`, which makes `n` calls and returns the time they
+    /// count for: work that needs its own setup per sample, such as
+    /// threads that each make `n` calls. Otherwise as [`Bencher::iter`].
+    pub fn iter_custom(&mut self, mut run: impl FnMut(u64) -> Duration) {
         let [report] = measure(self.quick, self.sample_size, |n| [run(n)]);
         self.report = Some(report);
+    }
+
+    /// True in quick mode, where a body runs once and is not timed: a
+    /// body may shrink its input then.
+    pub fn quick(&self) -> bool {
+        self.quick
     }
 }
 
 /// Time the `K` stages `run(n)` reports for `n` calls. In quick mode it
-/// runs once; otherwise: warm up ~25 ms, size samples to ~10 ms of all
-/// stages together, then record `sample_size` samples of each stage.
+/// runs once; otherwise: warm up with doubling call counts until ~25 ms
+/// of wall time went by, size samples to ~10 ms of wall time at the
+/// fastest per-call rate a warmup run showed (a run the host stalled
+/// cannot shrink every sample), then record `sample_size` samples of
+/// each stage. Going by wall time, a sample's cost is bounded whatever
+/// `run` reports.
 fn measure<const K: usize>(
     quick: bool,
     sample_size: usize,
@@ -248,14 +340,16 @@ fn measure<const K: usize>(
         });
     }
     // Warmup + calibration.
-    let warmup = Duration::from_millis(25);
-    let (mut spent, mut warm_iters) = (Duration::ZERO, 0u64);
-    while spent < warmup || warm_iters < 3 {
-        spent += run(1).iter().sum::<Duration>();
-        warm_iters += 1;
+    let (mut n, mut spent, mut per_call_ns) = (1u64, Duration::ZERO, f64::INFINITY);
+    while spent < Duration::from_millis(25) {
+        let t0 = Instant::now();
+        run(n);
+        let took = t0.elapsed();
+        spent += took;
+        per_call_ns = per_call_ns.min(took.as_nanos() as f64 / n as f64);
+        n = (n * 2).min(1 << 24);
     }
-    let per_iter = spent.as_nanos() as f64 / warm_iters as f64;
-    let iters = ((10e6 / per_iter.max(0.1)) as u64).clamp(1, 1_000_000);
+    let iters = ((10e6 / per_call_ns.max(0.1)) as u64).clamp(1, 1 << 24);
     // Measurement.
     let mut samples_ns: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(sample_size));
     for _ in 0..sample_size {
@@ -263,16 +357,25 @@ fn measure<const K: usize>(
             stage.push(took.as_nanos() as f64 / iters as f64);
         }
     }
-    samples_ns.map(|mut samples| {
-        samples.sort_by(|a, b| a.total_cmp(b));
-        Report {
-            median_ns: samples[samples.len() / 2],
-            min_ns: samples[0],
-            max_ns: *samples.last().expect("sample_size >= 2"),
-            samples: samples.len(),
-            iters,
-        }
+    samples_ns.map(|mut samples| Report {
+        median_ns: median(&mut samples),
+        min_ns: samples[0],
+        max_ns: *samples.last().expect("sample_size >= 2"),
+        samples: samples.len(),
+        iters,
     })
+}
+
+/// The median of `values` (the mean of the middle two for an even
+/// count), sorting them in place.
+pub fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
+    }
 }
 
 /// Bundle bench functions into one named group runner (the analogue of
@@ -297,4 +400,32 @@ macro_rules! bench_main {
             criterion.final_summary();
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_row_line_reads_back() {
+        let report =
+            Report { median_ns: 12.25, min_ns: 11.5, max_ns: 20.125, samples: 20, iters: 4096 };
+        let line = report.line("member_access/olr_getptr_cached");
+        assert_eq!(Report::parse(&line), Some(("member_access/olr_getptr_cached".into(), report)));
+        assert_eq!(Report::parse("member_access/x  median 1.0 ns"), None);
+    }
+
+    #[test]
+    fn a_filter_names_a_group_or_a_row() {
+        assert!(under("alloc_free/olr_malloc_free", "alloc_free"));
+        assert!(under("alloc_free/olr_malloc_free", "alloc_free/olr_malloc_free"));
+        assert!(!under("alloc_free/olr_malloc_free_pooled", "alloc_free/olr_malloc_free"));
+        assert!(!under("alloc_free_x/y", "alloc_free"));
+    }
+
+    #[test]
+    fn the_median_of_an_even_count_is_the_mean_of_the_middle_two() {
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+    }
 }

@@ -1,7 +1,5 @@
 //! The `BENCH_security.json` schema: adaptive-attack scorecard rows,
-//! hand-rolled JSON in/out (the workspace is registry-free by policy),
-//! and the same like-for-like snapshot-merge rule as
-//! [`json`](crate::json) uses for `BENCH_runtime.json`.
+//! hand-rolled JSON in/out (the workspace is registry-free by policy).
 //!
 //! One row per (scenario × mode) campaign: how often the evolved attack
 //! tape bypassed the defense over the evaluation replays, and how often
@@ -16,7 +14,8 @@ use crate::json::json_escape;
 /// One campaign row of `BENCH_security.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SecEntry {
-    /// Which run produced this row (`"current"` or a baseline label).
+    /// Which run produced this row: `"current"`, or `"pinned"` in the
+    /// gate's pin file.
     pub snapshot: String,
     /// Attack scenario (`heap-groom`, `misaligned-probe`, `type-confuse`).
     pub scenario: String,
@@ -117,21 +116,6 @@ pub fn parse_sec_entries(text: &str, default_snapshot: &str) -> Vec<SecEntry> {
     out
 }
 
-/// The snapshot-replace rule, identical in spirit to
-/// [`json::retain_prior`](crate::json::retain_prior): a full run evicts
-/// every prior row under its label; a quick run evicts only prior quick
-/// rows, never a full-budget measurement.
-pub fn retain_prior_sec(
-    prior: Vec<SecEntry>,
-    label: &str,
-    current_quick: bool,
-) -> Vec<SecEntry> {
-    prior
-        .into_iter()
-        .filter(|e| e.snapshot != label || (current_quick && !e.quick))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,30 +156,5 @@ mod tests {
         let parsed = parse_sec_entries(text, "x");
         assert_eq!(parsed.len(), 1);
         assert!((parsed[0].bypass_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn full_run_evicts_its_whole_label() {
-        let prior = vec![
-            row("current", "heap-groom", 1, false),
-            row("current", "heap-groom", 2, true),
-            row("pinned", "heap-groom", 3, false),
-        ];
-        let kept = retain_prior_sec(prior, "current", false);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].snapshot, "pinned");
-    }
-
-    #[test]
-    fn quick_run_cannot_evict_full_measurements() {
-        let prior = vec![
-            row("current", "heap-groom", 1, false),
-            row("current", "type-confuse", 2, true),
-            row("pinned", "heap-groom", 3, false),
-        ];
-        let kept = retain_prior_sec(prior, "current", true);
-        assert_eq!(kept.len(), 2);
-        assert!(kept.iter().any(|e| e.snapshot == "current" && !e.quick));
-        assert!(kept.iter().any(|e| e.snapshot == "pinned"));
     }
 }

@@ -1,58 +1,16 @@
 #!/usr/bin/env bash
 # Runtime hot-path benchmark runner.
 #
-# Builds the release benchmarks, runs the Criterion-style micro suite,
-# then emits the machine-readable trajectory file `BENCH_runtime.json`
-# at the repo root. Every entry follows the schema
+# Runs every runtime_ops row (human-readable lines on stderr) and writes
+# the current snapshot to BENCH_runtime.json at the repo root: each row's
+# median, min and max ns per call, and the two deterministic rows beside
+# their pins. To compare against another commit in one session, run
+# `bench_json --gate <rev>` instead (scripts/check.sh runs it against
+# HEAD).
 #
-#   {bench, mode, ns_per_op, cache_hit_rate, metadata_bytes}
-#
-# and the file carries both the recorded *seed* baseline
-# (scripts/bench_baseline_seed.json, captured before the shadow-index
-# overhaul with the same methodology) and the current snapshot, plus the
-# headline `speedup_olr_getptr_cached` ratio between the two.
-#
-# Usage: scripts/bench.sh [--quick] [--snapshot LABEL]
-#   --quick       1-iteration smoke pass (used by scripts/check.sh);
-#                 numbers are not meaningful, only that the path runs.
-#   --snapshot L  label for the current snapshot (default: current).
+# Usage: scripts/bench.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-quick=""
-snapshot="current"
-while [ $# -gt 0 ]; do
-    case "$1" in
-        --quick) quick="--quick" ;;
-        --snapshot) shift; snapshot="$1" ;;
-        *) echo "unknown argument: $1" >&2; exit 2 ;;
-    esac
-    shift
-done
-
-echo "== build (release) =="
-cargo build --release --offline -p polar-bench
-
-if [ -z "$quick" ]; then
-    echo "== micro benchmarks (human-readable) =="
-    cargo bench --offline -p polar-bench --bench runtime_ops -- --bench
-fi
-
-echo "== machine-readable trajectory =="
-out="BENCH_runtime.json"
-if [ -n "$quick" ]; then
-    out="/tmp/BENCH_runtime.quick.json"
-fi
-# Prefer the committed trajectory file as the baseline so reruns append
-# (replacing any prior snapshot with the same label); fall back to the
-# pinned seed-era numbers on a fresh checkout.
-baseline="scripts/bench_baseline_seed.json"
-if [ -f BENCH_runtime.json ]; then
-    baseline="BENCH_runtime.json"
-fi
-./target/release/bench_json $quick \
-    --snapshot "$snapshot" \
-    --baseline "$baseline" \
-    --out "$out"
-echo "ok: wrote $out"
+cargo run -q --release --offline -p polar-bench --bin bench_json -- --out BENCH_runtime.json

@@ -8,7 +8,8 @@
 #    every workspace crate's tests (cargo test --workspace), then check
 #    that every intra-doc link resolves.
 # 3. Build and unit-test the benchmark package, then run the release-mode
-#    stress and smoke tests and the bench and security gates.
+#    stress and smoke tests, the bench gate against HEAD and the
+#    security gate.
 #
 # Usage: scripts/check.sh [--lint-only]
 
@@ -71,7 +72,9 @@ echo "== workspace tests =="
 # The tier-1 command runs only the root package's suites. This stage runs
 # every crate's unit and integration tests too (the golden counter tapes,
 # the magazine, interleaving and differential properties, the runtime,
-# layout, simheap, attacks and ir unit tests), in debug, ~2 minutes.
+# layout, simheap, attacks and ir unit tests), in debug, ~2 minutes, and
+# every polar-bench bench target once in quick mode (each body runs once,
+# untimed), so a bench that no longer runs fails here.
 cargo test -q --offline --workspace
 echo "ok: workspace tests green"
 
@@ -193,23 +196,18 @@ echo "== session-store smoke =="
 cargo test -q --offline --release -p polar-bench --test smoke_session -- --nocapture
 echo "ok: session smoke green"
 
-echo "== bench smoke (1 iteration) =="
-# A single-iteration pass through every benchmark: catches hot-path
-# regressions that only the bench harness exercises (e.g. the JSON
-# trajectory writer) without paying for real measurements.
-scripts/bench.sh --quick --snapshot smoke
-echo "ok: bench smoke green"
-
-echo "== bench gate (reduced-iteration, >25% regression fails) =="
-# Short timed measurement of the gated hot paths (allocation, cached
-# getptr, the 4-thread lock-free getptr curve row, the magazine-path
-# olr_malloc_free_mt1/mt4 aggregates, and a full-scale session-store
-# rerun against its p99 + metadata-per-live pins) against their pins.
-# Scaling pins recorded on a wider machine than this one (pinned
-# parallelism > detected) are skipped with a notice instead of
-# green-washing an incomparable measurement, as is the mt4 <= 1.5x mt1
-# magazine scaling check on machines detecting < 4 hardware threads.
-./target/release/bench_json --gate scripts/bench_baseline_seed.json
+echo "== bench gate (same-session A/B against HEAD) =="
+# Times every gated runtime_ops row built on HEAD's libraries (the parent
+# while a change is uncommitted) against the same rows built on this
+# tree's, in interleaved pairs of short runs, and fails a row whose
+# median per-pair slowdown is past the threshold; the two deterministic
+# rows (session-store metadata per live session, pooled/derived
+# metadata ratio) are held to absolute pins. The log names the host
+# states the pairs met. HEAD's build is cached under .bench_build/ab.
+# Exit 2 is no verdict: a command the gate needs failed, most often
+# HEAD's build with this tree's crates/bench laid over it (a row that
+# calls an API HEAD lacks). The gate did not run; say so in CHANGES.md.
+cargo run -q --release --offline -p polar-bench --bin bench_json -- --gate HEAD
 echo "ok: bench gate green"
 
 echo "== security gate (reduced-trial adaptive attacker) =="
