@@ -17,12 +17,14 @@ use polar_bench::micro::Criterion;
 use polar_bench::{bench_config, bench_group, bench_main, probe_class, session_bench_config};
 use polar_classinfo::{ClassDecl, ClassInfo, FieldKind};
 use polar_layout::{
-    pack_perm, stateless_bound, stateless_perm, stateless_plan_from_code, CanaryKey,
-    DerivedLayout, EpochKey, LayoutEngine, PlanInterner, RandomizationPolicy, RoundKeys,
+    code_rank, pack_perm, stateless_bound, stateless_perm, stateless_plan_from_code, CanaryKey,
+    DerivedLayout, EpochKey, LayoutEngine, PermBlock, PlanHash, PlanInterner,
+    RandomizationPolicy, RoundKeys,
 };
 use polar_rng::{rngs::StdRng, RngExt, SeedableRng};
 use polar_runtime::{
-    LayoutSource, ObjectRuntime, RandomizeMode, RuntimeConfig, ShardedRuntime, SiteCache,
+    LayoutSource, ObjectRuntime, RandomizeMode, RuntimeConfig, ShardHandle, ShardedRuntime,
+    SiteCache,
 };
 use polar_simheap::{Addr, HeapConfig, PlacementPolicy, SimHeap};
 use polar_workloads::session_store::run_session_store;
@@ -397,27 +399,84 @@ fn bench_plan_layer(c: &mut Criterion) {
     });
 }
 
-/// How a stateless reservation of a 7-field class finds the interned
-/// plan of a derived code, over 1,024 codes that are all interned
-/// already (the steady state): lay the code out on the stack, hash it
-/// and probe the interner, against building the plan from the code and
-/// interning it, which finds the plan present and drops the one built.
+/// The stages of a stateless reservation of a 7-field class before its
+/// object is armed, over 1,024 codes that are all interned already (the
+/// steady state):
+///
+/// * `code_for`: the keyed Feistel mapping and cycle walk of
+///   `PermBlock::code_for` for a slot the block has not seen, as a
+///   refill meets its slots;
+/// * `rank`: the code's Lehmer rank, the index of the class's layout
+///   memo;
+/// * `derive`: the code laid out on the stack and hashed;
+/// * `probe`: `derive` plus the interner probe for the hash — the miss
+///   path, and the whole path below the memo's live gate;
+/// * `memo_hit`: the rank, one 16 B memo entry (plan hash, plan id,
+///   trap offsets) and its trap canaries — the hit path, modelled here
+///   on a table of the same entries;
+/// * `build_and_intern`: building the plan from the code and interning
+///   it, which finds the plan present and drops the one built.
 fn bench_stateless_resolve(c: &mut Criterion) {
     if !c.selects("stateless_resolve_7f") {
         return;
     }
     const CODES: usize = 1024;
     let key = EpochKey(0x5EED);
-    let traps = Some(CanaryKey::from_seed(0x5EED));
+    let canaries = CanaryKey::from_seed(0x5EED);
+    let traps = Some(canaries);
     let seven = wide(7);
     let codes: Vec<u32> =
         (0..CODES as u64).map(|g| pack_perm(&stateless_perm(key, g, 3, 7))).collect();
-    let mut interner = PlanInterner::new(CanaryKey::from_seed(0x5EED));
+    let mut interner = PlanInterner::new(canaries);
     for &code in &codes {
         interner.intern_id(stateless_plan_from_code(&seven, key, code, traps));
     }
+    // The memo entries of the 7-field codes, by rank: the plan hash,
+    // the trap count and each trap's offset in 8-byte units.
+    let mut memo = vec![(PlanHash(0), 0u32, [0u8; 4]); 5040];
+    for &code in &codes {
+        let shape = DerivedLayout::derive(&seven, key, code, traps);
+        let mut at = [shape.traps().len() as u8, 0, 0, 0];
+        for (a, trap) in at[1..].iter_mut().zip(shape.traps()) {
+            *a = (trap.offset / 8) as u8;
+        }
+        let id = interner.probe(shape.plan_hash()).expect("interned");
+        memo[code_rank(code, 7)] = (shape.plan_hash(), id, at);
+    }
     let mut group = c.benchmark_group("stateless_resolve_7f");
+    let keys = RoundKeys::new(key);
+    let mut block = PermBlock::empty();
+    let mut slot = 0u32;
+    group.bench_function("code_for", |b| {
+        b.iter(|| {
+            slot = slot.wrapping_add(1);
+            block.code_for(&keys, black_box(slot), 1, 7)
+        })
+    });
     let mut i = 0usize;
+    group.bench_function("rank", |b| {
+        b.iter(|| {
+            i = (i + 1) % CODES;
+            code_rank(black_box(codes[i]), 7)
+        })
+    });
+    group.bench_function("derive", |b| {
+        b.iter(|| {
+            i = (i + 1) % CODES;
+            DerivedLayout::derive(&seven, key, black_box(codes[i]), traps).plan_hash()
+        })
+    });
+    group.bench_function("memo_hit", |b| {
+        b.iter(|| {
+            i = (i + 1) % CODES;
+            let (hash, id, at) = memo[code_rank(black_box(codes[i]), 7)];
+            let mut armed = u64::from(id);
+            for (j, &unit) in at[1..].iter().take(usize::from(at[0])).enumerate() {
+                armed ^= canaries.canary(hash, j).rotate_left(u32::from(unit));
+            }
+            armed
+        })
+    });
     group.bench_function("probe", |b| {
         b.iter(|| {
             i = (i + 1) % CODES;
@@ -456,10 +515,12 @@ fn bench_stateless_bound(c: &mut Criterion) {
 /// frees 32 objects (lock-free claims onto the shard's remote-free
 /// stack), and the next iteration's first pop finds the magazine empty,
 /// takes the shard lock, drains those frees and reserves 32 capsules.
-/// The 4- and 7-field classes derive their layouts (the ranked plan
-/// cache and the hash probe), the 12-field class draws from the pooled
-/// ring. Each row is warmed until a 7-field class has met all of its
-/// 5,040 codes, as a long-running service has.
+/// The 4- and 7-field classes derive their layouts, the 12-field class
+/// draws from the pooled ring. Each row is warmed until a 7-field class
+/// has met all of its 5,040 codes, as a long-running service has. The
+/// 4-field class, with 24 codes, reserves from its layout memo; the
+/// 7-field class, with 32 to 64 live objects, derives, hashes and probes
+/// (below its memo's live gate), except in `reserve_7f_live`.
 fn bench_magazine_refill(c: &mut Criterion) {
     if !c.selects("magazine_refill") {
         return;
@@ -490,33 +551,56 @@ fn bench_magazine_refill(c: &mut Criterion) {
     // 32 reservations). The two stages alternate in every cycle, so a
     // change to either reads against the other in the same host state.
     for n in [4usize, 7, 12] {
-        let info = Arc::new(wide(n));
-        let rt = &rt;
-        let mut h = rt.handle(0);
-        let mut objs = Vec::with_capacity(BATCH);
-        let mut cycle = move |iters: u64| {
-            let mut took = [Duration::ZERO; 2];
-            for _ in 0..iters {
-                while h.parked_capsules() > 0 {
-                    objs.push(h.olr_malloc(&info).expect("alloc"));
-                }
-                for obj in objs.drain(..) {
-                    h.olr_free(obj).expect("free");
-                }
-                let t0 = Instant::now();
-                rt.quiesce();
-                let t1 = Instant::now();
-                objs.push(h.olr_malloc(&info).expect("alloc"));
-                let t2 = Instant::now();
-                took[0] += t1 - t0;
-                took[1] += t2 - t1;
-            }
-            took
-        };
+        let mut cycle = refill_stages(&rt, rt.handle(0), Arc::new(wide(n)));
         cycle(2048);
         group.bench_stages([format!("drain_{n}f"), format!("reserve_{n}f")], &mut cycle);
     }
+    // `reserve_7f` while the shard holds 6,144 other live objects of the
+    // class, as a service with a large live set has: more than its
+    // 5,040 codes, so its reservations are armed from the layout memo
+    // once the warm-up has filled it.
+    let rt = ShardedRuntime::new(RandomizeMode::per_allocation(), bench_config(), 1);
+    let info = Arc::new(wide(7));
+    let mut h = rt.handle(0);
+    for _ in 0..6144 {
+        h.olr_malloc(&info).expect("alloc");
+    }
+    let mut cycle = refill_stages(&rt, h, info);
+    cycle(2048);
+    group.bench_stages(["drain_7f_live", "reserve_7f_live"], &mut cycle);
     group.finish();
+}
+
+/// The two stages of one magazine refill of `info` through `h`, as
+/// `cycle(n)` for `BenchGroup::bench_stages`: each cycle pops what the
+/// magazine holds and frees it (lock-free claims), then times
+/// `quiesce()` draining those frees and the pop that finds the magazine
+/// empty and refills it.
+fn refill_stages<'a>(
+    rt: &'a ShardedRuntime,
+    mut h: ShardHandle<'a>,
+    info: Arc<ClassInfo>,
+) -> impl FnMut(u64) -> [Duration; 2] + 'a {
+    let mut objs = Vec::with_capacity(32);
+    move |iters| {
+        let mut took = [Duration::ZERO; 2];
+        for _ in 0..iters {
+            while h.parked_capsules() > 0 {
+                objs.push(h.olr_malloc(&info).expect("alloc"));
+            }
+            for obj in objs.drain(..) {
+                h.olr_free(obj).expect("free");
+            }
+            let t0 = Instant::now();
+            rt.quiesce();
+            let t1 = Instant::now();
+            objs.push(h.olr_malloc(&info).expect("alloc"));
+            let t2 = Instant::now();
+            took[0] += t1 - t0;
+            took[1] += t2 - t1;
+        }
+        took
+    }
 }
 
 /// Wall time of `threads` threads each running `body(thread)`, divided

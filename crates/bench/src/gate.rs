@@ -91,13 +91,13 @@ impl Pin {
 pub const PINS: [Pin; 2] = [
     Pin {
         row: "session_store/meta_per_live",
-        value: 122.27,
+        value: 122.89,
         unit: "B",
         lower_is_better: true,
     },
     Pin {
         row: "metadata_ratio/pooled_over_derived",
-        value: 48.4,
+        value: 46.9,
         unit: "x",
         lower_is_better: false,
     },

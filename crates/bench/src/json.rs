@@ -74,7 +74,7 @@ mod tests {
         };
         let text = render_runtime(
             &[("member_access/olr_getptr_cached".to_owned(), report)],
-            &[(PINS[0], 122.27)],
+            &[(PINS[0], 122.89)],
             2,
         );
         assert!(text.contains(
@@ -82,7 +82,7 @@ mod tests {
              \"min_ns\": 11.50, \"max_ns\": 20.00, \"samples\": 20, \"iters\": 4096}\n  ],"
         ));
         assert!(text.contains(
-            "{\"row\": \"session_store/meta_per_live\", \"value\": 122.27, \"pin\": 122.27, \
+            "{\"row\": \"session_store/meta_per_live\", \"value\": 122.89, \"pin\": 122.89, \
              \"unit\": \"B\"}\n  ]\n}"
         ));
     }

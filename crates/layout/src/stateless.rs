@@ -312,8 +312,10 @@ pub fn code_position(code: PermCode, p: usize) -> usize {
 }
 
 /// `n!` for `n ≤ STATELESS_MAX_FIELDS`: the number of distinct
-/// permutation codes an `n`-field class can produce. Derived-plan caches
-/// size themselves with this (a 4-field class needs 24 entries, ever).
+/// permutation codes an `n`-field class can produce. A class's layout
+/// memo has this many entries, one per [`code_rank`], and the runtime
+/// builds it once the class has this many live objects (5,040 for a
+/// 7-field class; a class of at most 4 fields gets it at once).
 #[inline]
 pub fn code_space(n: usize) -> usize {
     const FACT: [usize; STATELESS_MAX_FIELDS + 1] =
@@ -322,9 +324,8 @@ pub fn code_space(n: usize) -> usize {
 }
 
 /// Lehmer rank of the permutation packed in `code`: a perfect (bijective)
-/// index in `[0, n!)`. Lets small-codomain plan caches index without
-/// collisions — the hot-path property that makes the derived-plan cache
-/// miss exactly `n!` times per class lifetime, not per hash conflict.
+/// index in `[0, n!)`. Lets a class's layout memo index without
+/// collisions: a code it can hold misses once, never on a conflict.
 #[inline]
 pub fn code_rank(code: PermCode, n: usize) -> usize {
     debug_assert!(n >= 1 && n <= STATELESS_MAX_FIELDS);

@@ -22,6 +22,7 @@ use polar_layout::{
     code_rank, code_space, stateless_bound, CanaryKey, DerivedLayout, DummySlot, EpochKey,
     FieldAccess, LayoutEngine, LayoutPlan, PermBlock, PlanHash, PlanInterner, PlanPools,
     PlanRegistry, RandomizationPolicy, RoundKeys, StaticOlrTable, STATELESS_MAX_FIELDS,
+    TRAP_SLOT_BYTES,
 };
 use polar_rng::{BufferedRng, Rng, SeedableRng, SplitMix64};
 use polar_simheap::{Addr, BlockState, HeapConfig, SimHeap, PUB_STATE_FREED};
@@ -268,43 +269,101 @@ pub(crate) struct Capsule {
 
 /// One entry of the runtime's class table: the class itself (object
 /// copies read a source's class from here, by the hash its record
-/// carries) and, for classes on the stateless path, their derived-plan
-/// cache.
+/// carries), its live object count and, for classes on the stateless
+/// path, their derived-layout cache.
 #[derive(Debug)]
 struct ClassEntry {
     info: Arc<ClassInfo>,
+    /// Records of this class installed and not yet retired on this
+    /// runtime. It sizes the class's layout memo, nothing else; a raw
+    /// free of a tracked block retires no record, so it may read high.
+    live: u32,
     stateless: Option<StatelessClassCache>,
 }
 
-/// Largest code space a class's derived plans are cached for: `4! = 24`
-/// codes, so classes of at most 4 fields.
-const RANKED_MAX_CODES: usize = 24;
-
 /// Per-class state of the stateless path: the block size bound and,
-/// for small classes, a perfect plan cache.
+/// once the class has as many live objects as permutation codes, a
+/// memo of its derived layouts.
 ///
-/// A class whose whole code space fits ([`code_space`]`(n) ≤`
-/// [`RANKED_MAX_CODES`], i.e. ≤4 fields) caches plan ids by the
-/// permutation's Lehmer rank: exactly `n!` misses per class lifetime
-/// and then never again. Wider classes keep no table (a 7-field class
-/// has 5,040 codes): each reservation derives its code's layout on the
-/// stack, hashes it and probes the interner, and builds a plan only for
-/// a layout never interned.
+/// The memo has one [`MemoEntry`] per code ([`code_space`]`(n)` = `n!`),
+/// indexed by the permutation's Lehmer rank ([`code_rank`]). A hit arms
+/// the object from the entry alone; a miss lays the code out on the
+/// stack, hashes it, probes the interner (building a plan only for a
+/// layout never interned) and fills the entry. It is built when a
+/// reservation finds `n!` live objects of the class, so it never costs
+/// more than 16 B per live object, or at the class's first reservation
+/// when it has at most [`UNGATED_CODES`] codes; once built it stays.
+/// Below the gate every reservation takes the miss path without a memo.
 #[derive(Debug)]
 struct StatelessClassCache {
     /// Identity-independent block size bound (traps included per
     /// config), computed once per class.
     bound: u32,
     fields: u8,
-    /// Plan id by Lehmer rank; empty for classes above 4 fields.
-    ranked: Vec<Option<u32>>,
+    /// Memoized layouts by Lehmer rank; empty below the live gate.
+    memo: Box<[MemoEntry]>,
 }
+
+/// Code spaces small enough to memoize from a class's first
+/// reservation: `4! = 24` codes, a 384 B memo, which a class of at most
+/// 4 fields churning a single object repays at once.
+const UNGATED_CODES: usize = 24;
 
 impl StatelessClassCache {
     fn new(bound: u32, fields: u8) -> Self {
-        let codes = code_space(usize::from(fields));
-        let ways = if codes <= RANKED_MAX_CODES { codes } else { 0 };
-        StatelessClassCache { bound, fields, ranked: vec![None; ways] }
+        StatelessClassCache { bound, fields, memo: Box::new([]) }
+    }
+}
+
+/// One memoized derived layout: what arming an object of it takes, so
+/// a hit derives, hashes, probes and reads no plan.
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    /// The layout's content hash: the record's plan hash and the key of
+    /// its trap canaries ([`CanaryKey::canary`]).
+    hash: PlanHash,
+    /// The registry id of the plan interned under `hash`; `u32::MAX`,
+    /// which the registry never mints, marks a vacant entry.
+    plan_id: u32,
+    /// The trap count, then each trap's offset in 8-byte slots, in
+    /// memory order.
+    traps: [u8; 4],
+}
+
+const _: () = assert!(std::mem::size_of::<MemoEntry>() == 16);
+
+impl MemoEntry {
+    const VACANT: MemoEntry = MemoEntry { hash: PlanHash(0), plan_id: u32::MAX, traps: [0; 4] };
+
+    /// The entry of `shape`, interned as `plan_id`, if its trap geometry
+    /// fits: every trap (an 8-byte slot, 8-byte aligned) at an offset
+    /// below 2 KiB. A wide `Bytes` field ahead of a trap can push it past
+    /// that; such a layout is left vacant and always derived.
+    fn of(shape: &DerivedLayout, plan_id: u32) -> Option<Self> {
+        let mut traps = [shape.traps().len() as u8, 0, 0, 0];
+        for (at, trap) in traps[1..].iter_mut().zip(shape.traps()) {
+            debug_assert_eq!((trap.size, trap.offset % TRAP_SLOT_BYTES), (TRAP_SLOT_BYTES, 0));
+            *at = u8::try_from(trap.offset / TRAP_SLOT_BYTES).ok()?;
+        }
+        Some(MemoEntry { hash: shape.plan_hash(), plan_id, traps })
+    }
+
+    /// The entry, unless vacant.
+    #[inline]
+    fn filled(self) -> Option<Self> {
+        (self.plan_id != u32::MAX).then_some(self)
+    }
+
+    /// The trap slots of the layout with their canaries under
+    /// `canaries`: the dummies [`DerivedLayout::traps`] gives it.
+    #[inline]
+    fn traps(self, canaries: CanaryKey) -> impl Iterator<Item = DummySlot> {
+        let count = usize::from(self.traps[0]);
+        self.traps.into_iter().skip(1).take(count).enumerate().map(move |(j, at)| DummySlot {
+            offset: u32::from(at) * TRAP_SLOT_BYTES,
+            size: TRAP_SLOT_BYTES,
+            canary: Some(canaries.canary(self.hash, j)),
+        })
     }
 }
 
@@ -320,10 +379,10 @@ struct StatelessState {
     /// its structure.
     canaries: CanaryKey,
     block: PermBlock,
-    /// Allocations served from the ranked plan cache: each is a plan
-    /// record the runtime did not have to build — the stateless path's
-    /// contribution to the dedup counter (its hash probes count as the
-    /// interner's hits).
+    /// Allocations armed from a class's layout memo: each is a plan the
+    /// runtime did not have to build — the stateless path's contribution
+    /// to the dedup counter (its hash probes count as the interner's
+    /// hits).
     hits: u64,
 }
 
@@ -441,8 +500,8 @@ pub struct ObjectRuntime {
     /// Round-key schedule and code buffer for the stateless allocation
     /// fast path.
     stateless: StatelessState,
-    /// Every class this runtime recorded an object of, with its
-    /// stateless plan cache.
+    /// Every class this runtime recorded an object of, with its live
+    /// count and stateless layout cache.
     classes: Vec<ClassEntry>,
     /// Index of the class the last allocation used (monomorphic hint:
     /// the common case is a run of one class, resolved by one compare).
@@ -555,8 +614,8 @@ impl ObjectRuntime {
     pub fn stats(&self) -> RuntimeStats {
         let mut s = self.stats;
         s.unique_plans = self.interner.unique_plans() as u64;
-        // Derived-plan cache hits are dedup saves too: an allocation that
-        // reused a cached stateless plan stored no new metadata record.
+        // Layout-memo hits are dedup saves too: an allocation armed from
+        // a memoized stateless layout stored no new metadata record.
         s.dedup_saved = self.interner.dedup_hits() + self.stateless.hits;
         let pool = self.pools.stats();
         s.pool_hits = pool.hits;
@@ -604,14 +663,14 @@ impl ObjectRuntime {
         // Pool bookkeeping (ring slots + class index; pooled plans are
         // interned and already counted above).
         let pool_bytes = self.pools.metadata_bytes();
-        // The class table with its derived-plan caches, plus the
-        // stateless path's round-key schedule and code block.
+        // The class table with its layout memos, plus the stateless
+        // path's round-key schedule and code block.
         let class_bytes = self.classes.capacity() * std::mem::size_of::<ClassEntry>()
             + self
                 .classes
                 .iter()
                 .filter_map(|c| c.stateless.as_ref())
-                .map(|s| s.ranked.capacity() * std::mem::size_of::<Option<u32>>())
+                .map(|s| std::mem::size_of_val(&*s.memo))
                 .sum::<usize>()
             + std::mem::size_of::<RoundKeys>()
             + std::mem::size_of::<PermBlock>();
@@ -707,14 +766,17 @@ impl ObjectRuntime {
         info: &Arc<ClassInfo>,
         plan_id: u32,
     ) -> Result<Capsule, RuntimeError> {
-        self.class_idx(info);
+        let ci = self.class_idx(info);
         let plan = resolve(self.interner.registry(), plan_id);
         let meta_count = &mut self.meta_count;
-        self.heap.malloc_with(plan.size().max(1) as usize, |heap, base, slot, generation| {
+        let size = plan.size().max(1) as usize;
+        let cap = self.heap.malloc_with(size, |heap, base, slot, generation| {
             let cap = Capsule { base, slot };
             Self::arm(heap, meta_count, cap, generation, info.hash(), (plan_id, plan))?;
-            Ok(cap)
-        })?
+            Ok::<_, RuntimeError>(cap)
+        })??;
+        self.classes[ci].live += 1;
+        Ok(cap)
     }
 
     /// Seed the canaries of `plan`, registered under `plan_id`, in the
@@ -776,14 +838,10 @@ impl ObjectRuntime {
     ///
     /// The hot path touches no key derivation (the round-key schedule is
     /// interned per runtime) and batches Feistel walks through the code
-    /// block on slot-reuse runs. In steady state a class of at most 4
-    /// fields resolves its code with one index into its ranked plan
-    /// cache and is armed from the registered plan. A wider class lays
-    /// the code out on the stack, hashes it, finds the interned plan's
-    /// id by one hash probe and is armed from the stack layout: its
-    /// canaries are the registry's for that structure, so the interned
-    /// plan is never read. A plan is built only for a layout never
-    /// interned.
+    /// block on slot-reuse runs. The interned plan is never read: a
+    /// layout's canaries are the registry's for its structure, so the
+    /// object is armed from the layout itself. How the layout is found is
+    /// [`reserve_stateless`](ObjectRuntime::reserve_stateless)'s.
     fn olr_malloc_stateless(
         &mut self,
         info: &Arc<ClassInfo>,
@@ -801,27 +859,40 @@ impl ObjectRuntime {
     /// front-end counts `allocations` and `stateless_allocs` at pop time.
     /// A reused slot's generation bump, its canaries and its record
     /// share one writer window.
+    ///
+    /// Once the class has a layout memo ([`StatelessClassCache`]), the
+    /// code's Lehmer rank indexes it, and a filled entry arms the object
+    /// directly: the record from its plan hash and id, the trap canaries
+    /// from `CanaryKey::canary(hash, j)` at its offsets. Otherwise the
+    /// code is laid out on the stack, hashed and probed for, a plan is
+    /// built only for a layout never interned, and the object is armed
+    /// from the stack layout; with a memo, the miss fills its entry.
     pub(crate) fn reserve_stateless(
         &mut self,
         info: &Arc<ClassInfo>,
         traps: bool,
     ) -> Result<Capsule, RuntimeError> {
         let ci = self.class_idx(info);
-        let cache = self.classes[ci].stateless.get_or_insert_with(|| {
+        let class = &mut self.classes[ci];
+        let cache = class.stateless.get_or_insert_with(|| {
             StatelessClassCache::new(stateless_bound(info, traps), info.field_count() as u8)
         });
         let (bound, n) = (cache.bound.max(1) as usize, usize::from(cache.fields));
+        let codes = code_space(n);
+        if cache.memo.is_empty() && (codes <= UNGATED_CODES || class.live as usize >= codes) {
+            cache.memo = vec![MemoEntry::VACANT; codes].into();
+        }
         let (st, interner, key) = (&mut self.stateless, &mut self.interner, self.epoch_key);
         let meta_count = &mut self.meta_count;
         let canaries = traps.then_some(st.canaries);
-        self.heap.malloc_with(bound, |heap, base, slot, generation| {
+        let cap = self.heap.malloc_with(bound, |heap, base, slot, generation| {
             let code = st.block.code_for(&st.keys, slot, generation, n);
-            let way = (!cache.ranked.is_empty()).then(|| code_rank(code, n));
+            let rank = (!cache.memo.is_empty()).then(|| code_rank(code, n));
             let cap = Capsule { base, slot };
-            if let Some(plan_id) = way.and_then(|w| cache.ranked[w]) {
+            if let Some(hit) = rank.and_then(|r| cache.memo[r].filled()) {
                 st.hits += 1;
-                let plan = (plan_id, resolve(interner.registry(), plan_id));
-                Self::arm(heap, meta_count, cap, generation, info.hash(), plan)?;
+                let record = (info.hash(), hit.hash, hit.plan_id);
+                Self::install(heap, meta_count, cap, generation, record, hit.traps(st.canaries))?;
                 return Ok(cap);
             }
             // One hash of the stack layout keys its canaries and finds
@@ -832,31 +903,48 @@ impl ObjectRuntime {
                 Some(plan_id) => plan_id,
                 None => interner.intern_id(shape.into_plan(info)),
             };
-            if let Some(w) = way {
-                cache.ranked[w] = Some(plan_id);
+            if let Some((r, entry)) = rank.zip(MemoEntry::of(&shape, plan_id)) {
+                cache.memo[r] = entry;
             }
             let record = (info.hash(), shape.plan_hash(), plan_id);
             Self::install(heap, meta_count, cap, generation, record, shape.traps().iter().copied())?;
-            Ok(cap)
-        })?
+            Ok::<_, RuntimeError>(cap)
+        })??;
+        class.live += 1;
+        Ok(cap)
     }
 
-    /// Index of `info` in the class table, adding it on first sight,
-    /// with a monomorphic last-class hint in front.
+    /// Index of `info` in the class table, adding it on first sight.
     #[inline]
     fn class_idx(&mut self, info: &Arc<ClassInfo>) -> usize {
-        let class = info.hash();
-        if self.classes.get(self.last_class).is_some_and(|c| c.info.hash() == class) {
-            return self.last_class;
-        }
-        self.last_class = match self.classes.iter().position(|c| c.info.hash() == class) {
+        self.last_class = match self.class_position(info.hash().0) {
             Some(i) => i,
             None => {
-                self.classes.push(ClassEntry { info: Arc::clone(info), stateless: None });
+                let entry = ClassEntry { info: Arc::clone(info), live: 0, stateless: None };
+                self.classes.push(entry);
                 self.classes.len() - 1
             }
         };
         self.last_class
+    }
+
+    /// Index of the class hashed `class` in the class table, with a
+    /// monomorphic last-class hint in front.
+    #[inline]
+    fn class_position(&self, class: u64) -> Option<usize> {
+        if self.classes.get(self.last_class).is_some_and(|c| c.info.hash().0 == class) {
+            return Some(self.last_class);
+        }
+        self.classes.iter().position(|c| c.info.hash().0 == class)
+    }
+
+    /// Count a retired record of the class hashed `class`: one live
+    /// object fewer.
+    fn note_retired(&mut self, class: u64) {
+        if let Some(i) = self.class_position(class) {
+            let live = &mut self.classes[i].live;
+            *live = live.saturating_sub(1);
+        }
     }
 
     /// Instrumented deallocation: verify booby traps, retire metadata,
@@ -877,6 +965,7 @@ impl ObjectRuntime {
         let read = |a, w| heap.read_uint(a, w).ok();
         let view = Self::view(heap, self.interner.registry(), base);
         let checked = view.free_check(&self.config, read, &mut self.stats);
+        let class = view.snap.map_or(0, |s| s.class_hash);
         let Some(slot) = checked? else {
             // Untracked pointer (or a record self-invalidated by raw
             // reuse): behave like plain free().
@@ -886,6 +975,7 @@ impl ObjectRuntime {
         // writer window that frees the block: a lock-free reader sees
         // LIVE or FREED, never the torn in-between.
         self.heap.free_object(slot)?;
+        self.note_retired(class);
         self.stats.frees += 1;
         Ok(())
     }
@@ -917,7 +1007,12 @@ impl ObjectRuntime {
             self.heap.pub_close(slot, win);
             return false;
         }
-        self.heap.free_object(slot).is_ok()
+        let class = self.heap.records().get(slot).map_or(0, |r| r.class_hash());
+        let freed = self.heap.free_object(slot).is_ok();
+        if freed {
+            self.note_retired(class);
+        }
+        freed
     }
 
     /// Instrumented member access (the rewritten `getelementptr`): resolve
@@ -1101,15 +1196,16 @@ impl ObjectRuntime {
         // Reuse live same-class metadata at dst when present (and
         // generation-current — a stale record never donates a plan);
         // otherwise mint a fresh randomized plan for the duplicate.
-        let reusable = Self::view(&self.heap, self.interner.registry(), dst)
+        let replaced = Self::view(&self.heap, self.interner.registry(), dst)
             .tracked_plan()
-            .filter(|(snap, _)| snap.state != PUB_STATE_FREED && snap.class_hash == info.hash().0)
-            .and_then(|(snap, _)| snap.plan_id);
-        let plan_id = match reusable {
+            .filter(|(snap, _)| snap.state != PUB_STATE_FREED)
+            .map(|(snap, _)| (snap.class_hash, snap.plan_id));
+        let same_class = replaced.is_some_and(|(class, _)| class == info.hash().0);
+        let plan_id = match replaced.filter(|_| same_class).and_then(|(_, id)| id) {
             Some(reused) => reused,
             None => self.plan_fitting(&info, dst_limit)?,
         };
-        self.class_idx(&info);
+        let ci = self.class_idx(&info);
         let dst_plan = resolve(self.interner.registry(), plan_id);
 
         // Field-by-field translation between the two plans, all reads
@@ -1128,7 +1224,15 @@ impl ObjectRuntime {
             Self::arm(&mut self.heap, &mut self.meta_count, cap, generation, info.hash(), plan)
         })();
         self.heap.pub_close(slot, win);
-        installed
+        installed?;
+        // A copy over a live object of another class retires that one.
+        if !same_class {
+            if let Some((class, _)) = replaced {
+                self.note_retired(class);
+            }
+            self.classes[ci].live += 1;
+        }
+        Ok(())
     }
 
     /// The registry id of a plan for a copy of class `info` into a
@@ -2276,5 +2380,248 @@ mod tests {
         c.heap.placement.seed = 77;
         let rt = ObjectRuntime::new(RandomizeMode::per_allocation(), c);
         assert_eq!(rt.heap().config().placement.seed, 77);
+    }
+
+    /// The runtime whose class memos and records a memo tape inspects:
+    /// an owner, or the one shard under a handle, with the count of
+    /// capsules the handle holds (`None` on the owner).
+    trait MemoSurface {
+        fn malloc(&mut self, info: &Arc<ClassInfo>) -> Addr;
+        fn free(&mut self, base: Addr);
+        fn parked(&self) -> Option<usize>;
+        fn inspect<R>(&mut self, f: impl FnOnce(&mut ObjectRuntime) -> R) -> R;
+    }
+
+    impl MemoSurface for ObjectRuntime {
+        fn malloc(&mut self, info: &Arc<ClassInfo>) -> Addr {
+            self.olr_malloc(info).unwrap()
+        }
+        fn free(&mut self, base: Addr) {
+            self.olr_free(base).unwrap()
+        }
+        fn parked(&self) -> Option<usize> {
+            None
+        }
+        fn inspect<R>(&mut self, f: impl FnOnce(&mut ObjectRuntime) -> R) -> R {
+            f(self)
+        }
+    }
+
+    impl MemoSurface for (&crate::ShardedRuntime, crate::ShardHandle<'_>) {
+        fn malloc(&mut self, info: &Arc<ClassInfo>) -> Addr {
+            self.1.olr_malloc(info).unwrap()
+        }
+        fn free(&mut self, base: Addr) {
+            self.1.olr_free(base).unwrap()
+        }
+        fn parked(&self) -> Option<usize> {
+            Some(self.1.parked_capsules())
+        }
+        fn inspect<R>(&mut self, f: impl FnOnce(&mut ObjectRuntime) -> R) -> R {
+            self.0.with_shard(0, f)
+        }
+    }
+
+    /// The stateless cache of `info`'s class on `rt`.
+    fn cache_of<'a>(rt: &'a mut ObjectRuntime, info: &ClassInfo) -> &'a mut StatelessClassCache {
+        let class = rt.classes.iter_mut().find(|c| c.info.hash() == info.hash());
+        class.and_then(|c| c.stateless.as_mut()).expect("a stateless class")
+    }
+
+    /// Check the object at `base` against its twin armed by derive and
+    /// probe: the layout its (slot, generation) derives, hashed, with
+    /// the id the interner holds for that hash. Returns whether the
+    /// layout fits a memo entry.
+    fn check_derived_twin(
+        rt: &mut ObjectRuntime,
+        info: &Arc<ClassInfo>,
+        traps: bool,
+        base: Addr,
+    ) -> Result<bool, String> {
+        let (slot, generation) = rt.heap.slot_gen(base).ok_or("no block")?;
+        let n = info.field_count();
+        let code = RoundKeys::new(rt.epoch_key).perm_code(generation, slot, n);
+        let canaries = traps.then_some(rt.stateless.canaries);
+        let shape = DerivedLayout::derive(info, rt.epoch_key, code, canaries);
+        // The probe counts a dedup hit; no memo tape reads that counter.
+        let plan_id = rt.interner.probe(shape.plan_hash()).ok_or("layout not interned")?;
+        let rec = rt.heap.records().get(slot).ok_or("no record")?;
+        let got = (rec.class_hash(), rec.plan_hash(), rec.plan_id(), rec.snapshot(slot).meta_gen);
+        let want = (info.hash().0, shape.plan_hash().0, plan_id, generation);
+        if got != want {
+            return Err(format!("record {got:x?} != twin {want:x?} at {base:?}"));
+        }
+        for trap in shape.traps() {
+            let seeded = rt.heap.read_uint(base.offset(u64::from(trap.offset)), 8).unwrap();
+            if Some(seeded) != trap.canary {
+                return Err(format!("canary at +{} of {base:?}: {seeded:x}", trap.offset));
+            }
+        }
+        let fits = MemoEntry::of(&shape, plan_id).is_some();
+        let memo = &cache_of(rt, info).memo;
+        if !fits && !memo.is_empty() && memo[code_rank(code, n)].filled().is_some() {
+            return Err(format!("a layout whose traps do not fit is memoized: {base:?}"));
+        }
+        Ok(fits)
+    }
+
+    /// A memo tape's model: the objects it holds, the reservations and
+    /// frees so far, whether the memo is due and how many layouts fit.
+    #[derive(Default)]
+    struct MemoModel {
+        live: Vec<Addr>,
+        reserved: usize,
+        freed: usize,
+        memo_due: bool,
+        fitting: usize,
+    }
+
+    impl MemoModel {
+        /// Allocate one object, check it against its twin and the memo's
+        /// presence against the live count its reservation saw: every
+        /// reservation so far less the frees retired by then (a refill
+        /// drains them all first).
+        fn alloc(
+            &mut self,
+            surface: &mut impl MemoSurface,
+            info: &Arc<ClassInfo>,
+            traps: bool,
+        ) -> Result<(), String> {
+            let codes = code_space(info.field_count());
+            let gate = if codes <= UNGATED_CODES { 0 } else { codes };
+            match surface.parked() {
+                Some(0) => {
+                    self.memo_due |= self.reserved - self.freed + DEFAULT_BATCH > gate;
+                    self.reserved += DEFAULT_BATCH;
+                }
+                Some(_) => {}
+                None => {
+                    self.memo_due |= self.reserved - self.freed >= gate;
+                    self.reserved += 1;
+                }
+            }
+            let base = surface.malloc(info);
+            self.live.push(base);
+            let (fits, built) = surface.inspect(|rt| {
+                let fits = check_derived_twin(rt, info, traps, base)?;
+                Ok::<_, String>((fits, !cache_of(rt, info).memo.is_empty()))
+            })?;
+            self.fitting += usize::from(fits);
+            match (built, self.memo_due) {
+                (built, due) if built == due => Ok(()),
+                (built, due) => Err(format!("memo built {built}, due {due}, at {base:?}")),
+            }
+        }
+
+        /// Free one held object, drawn by `rng`.
+        fn free(&mut self, surface: &mut impl MemoSurface, rng: &mut SplitMix64) {
+            let doomed = self.live.swap_remove((rng.next_u64() % self.live.len() as u64) as usize);
+            surface.free(doomed);
+            self.freed += 1;
+        }
+    }
+
+    /// One memo tape on `surface`: allocate past `n!` live objects,
+    /// churn past it, free back below it and allocate again, checking
+    /// every object against its derive-and-probe twin, the memo's
+    /// presence against the live count, and that the memo is counted in
+    /// the metadata estimate.
+    fn memo_tape(
+        surface: &mut impl MemoSurface,
+        info: &Arc<ClassInfo>,
+        traps: bool,
+        seed: u64,
+    ) -> Result<(), String> {
+        let codes = code_space(info.field_count());
+        let mut rng = SplitMix64::new(seed);
+        let mut model = MemoModel::default();
+        // Up to three quarters of n! and half of that freed, so a
+        // retirement the live count misses builds the memo early.
+        for _ in 0..codes * 3 / 4 {
+            model.alloc(surface, info, traps)?;
+        }
+        for _ in 0..codes * 3 / 8 {
+            model.free(surface, &mut rng);
+        }
+        while model.live.len() <= codes + (rng.next_u64() % 64) as usize {
+            model.alloc(surface, info, traps)?;
+        }
+        let hits = surface.inspect(|rt| rt.stateless.hits);
+        for _ in 0..codes.max(256) {
+            model.free(surface, &mut rng);
+            model.alloc(surface, info, traps)?;
+        }
+        if surface.inspect(|rt| rt.stateless.hits) == hits && model.fitting > 0 {
+            return Err("no reservation was armed from the memo".into());
+        }
+        // The memo's bytes are in the estimate: taking it out removes
+        // exactly its capacity in entries.
+        surface.inspect(|rt| {
+            let with = rt.shard_metadata_bytes();
+            let memo = std::mem::take(&mut cache_of(rt, info).memo);
+            let without = rt.shard_metadata_bytes();
+            let bytes = std::mem::size_of_val(&*memo);
+            cache_of(rt, info).memo = memo;
+            match with - without {
+                d if d == bytes && bytes == codes * 16 => Ok(()),
+                d => Err(format!("memo of {bytes} B counted as {d} B")),
+            }
+        })?;
+        while model.live.len() >= codes / 2 {
+            model.free(surface, &mut rng);
+        }
+        for _ in 0..64 {
+            model.alloc(surface, info, traps)?;
+        }
+        for base in std::mem::take(&mut model.live) {
+            surface.free(base);
+        }
+        Ok(())
+    }
+
+    /// Memo equivalence: over classes of 3–8 fields (one with a `Bytes`
+    /// field wide enough to push traps past a memo entry's reach), with
+    /// and without traps, on an owner and on a one-shard handle, an
+    /// object armed from its class's memo carries the record and canary
+    /// bytes of its derive-and-probe twin; the memo exists exactly once a
+    /// reservation met `n!` live objects of the class (from the first
+    /// reservation for a class of at most 4 fields), is counted in the
+    /// metadata estimate, and serves on after the live count falls below
+    /// the gate. `POLAR_MEMO_CASES` sets the case count (12 by default).
+    #[test]
+    fn memo_arms_as_derive_and_probe() {
+        use polar_check::any;
+        let cases = std::env::var("POLAR_MEMO_CASES").ok().and_then(|v| v.parse().ok());
+        let config = polar_check::Config::default().cases(cases.unwrap_or(12)).seed(0x3E30_5EED);
+        let case = (3usize..9, any::<bool>(), any::<bool>(), any::<bool>(), any::<u64>());
+        polar_check::check_with(config, "memo_arms_as_derive_and_probe", &case, |c| {
+            let &(n, traps, handle, wide, seed) = c;
+            use FieldKind::{Ptr, F64, I16, I32, I64, I8};
+            const KINDS: [FieldKind; 6] = [Ptr, I32, I16, I64, I8, F64];
+            let mut decl = ClassDecl::builder(format!("Memo{n}"));
+            for i in 0..n {
+                // A wide field only on classes of at most 6 fields, whose
+                // n! live objects stay a few megabytes.
+                let kind = if wide && n <= 6 && i == 0 {
+                    FieldKind::Bytes(2100)
+                } else {
+                    KINDS[(seed >> (3 * i)) as usize % KINDS.len()]
+                };
+                decl = decl.field(format!("f{i}"), kind);
+            }
+            let info = Arc::new(ClassInfo::from_decl(decl.build()));
+            let layout = if traps { LayoutSource::Derived } else { LayoutSource::DerivedUntrapped };
+            let config = RuntimeConfig { layout, ..RuntimeConfig::default() };
+            if handle {
+                let rt = crate::ShardedRuntime::new(RandomizeMode::per_allocation(), config, 1);
+                let mut surface = (&rt, rt.handle(0));
+                let result = memo_tape(&mut surface, &info, traps, seed);
+                drop(surface);
+                result
+            } else {
+                let mut rt = ObjectRuntime::new(RandomizeMode::per_allocation(), config);
+                memo_tape(&mut rt, &info, traps, seed)
+            }
+        });
     }
 }

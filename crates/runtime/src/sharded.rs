@@ -369,6 +369,13 @@ impl ShardedRuntime {
         Ok(ShardGuard::new(rt, &self.counters))
     }
 
+    /// Run `f` on shard `i`'s runtime under its lock, without draining:
+    /// a test's view of a shard's private state.
+    #[cfg(test)]
+    pub(crate) fn with_shard<R>(&self, i: usize, f: impl FnOnce(&mut ObjectRuntime) -> R) -> R {
+        f(&mut self.lock(i).expect("shard lock"))
+    }
+
     /// [`ShardedRuntime::lock`] that first drains the shard's remote-free
     /// stack: for the paths that want or change the shard's blocks
     /// (allocations, refills, frees, copies, trap sweeps of freed

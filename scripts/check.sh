@@ -123,6 +123,18 @@ echo "== differential detection property (release) =="
 POLAR_CHECK_CASES=4000 cargo test -q --offline --release -p polar-runtime --test classify_props
 echo "ok: differential property green"
 
+echo "== layout memo equivalence (release, larger budget) =="
+# Once a stateless class has n! live objects on a runtime, its
+# reservations arm from a per-class layout memo instead of deriving,
+# hashing and probing. Every object armed either way must carry the
+# record words and canary bytes of its derive-and-probe twin, the memo
+# must appear exactly at the live gate, stay counted in the metadata
+# estimate and keep serving once the live count falls back. The
+# workspace stage runs 12 cases (3-8 fields, traps on and off, owner
+# and one-shard handle, one class too wide to memoize); this one 200.
+POLAR_MEMO_CASES=200 cargo test -q --offline --release -p polar-runtime --lib memo_arms_as_derive_and_probe
+echo "ok: layout memo equivalence green"
+
 echo "== derived-layout hash and canary identity (release, every code) =="
 # A stateless reservation finds its interned plan by hashing the layout
 # its permutation code derives on the stack, and arms the object with
